@@ -7,7 +7,8 @@ from .bound_state import (BoundStateResult, BracketFailureError, find_bound_stat
 from .dynamics import (DensityMatrix, PropagatorParams, Trajectory, alpha1,
                        density_matrix, density_trajectory, excited_population,
                        g_factor, g_factor_dt, nu1, population_rate,
-                       propagate_three_level, propagate_two_level, trajectory)
+                       population_turning_points, propagate_three_level,
+                       propagate_two_level, trajectory)
 from .measures import (GenericQslResult, ReportStatus, SpeedupReport, bures_angle,
                        evaluate_point, nonmarkov_three_level, nonmarkov_two_level,
                        qsl_generic, qsl_three_level, qsl_two_level, schatten_norm,
@@ -29,7 +30,8 @@ __all__ = [
     "evaluate_point", "excited_population", "figure_preset",
     "find_bound_state", "find_critical_coupling", "g_factor", "g_factor_dt",
     "integrate_kernel_ode", "kernel_k", "lorentzian_j", "nonmarkov_three_level",
-    "nonmarkov_two_level", "nu1", "population_rate", "propagate_three_level",
+    "nonmarkov_two_level", "nu1", "population_rate",
+    "population_turning_points", "propagate_three_level",
     "propagate_two_level", "qsl_generic", "qsl_three_level", "qsl_two_level",
     "reservoir_integral", "reservoir_integral_quad", "run_sweep",
     "schatten_norm", "solve_collective", "total_spectral_weight",

@@ -20,7 +20,6 @@ arbitrary per-emitter initial amplitudes.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -48,49 +47,49 @@ class PropagatorParams:
 
     @classmethod
     def from_model(cls, params: ModelParams) -> "PropagatorParams":
-        return _propagator_for(params)
+        lam, g0, n = params.lam, params.gamma0, params.n_atoms
+        return cls(
+            lam=lam,
+            n_atoms=n,
+            d_two_level=principal_sqrt(lam * lam - 2.0 * g0 * lam * n),
+            d_plus=principal_sqrt(lam * lam - 2.0 * g0 * (1.0 + params.theta) * lam * n),
+            d_minus=principal_sqrt(lam * lam - 2.0 * g0 * (1.0 - params.theta) * lam * n),
+        )
 
 
-@functools.lru_cache(maxsize=4096)
-def _propagator_for(params: ModelParams) -> PropagatorParams:
-    lam, g0, n = params.lam, params.gamma0, params.n_atoms
-    return PropagatorParams(
-        lam=lam,
-        n_atoms=n,
-        d_two_level=principal_sqrt(lam * lam - 2.0 * g0 * lam * n),
-        d_plus=principal_sqrt(lam * lam - 2.0 * g0 * (1.0 + params.theta) * lam * n),
-        d_minus=principal_sqrt(lam * lam - 2.0 * g0 * (1.0 - params.theta) * lam * n),
-    )
+def _damped_cosh_sinh(t: np.ndarray, d: complex, lam: float):
+    """exp(-lam*t/2) times cosh(d*t/2) and sinh(d*t/2)/d.
 
-
-def _sinhc(x: np.ndarray) -> np.ndarray:
-    """sinh(x)/x, continued through x = 0 by its Taylor series."""
-    x = np.asarray(x, dtype=complex)
-    out = np.empty_like(x)
-    small = np.abs(x) < 5e-7
-    xs = x[small]
-    out[small] = 1.0 + xs * xs / 6.0 * (1.0 + xs * xs / 20.0)
-    xl = x[~small]
-    out[~small] = np.sinh(xl) / xl
-    return out
+    The damping is folded into the growing exponential,
+    exp((Re d - lam)*t/2), which never exceeds 1 because Re d <= lam; the
+    rest of the hyperbolic functions is written through expm1(-Re d * t).
+    Nothing overflows on long overdamped windows, an oscillating channel
+    (Re d = 0) stays exactly real, and the degenerate channel d = 0
+    (critical coupling) takes the limit sinh(d*t/2)/d = t/2.
+    """
+    d = complex(d)
+    grow = np.exp(0.5 * (d.real - lam) * t)
+    m = np.expm1(-d.real * t)
+    cos_b, sin_b = np.cos(0.5 * d.imag * t), np.sin(0.5 * d.imag * t)
+    cosh_part = grow * ((1.0 + 0.5 * m) * cos_b - 0.5j * m * sin_b)
+    if d == 0:
+        return cosh_part, 0.5 * t * cosh_part
+    sinh_part = grow * (-0.5 * m * cos_b + 1j * (1.0 + 0.5 * m) * sin_b)
+    return cosh_part, sinh_part / d
 
 
 def g_factor(t, d: complex, lam: float):
-    """Decay envelope g(t); scalar or array t >= 0.
-
-    Written with sinh(x)/x so the degenerate channel d -> 0 (critical
-    coupling) evaluates without a 0/0.
-    """
+    """Decay envelope g(t); scalar or array t >= 0."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    x = (0.5 * complex(d)) * t
-    out = np.exp(-0.5 * lam * t) * (np.cosh(x) + (0.5 * lam) * t * _sinhc(x))
+    cosh_part, sinh_over_d = _damped_cosh_sinh(t, d, lam)
+    out = cosh_part + lam * sinh_over_d
     return out if out.ndim else complex(out)
 
 
 def g_factor_dt(t, d: complex, lam: float):
-    """Time derivative of the envelope: dg/dt = -w*(t/2)*exp(-lam*t/2)*sinhc(d*t/2).
+    """Time derivative of the envelope: dg/dt = -w*exp(-lam*t/2)*sinh(d*t/2)/d.
 
     The prefactor w = (lam**2 - d**2)/2 is recovered from d itself, so the
     derivative shares the envelope's parametrisation exactly.
@@ -99,8 +98,7 @@ def g_factor_dt(t, d: complex, lam: float):
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
     w = 0.5 * (lam * lam - complex(d) ** 2).real
-    x = (0.5 * complex(d)) * t
-    out = (-w * 0.5) * t * np.exp(-0.5 * lam * t) * _sinhc(x)
+    out = -w * _damped_cosh_sinh(t, d, lam)[1]
     return out if out.ndim else complex(out)
 
 
@@ -167,6 +165,28 @@ def population_rate(t, params: ModelParams):
     damp = amplitude_rate(t, params)
     out = 2.0 * scale * np.real(np.conjugate(amp) * damp)
     return out if np.ndim(out) else float(out)
+
+
+def population_turning_points(params: ModelParams, tau: float) -> np.ndarray:
+    """Sorted zeros of population_rate inside (0, tau), in closed form.
+
+    The rate is proportional to a(t) * g'(t) with a = 1 + (g - 1)/N real.
+    g' carries sin(|d| t/2) once the channel oscillates (d imaginary), so it
+    vanishes at t_k = 2 pi k/|d|; an overdamped or degenerate channel has no
+    zeros.  The amplitude vanishes only for N = 1, where g = 0 at
+    t = 2 (pi k - atan(|d|/lam))/|d|; for N >= 2 it would need g <= -1,
+    beyond the envelope's reach |g(t_k)| = exp(-pi k lam/|d|).
+    """
+    d, lam, n = _channel(params)
+    omega = d.imag
+    if omega <= 0.0:
+        return np.zeros(0)
+    k = np.arange(1, math.floor(tau * omega / (2.0 * math.pi)) + 2)
+    points = 2.0 * math.pi * k / omega
+    if n == 1:
+        points = np.sort(np.concatenate(
+            [points, 2.0 * (math.pi * k - math.atan(omega / lam)) / omega]))
+    return points[points < tau]
 
 
 def _abs2(z):

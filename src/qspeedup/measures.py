@@ -3,8 +3,10 @@ quantum-speed-limit time and the information-backflow measure.
 
 For the symmetric initial states the excited population p(t) carries the
 whole story.  Splitting [0, tau] at the zeros of dp/dt gives monotone
-segments; with R the total rise of p over the ascending ones (population
-returning from the reservoir), the exact decomposition
+segments.  Those turning points are enumerated in closed form
+(dynamics.population_turning_points), so p is read off only at them and
+at the window ends.  With R the total rise of p over the ascending
+segments (population returning from the reservoir), the exact decomposition
 
     int_0^tau |dp/dt| dt = (p(0) - p(tau)) + 2 R,    p(0) = 1,
 
@@ -19,18 +21,13 @@ Both emitter kinds share this structure: the two-level population is
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, excited_population, population_rate
-from .quadrature import adaptive_simpson_segments
+from .dynamics import DensityMatrix, excited_population, population_turning_points
 from .spectral import AtomKind, ModelParams
-
-ZERO_REFINE_TOL = 1e-12
-SEGMENT_SAMPLES = 4096
 
 
 class ReportStatus(enum.Enum):
@@ -103,46 +100,6 @@ def bures_angle(initial, target) -> float:
     return math.acos(math.sqrt(fid))
 
 
-def _bisect_rate_zeros(rate_fn, lo, hi, tol=ZERO_REFINE_TOL, max_iter=64):
-    """Refine all bracketed sign changes of rate_fn at once."""
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    r_lo = np.asarray(rate_fn(lo), dtype=float)
-    for _ in range(max_iter):
-        if float((hi - lo).max()) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        r_mid = np.asarray(rate_fn(mid), dtype=float)
-        same = np.sign(r_mid) == np.sign(r_lo)
-        lo = np.where(same, mid, lo)
-        r_lo = np.where(same, r_mid, r_lo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def monotone_segments(rate_fn, tau: float, samples: int = SEGMENT_SAMPLES):
-    """Split [0, tau] into maximal segments of constant sign(rate).
-
-    Returns a list of (a, b, ascending) triples, or None when the rate
-    vanishes identically on the sampling grid (stationary evolution).
-    The rate is sampled on samples+1 uniform points; sign changes between
-    neighbours are refined by bisection to ZERO_REFINE_TOL in t.
-    """
-    t = np.linspace(0.0, float(tau), samples + 1)
-    r = np.asarray(rate_fn(t), dtype=float)
-    if float(np.abs(r).max()) == 0.0:
-        return None
-    s = np.sign(r)
-    # r(0) = 0 exactly for these envelopes, so flips are sought from index 1
-    flip = np.nonzero(s[1:-1] * s[2:] < 0)[0] + 1
-    zeros = list(_bisect_rate_zeros(rate_fn, t[flip], t[flip + 1])) if flip.size else []
-    zeros += list(t[1:-1][s[1:-1] == 0.0])
-    cuts = [0.0] + sorted(zeros) + [float(tau)]
-    mids = np.asarray([0.5 * (a + b) for a, b in zip(cuts, cuts[1:])])
-    ascending = np.asarray(rate_fn(mids), dtype=float) > 0.0
-    return [(a, b, bool(up)) for a, b, up in zip(cuts, cuts[1:], ascending)]
-
-
 @dataclass(frozen=True)
 class _Functionals:
     backflow: float
@@ -151,34 +108,19 @@ class _Functionals:
     status: ReportStatus
 
 
-@functools.lru_cache(maxsize=65536)
 def _functionals(params: ModelParams, tau: float) -> _Functionals:
     """Backflow and |rate| integral of the excited population on [0, tau]."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError("tau must be finite and > 0")
     if params.gamma0 == 0.0:
         return _Functionals(0.0, 0.0, 1.0, ReportStatus.STATIONARY)
-
-    def rate_fn(t):
-        return population_rate(t, params)
-
-    segments = monotone_segments(rate_fn, tau)
-    p_tau = float(excited_population(float(tau), params))
-    if segments is None:
-        return _Functionals(0.0, 0.0, p_tau, ReportStatus.STATIONARY)
-
-    ascending = [(a, b) for a, b, up in segments if up]
-    if not ascending:
-        backflow = 0.0
-    elif params.kind is AtomKind.THREE_LEVEL_V:
-        # rises read off the population at the refined segment endpoints
-        edges = np.asarray(ascending)
-        p_hi = np.asarray(excited_population(edges[:, 1], params), dtype=float)
-        p_lo = np.asarray(excited_population(edges[:, 0], params), dtype=float)
-        backflow = float((p_hi - p_lo).sum())
-    else:
-        rises = adaptive_simpson_segments(rate_fn, ascending, tol=1e-12)
-        backflow = float(rises.sum())
-    backflow = max(backflow, 0.0)
+    cuts = np.concatenate(([0.0], population_turning_points(params, tau), [tau]))
+    p = excited_population(cuts, params)
+    backflow = float(np.maximum(np.diff(p), 0.0).sum())
+    p_tau = float(p[-1])
     rate_abs = (1.0 - p_tau) + 2.0 * backflow
+    if rate_abs == 0.0:
+        return _Functionals(0.0, 0.0, p_tau, ReportStatus.STATIONARY)
     return _Functionals(backflow, rate_abs, p_tau, ReportStatus.NORMAL)
 
 
@@ -279,11 +221,3 @@ def qsl_generic(times, rhos, rho_rates=None) -> GenericQslResult:
     angle = math.acos(math.sqrt(fid))
     tau_qsl = math.sin(angle) ** 2 / min(r for r in rates if r > 0.0)
     return GenericQslResult(tau_qsl, angle, rates, ReportStatus.NORMAL)
-
-
-def clear_caches() -> None:
-    """Drop memoised per-point results (used by timing-sensitive tests)."""
-    from .dynamics import _propagator_for
-
-    _functionals.cache_clear()
-    _propagator_for.cache_clear()

@@ -1,9 +1,9 @@
 """Adaptive Simpson quadrature with batched interval refinement.
 
-The sweep machinery integrates thousands of short, smooth segments per
-parameter point, so the refinement loop is organised as a flat worklist of
-intervals that is processed with vectorised integrand calls instead of the
-usual per-interval recursion.
+The refinement loop is organised as a flat worklist of intervals that is
+processed with vectorised integrand calls instead of the usual
+per-interval recursion.  It backs the quadrature cross-check of the
+closed-form reservoir integral.
 """
 
 from __future__ import annotations
@@ -17,46 +17,28 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 
 def adaptive_simpson(f: Integrand, a: float, b: float, tol: float = 1e-12,
                      max_depth: int = 48) -> float:
-    """Integrate a vectorised integrand over [a, b] to absolute tolerance tol."""
+    """Integrate a vectorised integrand over [a, b] to absolute tolerance tol.
+
+    Each refinement level is one worklist of intervals evaluated with
+    vectorised integrand calls; halves inherit half their parent's error
+    budget.  Intervals still disagreeing at max_depth contribute their
+    Richardson-extrapolated estimate, which bounds the work near endpoints
+    where the integrand is nearly singular.
+    """
     if a == b:
         return 0.0
     if b < a:
         return -adaptive_simpson(f, b, a, tol, max_depth)
-    return float(adaptive_simpson_segments(f, [(a, b)], tol, max_depth)[0])
 
-
-def adaptive_simpson_segments(f: Integrand, bounds, tol: float = 1e-12,
-                              max_depth: int = 48) -> np.ndarray:
-    """Integrate one integrand over many disjoint segments in one pass.
-
-    bounds is a sequence of (a, b) pairs with a <= b; each segment gets its
-    own absolute tolerance budget tol.  Returns the per-segment integrals in
-    input order.  Intervals still disagreeing at max_depth contribute their
-    Richardson-extrapolated estimate, which bounds the work near endpoints
-    where the integrand is nearly singular.
-    """
-    bounds = np.asarray(bounds, dtype=float)
-    if bounds.size == 0:
-        return np.zeros(0)
-    if bounds.ndim != 2 or bounds.shape[1] != 2:
-        raise ValueError("bounds must be a sequence of (a, b) pairs")
-    if np.any(bounds[:, 1] < bounds[:, 0]):
-        raise ValueError("segment bounds must satisfy a <= b")
-
-    total = np.zeros(len(bounds))
-    live = bounds[:, 0] < bounds[:, 1]
-    seg = np.nonzero(live)[0]
-    if seg.size == 0:
-        return total
-
-    a = bounds[live, 0]
-    b = bounds[live, 1]
+    a = np.asarray([a], dtype=float)
+    b = np.asarray([b], dtype=float)
     m = 0.5 * (a + b)
     fa = np.asarray(f(a), dtype=float)
     fm = np.asarray(f(m), dtype=float)
     fb = np.asarray(f(b), dtype=float)
     coarse = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    budget = np.full(seg.shape, float(tol))
+    budget = np.full(1, float(tol))
+    total = 0.0
 
     for depth in range(max_depth + 1):
         lm = 0.5 * (a + m)
@@ -67,12 +49,13 @@ def adaptive_simpson_segments(f: Integrand, bounds, tol: float = 1e-12,
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = (left + right - coarse) / 15.0
         done = (np.abs(err) <= budget) | (depth == max_depth)
-        if np.any(done):
-            np.add.at(total, seg[done], (left + right + err)[done])
+        # one interval at a time in worklist order: a pairwise sum would
+        # move the last bits of the quadrature cross-check's reference values
+        for part in (left + right + err)[done]:
+            total += part
         keep = ~done
         if not np.any(keep):
             break
-        seg = np.concatenate([seg[keep], seg[keep]])
         a, b, m, fa, fb, fm, coarse = (
             np.concatenate([a[keep], m[keep]]),
             np.concatenate([m[keep], b[keep]]),
@@ -83,4 +66,4 @@ def adaptive_simpson_segments(f: Integrand, bounds, tol: float = 1e-12,
             np.concatenate([left[keep], right[keep]]),
         )
         budget = np.concatenate([budget[keep], budget[keep]]) * 0.5
-    return total
+    return float(total)

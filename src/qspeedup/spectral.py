@@ -51,6 +51,9 @@ class ModelParams:
             raise ValueError("n_atoms must be an integer >= 1")
         if self.n_atoms < 1:
             raise ValueError("n_atoms must be >= 1")
+        for name in ("gamma0", "lam", "omega0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.omega0 > 0:
             raise ValueError("omega0 must be > 0")
         if not self.lam > 0:

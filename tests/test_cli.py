@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from qspeedup import dynamics, measures
+from qspeedup import dynamics
 from qspeedup.bound_state import find_bound_state
 from qspeedup.cli import (CSV_HEADER, RunConfig, main, parse_args, to_argv)
 from qspeedup.measures import evaluate_point
@@ -19,6 +19,19 @@ class TestArgvHandling:
         code = main(["bound-state", "--gamma0", "1", "--lambda", "2", "--n", "0"])
         assert code == 1
         assert "n_atoms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["qsl", "--gamma0", "nan", "--lambda", "2"], "gamma0"),
+        (["qsl", "--gamma0", "inf", "--lambda", "2"], "gamma0"),
+        (["qsl", "--gamma0", "1", "--lambda", "nan"], "lam"),
+        (["qsl", "--gamma0", "1", "--lambda", "2", "--tau", "nan"], "tau"),
+        (["qsl", "--gamma0", "1", "--lambda", "2", "--tau", "inf"], "tau"),
+    ])
+    def test_non_finite_values_are_usage_errors(self, capsys, argv, fragment):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert fragment in captured.err
+        assert "ratio" not in captured.out
 
     def test_unknown_command_is_a_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -179,12 +192,7 @@ class TestValidateCommand:
         def skewed(t, d, lam):
             return 1.001 * true_g(t, d, lam)
 
-        try:
-            measures.clear_caches()
-            monkeypatch.setattr(dynamics, "g_factor", skewed)
-            assert main(["validate", "--quick"]) == 3
-            out = capsys.readouterr().out
-            assert "FAIL" in out and "checks failed" in out
-        finally:
-            monkeypatch.undo()
-            measures.clear_caches()
+        monkeypatch.setattr(dynamics, "g_factor", skewed)
+        assert main(["validate", "--quick"]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "checks failed" in out

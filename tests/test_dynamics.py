@@ -46,6 +46,17 @@ class TestEnvelope:
         expected = math.exp(-lam * t / 2) * (1 + lam * t / 2)
         assert g_factor(t, 0j, lam) == pytest.approx(expected, rel=1e-14)
 
+    def test_long_overdamped_window_stays_finite(self):
+        # d t/2 ~ 750: cosh and sinh alone overflow, exp(-lam t/2) underflows
+        lam, t = 2.0, 894.6
+        d = principal_sqrt(lam * lam - 2.0 * 0.2539 * lam)
+        decay = math.exp(-0.5 * (lam - d.real) * t)
+        w = 0.5 * (lam * lam - d.real ** 2)
+        assert g_factor(t, d, lam).real == pytest.approx(
+            0.5 * (1.0 + lam / d.real) * decay, rel=1e-12)
+        assert g_factor_dt(t, d, lam).real == pytest.approx(
+            -0.5 * w / d.real * decay, rel=1e-12)
+
     def test_oscillatory_channel_is_real(self):
         g = g_factor(np.linspace(0, 5, 257), 3j, 2.0)
         assert np.abs(g.imag).max() == 0.0
@@ -80,11 +91,6 @@ class TestPropagatorParams:
         assert prop.d_two_level == principal_sqrt(lam * lam - 2 * 1.0 * lam * 2)
         assert prop.d_plus == principal_sqrt(lam * lam - 2 * 1.5 * lam * 2)
         assert prop.d_minus == principal_sqrt(lam * lam - 2 * 0.5 * lam * 2)
-
-    def test_cached_instance_reused(self):
-        a = PropagatorParams.from_model(TWO)
-        b = PropagatorParams.from_model(ModelParams(gamma0=1.0, n_atoms=3))
-        assert a is b
 
 
 class TestAmplitudes:

@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qspeedup import measures
 from qspeedup.dynamics import (DensityMatrix, density_trajectory,
-                               population_rate, trajectory)
+                               excited_population, population_rate,
+                               population_turning_points, trajectory)
 from qspeedup.measures import (GenericQslResult, ReportStatus, bures_angle,
-                               evaluate_point, monotone_segments,
-                               nonmarkov_three_level, nonmarkov_two_level,
-                               qsl_generic, qsl_three_level, qsl_two_level,
-                               schatten_norm, trace_distance)
+                               evaluate_point, nonmarkov_three_level,
+                               nonmarkov_two_level, qsl_generic,
+                               qsl_three_level, qsl_two_level, schatten_norm,
+                               trace_distance)
 from qspeedup.spectral import AtomKind, ModelParams
 
 TWO = ModelParams(gamma0=1.0, n_atoms=3)
@@ -77,20 +77,22 @@ class TestBuresAngle:
 
 
 class TestMonotoneSegments:
+    """Closed-form turning points: the cuts between monotone segments of p."""
+
     def test_known_zero_structure(self):
-        segments = monotone_segments(lambda t: population_rate(t, RESONANT), 5.0)
-        cuts = [a for a, _, _ in segments] + [segments[-1][1]]
-        assert np.allclose(cuts, [0.0, 3 * math.pi / 4, math.pi, 5.0], atol=1e-9)
-        assert [up for _, _, up in segments] == [False, True, False]
+        points = population_turning_points(RESONANT, 5.0)
+        assert np.allclose(points, [3 * math.pi / 4, math.pi], rtol=0, atol=1e-12)
+        assert np.abs(population_rate(points, RESONANT)).max() < 1e-15
 
-    def test_stationary_rate_returns_none(self):
-        assert monotone_segments(lambda t: np.zeros_like(np.asarray(t)), 5.0) is None
+    def test_collective_points_are_envelope_extrema(self):
+        # N >= 2: only g' vanishes, at multiples of 2 pi/|d|; |d| = 2 sqrt(5)
+        points = population_turning_points(ModelParams(gamma0=2.0, n_atoms=3), 12.0)
+        step = 2 * math.pi / (2 * math.sqrt(5.0))
+        assert np.allclose(points, step * np.arange(1, 9), rtol=0, atol=1e-12)
 
-    def test_segments_tile_the_window(self):
-        segments = monotone_segments(lambda t: population_rate(t, TWO), 5.0)
-        assert segments[0][0] == 0.0 and segments[-1][1] == 5.0
-        for (_, b, _), (a, _, _) in zip(segments, segments[1:]):
-            assert a == b
+    def test_overdamped_channel_has_none(self):
+        assert population_turning_points(ModelParams(gamma0=0.1), 1e4).size == 0
+        assert population_turning_points(ModelParams(gamma0=0.0, n_atoms=5), 10.0).size == 0
 
 
 class TestFunctionals:
@@ -141,6 +143,23 @@ class TestFunctionals:
         # windows past the last rate zero pick up whole e**(-2 pi k) rises
         assert values[2] == pytest.approx(
             sum(math.exp(-2 * math.pi * k) for k in (1, 2, 3)), abs=1e-10)
+
+    def test_long_window_does_not_alias(self):
+        # rate zeros 2 pi/|d| ~ 0.33 apart, far closer than tau/4096 ~ 0.49
+        report = evaluate_point(ModelParams(gamma0=3.0, n_atoms=30), 2000.0)
+        assert report.nonmarkov == pytest.approx(0.16271, abs=1e-5)
+        assert report.ratio == pytest.approx(0.16767, abs=1e-5)
+
+    def test_long_overdamped_window_is_finite(self):
+        report = evaluate_point(ModelParams(gamma0=0.2539, n_atoms=1), 894.6)
+        assert report.status is ReportStatus.NORMAL
+        assert report.ratio == 1.0 and report.nonmarkov == 0.0
+        assert report.final_population == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_non_finite_or_empty_window(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            evaluate_point(TWO, tau)
 
     def test_kind_guards(self):
         with pytest.raises(ValueError):
@@ -199,9 +218,45 @@ class TestGenericQsl:
             qsl_generic(times, mixed)
 
 
-def test_clear_caches_resets_memoisation():
-    measures.clear_caches()
-    nonmarkov_two_level(TWO, 5.0)
-    assert measures._functionals.cache_info().currsize > 0
-    measures.clear_caches()
-    assert measures._functionals.cache_info().currsize == 0
+
+def _dense_scan(params, tau):
+    """Backflow and ratio from the sampled population rate alone.
+
+    Sign changes of the rate on a grid much finer than any rate zero
+    spacing are bisected to the turning points; R sums the population
+    rises between them.
+    """
+    t = np.linspace(0.0, tau, int(min(2**19, 4096 + 512 * tau)) + 1)
+    s = np.sign(population_rate(t, params))
+    flip = np.nonzero(s[1:-1] * s[2:] < 0)[0] + 1
+    lo, hi = t[flip], t[flip + 1]
+    s_lo = s[flip]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = np.sign(population_rate(mid, params)) == s_lo
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    cuts = np.concatenate(([0.0], 0.5 * (lo + hi), [tau]))
+    p = excited_population(cuts, params)
+    rise = np.maximum(np.diff(p), 0.0).sum()
+    loss = 1.0 - p[-1]
+    return rise, loss / (loss + 2.0 * rise)
+
+
+@settings(max_examples=30, deadline=None)
+# strong coupling over the longest window, where a 4096-point rate grid
+# aliases, and a single emitter, whose population also touches zero
+@example(AtomKind.TWO_LEVEL, 30, 4.0, 0.0, 3.0)
+@example(AtomKind.THREE_LEVEL_V, 30, 4.0, 1.0, 3.0)
+@example(AtomKind.TWO_LEVEL, 1, 3.0, 0.0, 1.0)
+@example(AtomKind.THREE_LEVEL_V, 1, 3.0, 0.5, 1.0)
+@given(st.sampled_from(list(AtomKind)), st.integers(1, 30),
+       st.floats(0.05, 4.0), st.floats(0.0, 1.0), st.floats(-1.0, 3.0))
+def test_functionals_match_dense_scan(kind, n, gamma0, theta, log_tau):
+    if kind is AtomKind.TWO_LEVEL:
+        theta = 0.0
+    params = ModelParams(gamma0=gamma0, n_atoms=n, theta=theta, kind=kind)
+    tau = 10.0 ** log_tau
+    report = evaluate_point(params, tau)
+    rise, ratio = _dense_scan(params, tau)
+    assert report.nonmarkov == pytest.approx(rise, abs=1e-7)
+    assert report.ratio == pytest.approx(ratio, abs=1e-7)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qspeedup.quadrature import adaptive_simpson, adaptive_simpson_segments
+from qspeedup.quadrature import adaptive_simpson
 
 
 def test_cubic_is_integrated_exactly():
@@ -25,37 +25,6 @@ def test_reversed_bounds_flip_sign():
 
 def test_empty_interval_is_zero():
     assert adaptive_simpson(np.exp, 2.0, 2.0) == 0.0
-
-
-def test_segments_match_scalar_calls():
-    bounds = [(0.0, 0.5), (0.5, 2.0), (3.0, 3.0), (2.0, 7.0)]
-    batch = adaptive_simpson_segments(lambda x: np.cos(x) * x, bounds, tol=1e-12)
-    single = [adaptive_simpson(lambda x: np.cos(x) * x, a, b, tol=1e-12)
-              for a, b in bounds]
-    assert np.allclose(batch, single, rtol=0.0, atol=1e-11)
-    assert batch[2] == 0.0
-
-
-def test_segment_sum_equals_whole_interval():
-    cuts = np.linspace(0.0, 4.0, 9)
-    bounds = list(zip(cuts, cuts[1:]))
-    parts = adaptive_simpson_segments(lambda x: np.exp(-x) * np.sin(3 * x), bounds)
-    whole = adaptive_simpson(lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 4.0)
-    assert abs(parts.sum() - whole) < 1e-11
-
-
-def test_rejects_descending_segment():
-    with pytest.raises(ValueError):
-        adaptive_simpson_segments(np.exp, [(1.0, 0.0)])
-
-
-def test_rejects_malformed_bounds():
-    with pytest.raises(ValueError):
-        adaptive_simpson_segments(np.exp, [(0.0, 1.0, 2.0)])
-
-
-def test_empty_bounds_give_empty_result():
-    assert adaptive_simpson_segments(np.exp, []).size == 0
 
 
 def test_near_singular_endpoint_stays_within_depth_cap():

