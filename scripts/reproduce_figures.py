@@ -1,43 +1,41 @@
 #!/usr/bin/env python3
 """Regenerate the four survey figures (CSV data plus SVG panels).
 
-Equivalent to running `qspeedup sweep --figure K --output ... --svg ...`
-for K = 2..5, kept as a script so a single command rebuilds everything:
+Runs `qspeedup sweep --figure K --output DIR/figK.csv --svg DIR/figK.svg
+--force` for each K = 2..5 through the CLI, so a single command rebuilds
+everything:
 
     python3 scripts/reproduce_figures.py --outdir figures
 """
 
 import argparse
 import pathlib
+import sys
 import time
 
-from qspeedup.cli import _rows_csv, _sweep_panels
-from qspeedup.svg import render_figure
-from qspeedup.sweep import figure_preset, run_sweep
+from qspeedup import cli
 
 
-def main() -> None:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="figures",
                     help="directory for figK.csv / figK.svg (default: figures)")
     ap.add_argument("--figures", type=int, nargs="+", default=[2, 3, 4, 5],
                     choices=(2, 3, 4, 5), help="which presets to rebuild")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for fig in args.figures:
-        preset = figure_preset(fig)
         t0 = time.perf_counter()
-        rows = run_sweep(preset.config)
-        csv_path = outdir / f"fig{fig}.csv"
-        svg_path = outdir / f"fig{fig}.svg"
-        csv_path.write_text(_rows_csv(rows), encoding="utf-8")
-        svg_path.write_text(render_figure(_sweep_panels(rows, preset)),
-                            encoding="utf-8")
-        print(f"fig{fig}: {len(rows)} rows -> {csv_path} / {svg_path} "
-              f"({time.perf_counter() - t0:.1f}s)")
+        code = cli.main(["sweep", "--figure", str(fig),
+                         "--output", str(outdir / f"fig{fig}.csv"),
+                         "--svg", str(outdir / f"fig{fig}.svg"), "--force"])
+        if code != cli.EXIT_OK:
+            return code
+        print(f"fig{fig}: {time.perf_counter() - t0:.1f}s")
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

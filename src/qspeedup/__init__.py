@@ -2,16 +2,17 @@
 energies, exact single-excitation dynamics, quantum-speed-limit times and
 information backflow, plus the coupling-strength surveys built on them."""
 
-from .bound_state import (BoundStateResult, BracketFailureError, find_bound_state,
-                          kernel_k)
+from .bound_state import (BisectionStallError, BoundStateResult, BracketFailureError,
+                          find_bound_state, find_bound_states, kernel_k)
 from .dynamics import (DensityMatrix, PropagatorParams, Trajectory, alpha1,
                        density_matrix, density_trajectory, excited_population,
                        g_factor, g_factor_dt, nu1, population_rate,
                        population_turning_points, propagate_three_level,
                        propagate_two_level, trajectory)
 from .measures import (GenericQslResult, ReportStatus, SpeedupReport, bures_angle,
-                       evaluate_point, nonmarkov_three_level, nonmarkov_two_level,
-                       qsl_generic, qsl_three_level, qsl_two_level, schatten_norm,
+                       evaluate_point, evaluate_points, nonmarkov,
+                       nonmarkov_three_level, nonmarkov_two_level, qsl_generic,
+                       qsl_three_level, qsl_time, qsl_two_level, schatten_norm,
                        trace_distance)
 from .oracle import KernelSpec, StepSizeError, integrate_kernel_ode, solve_collective
 from .spectral import (AtomKind, ModelParams, lorentzian_j, reservoir_integral,
@@ -22,18 +23,20 @@ from .sweep import (FigurePreset, NoTransitionError, OnsetCriterion, SweepConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomKind", "BoundStateResult", "BracketFailureError", "DensityMatrix",
-    "FigurePreset", "GenericQslResult", "KernelSpec", "ModelParams",
-    "NoTransitionError", "OnsetCriterion", "PropagatorParams", "ReportStatus",
-    "SpeedupReport", "StepSizeError", "SweepConfig", "SweepRow", "Trajectory",
-    "alpha1", "bures_angle", "density_matrix", "density_trajectory",
-    "evaluate_point", "excited_population", "figure_preset",
-    "find_bound_state", "find_critical_coupling", "g_factor", "g_factor_dt",
-    "integrate_kernel_ode", "kernel_k", "lorentzian_j", "nonmarkov_three_level",
+    "AtomKind", "BisectionStallError", "BoundStateResult",
+    "BracketFailureError", "DensityMatrix", "FigurePreset", "GenericQslResult",
+    "KernelSpec", "ModelParams", "NoTransitionError", "OnsetCriterion",
+    "PropagatorParams", "ReportStatus", "SpeedupReport", "StepSizeError",
+    "SweepConfig", "SweepRow", "Trajectory", "alpha1", "bures_angle",
+    "density_matrix", "density_trajectory", "evaluate_point",
+    "evaluate_points", "excited_population", "figure_preset",
+    "find_bound_state", "find_bound_states", "find_critical_coupling",
+    "g_factor", "g_factor_dt", "integrate_kernel_ode", "kernel_k",
+    "lorentzian_j", "nonmarkov", "nonmarkov_three_level",
     "nonmarkov_two_level", "nu1", "population_rate",
     "population_turning_points", "propagate_three_level",
-    "propagate_two_level", "qsl_generic", "qsl_three_level", "qsl_two_level",
-    "reservoir_integral", "reservoir_integral_quad", "run_sweep",
-    "schatten_norm", "solve_collective", "total_spectral_weight",
+    "propagate_two_level", "qsl_generic", "qsl_three_level", "qsl_time",
+    "qsl_two_level", "reservoir_integral", "reservoir_integral_quad",
+    "run_sweep", "schatten_norm", "solve_collective", "total_spectral_weight",
     "trace_distance", "trajectory",
 ]

@@ -6,6 +6,11 @@ E -> -inf) to -inf (at E -> 0-), so K(E) - E has exactly one sign change
 whenever the coupling is nonzero.  Weak coupling pushes the root
 exponentially close to zero, hence the bracketing probes and the bisection
 both work geometrically on the energy axis.
+
+A batch of parameter points is solved together (find_bound_states): each
+step is one array pass over the batch and acts on every point separately,
+so find_bound_state, a batch of one, gives the same bits as the point's
+entry in any batch.
 """
 
 from __future__ import annotations
@@ -13,19 +18,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spectral import ModelParams, reservoir_integral
+import numpy as np
+
+from .spectral import ModelParams, ReservoirIntegral, reservoir_integral
 
 RESIDUAL_TOL = 1e-10
 BRACKET_FLOOR = -1e-16
 MAX_PROBES = 200
+DOUBLINGS_PER_PASS = 16
 MAX_BISECTIONS = 65
+# inner bracket probes, from the outermost inward to the floor
+INNER_PROBES = np.array([-1e-2, -1e-4, -1e-6, -1e-8, -1e-10, -1e-12, -1e-14,
+                         BRACKET_FLOOR])
+# outer bracket probes -1, -2, -4, ..., -2**MAX_PROBES
+OUTER_PROBES = np.array([-(2.0 ** j) for j in range(MAX_PROBES + 1)])
 
 
 class BracketFailureError(RuntimeError):
     """No sign change of K(E) - E found between the probe limits."""
 
 
-@dataclass(frozen=True)
+class BisectionStallError(RuntimeError):
+    """The bisection ended with a residual above its target."""
+
+
+# slotted: a survey holds one per grid point
+@dataclass(frozen=True, slots=True)
 class BoundStateResult:
     exists: bool
     energy: float | None
@@ -39,73 +57,124 @@ def kernel_k(e, params: ModelParams):
     return params.omega0 - params.collective_factor() * reservoir_integral(e, params)
 
 
-def find_bound_state(params: ModelParams, tol: float = RESIDUAL_TOL) -> BoundStateResult:
-    """Locate the unique E < 0 with K(E) = E.
+class _Residual:
+    """h(E) = K(E) - E of a batch, point i on row i.
 
-    Returns exists=False only for gamma0 = 0, where K is constant at omega0
-    and never crosses the diagonal below zero.  Raises BracketFailureError
-    when the coupling is weak enough that the root lies beyond the probe
-    floor of -1e-16.
+    The constants are (points, 1) columns, so E may be a column of one
+    energy per point or a row of energies shared by all points.
     """
-    if params.gamma0 == 0.0:
-        return BoundStateResult(False, None, None, None, 0)
 
-    def h(e: float) -> float:
-        return kernel_k(e, params) - e
+    def __init__(self, points: list[ModelParams]):
+        consts = np.array([(p.omega0, p.collective_factor(), p.gamma0, p.lam)
+                           for p in points], dtype=float).reshape(-1, 4, 1)
+        self.omega0, self.factor, gamma0, lam = consts.transpose(1, 0, 2)
+        self.integral = ReservoirIntegral(gamma0, lam, self.omega0)
 
-    probes = 0
-    hi = None
-    mag = 1e-2
-    while mag >= -BRACKET_FLOOR:
-        cand = -mag
-        probes += 1
-        if h(cand) < 0.0:
-            hi = cand
+    def __call__(self, e):
+        return self.omega0 - self.factor * self.integral(e) - e
+
+
+def find_bound_states(points, tol: float = RESIDUAL_TOL) -> list:
+    """Locate the unique E < 0 with K(E) = E for every point of a batch.
+
+    Entry i is the BoundStateResult of points[i] (exists=False only for
+    gamma0 = 0, where K is constant at omega0 and never crosses the diagonal
+    below zero), or the BracketFailureError that find_bound_state raises for
+    it when the coupling is weak enough that the root lies beyond the probe
+    floor of -1e-16.  Raises BisectionStallError when a point misses the
+    residual target.
+
+    The inner bracket edge is the first probe with K(E) - E < 0, the outer
+    one comes from doubling -1 until K(E) - E > 0, and the bisection runs
+    on log|E| for at most MAX_BISECTIONS steps.  The energy is the midpoint
+    of smallest residual; each point stops once that residual is 100 times
+    below tol.
+    """
+    points = list(points)
+    if not points:
+        return []
+    h = _Residual(points)
+    coupled = np.array([[p.gamma0 != 0.0] for p in points])
+
+    below = h(INNER_PROBES) < 0.0
+    # h decreases along the ladder, so only the floor probe decides underflow
+    underflow = coupled & ~below[:, -1:]
+    solve = coupled & ~underflow
+
+    hi = INNER_PROBES[np.argmax(below, axis=1)][:, None]
+    # outer edge: the first of -1, -2, -4, ... with K(E) - E > 0, doubling
+    # DOUBLINGS_PER_PASS times per array pass
+    lo = np.full_like(hi, -1.0)
+    searching = solve
+    for start in range(0, MAX_PROBES + 1, DOUBLINGS_PER_PASS):
+        ladder = OUTER_PROBES[start:start + DOUBLINGS_PER_PASS]
+        above = h(ladder) > 0.0
+        found = searching & above.any(axis=1, keepdims=True)
+        lo = np.where(found, ladder[np.argmax(above, axis=1)][:, None], lo)
+        searching = searching & ~found
+        if not searching.any():
             break
-        mag *= 1e-2
-    if hi is None:
+    else:
         raise BracketFailureError(
-            "no sign change of K(E) - E above the probe floor "
-            f"{BRACKET_FLOOR:g}; coupling gamma0={params.gamma0:g} is too weak "
-            "for the root to be representable")
-
-    lo = -1.0
-    while h(lo) <= 0.0:
-        probes += 1
-        lo *= 2.0
-        if probes > MAX_PROBES:
-            raise BracketFailureError(
-                f"no sign change of K(E) - E within {MAX_PROBES} bracket probes")
+            f"no sign change of K(E) - E within {MAX_PROBES} bracket probes")
 
     # Bisect on log|E|: the geometric midpoint keeps the relative width
     # shrinking, which is what the residual needs when the root sits many
     # orders of magnitude below the outer bracket edge.
-    iterations = 0
     energy = hi
-    residual = abs(h(hi))
+    residual = np.abs(h(hi))
+    iterations = np.zeros(hi.shape, dtype=int)
+    active = solve
+    done = 0.01 * tol
     for _ in range(MAX_BISECTIONS):
-        mid = -math.sqrt(lo * hi)
-        if not lo < mid < hi:
+        mid = -np.sqrt(lo * hi)
+        active = active & (lo < mid) & (mid < hi)
+        if not active.any():
             break
-        iterations += 1
+        iterations += active
         val = h(mid)
-        if abs(val) < residual:
-            energy, residual = mid, abs(val)
-        if val > 0.0:
-            lo = mid
-        elif val < 0.0:
-            hi = mid
+        size = np.abs(val)
+        better = active & (size < residual)
+        energy = np.where(better, mid, energy)
+        residual = np.where(better, size, residual)
+        # an exact root (val == 0) has residual 0 and stops below
+        up = active & (val > 0.0)
+        lo = np.where(up, mid, lo)
+        hi = np.where(active ^ up, mid, hi)
+        active &= residual >= done
+
+    stalled = solve & ~(residual < tol * np.maximum(1.0, np.abs(energy)))
+    if stalled.any():
+        i = int(np.argmax(stalled))
+        raise BisectionStallError(
+            f"bisection stalled at residual {residual[i, 0]:g} for {points[i]!r}")
+
+    results = []
+    for i, params in enumerate(points):
+        if not coupled[i, 0]:
+            results.append(BoundStateResult(False, None, None, None, 0))
+        elif underflow[i, 0]:
+            results.append(BracketFailureError(
+                "no sign change of K(E) - E above the probe floor "
+                f"{BRACKET_FLOOR:g}; coupling gamma0={params.gamma0:g} is too "
+                "weak for the root to be representable"))
         else:
-            lo = hi = mid
-            break
-        if residual < 0.01 * tol:
-            break
-    if residual >= tol * max(1.0, abs(energy)):
-        raise RuntimeError(
-            f"bisection stalled at residual {residual:g} for {params!r}")
-    # the best midpoint may have become a bracket edge; keep it strictly inside
-    if energy <= lo:
-        lo = math.nextafter(lo, -math.inf)
-    if energy >= hi:
-        hi = math.nextafter(hi, 0.0)
-    return BoundStateResult(True, energy, residual, (lo, hi), iterations)
+            e, a, b = float(energy[i, 0]), float(lo[i, 0]), float(hi[i, 0])
+            # the best midpoint may have become a bracket edge; keep it inside
+            bracket = (math.nextafter(a, -math.inf) if e <= a else a,
+                       math.nextafter(b, 0.0) if e >= b else b)
+            results.append(BoundStateResult(True, e, float(residual[i, 0]), bracket,
+                                            int(iterations[i, 0])))
+    return results
+
+
+def find_bound_state(params: ModelParams, tol: float = RESIDUAL_TOL) -> BoundStateResult:
+    """Locate the unique E < 0 with K(E) = E: find_bound_states of one point.
+
+    Returns exists=False only for gamma0 = 0.  Raises BracketFailureError
+    when the root lies beyond the probe floor of -1e-16.
+    """
+    (result,) = find_bound_states([params], tol)
+    if isinstance(result, BracketFailureError):
+        raise result
+    return result

@@ -8,7 +8,9 @@ qsl           speed-limit / backflow report for one parameter point
 sweep         regenerate a preset coupling-strength survey (figures 2-5)
 validate      run the built-in consistency checks
 
-Exit codes: 0 success, 1 usage error, 2 bracket failure, 3 validation failure.
+Exit codes: 0 success, 1 usage error, 2 bracket failure, 3 validation failure,
+4 numerical failure (the bound-state bisection stalled above its residual
+target, or a computed state left its physical range).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .bound_state import BracketFailureError, find_bound_state
+from .bound_state import BisectionStallError, BracketFailureError, find_bound_state
 from .checks import run_checks
 from .dynamics import trajectory
 from .measures import evaluate_point
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BRACKET = 2
 EXIT_VALIDATION = 3
+EXIT_NUMERICAL = 4
 
 CSV_HEADER = "gamma0,n_atoms,theta,ratio,nonmarkov,bound_energy,status"
 BOUND_PLOT_FLOOR = 1e-4
@@ -394,6 +397,9 @@ def main(argv=None) -> int:
     except BracketFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BRACKET
+    except (BisectionStallError, FloatingPointError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

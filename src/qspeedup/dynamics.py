@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import AtomKind, ModelParams
+from .spectral import AtomKind, ModelParams, validate_tau
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -57,25 +57,30 @@ class PropagatorParams:
         )
 
 
-def _damped_cosh_sinh(t: np.ndarray, d: complex, lam: float):
+def _damped_cosh_sinh(t: np.ndarray, d, lam):
     """exp(-lam*t/2) times cosh(d*t/2) and sinh(d*t/2)/d.
 
-    The damping is folded into the growing exponential,
-    exp((Re d - lam)*t/2), which never exceeds 1 because Re d <= lam; the
-    rest of the hyperbolic functions is written through expm1(-Re d * t).
-    Nothing overflows on long overdamped windows, an oscillating channel
-    (Re d = 0) stays exactly real, and the degenerate channel d = 0
-    (critical coupling) takes the limit sinh(d*t/2)/d = t/2.
+    d and lam may be scalars or arrays broadcasting against t (one channel
+    per row of a batch).  The damping is folded into the growing
+    exponential, exp((Re d - lam)*t/2), which never exceeds 1 because
+    Re d <= lam; the rest of the hyperbolic functions is written through
+    expm1(-Re d * t).  Nothing overflows on long overdamped windows, an
+    oscillating channel (Re d = 0) stays exactly real, and the degenerate
+    channel d = 0 (critical coupling) takes the limit sinh(d*t/2)/d = t/2.
     """
-    d = complex(d)
+    d = np.asarray(d, dtype=complex)
     grow = np.exp(0.5 * (d.real - lam) * t)
-    m = np.expm1(-d.real * t)
-    cos_b, sin_b = np.cos(0.5 * d.imag * t), np.sin(0.5 * d.imag * t)
-    cosh_part = grow * ((1.0 + 0.5 * m) * cos_b - 0.5j * m * sin_b)
-    if d == 0:
-        return cosh_part, 0.5 * t * cosh_part
-    sinh_part = grow * (-0.5 * m * cos_b + 1j * (1.0 + 0.5 * m) * sin_b)
-    return cosh_part, sinh_part / d
+    half_m = 0.5 * np.expm1(-d.real * t)
+    phase = 0.5 * d.imag * t
+    cos_b, sin_b = np.cos(phase), np.sin(phase)
+    even, odd = grow * (1.0 + half_m), grow * half_m
+    cosh_part = even * cos_b - 1j * (odd * sin_b)
+    sinh_part = 1j * (even * sin_b) - odd * cos_b
+    degenerate = d == 0
+    sinh_over_d = sinh_part / np.where(degenerate, 1.0, d)
+    if degenerate.any():
+        sinh_over_d = np.where(degenerate, 0.5 * t * cosh_part, sinh_over_d)
+    return cosh_part, sinh_over_d
 
 
 def g_factor(t, d: complex, lam: float):
@@ -145,13 +150,14 @@ def excited_population(t, params: ModelParams):
     """Total excited-state population of the shared excitation.
 
     |alpha1|**2 for two-level emitters; a V-type emitter holds the
-    excitation in two upper levels, 2*|nu1|**2.
+    excitation in two upper levels, 2*|nu1|**2.  Scalar or array t >= 0;
+    population_rows for a batch of one point.
     """
-    if params.kind is AtomKind.THREE_LEVEL_V:
-        amp = nu1(t, params)
-        return 2.0 * _abs2(amp)
-    amp = alpha1(t, params)
-    return _abs2(amp)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be >= 0")
+    out = population_rows(t.reshape(1, -1), ChannelColumns.of([params]))
+    return out.reshape(t.shape) if t.ndim else float(out[0, 0])
 
 
 def population_rate(t, params: ModelParams):
@@ -177,21 +183,86 @@ def population_turning_points(params: ModelParams, tau: float) -> np.ndarray:
     t = 2 (pi k - atan(|d|/lam))/|d|; for N >= 2 it would need g <= -1,
     beyond the envelope's reach |g(t_k)| = exp(-pi k lam/|d|).
     """
-    d, lam, n = _channel(params)
-    omega = d.imag
-    if omega <= 0.0:
-        return np.zeros(0)
-    k = np.arange(1, math.floor(tau * omega / (2.0 * math.pi)) + 2)
-    points = 2.0 * math.pi * k / omega
-    if n == 1:
-        points = np.sort(np.concatenate(
-            [points, 2.0 * (math.pi * k - math.atan(omega / lam)) / omega]))
-    return points[points < tau]
+    tau = validate_tau(tau)
+    table = turning_point_table(ChannelColumns.of([params]), tau)[0]
+    return table[table < tau]
 
 
-def _abs2(z):
-    out = np.real(np.conjugate(z) * z)
-    return out if np.ndim(out) else float(out)
+def _channel_row(p: ModelParams) -> tuple:
+    """gamma0, lam, N, V-type flag and d**2 of the channel _channel picks."""
+    v_type = p.kind is AtomKind.THREE_LEVEL_V
+    weight = 1.0 + p.theta if v_type else 1.0
+    # the same products as PropagatorParams
+    return (p.gamma0, p.lam, p.n_atoms, v_type,
+            p.lam * p.lam - 2.0 * p.gamma0 * weight * p.lam * p.n_atoms)
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelColumns:
+    """Symmetric-channel constants of a batch of points, one entry per point."""
+
+    gamma0: np.ndarray
+    lam: np.ndarray
+    n_atoms: np.ndarray  # as floats
+    v_type: np.ndarray   # bool
+    d: np.ndarray        # complex envelope parameter of the channel
+
+    @classmethod
+    def of(cls, points) -> "ChannelColumns":
+        """The channel that _channel picks for each point, as arrays."""
+        gamma0, lam, n, v, x = np.array(
+            [_channel_row(p) for p in points], dtype=float).reshape(-1, 5).T
+        root = np.sqrt(np.abs(x))  # principal branch, as principal_sqrt
+        return cls(gamma0, lam, n, v == 1.0, np.where(x >= 0.0, root, 1j * root))
+
+    def __len__(self) -> int:
+        return len(self.lam)
+
+    def rows(self, select) -> "ChannelColumns":
+        return ChannelColumns(self.gamma0[select], self.lam[select],
+                              self.n_atoms[select], self.v_type[select],
+                              self.d[select])
+
+
+def turning_point_table(channels: ChannelColumns, tau: float) -> np.ndarray:
+    """population_turning_points of a batch as one array.
+
+    Row i holds the turning points of point i inside (0, tau) in ascending
+    order, padded on the right with tau up to the longest row.  For N = 1
+    the amplitude zeros interleave with the envelope extrema (each zero
+    falls in the half period before its extremum); other rows in the same
+    batch repeat each extremum instead, which adds Delta p = 0.
+    """
+    omega = channels.d.imag
+    oscillating = omega > 0.0
+    omega_safe = np.where(oscillating, omega, 1.0)[:, None]
+    cycles = (tau * omega[oscillating] / (2.0 * math.pi)).tolist()
+    k = np.arange(1.0, math.floor(max(cycles, default=-1.0)) + 2.0)
+    points = 2.0 * math.pi * k / omega_safe
+    single = channels.n_atoms == 1.0
+    if single.any():
+        phase = np.arctan(omega_safe / channels.lam[:, None])
+        zeros = np.where(single[:, None],
+                         2.0 * (math.pi * k - phase) / omega_safe, points)
+        points = np.stack([zeros, points], axis=2).reshape(len(omega), -1)
+    keep = oscillating[:, None] & (points < tau)
+    table = np.where(keep, points, tau)
+    return table[:, :keep.sum(axis=1).max(initial=0)]
+
+
+def population_rows(times: np.ndarray, channels: ChannelColumns) -> np.ndarray:
+    """excited_population of each point of a batch on its own row of times.
+
+    The amplitude is alpha1 (two-level) or nu1 (V-type) of the point's
+    channel, and the population |alpha1|**2 or 2*|nu1|**2.  With d real or
+    imaginary the envelope is exactly real, so the rest is real arithmetic.
+    """
+    d, lam = channels.d[:, None], channels.lam[:, None]
+    cosh_part, sinh_over_d = _damped_cosh_sinh(times, d, lam)
+    g = (cosh_part + lam * sinh_over_d).real
+    initial = np.where(channels.v_type, ROOT_HALF, 1.0)[:, None]
+    amp = initial * (1.0 + (g - 1.0) / channels.n_atoms[:, None])
+    return np.where(channels.v_type, 2.0, 1.0)[:, None] * (amp * amp)
 
 
 def propagate_two_level(t: float, initials, params: ModelParams) -> np.ndarray:
@@ -248,11 +319,10 @@ class Trajectory:
 
 def trajectory(params: ModelParams, tau: float, steps: int = 4096) -> Trajectory:
     """Sample the symmetric-channel evolution on steps+1 uniform points."""
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    tau = validate_tau(tau)
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    times = np.linspace(0.0, float(tau), steps + 1)
+    times = np.linspace(0.0, tau, steps + 1)
     if params.kind is AtomKind.THREE_LEVEL_V:
         amp = nu1(times, params)
         scale = 2.0
@@ -355,11 +425,10 @@ def density_matrix(t: float, params: ModelParams,
 def density_trajectory(params: ModelParams, tau: float, steps: int = 4096,
                        ground_amplitude: complex = 0.0):
     """Times, reduced states and analytic state rates on a uniform grid."""
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    tau = validate_tau(tau)
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    times = np.linspace(0.0, float(tau), steps + 1)
+    times = np.linspace(0.0, tau, steps + 1)
     rhos, rates = _density_ops(times, params, ground_amplitude)
     _validate_states(rhos)
     return times, rhos, rates

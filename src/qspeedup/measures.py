@@ -16,6 +16,8 @@ assembles both functionals:
 
 Both emitter kinds share this structure: the two-level population is
 |alpha1|**2 and the V-type one is 2*|nu1|**2, each starting at exactly 1.
+evaluate_points assembles a whole batch of points at once: one envelope
+evaluation over a (points x turning points) array padded with tau.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, excited_population, population_turning_points
-from .spectral import AtomKind, ModelParams
+from .dynamics import (ChannelColumns, DensityMatrix, population_rows,
+                       turning_point_table)
+from .spectral import AtomKind, ModelParams, validate_tau
 
 
 class ReportStatus(enum.Enum):
@@ -35,7 +38,8 @@ class ReportStatus(enum.Enum):
     STATIONARY = "stationary"
 
 
-@dataclass(frozen=True)
+# slotted: a survey holds one per grid point
+@dataclass(frozen=True, slots=True)
 class SpeedupReport:
     """Speed-limit and backflow summary of one parameter point."""
 
@@ -100,62 +104,75 @@ def bures_angle(initial, target) -> float:
     return math.acos(math.sqrt(fid))
 
 
-@dataclass(frozen=True)
-class _Functionals:
-    backflow: float
-    rate_abs_integral: float
-    final_population: float
-    status: ReportStatus
+# Rows per batch are capped so that a batch's (rows x turning points)
+# arrays stay small next to the rest of a survey.
+BATCH_ELEMENTS = 1 << 10
 
 
-def _functionals(params: ModelParams, tau: float) -> _Functionals:
-    """Backflow and |rate| integral of the excited population on [0, tau]."""
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError("tau must be finite and > 0")
-    if params.gamma0 == 0.0:
-        return _Functionals(0.0, 0.0, 1.0, ReportStatus.STATIONARY)
-    cuts = np.concatenate(([0.0], population_turning_points(params, tau), [tau]))
-    p = excited_population(cuts, params)
-    backflow = float(np.maximum(np.diff(p), 0.0).sum())
-    p_tau = float(p[-1])
-    rate_abs = (1.0 - p_tau) + 2.0 * backflow
-    if rate_abs == 0.0:
-        return _Functionals(0.0, 0.0, p_tau, ReportStatus.STATIONARY)
-    return _Functionals(backflow, rate_abs, p_tau, ReportStatus.NORMAL)
+def _batches(channels: ChannelColumns, tau: float):
+    """Consecutive row ranges whose turning-point tables fit BATCH_ELEMENTS.
+
+    A row's width is bounded by its window ends plus two turning points per
+    period of the envelope.
+    """
+    start, widest = 0, 0
+    for i, cycles in enumerate((tau * channels.d.imag / (2.0 * math.pi)).tolist()):
+        w = 4 + 2 * math.floor(cycles)
+        widest = max(widest, w)
+        if i > start and (i + 1 - start) * widest > BATCH_ELEMENTS:
+            yield start, i
+            start, widest = i, w
+    if start < len(channels):
+        yield start, len(channels)
 
 
-def nonmarkov_two_level(params: ModelParams, tau: float) -> float:
-    """Information backflow of N two-level emitters over [0, tau]."""
-    if params.kind is not AtomKind.TWO_LEVEL:
-        raise ValueError("nonmarkov_two_level applies to two-level emitters")
-    return _functionals(params, float(tau)).backflow
+def _report_rows(channels: ChannelColumns, tau: float):
+    """Backflow R, final population and status flag of each row.
+
+    p is read at [0, turning points, tau]; the padding repeats tau, so it
+    adds Delta p = 0.  R accumulates strictly left to right (cumsum, not a
+    pairwise sum), so the padding cannot change how a row's terms round.
+    """
+    table = turning_point_table(channels, tau)
+    cuts = np.empty((len(channels), table.shape[1] + 2))
+    cuts[:, 0], cuts[:, 1:-1], cuts[:, -1] = 0.0, table, tau
+    p = population_rows(cuts, channels)
+    backflow = np.maximum(p[:, 1:] - p[:, :-1], 0.0).cumsum(axis=1)[:, -1]
+    final = p[:, -1]
+    rate_abs = (1.0 - final) + 2.0 * backflow
+    uncoupled = channels.gamma0 == 0.0
+    final = np.where(uncoupled, 1.0, final)
+    stationary = uncoupled | (rate_abs == 0.0)
+    return backflow, rate_abs, final, stationary
 
 
-def nonmarkov_three_level(params: ModelParams, tau: float) -> float:
-    """Information backflow of N V-type emitters over [0, tau]."""
-    if params.kind is not AtomKind.THREE_LEVEL_V:
-        raise ValueError("nonmarkov_three_level applies to V-type emitters")
-    return _functionals(params, float(tau)).backflow
+def evaluate_points(points, tau: float) -> list[SpeedupReport]:
+    """evaluate_point for every point of a batch, as array passes.
 
-
-def _qsl_from(f: _Functionals, tau: float) -> float:
-    if f.status is ReportStatus.STATIONARY:
-        return 0.0
-    return tau * (1.0 - f.final_population) / f.rate_abs_integral
-
-
-def qsl_two_level(params: ModelParams, tau: float) -> float:
-    """Speed-limit time of the two-level evolution over [0, tau]."""
-    if params.kind is not AtomKind.TWO_LEVEL:
-        raise ValueError("qsl_two_level applies to two-level emitters")
-    return _qsl_from(_functionals(params, float(tau)), float(tau))
-
-
-def qsl_three_level(params: ModelParams, tau: float) -> float:
-    """Speed-limit time of the V-type evolution over [0, tau]."""
-    if params.kind is not AtomKind.THREE_LEVEL_V:
-        raise ValueError("qsl_three_level applies to V-type emitters")
-    return _qsl_from(_functionals(params, float(tau)), float(tau))
+    Each row is computed on its own, so entry i equals
+    evaluate_point(points[i], tau) bit for bit.
+    """
+    tau = validate_tau(tau)
+    points = list(points)
+    channels = ChannelColumns.of(points)
+    reports = []
+    for start, stop in _batches(channels, tau):
+        columns = _report_rows(channels.rows(slice(start, stop)), tau)
+        for backflow, rate_abs, final, stationary in zip(*(c.tolist() for c in columns)):
+            if stationary:
+                reports.append(SpeedupReport(tau, 0.0, 1.0, 0.0, final,
+                                             ReportStatus.STATIONARY))
+                continue
+            loss = 1.0 - final
+            reports.append(SpeedupReport(
+                tau=tau,
+                tau_qsl=tau * loss / rate_abs,
+                ratio=loss / rate_abs,
+                nonmarkov=backflow,
+                final_population=final,
+                status=ReportStatus.NORMAL,
+            ))
+    return reports
 
 
 def evaluate_point(params: ModelParams, tau: float) -> SpeedupReport:
@@ -164,19 +181,37 @@ def evaluate_point(params: ModelParams, tau: float) -> SpeedupReport:
     The ratio is assembled as (1 - p)/[(1 - p) + 2 R], which collapses to
     exactly 1.0 whenever the population decays monotonically (R = 0).
     """
-    tau = float(tau)
-    f = _functionals(params, tau)
-    if f.status is ReportStatus.STATIONARY:
-        return SpeedupReport(tau, 0.0, 1.0, 0.0, f.final_population, f.status)
-    loss = 1.0 - f.final_population
-    return SpeedupReport(
-        tau=tau,
-        tau_qsl=tau * loss / f.rate_abs_integral,
-        ratio=loss / f.rate_abs_integral,
-        nonmarkov=f.backflow,
-        final_population=f.final_population,
-        status=f.status,
-    )
+    return evaluate_points([params], tau)[0]
+
+
+def qsl_time(params: ModelParams, tau: float) -> float:
+    """Speed-limit time over [0, tau], for either emitter kind."""
+    return evaluate_point(params, tau).tau_qsl
+
+
+def nonmarkov(params: ModelParams, tau: float) -> float:
+    """Information backflow over [0, tau], for either emitter kind."""
+    return evaluate_point(params, tau).nonmarkov
+
+
+def _kind_alias(measure, kind: AtomKind, name: str, emitters: str):
+    def alias(params: ModelParams, tau: float) -> float:
+        if params.kind is not kind:
+            raise ValueError(f"{name} applies to {emitters} emitters")
+        return measure(params, tau)
+
+    alias.__name__ = alias.__qualname__ = name
+    alias.__doc__ = f"{measure.__name__} restricted to {emitters} emitters."
+    return alias
+
+
+qsl_two_level = _kind_alias(qsl_time, AtomKind.TWO_LEVEL, "qsl_two_level", "two-level")
+qsl_three_level = _kind_alias(qsl_time, AtomKind.THREE_LEVEL_V, "qsl_three_level",
+                              "V-type")
+nonmarkov_two_level = _kind_alias(nonmarkov, AtomKind.TWO_LEVEL, "nonmarkov_two_level",
+                                  "two-level")
+nonmarkov_three_level = _kind_alias(nonmarkov, AtomKind.THREE_LEVEL_V,
+                                    "nonmarkov_three_level", "V-type")
 
 
 def qsl_generic(times, rhos, rho_rates=None) -> GenericQslResult:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ROOT_HALF, Trajectory
-from .spectral import AtomKind, ModelParams
+from .spectral import AtomKind, ModelParams, validate_tau
 
 LTE_TOL = 1e-8
 MIN_STEPS = 4096
@@ -115,8 +115,7 @@ def solve_collective(params: ModelParams, tau: float, steps: int = 16384) -> Tra
     full.  Raises StepSizeError when the step-doubling estimate exceeds
     LTE_TOL, the sign that steps is too small for the parameter point.
     """
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    tau = validate_tau(tau)
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be >= {MIN_STEPS}")
     record_every = steps // 4096 if steps % 4096 == 0 else 1

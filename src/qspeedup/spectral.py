@@ -29,7 +29,8 @@ class AtomKind(enum.Enum):
     THREE_LEVEL_V = "three-level-v"
 
 
-@dataclass(frozen=True)
+# slotted: a survey holds one per grid point
+@dataclass(frozen=True, slots=True)
 class ModelParams:
     """One ensemble of identical emitters coupled to a shared reservoir.
 
@@ -77,6 +78,14 @@ class ModelParams:
         return float(self.n_atoms)
 
 
+def validate_tau(tau) -> float:
+    """The observation window as a float; ValueError unless finite and > 0."""
+    tau = float(tau)
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError("tau must be finite and > 0")
+    return tau
+
+
 def lorentzian_j(omega, params: ModelParams):
     """Spectral density at frequency omega (scalar or array, omega >= 0)."""
     omega = np.asarray(omega, dtype=float)
@@ -104,12 +113,31 @@ def reservoir_integral(e, params: ModelParams):
     e = np.asarray(e, dtype=float)
     if np.any(e >= 0):
         raise ValueError("reservoir integral requires E < 0")
-    w0, lam = params.omega0, params.lam
-    m = (w0 - e) ** 2 + lam ** 2
-    bracket = ((w0 - e) / lam) * (0.5 * np.pi + math.atan(w0 / lam)) \
-        + 0.5 * math.log(w0 ** 2 + lam ** 2) - np.log(-e)
-    out = params.gamma0 * lam ** 2 / (2.0 * np.pi * m) * bracket
+    out = ReservoirIntegral(params.gamma0, params.lam, params.omega0)(e)
     return out if out.ndim else float(out)
+
+
+class ReservoirIntegral:
+    """reservoir_integral for fixed reservoir constants, E < 0 unchecked.
+
+    gamma0, lam and omega0 are scalars or arrays (one entry per parameter
+    point, shaped to broadcast against E), so a batch of points is one
+    pass; the parts that do not depend on E are computed once.
+    """
+
+    def __init__(self, gamma0, lam, omega0):
+        # squares as products: x * x rounds the same way for Python floats
+        # and numpy arrays, so a batch agrees with its one-point calls
+        lam2 = lam * lam
+        self.omega0, self.lam2 = omega0, lam2
+        self.slope = (0.5 * np.pi + np.arctan(omega0 / lam)) / lam
+        self.offset = 0.5 * np.log(omega0 * omega0 + lam2)
+        self.weight = gamma0 * lam2 / (2.0 * np.pi)
+
+    def __call__(self, e):
+        q = self.omega0 - e
+        return self.weight / (q * q + self.lam2) * (q * self.slope + self.offset
+                                                     - np.log(-e))
 
 
 def reservoir_integral_quad(e: float, params: ModelParams, tol: float = 1e-13) -> float:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bound_state import BracketFailureError, find_bound_state
-from .measures import evaluate_point
-from .spectral import AtomKind, ModelParams
+from .bound_state import BracketFailureError, find_bound_states
+from .measures import SpeedupReport, evaluate_point, evaluate_points
+from .spectral import AtomKind, ModelParams, validate_tau
 
 BACKFLOW_ONSET_TOL = 1e-10
 
@@ -43,19 +44,19 @@ class SweepConfig:
         if not self.theta_list:
             raise ValueError("theta_list must not be empty")
         lo, hi, count = self.gamma0_grid
-        if lo < 0 or hi < lo:
-            raise ValueError("gamma0_grid must satisfy 0 <= lo <= hi")
+        if not (0 <= lo <= hi and math.isfinite(hi)):
+            raise ValueError("gamma0_grid must satisfy 0 <= lo <= hi < inf")
         if count < 2:
             raise ValueError("gamma0_grid needs at least 2 points")
-        if not self.tau > 0:
-            raise ValueError("tau must be > 0")
+        validate_tau(self.tau)
 
     def gamma0_values(self) -> np.ndarray:
         lo, hi, count = self.gamma0_grid
         return np.linspace(lo, hi, count)
 
 
-@dataclass(frozen=True)
+# slotted: a survey holds one per grid point
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One parameter point of a sweep, CSV-shaped."""
 
@@ -68,17 +69,15 @@ class SweepRow:
     status: str
 
 
-def _point_row(params: ModelParams, tau: float) -> SweepRow:
-    report = evaluate_point(params, tau)
+def _row(params: ModelParams, report: SpeedupReport, state) -> SweepRow:
     status = report.status.value
     bound: float | None
-    try:
-        state = find_bound_state(params)
-        bound = state.energy if state.exists else None
-    except BracketFailureError:
+    if isinstance(state, BracketFailureError):
         # the root exists but sits below the representable probe floor
         bound = 0.0
         status = "bound-underflow"
+    else:
+        bound = state.energy if state.exists else None
     return SweepRow(
         gamma0=params.gamma0,
         n_atoms=params.n_atoms,
@@ -91,15 +90,21 @@ def _point_row(params: ModelParams, tau: float) -> SweepRow:
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """Evaluate every (n_atoms, theta, gamma0) point of the grid, in order."""
+    """Evaluate every (n_atoms, theta, gamma0) point of the grid, in order.
+
+    Each (n_atoms, theta) curve goes through evaluate_points and
+    find_bound_states as one batch; each row equals the single-point calls
+    for its point exactly.
+    """
     rows = []
     for n in config.n_atoms_list:
         for theta in config.theta_list:
-            for g0 in config.gamma0_values():
-                params = ModelParams(gamma0=float(g0), lam=config.lam,
-                                     n_atoms=int(n), theta=float(theta),
-                                     omega0=config.omega0, kind=config.kind)
-                rows.append(_point_row(params, config.tau))
+            points = [ModelParams(gamma0=float(g0), lam=config.lam, n_atoms=int(n),
+                                  theta=float(theta), omega0=config.omega0,
+                                  kind=config.kind)
+                      for g0 in config.gamma0_values()]
+            rows += map(_row, points, evaluate_points(points, config.tau),
+                        find_bound_states(points))
     return rows
 
 

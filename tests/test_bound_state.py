@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qspeedup.bound_state import (BracketFailureError, find_bound_state, kernel_k,
-                                  MAX_BISECTIONS)
+from qspeedup import bound_state
+from qspeedup.bound_state import (BRACKET_FLOOR, BisectionStallError, BoundStateResult,
+                                  BracketFailureError, find_bound_state,
+                                  find_bound_states, kernel_k, MAX_BISECTIONS)
 from qspeedup.spectral import AtomKind, ModelParams
 
 
@@ -121,3 +123,53 @@ class TestKernel:
     def test_kernel_approaches_omega0_far_out(self):
         params = ModelParams(gamma0=1.0)
         assert kernel_k(-1e10, params) == pytest.approx(params.omega0, abs=1e-8)
+
+
+TWO, VEE = AtomKind.TWO_LEVEL, AtomKind.THREE_LEVEL_V
+
+
+@settings(max_examples=15, deadline=None)
+# zero coupling, an underflow beside a solvable point, roots near the floor
+# (E ~ -2e-15 for gamma0 = 0.22) and the deepest survey root in one batch
+@example([(TWO, 1, 0.0, 0.0), (TWO, 1, 0.0, 0.05), (VEE, 30, 1.0, 4.0),
+          (TWO, 1, 0.0, 0.22), (TWO, 1, 0.0, 0.25), (VEE, 1, 0.5, 0.12)])
+@given(st.lists(st.tuples(st.sampled_from([TWO, VEE]), st.integers(1, 30),
+                          st.floats(0.0, 1.0),
+                          st.one_of(st.just(0.0), st.floats(0.0, 0.3),
+                                    st.floats(0.0, 4.0))),
+                min_size=1, max_size=4))
+def test_batch_rows_equal_single_point_solves(rows):
+    points = [ModelParams(gamma0=g0, n_atoms=n, theta=theta if kind is VEE else 0.0,
+                          kind=kind) for kind, n, theta, g0 in rows]
+    batch = find_bound_states(points)
+    assert len(batch) == len(points)
+    for params, entry in zip(points, batch):
+        if params.gamma0 == 0.0:
+            assert entry == BoundStateResult(False, None, None, None, 0)
+            assert find_bound_state(params) == entry
+            continue
+        underflow = kernel_k(BRACKET_FLOOR, params) - BRACKET_FLOOR >= 0.0
+        assert isinstance(entry, BracketFailureError) == underflow
+        if underflow:
+            with pytest.raises(BracketFailureError, match="probe floor"):
+                find_bound_state(params)
+            continue
+        single = find_bound_state(params)
+        assert entry == single
+        assert repr(entry) == repr(single)
+        if entry.energy < -1e-7:  # inside the dense scan's energy range
+            ref, _ = dense_scan_energy(params)
+            assert entry.energy == pytest.approx(ref, rel=1e-6)
+
+
+def test_empty_batch():
+    assert find_bound_states([]) == []
+
+
+def test_residual_gate_raises_for_the_batch(monkeypatch):
+    monkeypatch.setattr(bound_state, "MAX_BISECTIONS", 2)
+    params = ModelParams(gamma0=2.0, n_atoms=3)
+    with pytest.raises(BisectionStallError, match="bisection stalled"):
+        find_bound_state(params)
+    with pytest.raises(BisectionStallError, match="n_atoms=3"):
+        find_bound_states([ModelParams(gamma0=0.0), params])

@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from qspeedup import dynamics
+from qspeedup import bound_state, dynamics
 from qspeedup.bound_state import find_bound_state
-from qspeedup.cli import (CSV_HEADER, RunConfig, main, parse_args, to_argv)
+from qspeedup.cli import (CSV_HEADER, EXIT_NUMERICAL, RunConfig, main, parse_args,
+                          to_argv)
 from qspeedup.measures import evaluate_point
 from qspeedup.spectral import AtomKind, ModelParams
 
@@ -26,12 +27,32 @@ class TestArgvHandling:
         (["qsl", "--gamma0", "1", "--lambda", "nan"], "lam"),
         (["qsl", "--gamma0", "1", "--lambda", "2", "--tau", "nan"], "tau"),
         (["qsl", "--gamma0", "1", "--lambda", "2", "--tau", "inf"], "tau"),
+        (["dynamics", "--gamma0", "1", "--lambda", "2", "--tau", "nan"], "tau"),
+        (["dynamics", "--gamma0", "1", "--lambda", "2", "--tau", "inf"], "tau"),
     ])
     def test_non_finite_values_are_usage_errors(self, capsys, argv, fragment):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert fragment in captured.err
         assert "ratio" not in captured.out
+        assert "population" not in captured.out
+
+    def test_stalled_bisection_is_a_numerical_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(bound_state, "MAX_BISECTIONS", 2)
+        assert main(["bound-state", "--gamma0", "2", "--lambda", "2",
+                     "--n", "3"]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert "bisection stalled" in captured.err
+        assert "energy" not in captured.out
+
+    def test_unphysical_state_is_a_numerical_failure(self, monkeypatch, capsys):
+        # an envelope starting at 1.5 lifts the population above 1
+        true_g = dynamics.g_factor
+        monkeypatch.setattr(dynamics, "g_factor",
+                            lambda t, d, lam: 1.5 * true_g(t, d, lam))
+        assert main(["dynamics", "--gamma0", "1", "--lambda", "2",
+                     "--n", "3"]) == EXIT_NUMERICAL
+        assert "population" in capsys.readouterr().err
 
     def test_unknown_command_is_a_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1

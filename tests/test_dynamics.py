@@ -9,9 +9,9 @@ from qspeedup import dynamics
 from qspeedup.dynamics import (DensityMatrix, PropagatorParams, ROOT_HALF, alpha1,
                                amplitude_rate, density_matrix, density_trajectory,
                                excited_population, g_factor, g_factor_dt, nu1,
-                               population_rate, principal_sqrt,
-                               propagate_three_level, propagate_two_level,
-                               trajectory)
+                               population_rate, population_turning_points,
+                               principal_sqrt, propagate_three_level,
+                               propagate_two_level, trajectory)
 from qspeedup.spectral import AtomKind, ModelParams
 
 TWO = ModelParams(gamma0=1.0, n_atoms=3)
@@ -228,6 +228,15 @@ class TestTrajectory:
             trajectory(TWO, 0.0)
         with pytest.raises(ValueError):
             trajectory(TWO, 5.0, steps=0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_window(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            trajectory(TWO, tau)
+        with pytest.raises(ValueError, match="tau"):
+            density_trajectory(VEE, tau)
+        with pytest.raises(ValueError, match="tau"):
+            population_turning_points(TWO, tau)
 
 
 class TestDensityMatrix:

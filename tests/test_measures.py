@@ -8,10 +8,10 @@ from qspeedup.dynamics import (DensityMatrix, density_trajectory,
                                excited_population, population_rate,
                                population_turning_points, trajectory)
 from qspeedup.measures import (GenericQslResult, ReportStatus, bures_angle,
-                               evaluate_point, nonmarkov_three_level,
-                               nonmarkov_two_level, qsl_generic,
-                               qsl_three_level, qsl_two_level, schatten_norm,
-                               trace_distance)
+                               evaluate_point, evaluate_points, nonmarkov,
+                               nonmarkov_three_level, nonmarkov_two_level,
+                               qsl_generic, qsl_three_level, qsl_time,
+                               qsl_two_level, schatten_norm, trace_distance)
 from qspeedup.spectral import AtomKind, ModelParams
 
 TWO = ModelParams(gamma0=1.0, n_atoms=3)
@@ -170,6 +170,28 @@ class TestFunctionals:
             qsl_two_level(VEE, 5.0)
         with pytest.raises(ValueError):
             qsl_three_level(TWO, 5.0)
+
+    @pytest.mark.parametrize("params", [TWO, VEE, RESONANT])
+    def test_kind_aware_measures(self, params):
+        report = evaluate_point(params, 5.0)
+        assert qsl_time(params, 5.0) == report.tau_qsl
+        assert nonmarkov(params, 5.0) == report.nonmarkov
+        if params.kind is AtomKind.TWO_LEVEL:
+            assert qsl_two_level(params, 5.0) == report.tau_qsl
+            assert nonmarkov_two_level(params, 5.0) == report.nonmarkov
+        else:
+            assert qsl_three_level(params, 5.0) == report.tau_qsl
+            assert nonmarkov_three_level(params, 5.0) == report.nonmarkov
+
+    def test_batch_rows_equal_single_points(self):
+        points = [TWO, VEE, RESONANT, ModelParams(gamma0=0.0, n_atoms=2),
+                  ModelParams(gamma0=3.0, n_atoms=30)]
+        for tau in (0.5, 5.0, 2000.0):
+            assert evaluate_points(points, tau) == [
+                evaluate_point(p, tau) for p in points]
+        assert evaluate_points([], 5.0) == []
+        with pytest.raises(ValueError, match="tau"):
+            evaluate_points(points, math.nan)
 
 
 class TestGenericQsl:

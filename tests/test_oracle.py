@@ -99,6 +99,9 @@ class TestSolveCollective:
             solve_collective(ModelParams(gamma0=1.0), 5.0, steps=1024)
         with pytest.raises(ValueError):
             solve_collective(ModelParams(gamma0=1.0), 0.0)
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tau"):
+                solve_collective(ModelParams(gamma0=1.0), tau)
 
     def test_step_doubling_catches_stiff_points(self):
         stiff = ModelParams(gamma0=400.0, n_atoms=30, theta=1.0,

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qspeedup.bound_state import find_bound_state
-from qspeedup.measures import evaluate_point
+from qspeedup.bound_state import BracketFailureError, find_bound_state
+from qspeedup.dynamics import population_turning_points
+from qspeedup.measures import BATCH_ELEMENTS, evaluate_point
 from qspeedup.spectral import AtomKind, ModelParams
 from qspeedup.sweep import (FigurePreset, NoTransitionError, OnsetCriterion,
                             SweepConfig, figure_preset, find_critical_coupling,
@@ -28,6 +29,10 @@ class TestSweepConfig:
         dict(gamma0_grid=(2.0, 1.0, 5)),
         dict(gamma0_grid=(0.0, 2.0, 1)),
         dict(tau=0.0),
+        dict(tau=math.inf),
+        dict(tau=math.nan),
+        dict(gamma0_grid=(0.0, math.inf, 5)),
+        dict(gamma0_grid=(math.nan, 2.0, 5)),
     ])
     def test_rejects_bad_grids(self, kwargs):
         with pytest.raises(ValueError):
@@ -56,6 +61,44 @@ class TestRunSweep:
             assert row.nonmarkov == report.nonmarkov
             if row.status == "normal" and row.gamma0 > 0:
                 assert row.bound_energy == find_bound_state(params).energy
+
+    @pytest.mark.parametrize("config", [
+        SweepConfig(kind=AtomKind.TWO_LEVEL, n_atoms_list=(1, 2, 30),
+                    gamma0_grid=(0.0, 4.0, 21), tau=200.0),
+        SweepConfig(kind=AtomKind.THREE_LEVEL_V, n_atoms_list=(1, 30),
+                    theta_list=(0.0, 0.5, 1.0), gamma0_grid=(0.0, 4.0, 21),
+                    tau=200.0),
+        SweepConfig(kind=AtomKind.THREE_LEVEL_V, n_atoms_list=(1, 3),
+                    theta_list=(1.0,), gamma0_grid=(0.0, 1.0, 11)),
+    ])
+    def test_rows_match_per_point_public_api(self, config):
+        rows = run_sweep(config)
+        points = [ModelParams(gamma0=float(g0), lam=config.lam, n_atoms=n,
+                              theta=theta, omega0=config.omega0, kind=config.kind)
+                  for n in config.n_atoms_list for theta in config.theta_list
+                  for g0 in config.gamma0_values()]
+        assert len(rows) == len(points)
+        for row, params in zip(rows, points):
+            assert (row.gamma0, row.n_atoms, row.theta) == (
+                params.gamma0, params.n_atoms, params.theta)
+            report = evaluate_point(params, config.tau)
+            assert row.ratio == report.ratio
+            assert row.nonmarkov == report.nonmarkov
+            try:
+                state = find_bound_state(params)
+            except BracketFailureError:
+                assert (row.status, row.bound_energy) == ("bound-underflow", 0.0)
+                continue
+            assert row.status == report.status.value
+            assert row.bound_energy == (state.energy if state.exists else None)
+        # the grid reaches every status, more turning points than one batch
+        # holds, and single emitters whose first turning point is an
+        # amplitude zero
+        assert {r.status for r in rows} == {"stationary", "bound-underflow", "normal"}
+        counts = [len(population_turning_points(p, config.tau)) for p in points]
+        assert max(c for p, c in zip(points, counts) if p.n_atoms == 1) > 0
+        if config.tau > 100.0:
+            assert len(points) * max(counts) > BATCH_ELEMENTS
 
     def test_deterministic_across_cache_resets(self):
         first = run_sweep(SMALL)
