@@ -9,7 +9,7 @@ sweep         regenerate a preset coupling-strength survey (figures 2-5)
 validate      run the built-in consistency checks
 
 Exit codes: 0 success, 1 usage error, 2 bracket failure, 3 validation failure,
-4 numerical failure (the bound-state bisection stalled above its residual
+4 numerical failure (the bound-state search stalled above its residual
 target, or a computed state left its physical range).
 """
 

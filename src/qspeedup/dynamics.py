@@ -77,16 +77,19 @@ def _damped_cosh_sinh(t: np.ndarray, d, lam):
     cosh_part = even * cos_b - 1j * (odd * sin_b)
     sinh_part = 1j * (even * sin_b) - odd * cos_b
     degenerate = d == 0
-    sinh_over_d = sinh_part / np.where(degenerate, 1.0, d)
-    if degenerate.any():
-        sinh_over_d = np.where(degenerate, 0.5 * t * cosh_part, sinh_over_d)
-    return cosh_part, sinh_over_d
+    if not degenerate.any():
+        return cosh_part, sinh_part / d
+    return cosh_part, np.where(degenerate, 0.5 * t * cosh_part,
+                               sinh_part / np.where(degenerate, 1.0, d))
 
 
 def g_factor(t, d: complex, lam: float):
-    """Decay envelope g(t); scalar or array t >= 0."""
+    """Decay envelope g(t); scalar or array t >= 0.
+
+    d and lam may also be arrays broadcasting against t, one channel per row.
+    """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if (t < 0).any():
         raise ValueError("t must be >= 0")
     cosh_part, sinh_over_d = _damped_cosh_sinh(t, d, lam)
     out = cosh_part + lam * sinh_over_d
@@ -114,16 +117,20 @@ def _channel(params: ModelParams):
     return prop.d_two_level, prop.lam, prop.n_atoms
 
 
+def _amplitude(g, n, initial):
+    """Symmetric amplitude from the envelope; (g - 1)/N keeps t = 0 exact."""
+    return initial * (1.0 + (g - 1.0) / n)
+
+
 def alpha1(t, params: ModelParams, initial: complex = 1.0):
     """Symmetric excited amplitude of N two-level emitters.
 
-    alpha1(0) = initial exactly; the (g - 1)/N form keeps the t = 0 value
-    free of rounding.
+    alpha1(0) = initial exactly.
     """
     if params.kind is not AtomKind.TWO_LEVEL:
         raise ValueError("alpha1 applies to two-level emitters")
     d, lam, n = _channel(params)
-    return initial * (1.0 + (g_factor(t, d, lam) - 1.0) / n)
+    return _amplitude(g_factor(t, d, lam), n, initial)
 
 
 def nu1(t, params: ModelParams, initial: complex = ROOT_HALF):
@@ -135,7 +142,7 @@ def nu1(t, params: ModelParams, initial: complex = ROOT_HALF):
     if params.kind is not AtomKind.THREE_LEVEL_V:
         raise ValueError("nu1 applies to V-type emitters")
     d, lam, n = _channel(params)
-    return initial * (1.0 + (g_factor(t, d, lam) - 1.0) / n)
+    return _amplitude(g_factor(t, d, lam), n, initial)
 
 
 def amplitude_rate(t, params: ModelParams, initial: complex | None = None):
@@ -154,8 +161,6 @@ def excited_population(t, params: ModelParams):
     population_rows for a batch of one point.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be >= 0")
     out = population_rows(t.reshape(1, -1), ChannelColumns.of([params]))
     return out.reshape(t.shape) if t.ndim else float(out[0, 0])
 
@@ -188,15 +193,6 @@ def population_turning_points(params: ModelParams, tau: float) -> np.ndarray:
     return table[table < tau]
 
 
-def _channel_row(p: ModelParams) -> tuple:
-    """gamma0, lam, N, V-type flag and d**2 of the channel _channel picks."""
-    v_type = p.kind is AtomKind.THREE_LEVEL_V
-    weight = 1.0 + p.theta if v_type else 1.0
-    # the same products as PropagatorParams
-    return (p.gamma0, p.lam, p.n_atoms, v_type,
-            p.lam * p.lam - 2.0 * p.gamma0 * weight * p.lam * p.n_atoms)
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelColumns:
     """Symmetric-channel constants of a batch of points, one entry per point."""
@@ -204,24 +200,29 @@ class ChannelColumns:
     gamma0: np.ndarray
     lam: np.ndarray
     n_atoms: np.ndarray  # as floats
-    v_type: np.ndarray   # bool
+    initial: np.ndarray  # amplitude at t = 0: 1 (alpha1) or ROOT_HALF (nu1)
+    scale: np.ndarray    # population per |amplitude|**2: 1 or 2 (V-type)
     d: np.ndarray        # complex envelope parameter of the channel
 
     @classmethod
     def of(cls, points) -> "ChannelColumns":
         """The channel that _channel picks for each point, as arrays."""
-        gamma0, lam, n, v, x = np.array(
-            [_channel_row(p) for p in points], dtype=float).reshape(-1, 5).T
-        root = np.sqrt(np.abs(x))  # principal branch, as principal_sqrt
-        return cls(gamma0, lam, n, v == 1.0, np.where(x >= 0.0, root, 1j * root))
+        points = list(points)
+        d, lam, n = zip(*map(_channel, points)) if points else ((), (), ())
+        v_type = [p.kind is AtomKind.THREE_LEVEL_V for p in points]
+        return cls(np.array([p.gamma0 for p in points], dtype=float),
+                   np.array(lam, dtype=float), np.array(n, dtype=float),
+                   np.array([ROOT_HALF if v else 1.0 for v in v_type]),
+                   np.array([2.0 if v else 1.0 for v in v_type]),
+                   np.array(d, dtype=complex))
 
     def __len__(self) -> int:
         return len(self.lam)
 
     def rows(self, select) -> "ChannelColumns":
         return ChannelColumns(self.gamma0[select], self.lam[select],
-                              self.n_atoms[select], self.v_type[select],
-                              self.d[select])
+                              self.n_atoms[select], self.initial[select],
+                              self.scale[select], self.d[select])
 
 
 def turning_point_table(channels: ChannelColumns, tau: float) -> np.ndarray:
@@ -234,20 +235,22 @@ def turning_point_table(channels: ChannelColumns, tau: float) -> np.ndarray:
     batch repeat each extremum instead, which adds Delta p = 0.
     """
     omega = channels.d.imag
-    oscillating = omega > 0.0
-    omega_safe = np.where(oscillating, omega, 1.0)[:, None]
-    cycles = (tau * omega[oscillating] / (2.0 * math.pi)).tolist()
-    k = np.arange(1.0, math.floor(max(cycles, default=-1.0)) + 2.0)
+    # a channel that does not oscillate gets the period 4 tau, which puts
+    # its first extremum at 4 tau and its first amplitude zero past 2 tau
+    omega_safe = np.where(omega > 0.0, omega, 0.5 * math.pi / tau)[:, None]
+    cycles = tau * float(omega.max(initial=0.0)) / (2.0 * math.pi)
+    k = np.arange(1.0, math.floor(cycles) + 2.0)
     points = 2.0 * math.pi * k / omega_safe
     single = channels.n_atoms == 1.0
     if single.any():
         phase = np.arctan(omega_safe / channels.lam[:, None])
         zeros = np.where(single[:, None],
                          2.0 * (math.pi * k - phase) / omega_safe, points)
-        points = np.stack([zeros, points], axis=2).reshape(len(omega), -1)
-    keep = oscillating[:, None] & (points < tau)
-    table = np.where(keep, points, tau)
-    return table[:, :keep.sum(axis=1).max(initial=0)]
+        interleaved = np.empty((len(omega), 2 * len(k)))
+        interleaved[:, 0::2], interleaved[:, 1::2] = zeros, points
+        points = interleaved
+    table = np.minimum(points, tau)
+    return table[:, :(table < tau).sum(axis=1).max(initial=0)]
 
 
 def population_rows(times: np.ndarray, channels: ChannelColumns) -> np.ndarray:
@@ -257,12 +260,9 @@ def population_rows(times: np.ndarray, channels: ChannelColumns) -> np.ndarray:
     channel, and the population |alpha1|**2 or 2*|nu1|**2.  With d real or
     imaginary the envelope is exactly real, so the rest is real arithmetic.
     """
-    d, lam = channels.d[:, None], channels.lam[:, None]
-    cosh_part, sinh_over_d = _damped_cosh_sinh(times, d, lam)
-    g = (cosh_part + lam * sinh_over_d).real
-    initial = np.where(channels.v_type, ROOT_HALF, 1.0)[:, None]
-    amp = initial * (1.0 + (g - 1.0) / channels.n_atoms[:, None])
-    return np.where(channels.v_type, 2.0, 1.0)[:, None] * (amp * amp)
+    g = g_factor(times, channels.d[:, None], channels.lam[:, None]).real
+    amp = _amplitude(g, channels.n_atoms[:, None], channels.initial[:, None])
+    return channels.scale[:, None] * (amp * amp)
 
 
 def propagate_two_level(t: float, initials, params: ModelParams) -> np.ndarray:

@@ -73,7 +73,8 @@ def _row(params: ModelParams, report: SpeedupReport, state) -> SweepRow:
     status = report.status.value
     bound: float | None
     if isinstance(state, BracketFailureError):
-        # the root exists but sits below the representable probe floor
+        # the root exists but sits below the representable probe floor (or,
+        # at absurd couplings, beyond the last outer probe)
         bound = 0.0
         status = "bound-underflow"
     else:

@@ -166,6 +166,26 @@ def test_empty_batch():
     assert find_bound_states([]) == []
 
 
+def test_outer_bracket_failure_stays_with_its_point():
+    # gamma0 = 1e200 keeps K(E) - E <= 0 down to the last outer probe
+    absurd = ModelParams(gamma0=1e200)
+    with pytest.raises(BracketFailureError, match="bracket probes"):
+        find_bound_state(absurd)
+    params = ModelParams(gamma0=2.0, n_atoms=3)
+    solved, failed, zero = find_bound_states([params, absurd, ModelParams(gamma0=0.0)])
+    assert solved == find_bound_state(params)
+    assert isinstance(failed, BracketFailureError)
+    assert "bracket probes" in str(failed)
+    assert not zero.exists
+
+
+def test_search_is_far_shorter_than_bisection():
+    # regula falsi with the Illinois weight: about 7 steps where a bisection
+    # on log|E| needs about 40
+    for params in SPOT_POINTS + [ModelParams(gamma0=0.25)]:
+        assert find_bound_state(params).iterations <= 12
+
+
 def test_residual_gate_raises_for_the_batch(monkeypatch):
     monkeypatch.setattr(bound_state, "MAX_BISECTIONS", 2)
     params = ModelParams(gamma0=2.0, n_atoms=3)

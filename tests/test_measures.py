@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qspeedup.dynamics import (DensityMatrix, density_trajectory,
-                               excited_population, population_rate,
+from qspeedup import dynamics
+from qspeedup.dynamics import (DensityMatrix, alpha1, density_trajectory,
+                               excited_population, nu1, population_rate,
                                population_turning_points, trajectory)
 from qspeedup.measures import (GenericQslResult, ReportStatus, bures_angle,
                                evaluate_point, evaluate_points, nonmarkov,
@@ -192,6 +193,21 @@ class TestFunctionals:
         assert evaluate_points([], 5.0) == []
         with pytest.raises(ValueError, match="tau"):
             evaluate_points(points, math.nan)
+
+    @pytest.mark.parametrize("params", [TWO, VEE])
+    def test_functionals_read_the_shared_envelope(self, params, monkeypatch):
+        # the batched population goes through dynamics.g_factor, as alpha1
+        # and nu1 do, so a skewed envelope reaches both alike
+        before = evaluate_point(params, 5.0).final_population
+        true_g = dynamics.g_factor
+        monkeypatch.setattr(dynamics, "g_factor",
+                            lambda t, d, lam: 1.001 * true_g(t, d, lam))
+        after = evaluate_point(params, 5.0).final_population
+        assert after != before
+        assert after == pytest.approx(excited_population(5.0, params), rel=1e-15)
+        amp = (alpha1 if params.kind is AtomKind.TWO_LEVEL else nu1)(5.0, params)
+        scale = 1.0 if params.kind is AtomKind.TWO_LEVEL else 2.0
+        assert after == pytest.approx(scale * abs(amp) ** 2, rel=1e-12)
 
 
 class TestGenericQsl:
