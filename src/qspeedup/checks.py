@@ -46,10 +46,7 @@ def check_oracle_equivalence(quick: bool = False) -> CheckResult:
     count = 0
     for params in _oracle_points(quick):
         ref = oracle.solve_collective(params, TAU, steps=steps)
-        if params.kind is AtomKind.THREE_LEVEL_V:
-            amp = dynamics.nu1(ref.times, params)
-        else:
-            amp = dynamics.alpha1(ref.times, params)
+        amp = dynamics.amplitude(ref.times, params)
         pop = dynamics.excited_population(ref.times, params)
         worst = max(worst,
                     float(np.abs(amp - ref.amplitude).max()),

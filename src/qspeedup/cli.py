@@ -8,9 +8,10 @@ qsl           speed-limit / backflow report for one parameter point
 sweep         regenerate a preset coupling-strength survey (figures 2-5)
 validate      run the built-in consistency checks
 
-Exit codes: 0 success, 1 usage error, 2 bracket failure, 3 validation failure,
-4 numerical failure (the bound-state search stalled above its residual
-target, or a computed state left its physical range).
+Exit codes: 0 success, 1 usage or output-file error, 2 bracket failure,
+3 validation failure, 4 numerical failure (the bound-state search stalled
+above its residual target, or a computed state was not finite or left its
+physical range).
 """
 
 from __future__ import annotations
@@ -167,10 +168,23 @@ def _build_params(cfg: RunConfig) -> ModelParams:
 
 
 def _write_text(path: str, text: str, force: bool) -> None:
+    """Write a temporary file beside path with plain open() (so the usual
+    umask mode), then rename it over path: a failed write leaves neither."""
     if os.path.exists(path) and not force:
         raise UsageError(f"refusing to overwrite {path} (pass --force)")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        exc.filename = path  # name the target, not the temporary file
+        raise
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _config_echo(cfg: RunConfig, preset: FigurePreset | None = None) -> dict:
@@ -388,10 +402,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BracketFailureError as exc:

@@ -12,9 +12,12 @@ collective coupling is strong enough for the envelope to oscillate; both
 regimes are covered by evaluating the same expression over the complex d.
 
 The fully symmetric initial condition (every emitter sharing the excitation
-equally) evolves without leaving the symmetric sector, which gives the
-single-amplitude forms alpha1 / nu1 below; the general propagators accept
-arbitrary per-emitter initial amplitudes.
+equally) stays in the symmetric channel, read through m excited levels:
+m = 1 for two-level emitters, m = 2 for V-type ones in the equal
+superposition of both upper levels (_channel decides this once).  amplitude
+(kind-guarded aliases alpha1 / nu1) starts at 1/sqrt(m) and the population
+is m*|amplitude|**2; the general propagators accept arbitrary per-emitter
+initial amplitudes.
 """
 
 from __future__ import annotations
@@ -84,13 +87,13 @@ def _damped_cosh_sinh(t: np.ndarray, d, lam):
 
 
 def g_factor(t, d: complex, lam: float):
-    """Decay envelope g(t); scalar or array t >= 0.
+    """Decay envelope g(t); scalar or array of finite t >= 0.
 
     d and lam may also be arrays broadcasting against t, one channel per row.
     """
     t = np.asarray(t, dtype=float)
-    if (t < 0).any():
-        raise ValueError("t must be >= 0")
+    if not ((t >= 0.0) & (t < math.inf)).all():  # NaN fails both
+        raise ValueError("t must be finite and >= 0")
     cosh_part, sinh_over_d = _damped_cosh_sinh(t, d, lam)
     out = cosh_part + lam * sinh_over_d
     return out if out.ndim else complex(out)
@@ -103,18 +106,19 @@ def g_factor_dt(t, d: complex, lam: float):
     derivative shares the envelope's parametrisation exactly.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be >= 0")
+    if not ((t >= 0.0) & (t < math.inf)).all():  # NaN fails both
+        raise ValueError("t must be finite and >= 0")
     w = 0.5 * (lam * lam - complex(d) ** 2).real
     out = -w * _damped_cosh_sinh(t, d, lam)[1]
     return out if out.ndim else complex(out)
 
 
 def _channel(params: ModelParams):
+    """(d, lam, N, m) of the symmetric channel; the one place the kind enters."""
     prop = PropagatorParams.from_model(params)
     if params.kind is AtomKind.THREE_LEVEL_V:
-        return prop.d_plus, prop.lam, prop.n_atoms
-    return prop.d_two_level, prop.lam, prop.n_atoms
+        return prop.d_plus, prop.lam, prop.n_atoms, 2
+    return prop.d_two_level, prop.lam, prop.n_atoms, 1
 
 
 def _amplitude(g, n, initial):
@@ -122,43 +126,41 @@ def _amplitude(g, n, initial):
     return initial * (1.0 + (g - 1.0) / n)
 
 
-def alpha1(t, params: ModelParams, initial: complex = 1.0):
-    """Symmetric excited amplitude of N two-level emitters.
+def amplitude(t, params: ModelParams, initial: complex | None = None):
+    """Symmetric excited amplitude per level: alpha1 or nu1 by emitter kind.
 
-    alpha1(0) = initial exactly.
+    amplitude(0) = initial exactly, by default 1/sqrt(m) (1 or ROOT_HALF).
     """
+    d, lam, n, m = _channel(params)
+    initial = math.sqrt(1.0 / m) if initial is None else initial
+    return _amplitude(g_factor(t, d, lam), n, initial)
+
+
+def alpha1(t, params: ModelParams, initial: complex = 1.0):
+    """amplitude of N two-level emitters; alpha1(0) = initial exactly."""
     if params.kind is not AtomKind.TWO_LEVEL:
         raise ValueError("alpha1 applies to two-level emitters")
-    d, lam, n = _channel(params)
-    return _amplitude(g_factor(t, d, lam), n, initial)
+    return amplitude(t, params, initial)
 
 
 def nu1(t, params: ModelParams, initial: complex = ROOT_HALF):
-    """Per-transition excited amplitude of N V-type emitters (symmetric channel).
-
-    The antisymmetric channel of the equal-superposition initial state
-    vanishes identically, so one envelope suffices.
-    """
+    """amplitude of N V-type emitters, per transition (symmetric channel)."""
     if params.kind is not AtomKind.THREE_LEVEL_V:
         raise ValueError("nu1 applies to V-type emitters")
-    d, lam, n = _channel(params)
-    return _amplitude(g_factor(t, d, lam), n, initial)
+    return amplitude(t, params, initial)
 
 
 def amplitude_rate(t, params: ModelParams, initial: complex | None = None):
-    """d/dt of alpha1 (two-level) or nu1 (V-type) for the same initial value."""
-    if initial is None:
-        initial = 1.0 if params.kind is AtomKind.TWO_LEVEL else ROOT_HALF
-    d, lam, n = _channel(params)
+    """d/dt of amplitude (alpha1 or nu1) for the same initial value."""
+    d, lam, n, m = _channel(params)
+    initial = math.sqrt(1.0 / m) if initial is None else initial
     return initial * g_factor_dt(t, d, lam) / n
 
 
 def excited_population(t, params: ModelParams):
-    """Total excited-state population of the shared excitation.
+    """Excited population m*|amplitude|**2: |alpha1|**2 or 2*|nu1|**2.
 
-    |alpha1|**2 for two-level emitters; a V-type emitter holds the
-    excitation in two upper levels, 2*|nu1|**2.  Scalar or array t >= 0;
-    population_rows for a batch of one point.
+    Scalar or array t >= 0; population_rows for a batch of one point.
     """
     t = np.asarray(t, dtype=float)
     out = population_rows(t.reshape(1, -1), ChannelColumns.of([params]))
@@ -167,14 +169,8 @@ def excited_population(t, params: ModelParams):
 
 def population_rate(t, params: ModelParams):
     """Analytic d/dt of excited_population (no finite differences)."""
-    if params.kind is AtomKind.THREE_LEVEL_V:
-        amp = nu1(t, params)
-        scale = 2.0
-    else:
-        amp = alpha1(t, params)
-        scale = 1.0
-    damp = amplitude_rate(t, params)
-    out = 2.0 * scale * np.real(np.conjugate(amp) * damp)
+    rate = np.conjugate(amplitude(t, params)) * amplitude_rate(t, params)
+    out = 2.0 * _channel(params)[3] * np.real(rate)
     return out if np.ndim(out) else float(out)
 
 
@@ -200,29 +196,38 @@ class ChannelColumns:
     gamma0: np.ndarray
     lam: np.ndarray
     n_atoms: np.ndarray  # as floats
-    initial: np.ndarray  # amplitude at t = 0: 1 (alpha1) or ROOT_HALF (nu1)
-    scale: np.ndarray    # population per |amplitude|**2: 1 or 2 (V-type)
+    levels: np.ndarray   # m excited levels, as floats
     d: np.ndarray        # complex envelope parameter of the channel
 
     @classmethod
     def of(cls, points) -> "ChannelColumns":
         """The channel that _channel picks for each point, as arrays."""
         points = list(points)
-        d, lam, n = zip(*map(_channel, points)) if points else ((), (), ())
-        v_type = [p.kind is AtomKind.THREE_LEVEL_V for p in points]
+        d, lam, n, m = zip(*map(_channel, points)) if points else ((),) * 4
         return cls(np.array([p.gamma0 for p in points], dtype=float),
                    np.array(lam, dtype=float), np.array(n, dtype=float),
-                   np.array([ROOT_HALF if v else 1.0 for v in v_type]),
-                   np.array([2.0 if v else 1.0 for v in v_type]),
-                   np.array(d, dtype=complex))
+                   np.array(m, dtype=float), np.array(d, dtype=complex))
 
     def __len__(self) -> int:
         return len(self.lam)
 
     def rows(self, select) -> "ChannelColumns":
         return ChannelColumns(self.gamma0[select], self.lam[select],
-                              self.n_atoms[select], self.initial[select],
-                              self.scale[select], self.d[select])
+                              self.n_atoms[select], self.levels[select],
+                              self.d[select])
+
+
+# Refused before any table is allocated (at the limit an N = 1 point peaks
+# near 50 MB); tau = 2000 at N = 30, gamma0 = 3 holds about 6e3 periods.
+MAX_WINDOW_PERIODS = 1e5
+
+
+def window_periods(channels: ChannelColumns, tau: float) -> np.ndarray:
+    """Envelope periods of each point in [0, tau]; ValueError past the limit."""
+    periods = tau * channels.d.imag / (2.0 * math.pi)
+    if not periods.max(initial=0.0) <= MAX_WINDOW_PERIODS:  # also NaN, inf
+        raise ValueError(f"window exceeds {MAX_WINDOW_PERIODS:.0e} envelope periods")
+    return periods
 
 
 def turning_point_table(channels: ChannelColumns, tau: float) -> np.ndarray:
@@ -238,7 +243,7 @@ def turning_point_table(channels: ChannelColumns, tau: float) -> np.ndarray:
     # a channel that does not oscillate gets the period 4 tau, which puts
     # its first extremum at 4 tau and its first amplitude zero past 2 tau
     omega_safe = np.where(omega > 0.0, omega, 0.5 * math.pi / tau)[:, None]
-    cycles = tau * float(omega.max(initial=0.0)) / (2.0 * math.pi)
+    cycles = float(window_periods(channels, tau).max(initial=0.0))
     k = np.arange(1.0, math.floor(cycles) + 2.0)
     points = 2.0 * math.pi * k / omega_safe
     single = channels.n_atoms == 1.0
@@ -256,13 +261,14 @@ def turning_point_table(channels: ChannelColumns, tau: float) -> np.ndarray:
 def population_rows(times: np.ndarray, channels: ChannelColumns) -> np.ndarray:
     """excited_population of each point of a batch on its own row of times.
 
-    The amplitude is alpha1 (two-level) or nu1 (V-type) of the point's
-    channel, and the population |alpha1|**2 or 2*|nu1|**2.  With d real or
-    imaginary the envelope is exactly real, so the rest is real arithmetic.
+    The amplitude is that of the point's channel, starting at 1/sqrt(m), and
+    the population m * amplitude**2.  With d real or imaginary the envelope
+    is exactly real, so the rest is real arithmetic.
     """
     g = g_factor(times, channels.d[:, None], channels.lam[:, None]).real
-    amp = _amplitude(g, channels.n_atoms[:, None], channels.initial[:, None])
-    return channels.scale[:, None] * (amp * amp)
+    levels = channels.levels[:, None]
+    amp = _amplitude(g, channels.n_atoms[:, None], np.sqrt(1.0 / levels))
+    return levels * (amp * amp)
 
 
 def propagate_two_level(t: float, initials, params: ModelParams) -> np.ndarray:
@@ -276,7 +282,7 @@ def propagate_two_level(t: float, initials, params: ModelParams) -> np.ndarray:
     initials = np.asarray(initials, dtype=complex)
     if initials.shape != (params.n_atoms,):
         raise ValueError("need one initial amplitude per emitter")
-    d, lam, n = _channel(params)
+    d, lam, n, _ = _channel(params)
     g = g_factor(float(t), d, lam)
     return initials + (g - 1.0) * initials.sum() / n
 
@@ -323,19 +329,16 @@ def trajectory(params: ModelParams, tau: float, steps: int = 4096) -> Trajectory
     if steps < 1:
         raise ValueError("steps must be >= 1")
     times = np.linspace(0.0, tau, steps + 1)
-    if params.kind is AtomKind.THREE_LEVEL_V:
-        amp = nu1(times, params)
-        scale = 2.0
-    else:
-        amp = alpha1(times, params)
-        scale = 1.0
-    pop_c = scale * np.conjugate(amp) * amp
+    amp = amplitude(times, params)
+    pop_c = _channel(params)[3] * np.conjugate(amp) * amp
+    rate = np.asarray(population_rate(times, params), dtype=float)
+    if not (np.isfinite(pop_c).all() and np.isfinite(rate).all()):
+        raise FloatingPointError("population or its rate is not finite")
     if np.abs(pop_c.imag).max() >= 1e-13:
         raise FloatingPointError("population picked up an imaginary residue")
     pop = pop_c.real
     if pop.min() < -1e-12 or pop.max() > 1.0 + 1e-12:
         raise FloatingPointError("population left [0, 1] beyond rounding slack")
-    rate = np.asarray(population_rate(times, params), dtype=float)
     return Trajectory(times, amp, np.clip(pop, 0.0, 1.0), rate)
 
 
@@ -353,71 +356,50 @@ class DensityMatrix:
         m = self.entries
         if m.shape not in ((2, 2), (3, 3)):
             raise ValueError("density matrix must be 2x2 or 3x3")
-        if np.abs(m - m.conj().T).max() > 1e-14:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m) - 1.0) > 1e-12:
-            raise ValueError("density matrix trace is not 1")
-        if np.linalg.eigvalsh(m).min() < -1e-12:
-            raise ValueError("density matrix has a negative eigenvalue")
+        _check_states(m, ValueError, "density matrix")
         return self
 
 
 def _density_ops(times: np.ndarray, params: ModelParams, ground_amplitude: complex):
-    """Vectorised reduced states and their analytic rates on a time grid."""
+    """Vectorised reduced states and their analytic rates on a time grid.
+
+    m excited levels, each pair holding |amplitude|**2, plus the ground level.
+    """
     a0 = complex(ground_amplitude)
     if abs(a0) > 1.0:
         raise ValueError("ground amplitude exceeds normalization")
-    n = len(times)
-    if params.kind is AtomKind.TWO_LEVEL:
-        exc0 = math.sqrt(max(0.0, 1.0 - abs(a0) ** 2))
-        amp = np.atleast_1d(alpha1(times, params, initial=exc0))
-        damp = np.atleast_1d(amplitude_rate(times, params, initial=exc0))
-        p = (np.conjugate(amp) * amp).real
-        dp = 2.0 * (np.conjugate(amp) * damp).real
-        rho = np.zeros((n, 2, 2), dtype=complex)
-        rho[:, 0, 0] = p
-        rho[:, 0, 1] = np.conjugate(a0) * amp
-        rho[:, 1, 0] = a0 * np.conjugate(amp)
-        rho[:, 1, 1] = 1.0 - p
-        rate = np.zeros((n, 2, 2), dtype=complex)
-        rate[:, 0, 0] = dp
-        rate[:, 0, 1] = np.conjugate(a0) * damp
-        rate[:, 1, 0] = a0 * np.conjugate(damp)
-        rate[:, 1, 1] = -dp
-        return rho, rate
-    exc0 = math.sqrt(max(0.0, (1.0 - abs(a0) ** 2) / 2.0))
-    amp = np.atleast_1d(nu1(times, params, initial=exc0))
+    m = _channel(params)[3]
+    exc0 = math.sqrt(max(0.0, (1.0 - abs(a0) ** 2) / m))
+    amp = np.atleast_1d(amplitude(times, params, initial=exc0))
     damp = np.atleast_1d(amplitude_rate(times, params, initial=exc0))
     q = (np.conjugate(amp) * amp).real
     dq = 2.0 * (np.conjugate(amp) * damp).real
-    rho = np.zeros((n, 3, 3), dtype=complex)
-    rho[:, 0, 0] = rho[:, 1, 1] = rho[:, 0, 1] = rho[:, 1, 0] = q
-    rho[:, 0, 2] = rho[:, 1, 2] = np.conjugate(a0) * amp
-    rho[:, 2, 0] = rho[:, 2, 1] = a0 * np.conjugate(amp)
-    rho[:, 2, 2] = 1.0 - 2.0 * q
-    rate = np.zeros((n, 3, 3), dtype=complex)
-    rate[:, 0, 0] = rate[:, 1, 1] = rate[:, 0, 1] = rate[:, 1, 0] = dq
-    rate[:, 0, 2] = rate[:, 1, 2] = np.conjugate(a0) * damp
-    rate[:, 2, 0] = rate[:, 2, 1] = a0 * np.conjugate(damp)
-    rate[:, 2, 2] = -2.0 * dq
+    rho = np.zeros((len(times), m + 1, m + 1), dtype=complex)
+    rate = np.zeros_like(rho)
+    for out, level, coherence in ((rho, q, amp), (rate, dq, damp)):
+        out[:, :m, :m] = level[:, None, None]
+        out[:, :m, m] = (np.conjugate(a0) * coherence)[:, None]
+        out[:, m, :m] = (a0 * np.conjugate(coherence))[:, None]
+    rho[:, m, m] = 1.0 - m * q
+    rate[:, m, m] = -m * dq
     return rho, rate
 
 
-def _validate_states(rhos: np.ndarray) -> None:
-    if np.abs(rhos - np.conjugate(np.transpose(rhos, (0, 2, 1)))).max() > 1e-14:
-        raise FloatingPointError("reduced states lost Hermiticity")
-    traces = np.trace(rhos, axis1=1, axis2=2)
-    if np.abs(traces - 1.0).max() > 1e-12:
-        raise FloatingPointError("reduced states lost unit trace")
-    if np.linalg.eigvalsh(rhos).min() < -1e-12:
-        raise FloatingPointError("reduced states lost positivity")
+def _check_states(rhos: np.ndarray, error: type, what: str) -> None:
+    """Hermitian, unit trace, no negative eigenvalue; a NaN fails every test."""
+    if not np.abs(rhos - np.conjugate(np.swapaxes(rhos, -1, -2))).max() <= 1e-14:
+        raise error(f"{what} is not Hermitian")
+    if not np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0).max() <= 1e-12:
+        raise error(f"{what} trace is not 1")
+    if not np.linalg.eigvalsh(rhos).min() >= -1e-12:
+        raise error(f"{what} has a negative eigenvalue")
 
 
 def density_matrix(t: float, params: ModelParams,
                    ground_amplitude: complex = 0.0) -> DensityMatrix:
     """Reduced state of one emitter at time t (shared ground amplitude a0)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and >= 0")
     rho, _ = _density_ops(np.asarray([float(t)]), params, ground_amplitude)
     return DensityMatrix(rho[0]).validate()
 
@@ -430,5 +412,5 @@ def density_trajectory(params: ModelParams, tau: float, steps: int = 4096,
         raise ValueError("steps must be >= 1")
     times = np.linspace(0.0, tau, steps + 1)
     rhos, rates = _density_ops(times, params, ground_amplitude)
-    _validate_states(rhos)
+    _check_states(rhos, FloatingPointError, "reduced state")
     return times, rhos, rates

@@ -30,7 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from .dynamics import (ChannelColumns, DensityMatrix, population_rows,
-                       turning_point_table)
+                       turning_point_table, window_periods)
 from .spectral import AtomKind, ModelParams, validate_tau
 
 
@@ -120,11 +120,11 @@ def _batches(channels: ChannelColumns, tau: float):
     A row's width is bounded by its window ends plus two turning points per
     period of the envelope.
     """
-    if len(channels) == 1:
+    if len(channels) == 1:  # turning_point_table checks its window itself
         yield channels
         return
     start, widest = 0, 0
-    for i, cycles in enumerate((tau * channels.d.imag / (2.0 * math.pi)).tolist()):
+    for i, cycles in enumerate(window_periods(channels, tau).tolist()):
         w = 4 + 2 * math.floor(cycles)
         widest = max(widest, w)
         if i > start and (i + 1 - start) * widest > BATCH_ELEMENTS:
@@ -146,7 +146,10 @@ def _report_rows(channels: ChannelColumns, tau: float):
     p = population_rows(cuts, channels)
     backflow = np.maximum(p[:, 1:] - p[:, :-1], 0.0).cumsum(axis=1)[:, -1]
     final = p[:, -1]
-    return backflow, (1.0 - final) + 2.0 * backflow, final
+    rate_abs = (1.0 - final) + 2.0 * backflow
+    if not np.isfinite(rate_abs).all():  # carries any NaN or inf of R and p
+        raise FloatingPointError("the population is not finite inside the window")
+    return backflow, rate_abs, final
 
 
 def _report(tau: float, gamma0: float, backflow: float, rate_abs: float,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.n_atoms, (int, np.integer)) or isinstance(self.n_atoms, bool):
             raise ValueError("n_atoms must be an integer >= 1")
-        if self.n_atoms < 1:
-            raise ValueError("n_atoms must be >= 1")
+        if not 1 <= self.n_atoms <= sys.float_info.max:  # N enters as a float
+            raise ValueError("n_atoms must be >= 1 and representable as a float")
         for name in ("gamma0", "lam", "omega0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

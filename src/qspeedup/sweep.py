@@ -119,10 +119,10 @@ class FigurePreset:
 
 
 _PRESETS = {
-    2: ("two-level backflow survey", AtomKind.TWO_LEVEL, (0.0,), "nonmarkov"),
-    3: ("two-level bound-state survey", AtomKind.TWO_LEVEL, (0.0,), "bound_energy"),
-    4: ("V-type backflow survey", AtomKind.THREE_LEVEL_V, (0.0, 1.0), "nonmarkov"),
-    5: ("V-type bound-state survey", AtomKind.THREE_LEVEL_V, (0.0, 1.0), "bound_energy"),
+    2: (AtomKind.TWO_LEVEL, (0.0,), "nonmarkov"),
+    3: (AtomKind.TWO_LEVEL, (0.0,), "bound_energy"),
+    4: (AtomKind.THREE_LEVEL_V, (0.0, 1.0), "nonmarkov"),
+    5: (AtomKind.THREE_LEVEL_V, (0.0, 1.0), "bound_energy"),
 }
 
 
@@ -130,7 +130,7 @@ def figure_preset(figure: int) -> FigurePreset:
     """Preset grids 2-5: emitter kind, dipole angles and the paired quantity."""
     if figure not in _PRESETS:
         raise ValueError("figure must be one of 2, 3, 4, 5")
-    _, kind, thetas, right = _PRESETS[figure]
+    kind, thetas, right = _PRESETS[figure]
     return FigurePreset(figure, SweepConfig(kind=kind, theta_list=thetas), right)
 
 

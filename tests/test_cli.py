@@ -1,7 +1,9 @@
 import json
 import math
+import os
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qspeedup import bound_state, dynamics
 from qspeedup.bound_state import find_bound_state
@@ -29,6 +31,12 @@ class TestArgvHandling:
         (["qsl", "--gamma0", "1", "--lambda", "2", "--tau", "inf"], "tau"),
         (["dynamics", "--gamma0", "1", "--lambda", "2", "--tau", "nan"], "tau"),
         (["dynamics", "--gamma0", "1", "--lambda", "2", "--tau", "inf"], "tau"),
+        (["qsl", "--gamma0", "1e308", "--lambda", "2"], "envelope periods"),
+        (["qsl", "--gamma0", "1e200", "--lambda", "2"], "envelope periods"),
+        (["qsl", "--gamma0", "1", "--lambda", "2", "--n", str(10 ** 21)],
+         "envelope periods"),
+        (["bound-state", "--gamma0", "1", "--lambda", "2", "--n", str(10 ** 400)],
+         "n_atoms"),
     ])
     def test_non_finite_values_are_usage_errors(self, capsys, argv, fragment):
         assert main(argv) == 1
@@ -54,6 +62,14 @@ class TestArgvHandling:
                      "--n", "3"]) == EXIT_NUMERICAL
         assert "population" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["qsl", "dynamics"])
+    def test_non_finite_results_are_numerical_failures(self, capsys, command):
+        # lam**2 overflows, so the envelope is NaN from the first sample on
+        assert main([command, "--gamma0", "1", "--lambda", "1e300"]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err
+        assert "nan" not in captured.out
+
     def test_unknown_command_is_a_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
 
@@ -74,6 +90,109 @@ class TestArgvHandling:
     ])
     def test_to_argv_round_trip(self, cfg):
         assert parse_args(to_argv(cfg)) == cfg
+
+
+# Numbers as text: any float (finite, non-finite, huge or subnormal) and a
+# few hand-picked edges and non-numeric strings.
+_REAL = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "1e200", "5e-324",
+                     "2.2250738585072014e-308", "-0.0", "0", "1e-300"]),
+    st.text(alphabet="0123456789.e+-xn", max_size=5),
+)
+_COUNT = st.one_of(
+    st.integers(min_value=-2, max_value=40).map(str),
+    st.integers(min_value=10 ** 15).map(str),
+    st.sampled_from([str(10 ** 400), "2.5", "x", ""]),
+)
+# a sample count is requested output size, not a defect: capped at 4096
+_STEPS = st.one_of(st.integers(min_value=-1, max_value=4096).map(str),
+                   st.sampled_from(["x", "1e3"]))
+_OUTPUTS = st.sampled_from(["{tmp}/out.csv", "{tmp}/out.json",
+                            "{tmp}/missing/out.csv"])
+
+
+@st.composite
+def _model_argv(draw):
+    command = draw(st.sampled_from(["bound-state", "qsl", "dynamics"]))
+    argv = [command, "--kind", draw(st.sampled_from(["two-level", "three-level-v"])),
+            "--gamma0", draw(_REAL), "--lambda", draw(_REAL)]
+    flags = [("--n", _COUNT), ("--theta", _REAL), ("--omega0", _REAL)]
+    if command != "bound-state":
+        flags += [("--tau", _REAL), ("--output", _OUTPUTS),
+                  ("--format", st.sampled_from(["csv", "json"]))]
+    if command == "dynamics":
+        flags.append(("--steps", _STEPS))
+    for flag, values in flags:
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    if command != "bound-state" and draw(st.booleans()):
+        argv.append("--force")
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_model_argv())
+    @example(argv=["qsl", "--gamma0", "1e308", "--lambda", "2"])
+    @example(argv=["qsl", "--gamma0", "1", "--lambda", "2", "--n", str(10 ** 21)])
+    @example(argv=["bound-state", "--gamma0", "1", "--lambda", "2",
+                   "--n", str(10 ** 400)])
+    @example(argv=["qsl", "--gamma0", "1", "--lambda", "1e300"])
+    @example(argv=["dynamics", "--gamma0", "1", "--lambda", "1e300"])
+    @example(argv=["dynamics", "--gamma0", "1", "--lambda", "2",
+                   "--output", "{tmp}/missing/out.csv"])
+    def test_main_exits_cleanly(self, tmp_path, capsys, argv):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        code = main(argv)  # an exception escaping main fails the test
+        out = capsys.readouterr().out.lower()
+        assert code in {0, 1, 2, 3, 4}
+        if code == 0:
+            assert "nan" not in out and "inf" not in out
+        assert not (tmp_path / "missing").exists()
+        assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--figure", "2"],
+        ["dynamics", "--gamma0", "1", "--lambda", "2"],
+        ["qsl", "--gamma0", "1", "--lambda", "2"],
+    ])
+    def test_missing_directory_is_a_usage_error(self, tmp_path, capsys, argv):
+        target = tmp_path / "missing" / "out.csv"
+        assert main(argv + ["--output", str(target)]) == 1
+        assert f"error: [Errno 2] No such file or directory: '{target}'" \
+            in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_replace_leaves_no_file(self, tmp_path, capsys, monkeypatch,
+                                           existing):
+        target = tmp_path / "traj.csv"
+        if existing:
+            target.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert main(["dynamics", "--gamma0", "1", "--lambda", "2",
+                     "--output", str(target), "--force"]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == (["traj.csv"] if existing else [])
+        if existing:
+            assert target.read_text() == "old\n"
+
+    def test_written_file_has_the_plain_open_mode(self, tmp_path):
+        target = tmp_path / "report.json"
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        assert main(["qsl", "--gamma0", "1", "--lambda", "2",
+                     "--output", str(target), "--format", "json"]) == 0
+        assert target.stat().st_mode == plain.stat().st_mode
+        assert sorted(os.listdir(tmp_path)) == ["plain", "report.json"]
 
 
 class TestBoundStateCommand:

@@ -34,6 +34,15 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             g_factor_dt(np.array([0.0, -1.0]), 1.0 + 0j, 2.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            g_factor(t, 1.0 + 0j, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            g_factor_dt(np.array([0.0, t]), 1.0 + 0j, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            density_matrix(t, TWO)
+
     def test_degenerate_channel_is_continuous(self):
         t = np.linspace(0.0, 5.0, 64)
         near = g_factor(t, complex(1e-9), 2.0)
@@ -104,6 +113,15 @@ class TestAmplitudes:
             alpha1(1.0, VEE)
         with pytest.raises(ValueError):
             nu1(1.0, TWO)
+
+    def test_kind_aware_amplitude(self):
+        amplitude = dynamics.amplitude
+        t = np.linspace(0.0, 5.0, 257)
+        assert np.array_equal(amplitude(t, TWO), alpha1(t, TWO))
+        assert np.array_equal(amplitude(t, VEE), nu1(t, VEE))
+        assert amplitude(0.0, TWO) == 1.0 and amplitude(0.0, VEE) == ROOT_HALF
+        assert np.array_equal(amplitude(t, VEE, initial=0.3),
+                              nu1(t, VEE, initial=0.3))
 
     def test_single_atom_amplitude_is_envelope(self):
         params = ModelParams(gamma0=1.0)
@@ -229,6 +247,15 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             trajectory(TWO, 5.0, steps=0)
 
+    def test_non_finite_population_is_a_numerical_failure(self):
+        # lam**2 overflows, so the envelope is NaN from the first sample on
+        overflow = ModelParams(gamma0=1.0, lam=1e300)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="not finite"):
+                trajectory(overflow, 5.0, steps=16)
+            with pytest.raises(FloatingPointError, match="not Hermitian"):
+                density_trajectory(overflow, 5.0, steps=16)
+
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
     def test_rejects_non_finite_window(self, tau):
         with pytest.raises(ValueError, match="tau"):
@@ -275,6 +302,8 @@ class TestDensityMatrix:
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex)).validate()
         with pytest.raises(ValueError, match="2x2 or 3x3"):
             DensityMatrix(np.eye(4, dtype=complex) / 4).validate()
+        with pytest.raises(ValueError):
+            DensityMatrix(np.full((2, 2), np.nan, complex)).validate()
 
     def test_trajectory_rates_match_finite_differences(self):
         for params, a0 in ((TWO, 0.0), (VEE, 0.3 + 0.2j)):

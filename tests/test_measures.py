@@ -162,6 +162,28 @@ class TestFunctionals:
         with pytest.raises(ValueError, match="tau"):
             evaluate_point(TWO, tau)
 
+    @pytest.mark.parametrize("params", [
+        ModelParams(gamma0=1e308),           # d overflows to an infinite frequency
+        ModelParams(gamma0=1.0, n_atoms=10 ** 21),
+        ModelParams(gamma0=5e9, kind=AtomKind.THREE_LEVEL_V),
+    ])
+    def test_rejects_windows_of_too_many_periods(self, params):
+        # refused before the turning-point table is allocated
+        with pytest.raises(ValueError, match="envelope periods"):
+            evaluate_point(params, 5.0)
+        with pytest.raises(ValueError, match="envelope periods"):
+            evaluate_points([TWO, params, VEE], 5.0)
+        with pytest.raises(ValueError, match="envelope periods"):
+            population_turning_points(params, 5.0)
+
+    def test_non_finite_population_is_a_numerical_failure(self):
+        # lam**2 overflows, so the envelope is NaN from the first sample on
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="not finite"):
+                evaluate_point(ModelParams(gamma0=1.0, lam=1e300), 5.0)
+            with pytest.raises(FloatingPointError, match="not finite"):
+                evaluate_points([TWO, ModelParams(gamma0=1.0, lam=1e300)], 5.0)
+
     def test_kind_guards(self):
         with pytest.raises(ValueError):
             nonmarkov_two_level(VEE, 5.0)

@@ -24,6 +24,7 @@ class TestModelParams:
         (dict(gamma0=1.0, n_atoms=0), "n_atoms"),
         (dict(gamma0=1.0, n_atoms=2.5), "n_atoms"),
         (dict(gamma0=1.0, n_atoms=True), "n_atoms"),
+        (dict(gamma0=1.0, n_atoms=10 ** 400), "n_atoms"),
         (dict(gamma0=1.0, theta=1.5, kind=AtomKind.THREE_LEVEL_V), "theta"),
         (dict(gamma0=1.0, theta=-0.1, kind=AtomKind.THREE_LEVEL_V), "theta"),
         (dict(gamma0=1.0, theta=0.5), "theta must be 0 for two-level"),
