@@ -94,7 +94,7 @@ def find_bound_states(points, tol: float = RESIDUAL_TOL) -> list:
     edge that stays put twice in a row) and falls back to the geometric
     midpoint where that point rounds onto an edge.  The energy is the step
     of smallest residual; each point stops once that residual is 100 times
-    below tol.
+    below tol, or within 16 float spacings of |E| for large |E|.
     """
     points = list(points)
     if not points:
@@ -138,7 +138,6 @@ def find_bound_states(points, tol: float = RESIDUAL_TOL) -> list:
     residual = np.abs(f_hi)
     iterations = np.zeros(hi.shape, dtype=int)
     active = solve
-    done = 0.01 * tol
     kept_hi = kept_lo = np.zeros_like(solve)
     for _ in range(MAX_BISECTIONS):
         if not active.any():
@@ -166,6 +165,9 @@ def find_bound_states(points, tol: float = RESIDUAL_TOL) -> list:
         hi, u_hi, f_hi = (np.where(down, mid, hi), np.where(down, u, u_hi),
                           np.where(down, val, f_hi))
         kept_hi, kept_lo = up, down
+        # stop 100 times below tol, or at the float resolution of the
+        # residual where |E| is too large for that (the gate stays relative)
+        done = np.maximum(0.01 * tol, 16.0 * np.spacing(np.abs(energy)))
         active = active & (residual >= done)
 
     stalled = solve & ~(residual < tol * np.maximum(1.0, np.abs(energy)))

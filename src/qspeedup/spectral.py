@@ -66,6 +66,15 @@ class ModelParams:
             raise ValueError("theta must lie in [0, 1]")
         if self.kind is AtomKind.TWO_LEVEL and self.theta != 0.0:
             raise ValueError("theta must be 0 for two-level emitters")
+        # the channel constants under the envelope frequency d; past float
+        # range every envelope sample would be NaN.  Python floats, so numpy
+        # scalars overflow without a warning.
+        lam = float(self.lam)
+        if not math.isfinite(lam * lam):
+            raise ValueError("channel constant lam**2 is not finite")
+        if not math.isfinite(2.0 * float(self.gamma0) * (1.0 + float(self.theta)) * lam
+                             * float(self.n_atoms)):
+            raise ValueError("channel constant 2*gamma0*(1+theta)*lam*N is not finite")
 
     def collective_factor(self) -> float:
         """Multiplicity of the reservoir integral in the bound-state kernel.

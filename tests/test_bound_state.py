@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from qspeedup import bound_state
 from qspeedup.bound_state import (BRACKET_FLOOR, BisectionStallError, BoundStateResult,
                                   BracketFailureError, find_bound_state,
-                                  find_bound_states, kernel_k, MAX_BISECTIONS)
+                                  find_bound_states, kernel_k, MAX_BISECTIONS,
+                                  RESIDUAL_TOL)
 from qspeedup.spectral import AtomKind, ModelParams
 
 
@@ -184,6 +185,16 @@ def test_search_is_far_shorter_than_bisection():
     # on log|E| needs about 40
     for params in SPOT_POINTS + [ModelParams(gamma0=0.25)]:
         assert find_bound_state(params).iterations <= 12
+
+
+def test_large_roots_stop_at_float_resolution():
+    # E = -4.4e4: the residual cannot fall to 0.01 * tol in absolute terms,
+    # so an absolute stop ran the search until the bracket collapsed (24 steps)
+    params = ModelParams(gamma0=1e8, n_atoms=30)
+    result = find_bound_state(params)
+    assert result.iterations < 24
+    assert result.residual < RESIDUAL_TOL * max(1.0, abs(result.energy))
+    assert kernel_k(result.energy, params) == pytest.approx(result.energy, rel=1e-15)
 
 
 def test_residual_gate_raises_for_the_batch(monkeypatch):

@@ -31,7 +31,7 @@ class TestArgvHandling:
         (["qsl", "--gamma0", "1", "--lambda", "2", "--tau", "inf"], "tau"),
         (["dynamics", "--gamma0", "1", "--lambda", "2", "--tau", "nan"], "tau"),
         (["dynamics", "--gamma0", "1", "--lambda", "2", "--tau", "inf"], "tau"),
-        (["qsl", "--gamma0", "1e308", "--lambda", "2"], "envelope periods"),
+        (["qsl", "--gamma0", "1e308", "--lambda", "2"], "channel constant"),
         (["qsl", "--gamma0", "1e200", "--lambda", "2"], "envelope periods"),
         (["qsl", "--gamma0", "1", "--lambda", "2", "--n", str(10 ** 21)],
          "envelope periods"),
@@ -64,8 +64,9 @@ class TestArgvHandling:
 
     @pytest.mark.parametrize("command", ["qsl", "dynamics"])
     def test_non_finite_results_are_numerical_failures(self, capsys, command):
-        # lam**2 overflows, so the envelope is NaN from the first sample on
-        assert main([command, "--gamma0", "1", "--lambda", "1e300"]) == EXIT_NUMERICAL
+        # lam**2 overflows, so the envelope would be NaN from the first
+        # sample on: refused up front as a usage error
+        assert main([command, "--gamma0", "1", "--lambda", "1e300"]) == 1
         captured = capsys.readouterr()
         assert "not finite" in captured.err
         assert "nan" not in captured.out

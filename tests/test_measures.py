@@ -163,7 +163,7 @@ class TestFunctionals:
             evaluate_point(TWO, tau)
 
     @pytest.mark.parametrize("params", [
-        ModelParams(gamma0=1e308),           # d overflows to an infinite frequency
+        ModelParams(gamma0=1e200),           # |d| = 2e100: about 1.6e100 periods
         ModelParams(gamma0=1.0, n_atoms=10 ** 21),
         ModelParams(gamma0=5e9, kind=AtomKind.THREE_LEVEL_V),
     ])
@@ -176,13 +176,17 @@ class TestFunctionals:
         with pytest.raises(ValueError, match="envelope periods"):
             population_turning_points(params, 5.0)
 
-    def test_non_finite_population_is_a_numerical_failure(self):
-        # lam**2 overflows, so the envelope is NaN from the first sample on
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(FloatingPointError, match="not finite"):
-                evaluate_point(ModelParams(gamma0=1.0, lam=1e300), 5.0)
-            with pytest.raises(FloatingPointError, match="not finite"):
-                evaluate_points([TWO, ModelParams(gamma0=1.0, lam=1e300)], 5.0)
+    def test_non_finite_population_is_a_numerical_failure(self, monkeypatch):
+        # ModelParams refuses overflowing channel constants, so the NaN
+        # envelope of one channel (lam = 3) is injected
+        true_g = dynamics.g_factor
+        bad = ModelParams(gamma0=1.0, lam=3.0)
+        monkeypatch.setattr(dynamics, "g_factor", lambda t, d, lam: np.where(
+            np.equal(lam, bad.lam), math.nan, 1.0) * true_g(t, d, lam))
+        with pytest.raises(FloatingPointError, match="not finite"):
+            evaluate_point(bad, 5.0)
+        with pytest.raises(FloatingPointError, match="not finite"):
+            evaluate_points([TWO, bad], 5.0)
 
     def test_kind_guards(self):
         with pytest.raises(ValueError):

@@ -35,10 +35,23 @@ class TestModelParams:
         (dict(gamma0=1.0, omega0=math.inf), "omega0"),
         (dict(gamma0=1.0, theta=math.nan, kind=AtomKind.THREE_LEVEL_V), "theta"),
         (dict(gamma0=1.0, n_atoms=10 ** 400), "n_atoms"),
+        (dict(gamma0=1.0, lam=1e160), "channel constant lam"),
+        (dict(gamma0=1e308), "channel constant 2"),
+        (dict(gamma0=1.0, n_atoms=10 ** 308), "channel constant 2"),
+        (dict(gamma0=3e307, theta=1.0, kind=AtomKind.THREE_LEVEL_V), "channel constant 2"),
     ])
     def test_rejects_invalid(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
             ModelParams(**kwargs)
+
+    def test_largest_finite_channel_constant_is_accepted(self):
+        # 2*gamma0*lam*N = 1.2e308 for two-level; V-type with theta = 1
+        # doubles it past float range (rejected above)
+        assert ModelParams(gamma0=3e307).gamma0 == 3e307
+        assert ModelParams(gamma0=1.0, lam=1e154).lam == 1e154
+        # numpy scalars are checked without an overflow warning
+        with pytest.raises(ValueError, match="channel constant lam"):
+            ModelParams(gamma0=1.0, lam=np.float64(1e160))
 
     def test_collective_factor(self):
         assert ModelParams(gamma0=1.0, n_atoms=5).collective_factor() == 5.0
