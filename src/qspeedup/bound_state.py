@@ -9,10 +9,10 @@ search both work geometrically on the energy axis: the search is regula
 falsi on log|E| with the Illinois weight, which keeps the bracket of a
 bisection but needs about 7 steps where bisection needs about 40.
 
-A batch of parameter points is solved together (find_bound_states): each
-step is one array pass over the batch and acts on every point separately,
-so find_bound_state, a batch of one, gives the same bits as the point's
-entry in any batch.
+A batch of parameter points is solved together (solve_bound_states, over
+columns of the point constants): each step is one array pass over the
+batch and acts on every point separately, so find_bound_state, a batch of
+one, gives the same bits as the point's entry in any batch.
 """
 
 from __future__ import annotations
@@ -66,26 +66,25 @@ class _Residual:
     energy per point or a row of energies shared by all points.
     """
 
-    def __init__(self, points: list[ModelParams]):
-        consts = np.array([(p.omega0, p.collective_factor(), p.gamma0, p.lam)
-                           for p in points], dtype=float).reshape(-1, 4, 1)
-        self.omega0, self.factor, gamma0, lam = consts.transpose(1, 0, 2)
-        self.integral = ReservoirIntegral(gamma0, lam, self.omega0)
+    def __init__(self, omega0, factor, gamma0, lam):
+        self.omega0, self.factor = omega0, factor
+        self.integral = ReservoirIntegral(gamma0, lam, omega0)
 
     def __call__(self, e):
         return self.omega0 - self.factor * self.integral(e) - e
 
 
-def find_bound_states(points, tol: float = RESIDUAL_TOL) -> list:
+def solve_bound_states(omega0, factor, gamma0, lam, tol: float = RESIDUAL_TOL,
+                       label="point {}".format) -> tuple:
     """Locate the unique E < 0 with K(E) = E for every point of a batch.
 
-    Entry i is the BoundStateResult of points[i] (exists=False only for
-    gamma0 = 0, where K is constant at omega0 and never crosses the diagonal
-    below zero), or the BracketFailureError that find_bound_state raises for
-    it: when the coupling is weak enough that the root lies beyond the probe
-    floor of -1e-16, or (at absurd couplings) beyond the last outer probe
-    -2**MAX_PROBES.  Raises BisectionStallError when a point misses the
-    residual target.
+    Takes 1-d arrays of omega0, the collective factor, gamma0 and lam, and
+    returns the columns (coupled, underflow, failed, energy, residual, lo,
+    hi, iterations).  coupled is False only for gamma0 = 0, where K is
+    constant at omega0.  The bracket fails when the root lies beyond the
+    probe floor of -1e-16 (underflow) or, at absurd couplings, beyond the
+    last outer probe -2**MAX_PROBES (failed).  Raises BisectionStallError,
+    naming point i by label(i), when a point misses the residual target.
 
     The inner bracket edge is the first probe with K(E) - E < 0, the outer
     one comes from doubling -1 until K(E) - E > 0.  The search then runs on
@@ -96,11 +95,9 @@ def find_bound_states(points, tol: float = RESIDUAL_TOL) -> list:
     of smallest residual; each point stops once that residual is 100 times
     below tol, or within 16 float spacings of |E| for large |E|.
     """
-    points = list(points)
-    if not points:
-        return []
-    h = _Residual(points)
-    coupled = np.array([[p.gamma0 != 0.0] for p in points])
+    gamma0 = gamma0[:, None]
+    h = _Residual(omega0[:, None], factor[:, None], gamma0, lam[:, None])
+    coupled = gamma0 != 0.0
 
     inner = h(INNER_PROBES)
     below = inner < 0.0
@@ -174,27 +171,38 @@ def find_bound_states(points, tol: float = RESIDUAL_TOL) -> list:
     if stalled.any():
         i = int(np.argmax(stalled))
         raise BisectionStallError(
-            f"bisection stalled at residual {residual[i, 0]:g} for {points[i]!r}")
+            f"bisection stalled at residual {residual[i, 0]:g} for {label(i)}")
+    return tuple(c[:, 0] for c in (coupled, underflow, failed, energy, residual, lo, hi,
+                                   iterations))
 
+
+def find_bound_states(points, tol: float = RESIDUAL_TOL) -> list:
+    """solve_bound_states of ModelParams: entry i is the BoundStateResult of
+    points[i], or the BracketFailureError that find_bound_state raises."""
+    points = list(points)
+    if not points:
+        return []
+    consts = np.array([(p.omega0, p.collective_factor(), p.gamma0, p.lam)
+                       for p in points], dtype=float)
+    columns = solve_bound_states(*consts.T, tol=tol, label=lambda i: repr(points[i]))
     results = []
-    for i, params in enumerate(points):
-        if not coupled[i, 0]:
+    for params, coupled, underflow, failed, e, r, a, b, n in zip(
+            points, *(c.tolist() for c in columns)):
+        if not coupled:
             results.append(BoundStateResult(False, None, None, None, 0))
-        elif underflow[i, 0]:
+        elif underflow:
             results.append(BracketFailureError(
                 "no sign change of K(E) - E above the probe floor "
                 f"{BRACKET_FLOOR:g}; coupling gamma0={params.gamma0:g} is too "
                 "weak for the root to be representable"))
-        elif failed[i, 0]:
+        elif failed:
             results.append(BracketFailureError(
                 f"no sign change of K(E) - E within {MAX_PROBES} bracket probes"))
         else:
-            e, a, b = float(energy[i, 0]), float(lo[i, 0]), float(hi[i, 0])
             # the best step may have become a bracket edge; keep it inside
             bracket = (math.nextafter(a, -math.inf) if e <= a else a,
                        math.nextafter(b, 0.0) if e >= b else b)
-            results.append(BoundStateResult(True, e, float(residual[i, 0]), bracket,
-                                            int(iterations[i, 0])))
+            results.append(BoundStateResult(True, e, r, bracket, n))
     return results
 
 

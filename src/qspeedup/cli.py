@@ -157,11 +157,6 @@ def to_argv(cfg: RunConfig) -> list[str]:
     return av
 
 
-def _fnum(x) -> str:
-    # shortest round-trip decimal; plain floats only, never numpy scalar reprs
-    return repr(float(x))
-
-
 def _build_params(cfg: RunConfig) -> ModelParams:
     return ModelParams(gamma0=cfg.gamma0, lam=cfg.lam, n_atoms=cfg.n_atoms,
                        theta=cfg.theta, omega0=cfg.omega0, kind=cfg.kind)
@@ -212,14 +207,11 @@ def _config_echo(cfg: RunConfig, preset: FigurePreset | None = None) -> dict:
 
 
 def _rows_csv(rows: list[SweepRow]) -> str:
+    # run_sweep rows hold plain floats, so !r is their shortest round trip
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            _fnum(r.gamma0), str(r.n_atoms), _fnum(r.theta), _fnum(r.ratio),
-            _fnum(r.nonmarkov),
-            "" if r.bound_energy is None else _fnum(r.bound_energy),
-            r.status,
-        ]))
+    lines += [f"{r.gamma0!r},{r.n_atoms},{r.theta!r},{r.ratio!r},{r.nonmarkov!r},"
+              f"{'' if r.bound_energy is None else repr(r.bound_energy)},{r.status}"
+              for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -243,11 +235,14 @@ def _rows_json(rows: list[SweepRow], config: dict) -> str:
 def _sweep_panels(rows: list[SweepRow], preset: FigurePreset) -> list[Panel]:
     sc = preset.config
     right_label = "ℜ" if preset.right_axis == "nonmarkov" else "E_b/ω₀"
+    # run_sweep writes each (n, theta) curve as one contiguous run of rows
+    count = sc.gamma0_grid[2]
+    curves = (rows[i:i + count] for i in range(0, len(rows), count))
     panels = []
     for n in sc.n_atoms_list:
         series = []
         for k, theta in enumerate(sc.theta_list):
-            pts = [r for r in rows if r.n_atoms == n and r.theta == theta]
+            pts = next(curves)
             xs = tuple(r.gamma0 for r in pts)
             suffix = f", θ={theta:g}" if len(sc.theta_list) > 1 else ""
             series.append(Series(
@@ -289,25 +284,19 @@ def cmd_dynamics(cfg: RunConfig) -> int:
         print(f"final population = {traj.population[-1]:.12g}")
         print(f"min population   = {traj.population.min():.12g}")
         return EXIT_OK
+    # plain floats (tolist), so !r is their shortest round-trip decimal
+    samples = list(zip(traj.times.tolist(), traj.amplitude.tolist(),
+                       traj.population.tolist(), traj.population_rate.tolist()))
     if cfg.fmt == "csv":
         lines = ["t,amplitude_re,amplitude_im,population,population_rate"]
-        for i in range(len(traj)):
-            lines.append(",".join([
-                _fnum(traj.times[i]), _fnum(traj.amplitude[i].real),
-                _fnum(traj.amplitude[i].imag), _fnum(traj.population[i]),
-                _fnum(traj.population_rate[i])]))
+        lines += [f"{t!r},{a.real!r},{a.imag!r},{p!r},{r!r}" for t, a, p, r in samples]
         _write_text(cfg.output, "\n".join(lines) + "\n", cfg.force)
     else:
         payload = {
             "schema": 1,
             "config": _config_echo(cfg) | {"steps": cfg.steps},
-            "rows": [{
-                "t": float(traj.times[i]),
-                "amplitude_re": float(traj.amplitude[i].real),
-                "amplitude_im": float(traj.amplitude[i].imag),
-                "population": float(traj.population[i]),
-                "population_rate": float(traj.population_rate[i]),
-            } for i in range(len(traj))],
+            "rows": [{"t": t, "amplitude_re": a.real, "amplitude_im": a.imag,
+                      "population": p, "population_rate": r} for t, a, p, r in samples],
         }
         _write_text(cfg.output, json.dumps(payload, indent=2) + "\n", cfg.force)
     print(f"wrote {len(traj)} samples to {cfg.output}")

@@ -14,15 +14,14 @@ regimes are covered by evaluating the same expression over the complex d.
 The fully symmetric initial condition (every emitter sharing the excitation
 equally) stays in the symmetric channel, read through m excited levels:
 m = 1 for two-level emitters, m = 2 for V-type ones in the equal
-superposition of both upper levels (_channel decides this once).  amplitude
-(kind-guarded aliases alpha1 / nu1) starts at 1/sqrt(m) and the population
-is m*|amplitude|**2; the general propagators accept arbitrary per-emitter
-initial amplitudes.
+superposition of both upper levels (channel_coefficients decides this
+once).  amplitude (kind-guarded aliases alpha1 / nu1) starts at 1/sqrt(m)
+and the population is m*|amplitude|**2; the general propagators accept
+arbitrary per-emitter initial amplitudes.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -33,9 +32,25 @@ from .spectral import AtomKind, ModelParams, validate_tau
 ROOT_HALF = math.sqrt(0.5)
 
 
-def principal_sqrt(x: float) -> complex:
-    """sqrt on the principal branch: nonnegative real or positive imaginary."""
-    return cmath.sqrt(complex(x, 0.0))
+def principal_sqrt(x):
+    """sqrt|x| for x >= 0, i*sqrt|x| below (scalar or array): the bits of
+    cmath.sqrt(complex(x, 0.0)) on the principal branch, without a warning."""
+    root = np.sqrt(np.abs(x))
+    d = np.where(x >= 0.0, root, 1j * root)
+    return d if d.ndim else complex(d)
+
+
+def channel_coefficients(kind: AtomKind, theta: float) -> tuple[float, int]:
+    """(c, m): kernel weight gamma0*N*c and m excited levels of the symmetric
+    channel; the one place the emitter kind enters."""
+    if kind is AtomKind.THREE_LEVEL_V:
+        return 1.0 + theta, 2
+    return 1.0, 1
+
+
+def channel_discriminant(gamma0, lam, n_atoms, c):
+    """lam**2 - 2*gamma0*c*lam*N (c = 1 or 1 +- theta); scalars or arrays."""
+    return lam * lam - 2.0 * gamma0 * c * lam * n_atoms
 
 
 @dataclass(frozen=True)
@@ -50,14 +65,9 @@ class PropagatorParams:
 
     @classmethod
     def from_model(cls, params: ModelParams) -> "PropagatorParams":
-        lam, g0, n = params.lam, params.gamma0, params.n_atoms
-        return cls(
-            lam=lam,
-            n_atoms=n,
-            d_two_level=principal_sqrt(lam * lam - 2.0 * g0 * lam * n),
-            d_plus=principal_sqrt(lam * lam - 2.0 * g0 * (1.0 + params.theta) * lam * n),
-            d_minus=principal_sqrt(lam * lam - 2.0 * g0 * (1.0 - params.theta) * lam * n),
-        )
+        c = np.array([1.0, 1.0 + params.theta, 1.0 - params.theta])
+        x = channel_discriminant(params.gamma0, params.lam, float(params.n_atoms), c)
+        return cls(params.lam, params.n_atoms, *principal_sqrt(x).tolist())
 
 
 def _damped_cosh_sinh(t: np.ndarray, d, lam):
@@ -79,9 +89,9 @@ def _damped_cosh_sinh(t: np.ndarray, d, lam):
     even, odd = grow * (1.0 + half_m), grow * half_m
     cosh_part = even * cos_b - 1j * (odd * sin_b)
     sinh_part = 1j * (even * sin_b) - odd * cos_b
-    degenerate = d == 0
-    if not degenerate.any():
+    if d.all():
         return cosh_part, sinh_part / d
+    degenerate = d == 0
     return cosh_part, np.where(degenerate, 0.5 * t * cosh_part,
                                sinh_part / np.where(degenerate, 1.0, d))
 
@@ -92,7 +102,7 @@ def g_factor(t, d: complex, lam: float):
     d and lam may also be arrays broadcasting against t, one channel per row.
     """
     t = np.asarray(t, dtype=float)
-    if not ((t >= 0.0) & (t < math.inf)).all():  # NaN fails both
+    if not (t.min(initial=0.0) >= 0.0 and t.max(initial=0.0) < math.inf):  # NaN fails
         raise ValueError("t must be finite and >= 0")
     cosh_part, sinh_over_d = _damped_cosh_sinh(t, d, lam)
     out = cosh_part + lam * sinh_over_d
@@ -106,7 +116,7 @@ def g_factor_dt(t, d: complex, lam: float):
     derivative shares the envelope's parametrisation exactly.
     """
     t = np.asarray(t, dtype=float)
-    if not ((t >= 0.0) & (t < math.inf)).all():  # NaN fails both
+    if not (t.min(initial=0.0) >= 0.0 and t.max(initial=0.0) < math.inf):  # NaN fails
         raise ValueError("t must be finite and >= 0")
     w = 0.5 * (lam * lam - complex(d) ** 2).real
     out = -w * _damped_cosh_sinh(t, d, lam)[1]
@@ -114,11 +124,10 @@ def g_factor_dt(t, d: complex, lam: float):
 
 
 def _channel(params: ModelParams):
-    """(d, lam, N, m) of the symmetric channel; the one place the kind enters."""
-    prop = PropagatorParams.from_model(params)
-    if params.kind is AtomKind.THREE_LEVEL_V:
-        return prop.d_plus, prop.lam, prop.n_atoms, 2
-    return prop.d_two_level, prop.lam, prop.n_atoms, 1
+    """(d, lam, N, m) of the symmetric channel of one point."""
+    c, m = channel_coefficients(params.kind, params.theta)
+    x = channel_discriminant(params.gamma0, params.lam, float(params.n_atoms), c)
+    return principal_sqrt(x), params.lam, params.n_atoms, m
 
 
 def _amplitude(g, n, initial):
@@ -201,12 +210,12 @@ class ChannelColumns:
 
     @classmethod
     def of(cls, points) -> "ChannelColumns":
-        """The channel that _channel picks for each point, as arrays."""
-        points = list(points)
-        d, lam, n, m = zip(*map(_channel, points)) if points else ((),) * 4
-        return cls(np.array([p.gamma0 for p in points], dtype=float),
-                   np.array(lam, dtype=float), np.array(n, dtype=float),
-                   np.array(m, dtype=float), np.array(d, dtype=complex))
+        """The symmetric channel of each point, as arrays."""
+        consts = [(p.gamma0, p.lam, float(p.n_atoms),
+                   *channel_coefficients(p.kind, p.theta)) for p in points]
+        x = np.array([channel_discriminant(*row[:4]) for row in consts], dtype=float)
+        gamma0, lam, n, _, levels = np.array(consts, dtype=float).reshape(-1, 5).T
+        return cls(gamma0, lam, n, levels, principal_sqrt(x))
 
     def __len__(self) -> int:
         return len(self.lam)

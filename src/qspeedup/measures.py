@@ -134,7 +134,7 @@ def _batches(channels: ChannelColumns, tau: float):
 
 
 def _report_rows(channels: ChannelColumns, tau: float):
-    """Backflow R, |rate| integral and final population of each row.
+    """Backflow R, |rate| integral, final population and 1 - p(tau) of each row.
 
     p is read at [0, turning points, tau]; the padding repeats tau, so it
     adds Delta p = 0.  R accumulates strictly left to right (cumsum, not a
@@ -146,21 +146,30 @@ def _report_rows(channels: ChannelColumns, tau: float):
     p = population_rows(cuts, channels)
     backflow = np.maximum(p[:, 1:] - p[:, :-1], 0.0).cumsum(axis=1)[:, -1]
     final = p[:, -1]
-    rate_abs = (1.0 - final) + 2.0 * backflow
+    loss = 1.0 - final
+    rate_abs = loss + 2.0 * backflow
     if not np.isfinite(rate_abs).all():  # carries any NaN or inf of R and p
         raise FloatingPointError("the population is not finite inside the window")
-    return backflow, rate_abs, final
+    return backflow, rate_abs, final, loss
 
 
-def _report(tau: float, gamma0: float, backflow: float, rate_abs: float,
-            final: float) -> SpeedupReport:
-    if gamma0 == 0.0:
-        return SpeedupReport(tau, 0.0, 1.0, 0.0, 1.0, ReportStatus.STATIONARY)
-    if rate_abs == 0.0:
-        return SpeedupReport(tau, 0.0, 1.0, 0.0, final, ReportStatus.STATIONARY)
-    loss = 1.0 - final
-    return SpeedupReport(tau, tau * loss / rate_abs, loss / rate_abs, backflow, final,
-                         ReportStatus.NORMAL)
+def evaluate_columns(channels: ChannelColumns, tau: float):
+    """(tau_qsl, ratio, nonmarkov, final, stationary) columns of the rows.
+
+    ratio = (1 - p)/[(1 - p) + 2 R] is exactly 1.0 when the decay is
+    monotone (R = 0).  gamma0 = 0 (p = 1) and a population that does not
+    move are stationary: ratio 1, tau_qsl 0, no backflow.
+    """
+    parts = [_report_rows(batch, tau) for batch in _batches(channels, tau)]
+    backflow, rate_abs, final, loss = (parts[0] if len(parts) == 1
+                                       else map(np.concatenate, zip(*parts)))
+    uncoupled = channels.gamma0 == 0.0
+    stationary = uncoupled | (rate_abs == 0.0)
+    rate_abs[stationary] = 1.0  # no division by zero
+    tau_qsl, ratio = tau * loss / rate_abs, loss / rate_abs
+    tau_qsl[stationary], ratio[stationary], backflow[stationary] = 0.0, 1.0, 0.0
+    final[uncoupled] = 1.0
+    return tau_qsl, ratio, backflow, final, stationary
 
 
 def evaluate_points(points, tau: float) -> list[SpeedupReport]:
@@ -173,19 +182,14 @@ def evaluate_points(points, tau: float) -> list[SpeedupReport]:
     channels = ChannelColumns.of(points)
     if not len(channels):
         return []
-    reports = []
-    for batch in _batches(channels, tau):
-        columns = (c.tolist() for c in _report_rows(batch, tau))
-        reports += map(_report, repeat(tau), batch.gamma0.tolist(), *columns)
-    return reports
+    *columns, stationary = evaluate_columns(channels, tau)
+    status = [ReportStatus.STATIONARY if s else ReportStatus.NORMAL
+              for s in stationary.tolist()]
+    return list(map(SpeedupReport, repeat(tau), *(c.tolist() for c in columns), status))
 
 
 def evaluate_point(params: ModelParams, tau: float) -> SpeedupReport:
-    """Full speed-limit/backflow summary of one parameter point.
-
-    The ratio is assembled as (1 - p)/[(1 - p) + 2 R], which collapses to
-    exactly 1.0 whenever the population decays monotonically (R = 0).
-    """
+    """Full speed-limit/backflow summary of one parameter point."""
     return evaluate_points([params], tau)[0]
 
 

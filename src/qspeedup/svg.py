@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 PANEL_W = 900
 PANEL_H = 600
 MARGIN_L = 80
@@ -120,8 +122,9 @@ def _panel_svg(panel: Panel, ox: float, oy: float) -> list[str]:
                    f'{panel.y_right_label}</text>')
 
     for k, s in enumerate(panel.series):
-        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y, s.axis))}"
-                       for x, y in zip(s.x, s.y))
+        xs = px(np.asarray(s.x, dtype=float)).tolist()
+        ys = py(np.asarray(s.y, dtype=float), s.axis).tolist()
+        pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys)])
         dash = ' stroke-dasharray="7,4"' if s.dashed else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
                    f'stroke-width="1.5"{dash}/>')

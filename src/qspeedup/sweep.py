@@ -5,11 +5,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
-from .bound_state import BracketFailureError, find_bound_states
-from .measures import SpeedupReport, evaluate_point, evaluate_points
+from .bound_state import solve_bound_states
+from .dynamics import (ChannelColumns, channel_coefficients, channel_discriminant,
+                       principal_sqrt)
+from .measures import evaluate_columns, evaluate_point
 from .spectral import AtomKind, ModelParams, validate_tau
 
 BACKFLOW_ONSET_TOL = 1e-10
@@ -69,43 +73,46 @@ class SweepRow:
     status: str
 
 
-def _row(params: ModelParams, report: SpeedupReport, state) -> SweepRow:
-    status = report.status.value
-    bound: float | None
-    if isinstance(state, BracketFailureError):
-        # the root exists but sits below the representable probe floor (or,
-        # at absurd couplings, beyond the last outer probe)
-        bound = 0.0
-        status = "bound-underflow"
-    else:
-        bound = state.energy if state.exists else None
-    return SweepRow(
-        gamma0=params.gamma0,
-        n_atoms=params.n_atoms,
-        theta=params.theta,
-        ratio=report.ratio,
-        nonmarkov=report.nonmarkov,
-        bound_energy=bound,
-        status=status,
-    )
-
-
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every (n_atoms, theta, gamma0) point of the grid, in order.
 
-    Each (n_atoms, theta) curve goes through evaluate_points and
-    find_bound_states as one batch; each row equals the single-point calls
-    for its point exactly.
+    Each (n_atoms, theta) curve goes to evaluate_columns and
+    solve_bound_states as columns, with no per-point objects; each row
+    equals the single-point calls for its point exactly.
     """
+    gamma0 = config.gamma0_values()
+    g0_list = gamma0.tolist()
+    omega0 = np.full_like(gamma0, config.omega0)
+    lam = np.full_like(gamma0, config.lam)
     rows = []
     for n in config.n_atoms_list:
         for theta in config.theta_list:
-            points = [ModelParams(gamma0=float(g0), lam=config.lam, n_atoms=int(n),
-                                  theta=float(theta), omega0=config.omega0,
-                                  kind=config.kind)
-                      for g0 in config.gamma0_values()]
-            rows += map(_row, points, evaluate_points(points, config.tau),
-                        find_bound_states(points))
+            n, theta = int(n), float(theta)
+            point = partial(ModelParams, lam=config.lam, n_atoms=n, theta=theta,
+                            omega0=config.omega0, kind=config.kind)
+            # every ModelParams check is independent of gamma0 or monotone in
+            # it (gamma0 >= 0, finiteness, the channel-constant overflow), so
+            # the curve's smallest and largest gamma0 vouch for all its points
+            point(gamma0=min(g0_list))
+            point(gamma0=max(g0_list))
+            c, levels = channel_coefficients(config.kind, theta)
+            n_col = np.full_like(gamma0, n)
+            x = channel_discriminant(gamma0, lam, n_col, c)
+            channels = ChannelColumns(gamma0, lam, n_col, np.full_like(gamma0, levels),
+                                      principal_sqrt(x))
+            _, ratio, nonmarkov, _, stationary = evaluate_columns(channels, config.tau)
+            # N*c is ModelParams.collective_factor
+            coupled, underflow, failed, energy, *_ = solve_bound_states(
+                omega0, np.full_like(gamma0, n * c), gamma0, lam,
+                label=lambda i: repr(point(gamma0=g0_list[i])))
+            # a bracket failure: the root lies below the probe floor (or, at
+            # absurd couplings, beyond the last outer probe)
+            lost = underflow | failed
+            bound = np.where(coupled, np.where(lost, 0.0, energy), None)
+            status = np.where(lost, "bound-underflow",
+                              np.where(stationary, "stationary", "normal"))
+            rows += map(SweepRow, g0_list, repeat(n), repeat(theta), ratio.tolist(),
+                        nonmarkov.tolist(), bound.tolist(), status.tolist())
     return rows
 
 

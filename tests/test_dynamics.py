@@ -1,9 +1,10 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from qspeedup import dynamics
 from qspeedup.dynamics import (DensityMatrix, PropagatorParams, ROOT_HALF, alpha1,
@@ -100,6 +101,49 @@ class TestPropagatorParams:
         assert prop.d_two_level == principal_sqrt(lam * lam - 2 * 1.0 * lam * 2)
         assert prop.d_plus == principal_sqrt(lam * lam - 2 * 1.5 * lam * 2)
         assert prop.d_minus == principal_sqrt(lam * lam - 2 * 0.5 * lam * 2)
+
+    # x = 0 exactly, then channel constants 2*gamma0*c*lam*N near float max
+    @example([(1.0, 2.0, 1, 0.0)])
+    @example([(8.9e307, 1.0, 1, 0.0), (4.4e307, 1.0, 1, 1.0), (1.0, 1e154, 1, 0.0),
+              (1e-300, 1e-300, 1, 0.5), (0.0, 2.0, 10 ** 300, 1.0)])
+    @given(st.lists(st.tuples(st.floats(0.0, 10.0) | st.floats(0.0, 1e300),
+                              st.floats(0.01, 10.0) | st.floats(1e-300, 1e150),
+                              st.integers(1, 40) | st.integers(1, 10 ** 300),
+                              st.floats(0.0, 1.0)),
+                    min_size=1, max_size=6))
+    def test_array_channel_is_bitwise_principal_sqrt(self, consts):
+        points = []
+        for g0, lam, n, theta in consts:
+            try:
+                points.append(ModelParams(gamma0=g0, lam=lam, n_atoms=n, theta=theta,
+                                          kind=AtomKind.THREE_LEVEL_V))
+            except ValueError:  # channel constant past float range
+                pass
+        assume(points)
+        gamma0, lam, n, theta = (np.array([getattr(p, f) for p in points], dtype=float)
+                                 for f in ("gamma0", "lam", "n_atoms", "theta"))
+
+        def bits(values):
+            return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arrays = [principal_sqrt(dynamics.channel_discriminant(gamma0, lam, n, c))
+                      for c in (1.0, 1.0 + theta, 1.0 - theta)]
+            plus = dynamics.ChannelColumns.of(points).d
+            two_level = dynamics.ChannelColumns.of(
+                [ModelParams(gamma0=p.gamma0, lam=p.lam, n_atoms=p.n_atoms)
+                 for p in points]).d
+            props = [PropagatorParams.from_model(p) for p in points]
+        for i, p in enumerate(points):
+            lam_i, n_i = p.lam, float(p.n_atoms)
+            expected = bits(cmath.sqrt(complex(lam_i * lam_i
+                                               - 2.0 * p.gamma0 * c * lam_i * n_i, 0.0))
+                            for c in (1.0, 1.0 + p.theta, 1.0 - p.theta))
+            assert bits(d[i] for d in arrays) == expected
+            prop = props[i]
+            assert bits((prop.d_two_level, prop.d_plus, prop.d_minus)) == expected
+            assert bits((two_level[i], plus[i])) == expected[:2]
 
 
 class TestAmplitudes:

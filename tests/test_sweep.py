@@ -2,17 +2,51 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from qspeedup import bound_state, dynamics, measures, spectral
 from qspeedup.bound_state import BracketFailureError, find_bound_state
 from qspeedup.dynamics import population_turning_points
 from qspeedup.measures import BATCH_ELEMENTS, evaluate_point
 from qspeedup.spectral import AtomKind, ModelParams
 from qspeedup.sweep import (FigurePreset, NoTransitionError, OnsetCriterion,
-                            SweepConfig, figure_preset, find_critical_coupling,
-                            run_sweep)
+                            SweepConfig, SweepRow, figure_preset,
+                            find_critical_coupling, run_sweep)
 
 SMALL = SweepConfig(kind=AtomKind.TWO_LEVEL, n_atoms_list=(1, 3),
                     gamma0_grid=(0.0, 2.0, 11))
+
+
+def per_point_row(params: ModelParams, tau: float) -> SweepRow:
+    """The row of one point from the public one-point calls."""
+    report = evaluate_point(params, tau)
+    try:
+        state = find_bound_state(params)
+    except BracketFailureError:
+        bound, status = 0.0, "bound-underflow"
+    else:
+        bound = state.energy if state.exists else None
+        status = report.status.value
+    return SweepRow(params.gamma0, params.n_atoms, params.theta, report.ratio,
+                    report.nonmarkov, bound, status)
+
+
+@st.composite
+def sweep_configs(draw):
+    kind = draw(st.sampled_from(AtomKind))
+    thetas = (0.0,) if kind is AtomKind.TWO_LEVEL else tuple(
+        draw(st.lists(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0),
+                      min_size=1, max_size=3)))
+    # lo = 0 is stationary; weak couplings at small N underflow the probes
+    lo = draw(st.sampled_from((0.0, 0.05)) | st.floats(0.0, 2.0))
+    return SweepConfig(
+        kind=kind,
+        n_atoms_list=tuple(draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))),
+        theta_list=thetas,
+        gamma0_grid=(lo, lo + draw(st.floats(0.0, 4.0)), draw(st.integers(2, 9))),
+        lam=draw(st.floats(0.2, 5.0)),
+        omega0=draw(st.floats(0.25, 4.0)),
+        tau=draw(st.sampled_from((5.0, 200.0)) | st.floats(0.1, 200.0)))
 
 
 class TestSweepConfig:
@@ -99,6 +133,46 @@ class TestRunSweep:
         assert max(c for p, c in zip(points, counts) if p.n_atoms == 1) > 0
         if config.tau > 100.0:
             assert len(points) * max(counts) > BATCH_ELEMENTS
+
+    @settings(max_examples=40, deadline=None)
+    @example(SMALL)
+    @example(SweepConfig(kind=AtomKind.THREE_LEVEL_V, n_atoms_list=(1, 30),
+                         theta_list=(0.0, 0.5, 1.0), gamma0_grid=(0.0, 4.0, 9),
+                         lam=0.7, omega0=2.0, tau=200.0))
+    @given(sweep_configs())
+    def test_rows_equal_the_one_point_calls(self, config):
+        rows = run_sweep(config)
+        points = [ModelParams(gamma0=g0, lam=config.lam, n_atoms=n, theta=theta,
+                              omega0=config.omega0, kind=config.kind)
+                  for n in config.n_atoms_list for theta in config.theta_list
+                  for g0 in config.gamma0_values().tolist()]
+        assert list(map(repr, rows)) == [repr(per_point_row(p, config.tau))
+                                         for p in points]
+
+    def test_grid_points_build_no_objects(self, monkeypatch):
+        built = {cls: 0 for cls in (spectral.ModelParams, dynamics.PropagatorParams,
+                                    measures.SpeedupReport,
+                                    bound_state.BoundStateResult)}
+        for cls in built:
+            def counting(self, *args, __init__=cls.__init__, cls=cls, **kwargs):
+                built[cls] += 1
+                __init__(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        config = figure_preset(4).config
+        rows = run_sweep(config)
+        curves = len(config.n_atoms_list) * len(config.theta_list)
+        assert len(rows) == curves * config.gamma0_grid[2]
+        # the ModelParams checks run at each curve's two ends only
+        assert built.pop(spectral.ModelParams) <= 2 * curves
+        assert set(built.values()) == {0}
+
+    def test_curve_end_overflow_is_refused(self):
+        # gamma0 = 0 passes; further up the curve, its top end included,
+        # 2*gamma0*lam*N overflows
+        config = SweepConfig(kind=AtomKind.TWO_LEVEL, n_atoms_list=(10 ** 308,),
+                             gamma0_grid=(0.0, 4.0, 3))
+        with pytest.raises(ValueError, match="channel constant"):
+            run_sweep(config)
 
     def test_deterministic_across_cache_resets(self):
         first = run_sweep(SMALL)
