@@ -4,11 +4,10 @@ information backflow, plus the coupling-strength surveys built on them."""
 
 from .bound_state import (BisectionStallError, BoundStateResult, BracketFailureError,
                           find_bound_state, find_bound_states, kernel_k)
-from .dynamics import (DensityMatrix, PropagatorParams, Trajectory, alpha1,
-                       density_matrix, density_trajectory, excited_population,
-                       g_factor, g_factor_dt, nu1, population_rate,
-                       population_turning_points, propagate_three_level,
-                       propagate_two_level, trajectory)
+from .dynamics import (DensityMatrix, Trajectory, alpha1, density_matrix,
+                       density_trajectory, excited_population, g_factor,
+                       g_factor_dt, nu1, population_rate, population_turning_points,
+                       propagate_three_level, propagate_two_level, trajectory)
 from .measures import (GenericQslResult, ReportStatus, SpeedupReport, bures_angle,
                        evaluate_point, evaluate_points, nonmarkov,
                        nonmarkov_three_level, nonmarkov_two_level, qsl_generic,
@@ -26,8 +25,8 @@ __all__ = [
     "AtomKind", "BisectionStallError", "BoundStateResult",
     "BracketFailureError", "DensityMatrix", "FigurePreset", "GenericQslResult",
     "KernelSpec", "ModelParams", "NoTransitionError", "OnsetCriterion",
-    "PropagatorParams", "ReportStatus", "SpeedupReport", "StepSizeError",
-    "SweepConfig", "SweepRow", "Trajectory", "alpha1", "bures_angle",
+    "ReportStatus", "SpeedupReport", "StepSizeError", "SweepConfig",
+    "SweepRow", "Trajectory", "alpha1", "bures_angle",
     "density_matrix", "density_trajectory", "evaluate_point",
     "evaluate_points", "excited_population", "figure_preset",
     "find_bound_state", "find_bound_states", "find_critical_coupling",

@@ -9,10 +9,11 @@ search both work geometrically on the energy axis: the search is regula
 falsi on log|E| with the Illinois weight, which keeps the bracket of a
 bisection but needs about 7 steps where bisection needs about 40.
 
-A batch of parameter points is solved together (solve_bound_states, over
-columns of the point constants): each step is one array pass over the
-batch and acts on every point separately, so find_bound_state, a batch of
-one, gives the same bits as the point's entry in any batch.
+A batch of parameter points is solved together: solve_bound_states takes
+the dynamics.ChannelColumns that measures.evaluate_columns also reads.
+Each step is one array pass over the batch and acts on every point
+separately, so find_bound_state, a batch of one, gives the same bits as
+the point's entry in any batch.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import ChannelColumns
 from .spectral import ModelParams, ReservoirIntegral, reservoir_integral
 
 RESIDUAL_TOL = 1e-10
@@ -59,26 +61,11 @@ def kernel_k(e, params: ModelParams):
     return params.omega0 - params.collective_factor() * reservoir_integral(e, params)
 
 
-class _Residual:
-    """h(E) = K(E) - E of a batch, point i on row i.
-
-    The constants are (points, 1) columns, so E may be a column of one
-    energy per point or a row of energies shared by all points.
-    """
-
-    def __init__(self, omega0, factor, gamma0, lam):
-        self.omega0, self.factor = omega0, factor
-        self.integral = ReservoirIntegral(gamma0, lam, omega0)
-
-    def __call__(self, e):
-        return self.omega0 - self.factor * self.integral(e) - e
-
-
-def solve_bound_states(omega0, factor, gamma0, lam, tol: float = RESIDUAL_TOL,
+def solve_bound_states(channels: ChannelColumns, tol: float = RESIDUAL_TOL,
                        label="point {}".format) -> tuple:
     """Locate the unique E < 0 with K(E) = E for every point of a batch.
 
-    Takes 1-d arrays of omega0, the collective factor, gamma0 and lam, and
+    Reads omega0, the collective factor, gamma0 and lam of each point, and
     returns the columns (coupled, underflow, failed, energy, residual, lo,
     hi, iterations).  coupled is False only for gamma0 = 0, where K is
     constant at omega0.  The bracket fails when the root lies beyond the
@@ -95,8 +82,15 @@ def solve_bound_states(omega0, factor, gamma0, lam, tol: float = RESIDUAL_TOL,
     of smallest residual; each point stops once that residual is 100 times
     below tol, or within 16 float spacings of |E| for large |E|.
     """
-    gamma0 = gamma0[:, None]
-    h = _Residual(omega0[:, None], factor[:, None], gamma0, lam[:, None])
+    # (points, 1) columns, so E may be a column of one energy per point or
+    # a row of energies shared by all points
+    gamma0, omega0, factor = (channels.gamma0[:, None], channels.omega0[:, None],
+                              channels.factor[:, None])
+    integral = ReservoirIntegral(gamma0, channels.lam[:, None], omega0)
+
+    def h(e):  # K(E) - E, point i on row i
+        return omega0 - factor * integral(e) - e
+
     coupled = gamma0 != 0.0
 
     inner = h(INNER_PROBES)
@@ -182,9 +176,8 @@ def find_bound_states(points, tol: float = RESIDUAL_TOL) -> list:
     points = list(points)
     if not points:
         return []
-    consts = np.array([(p.omega0, p.collective_factor(), p.gamma0, p.lam)
-                       for p in points], dtype=float)
-    columns = solve_bound_states(*consts.T, tol=tol, label=lambda i: repr(points[i]))
+    columns = solve_bound_states(ChannelColumns.of(points), tol,
+                                 label=lambda i: repr(points[i]))
     results = []
     for params, coupled, underflow, failed, e, r, a, b, n in zip(
             points, *(c.tolist() for c in columns)):

@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed invocation; to_argv() round-trips through parse_args()."""
+    """Parsed invocation, as parse_args() reads it."""
 
     command: str
     kind: AtomKind = AtomKind.TWO_LEVEL
@@ -129,32 +129,6 @@ def parse_args(argv) -> RunConfig:
     if "kind" in fields:
         fields["kind"] = AtomKind(fields["kind"])
     return RunConfig(**fields)
-
-
-def to_argv(cfg: RunConfig) -> list[str]:
-    """Flag list that parses back to cfg (modulo unsupplied defaults)."""
-    av = [cfg.command]
-    if cfg.command in ("bound-state", "dynamics", "qsl"):
-        av += ["--kind", cfg.kind.value, "--n", str(cfg.n_atoms),
-               "--theta", repr(cfg.theta), "--gamma0", repr(cfg.gamma0),
-               "--lambda", repr(cfg.lam), "--omega0", repr(cfg.omega0)]
-    if cfg.command in ("dynamics", "qsl"):
-        av += ["--tau", repr(cfg.tau)]
-    if cfg.command == "dynamics":
-        av += ["--steps", str(cfg.steps)]
-    if cfg.command == "sweep":
-        av += ["--figure", str(cfg.figure)]
-        if cfg.svg:
-            av += ["--svg", cfg.svg]
-    if cfg.command in ("dynamics", "qsl", "sweep"):
-        if cfg.output:
-            av += ["--output", cfg.output]
-        av += ["--format", cfg.fmt]
-        if cfg.force:
-            av.append("--force")
-    if cfg.command == "validate" and cfg.quick:
-        av.append("--quick")
-    return av
 
 
 def _build_params(cfg: RunConfig) -> ModelParams:

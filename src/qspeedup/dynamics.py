@@ -14,10 +14,15 @@ regimes are covered by evaluating the same expression over the complex d.
 The fully symmetric initial condition (every emitter sharing the excitation
 equally) stays in the symmetric channel, read through m excited levels:
 m = 1 for two-level emitters, m = 2 for V-type ones in the equal
-superposition of both upper levels (channel_coefficients decides this
-once).  amplitude (kind-guarded aliases alpha1 / nu1) starts at 1/sqrt(m)
-and the population is m*|amplitude|**2; the general propagators accept
-arbitrary per-emitter initial amplitudes.
+superposition of both upper levels (spectral.channel_coefficients decides
+this once).  amplitude (kind-guarded aliases alpha1 / nu1) starts at
+1/sqrt(m) and the population is m*|amplitude|**2; the general propagators
+accept arbitrary per-emitter initial amplitudes.
+
+A batch of parameter points is a ChannelColumns: one array per channel
+constant (gamma0, lam, omega0, N, the collective factor N*c, m and d),
+built in one place, ChannelColumns.build.  It is the input of both column
+kernels, measures.evaluate_columns and bound_state.solve_bound_states.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import AtomKind, ModelParams, validate_tau
+from .spectral import AtomKind, ModelParams, channel_coefficients, validate_tau
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -40,34 +45,9 @@ def principal_sqrt(x):
     return d if d.ndim else complex(d)
 
 
-def channel_coefficients(kind: AtomKind, theta: float) -> tuple[float, int]:
-    """(c, m): kernel weight gamma0*N*c and m excited levels of the symmetric
-    channel; the one place the emitter kind enters."""
-    if kind is AtomKind.THREE_LEVEL_V:
-        return 1.0 + theta, 2
-    return 1.0, 1
-
-
 def channel_discriminant(gamma0, lam, n_atoms, c):
     """lam**2 - 2*gamma0*c*lam*N (c = 1 or 1 +- theta); scalars or arrays."""
     return lam * lam - 2.0 * gamma0 * c * lam * n_atoms
-
-
-@dataclass(frozen=True)
-class PropagatorParams:
-    """Channel constants of the decay envelope for one parameter point."""
-
-    lam: float
-    n_atoms: int
-    d_two_level: complex
-    d_plus: complex
-    d_minus: complex
-
-    @classmethod
-    def from_model(cls, params: ModelParams) -> "PropagatorParams":
-        c = np.array([1.0, 1.0 + params.theta, 1.0 - params.theta])
-        x = channel_discriminant(params.gamma0, params.lam, float(params.n_atoms), c)
-        return cls(params.lam, params.n_atoms, *principal_sqrt(x).tolist())
 
 
 def _damped_cosh_sinh(t: np.ndarray, d, lam):
@@ -200,30 +180,45 @@ def population_turning_points(params: ModelParams, tau: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChannelColumns:
-    """Symmetric-channel constants of a batch of points, one entry per point."""
+    """Symmetric-channel constants of a batch of points, one entry per point.
+
+    The one input format of the column kernels: measures.evaluate_columns
+    reads the envelope constants, bound_state.solve_bound_states the
+    reservoir constants and the collective factor.
+    """
 
     gamma0: np.ndarray
     lam: np.ndarray
+    omega0: np.ndarray
     n_atoms: np.ndarray  # as floats
+    factor: np.ndarray   # collective factor N*c of the bound-state kernel
     levels: np.ndarray   # m excited levels, as floats
     d: np.ndarray        # complex envelope parameter of the channel
 
     @classmethod
+    def build(cls, gamma0, lam, omega0, n_atoms, c, levels) -> "ChannelColumns":
+        """Columns of the points of a 1-d gamma0; the other constants are
+        columns of the same length or scalars shared by every point."""
+        gamma0 = np.asarray(gamma0, dtype=float)
+        lam, omega0, n_atoms, c, levels = [
+            v if np.ndim(v) else np.full(gamma0.shape, v, dtype=float)
+            for v in (lam, omega0, n_atoms, c, levels)]
+        x = channel_discriminant(gamma0, lam, n_atoms, c)
+        return cls(gamma0, lam, omega0, n_atoms, n_atoms * c, levels, principal_sqrt(x))
+
+    @classmethod
     def of(cls, points) -> "ChannelColumns":
         """The symmetric channel of each point, as arrays."""
-        consts = [(p.gamma0, p.lam, float(p.n_atoms),
-                   *channel_coefficients(p.kind, p.theta)) for p in points]
-        x = np.array([channel_discriminant(*row[:4]) for row in consts], dtype=float)
-        gamma0, lam, n, _, levels = np.array(consts, dtype=float).reshape(-1, 5).T
-        return cls(gamma0, lam, n, levels, principal_sqrt(x))
+        consts = np.array([(p.gamma0, p.lam, p.omega0, float(p.n_atoms),
+                            *channel_coefficients(p.kind, p.theta)) for p in points],
+                          dtype=float)
+        return cls.build(*consts.reshape(-1, 6).T)
 
     def __len__(self) -> int:
         return len(self.lam)
 
     def rows(self, select) -> "ChannelColumns":
-        return ChannelColumns(self.gamma0[select], self.lam[select],
-                              self.n_atoms[select], self.levels[select],
-                              self.d[select])
+        return ChannelColumns(*(column[select] for column in vars(self).values()))
 
 
 # Refused before any table is allocated (at the limit an N = 1 point peaks
@@ -308,12 +303,14 @@ def propagate_three_level(t: float, initials_a, initials_b, params: ModelParams)
     b = np.asarray(initials_b, dtype=complex)
     if a.shape != (params.n_atoms,) or b.shape != (params.n_atoms,):
         raise ValueError("need one initial amplitude per emitter and transition")
-    prop = PropagatorParams.from_model(params)
-    n = prop.n_atoms
+    lam, n = params.lam, params.n_atoms
+    c = np.array([1.0 + params.theta, 1.0 - params.theta])
+    d_plus, d_minus = principal_sqrt(
+        channel_discriminant(params.gamma0, lam, float(n), c)).tolist()
     plus = a + b
     minus = a - b
-    g_plus = g_factor(float(t), prop.d_plus, prop.lam)
-    g_minus = g_factor(float(t), prop.d_minus, prop.lam)
+    g_plus = g_factor(float(t), d_plus, lam)
+    g_minus = g_factor(float(t), d_minus, lam)
     plus_t = plus + (g_plus - 1.0) * plus.sum() / n
     minus_t = minus + (g_minus - 1.0) * minus.sum() / n
     return 0.5 * (plus_t + minus_t), 0.5 * (plus_t - minus_t)

@@ -16,8 +16,10 @@ assembles both functionals:
 
 Both emitter kinds share this structure: the two-level population is
 |alpha1|**2 and the V-type one is 2*|nu1|**2, each starting at exactly 1.
-evaluate_points assembles a whole batch of points at once: one envelope
-evaluation over a (points x turning points) array padded with tau.
+evaluate_columns assembles a whole batch of points (a
+dynamics.ChannelColumns) at once: one envelope evaluation over a
+(points x turning points) array padded with tau, in row blocks of at most
+BATCH_ELEMENTS entries.  evaluate_points wraps it for ModelParams.
 """
 
 from __future__ import annotations
@@ -114,23 +116,19 @@ def bures_angle(initial, target) -> float:
 BATCH_ELEMENTS = 1 << 13
 
 
-def _batches(channels: ChannelColumns, tau: float):
+def _batches(channels: ChannelColumns, tau: float) -> list:
     """Consecutive row blocks whose turning-point tables fit BATCH_ELEMENTS.
 
     A row's width is bounded by its window ends plus two turning points per
-    period of the envelope.
+    period of the envelope; every block takes as many rows as the widest
+    row of the batch allows.
     """
     if len(channels) == 1:  # turning_point_table checks its window itself
-        yield channels
-        return
-    start, widest = 0, 0
-    for i, cycles in enumerate(window_periods(channels, tau).tolist()):
-        w = 4 + 2 * math.floor(cycles)
-        widest = max(widest, w)
-        if i > start and (i + 1 - start) * widest > BATCH_ELEMENTS:
-            yield channels.rows(slice(start, i))
-            start, widest = i, w
-    yield channels if start == 0 else channels.rows(slice(start, None))
+        return [channels]
+    widest = 4 + 2 * math.floor(window_periods(channels, tau).max())
+    step = max(1, BATCH_ELEMENTS // widest)
+    return [channels.rows(slice(start, start + step))
+            for start in range(0, len(channels), step)]
 
 
 def _report_rows(channels: ChannelColumns, tau: float):

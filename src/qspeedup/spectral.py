@@ -30,6 +30,14 @@ class AtomKind(enum.Enum):
     THREE_LEVEL_V = "three-level-v"
 
 
+def channel_coefficients(kind: AtomKind, theta: float) -> tuple[float, int]:
+    """(c, m): kernel weight gamma0*N*c and m excited levels of the symmetric
+    channel; the one place the emitter kind enters."""
+    if kind is AtomKind.THREE_LEVEL_V:
+        return 1.0 + theta, 2
+    return 1.0, 1
+
+
 # slotted: a survey holds one per grid point
 @dataclass(frozen=True, slots=True)
 class ModelParams:
@@ -83,9 +91,7 @@ class ModelParams:
         the coupling; a V-type emitter contributes both dipoles, (1 + theta)
         per atom, through its symmetric channel.
         """
-        if self.kind is AtomKind.THREE_LEVEL_V:
-            return self.n_atoms * (1.0 + self.theta)
-        return float(self.n_atoms)
+        return self.n_atoms * channel_coefficients(self.kind, self.theta)[0]
 
 
 def validate_tau(tau) -> float:

@@ -11,10 +11,9 @@ from itertools import repeat
 import numpy as np
 
 from .bound_state import solve_bound_states
-from .dynamics import (ChannelColumns, channel_coefficients, channel_discriminant,
-                       principal_sqrt)
+from .dynamics import ChannelColumns
 from .measures import evaluate_columns, evaluate_point
-from .spectral import AtomKind, ModelParams, validate_tau
+from .spectral import AtomKind, ModelParams, channel_coefficients, validate_tau
 
 BACKFLOW_ONSET_TOL = 1e-10
 
@@ -76,14 +75,12 @@ class SweepRow:
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every (n_atoms, theta, gamma0) point of the grid, in order.
 
-    Each (n_atoms, theta) curve goes to evaluate_columns and
-    solve_bound_states as columns, with no per-point objects; each row
-    equals the single-point calls for its point exactly.
+    Each (n_atoms, theta) curve is one ChannelColumns, handed to
+    evaluate_columns and solve_bound_states, with no per-point objects;
+    each row equals the single-point calls for its point exactly.
     """
     gamma0 = config.gamma0_values()
     g0_list = gamma0.tolist()
-    omega0 = np.full_like(gamma0, config.omega0)
-    lam = np.full_like(gamma0, config.lam)
     rows = []
     for n in config.n_atoms_list:
         for theta in config.theta_list:
@@ -95,16 +92,11 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             # the curve's smallest and largest gamma0 vouch for all its points
             point(gamma0=min(g0_list))
             point(gamma0=max(g0_list))
-            c, levels = channel_coefficients(config.kind, theta)
-            n_col = np.full_like(gamma0, n)
-            x = channel_discriminant(gamma0, lam, n_col, c)
-            channels = ChannelColumns(gamma0, lam, n_col, np.full_like(gamma0, levels),
-                                      principal_sqrt(x))
+            channels = ChannelColumns.build(gamma0, config.lam, config.omega0, n,
+                                            *channel_coefficients(config.kind, theta))
             _, ratio, nonmarkov, _, stationary = evaluate_columns(channels, config.tau)
-            # N*c is ModelParams.collective_factor
             coupled, underflow, failed, energy, *_ = solve_bound_states(
-                omega0, np.full_like(gamma0, n * c), gamma0, lam,
-                label=lambda i: repr(point(gamma0=g0_list[i])))
+                channels, label=lambda i: repr(point(gamma0=g0_list[i])))
             # a bracket failure: the root lies below the probe floor (or, at
             # absurd couplings, beyond the last outer probe)
             lost = underflow | failed
@@ -150,8 +142,11 @@ def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
     SPEEDUP looks for ratio < 1, NONMARKOV for backflow > BACKFLOW_ONSET_TOL.
     evaluate_point returns a ratio of exactly 1.0 while the decay is
     monotone, so both detect the first population rise inside the window
-    and agree closely for every N, N = 1 included.  Bisection to width tol.
+    and agree closely for every N, N = 1 included.  Bisection to width tol,
+    or until the midpoint rounds onto an edge.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and > 0")
 
     def fires(g0: float) -> bool:
         params = ModelParams(gamma0=g0, lam=lam, n_atoms=n_atoms, theta=theta,
@@ -167,6 +162,8 @@ def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
     lo, hi = 0.0, gamma0_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # the bracket is down to float spacing
+            break
         if fires(mid):
             hi = mid
         else:

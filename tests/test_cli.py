@@ -7,8 +7,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qspeedup import bound_state, dynamics
 from qspeedup.bound_state import find_bound_state
-from qspeedup.cli import (CSV_HEADER, EXIT_NUMERICAL, RunConfig, main, parse_args,
-                          to_argv)
+from qspeedup.cli import CSV_HEADER, EXIT_NUMERICAL, RunConfig, main, parse_args
 from qspeedup.measures import evaluate_point
 from qspeedup.spectral import AtomKind, ModelParams
 
@@ -78,19 +77,27 @@ class TestArgvHandling:
         assert main(["--help"]) == 0
         assert "bound-state" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("cfg", [
-        RunConfig(command="bound-state", kind=AtomKind.THREE_LEVEL_V, n_atoms=4,
-                  theta=0.3, gamma0=1.7, lam=2.5, omega0=0.9),
-        RunConfig(command="dynamics", gamma0=2.0, lam=2.0, tau=7.5, steps=8192,
-                  output="traj.json", fmt="json", force=True),
-        RunConfig(command="qsl", n_atoms=8, gamma0=3.0, lam=2.0, tau=4.0,
-                  output="report.json", fmt="json"),
-        RunConfig(command="sweep", figure=3, output="rows.csv", svg="rows.svg",
-                  force=True),
-        RunConfig(command="validate", quick=True),
-    ])
-    def test_to_argv_round_trip(self, cfg):
-        assert parse_args(to_argv(cfg)) == cfg
+    @pytest.mark.parametrize("argv,cfg", [
+        (["bound-state", "--kind", "three-level-v", "--n", "4", "--theta", "0.3",
+          "--gamma0", "1.7", "--lambda", "2.5", "--omega0", "0.9"],
+         RunConfig(command="bound-state", kind=AtomKind.THREE_LEVEL_V, n_atoms=4,
+                   theta=0.3, gamma0=1.7, lam=2.5, omega0=0.9)),
+        (["dynamics", "--gamma0", "2.0", "--lambda", "2.0", "--tau", "7.5",
+          "--steps", "8192", "--output", "traj.json", "--format", "json", "--force"],
+         RunConfig(command="dynamics", gamma0=2.0, lam=2.0, tau=7.5, steps=8192,
+                   output="traj.json", fmt="json", force=True)),
+        (["qsl", "--n", "8", "--gamma0", "3", "--lambda", "2", "--tau", "4",
+          "--output", "report.json", "--format", "json"],
+         RunConfig(command="qsl", n_atoms=8, gamma0=3.0, lam=2.0, tau=4.0,
+                   output="report.json", fmt="json")),
+        (["sweep", "--figure", "3", "--output", "rows.csv", "--svg", "rows.svg",
+          "--force"],
+         RunConfig(command="sweep", figure=3, output="rows.csv", svg="rows.svg",
+                   force=True)),
+        (["validate", "--quick"], RunConfig(command="validate", quick=True)),
+    ], ids=["bound-state", "dynamics", "qsl", "sweep", "validate"])
+    def test_parse_args_reads_every_command(self, argv, cfg):
+        assert parse_args(argv) == cfg
 
 
 # Numbers as text: any float (finite, non-finite, huge or subnormal) and a

@@ -1,13 +1,14 @@
 import cmath
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from qspeedup import dynamics
-from qspeedup.dynamics import (DensityMatrix, PropagatorParams, ROOT_HALF, alpha1,
+from qspeedup.dynamics import (ChannelColumns, DensityMatrix, ROOT_HALF, alpha1,
                                amplitude_rate, density_matrix, density_trajectory,
                                excited_population, g_factor, g_factor_dt, nu1,
                                population_rate, population_turning_points,
@@ -94,13 +95,15 @@ class TestPropagatorParams:
         assert principal_sqrt(-4.0) == 2.0j
 
     def test_channel_discriminants(self):
-        prop = PropagatorParams.from_model(
+        two, plus = ChannelColumns.of([
+            ModelParams(gamma0=1.0, n_atoms=2),
             ModelParams(gamma0=1.0, n_atoms=2, theta=0.5,
-                        kind=AtomKind.THREE_LEVEL_V))
+                        kind=AtomKind.THREE_LEVEL_V)]).d
         lam = 2.0
-        assert prop.d_two_level == principal_sqrt(lam * lam - 2 * 1.0 * lam * 2)
-        assert prop.d_plus == principal_sqrt(lam * lam - 2 * 1.5 * lam * 2)
-        assert prop.d_minus == principal_sqrt(lam * lam - 2 * 0.5 * lam * 2)
+        assert two == principal_sqrt(lam * lam - 2 * 1.0 * lam * 2)
+        assert plus == principal_sqrt(lam * lam - 2 * 1.5 * lam * 2)
+        minus = principal_sqrt(dynamics.channel_discriminant(1.0, lam, 2.0, 0.5))
+        assert minus == principal_sqrt(lam * lam - 2 * 0.5 * lam * 2)
 
     # x = 0 exactly, then channel constants 2*gamma0*c*lam*N near float max
     @example([(1.0, 2.0, 1, 0.0)])
@@ -123,27 +126,49 @@ class TestPropagatorParams:
         gamma0, lam, n, theta = (np.array([getattr(p, f) for p in points], dtype=float)
                                  for f in ("gamma0", "lam", "n_atoms", "theta"))
 
+        two_level_points = [ModelParams(gamma0=p.gamma0, lam=p.lam, n_atoms=p.n_atoms)
+                            for p in points]
+        # one curve per kind: every gamma0 at the first point's lam, N, theta
+        curves = []
+        for first, c, levels in ((points[0], 1.0 + points[0].theta, 2),
+                                 (two_level_points[0], 1.0, 1)):
+            curve = []
+            for g0 in gamma0.tolist():
+                try:
+                    curve.append(ModelParams(gamma0=g0, lam=first.lam,
+                                             n_atoms=first.n_atoms, theta=first.theta,
+                                             kind=first.kind))
+                except ValueError:  # channel constant past float range
+                    pass
+            curves.append((curve, (first.lam, 1.0, first.n_atoms, c, levels)))
+
         def bits(values):
             return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+        def column_bits(channels):
+            return [bits(getattr(channels, f.name)) for f in fields(channels)]
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             arrays = [principal_sqrt(dynamics.channel_discriminant(gamma0, lam, n, c))
                       for c in (1.0, 1.0 + theta, 1.0 - theta)]
-            plus = dynamics.ChannelColumns.of(points).d
-            two_level = dynamics.ChannelColumns.of(
-                [ModelParams(gamma0=p.gamma0, lam=p.lam, n_atoms=p.n_atoms)
-                 for p in points]).d
-            props = [PropagatorParams.from_model(p) for p in points]
+            vee = ChannelColumns.of(points)
+            two_level = ChannelColumns.of(two_level_points)
+            for curve, consts in curves:
+                built = ChannelColumns.build(
+                    np.array([p.gamma0 for p in curve], dtype=float), *consts)
+                assert column_bits(built) == column_bits(ChannelColumns.of(curve))
         for i, p in enumerate(points):
             lam_i, n_i = p.lam, float(p.n_atoms)
             expected = bits(cmath.sqrt(complex(lam_i * lam_i
                                                - 2.0 * p.gamma0 * c * lam_i * n_i, 0.0))
                             for c in (1.0, 1.0 + p.theta, 1.0 - p.theta))
             assert bits(d[i] for d in arrays) == expected
-            prop = props[i]
-            assert bits((prop.d_two_level, prop.d_plus, prop.d_minus)) == expected
-            assert bits((two_level[i], plus[i])) == expected[:2]
+            assert bits((two_level.d[i], vee.d[i])) == expected[:2]
+            # the bound-state kernel's collective factor, for both kinds
+            assert vee.factor[i].hex() == p.collective_factor().hex()
+            assert (two_level.factor[i].hex()
+                    == two_level_points[i].collective_factor().hex())
 
 
 class TestAmplitudes:
@@ -169,9 +194,9 @@ class TestAmplitudes:
 
     def test_single_atom_amplitude_is_envelope(self):
         params = ModelParams(gamma0=1.0)
-        prop = PropagatorParams.from_model(params)
+        d = ChannelColumns.of([params]).d[0]
         t = np.linspace(0, 5, 33)
-        assert np.allclose(alpha1(t, params), g_factor(t, prop.d_two_level, 2.0),
+        assert np.allclose(alpha1(t, params), g_factor(t, d, 2.0),
                            rtol=0, atol=1e-15)
 
     def test_flat_v_matches_two_level(self):
@@ -223,16 +248,14 @@ class TestGeneralPropagation:
         assert amps[0] == pytest.approx(alpha1(1.3, TWO), abs=1e-15)
         # the other emitters pick up equal shares
         assert amps[1] == amps[2] == pytest.approx((g_factor(
-            1.3, PropagatorParams.from_model(TWO).d_two_level, 2.0) - 1.0) / 3,
-            abs=1e-15)
+            1.3, ChannelColumns.of([TWO]).d[0], 2.0) - 1.0) / 3, abs=1e-15)
 
     def test_collective_sum_follows_envelope(self):
         rng = np.random.default_rng(5)
         init = rng.normal(size=3) + 1j * rng.normal(size=3)
         amps = propagate_two_level(2.1, init, TWO)
-        prop = PropagatorParams.from_model(TWO)
-        assert amps.sum() == pytest.approx(
-            g_factor(2.1, prop.d_two_level, 2.0) * init.sum(), abs=1e-12)
+        d = ChannelColumns.of([TWO]).d[0]
+        assert amps.sum() == pytest.approx(g_factor(2.1, d, 2.0) * init.sum(), abs=1e-12)
 
     def test_dark_states_are_frozen(self):
         init = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
@@ -253,8 +276,9 @@ class TestGeneralPropagation:
         a0 = np.array([ROOT_HALF + 0j])
         b0 = np.array([-ROOT_HALF + 0j])
         amps_a, amps_b = propagate_three_level(2.2, a0, b0, vee1)
-        prop = PropagatorParams.from_model(vee1)
-        expected = ROOT_HALF * g_factor(2.2, prop.d_minus, 2.0)
+        # the minus channel has c = 1 - theta
+        d_minus = principal_sqrt(dynamics.channel_discriminant(1.0, 2.0, 1.0, 1.0 - 0.4))
+        expected = ROOT_HALF * g_factor(2.2, d_minus, 2.0)
         assert amps_a[0] == pytest.approx(expected, abs=1e-14)
         assert amps_b[0] == pytest.approx(-expected, abs=1e-14)
 

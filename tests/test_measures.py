@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qspeedup import dynamics
+from qspeedup import dynamics, measures
 from qspeedup.dynamics import (DensityMatrix, alpha1, density_trajectory,
                                excited_population, nu1, population_rate,
                                population_turning_points, trajectory)
@@ -219,6 +219,21 @@ class TestFunctionals:
         assert evaluate_points([], 5.0) == []
         with pytest.raises(ValueError, match="tau"):
             evaluate_points(points, math.nan)
+
+    @pytest.mark.parametrize("tau", [5.0, 200.0])
+    def test_batches_fit_the_element_cap(self, tau):
+        # the figure-4 curves at N = 1 and 30: widths from 4 to about 2000
+        points = [ModelParams(gamma0=g0, n_atoms=n, theta=theta,
+                              kind=AtomKind.THREE_LEVEL_V)
+                  for n in (1, 30) for theta in (0.0, 1.0)
+                  for g0 in np.linspace(0.0, 4.0, 401).tolist()]
+        channels = dynamics.ChannelColumns.of(points)
+        blocks = measures._batches(channels, tau)
+        assert len(blocks) > 1
+        assert np.array_equal(np.concatenate([b.d for b in blocks]), channels.d)
+        for block in blocks:
+            width = dynamics.turning_point_table(block, tau).shape[1] + 2
+            assert len(block) * width <= measures.BATCH_ELEMENTS
 
     @pytest.mark.parametrize("params", [TWO, VEE])
     def test_functionals_read_the_shared_envelope(self, params, monkeypatch):

@@ -75,8 +75,8 @@ class TestIntegrator:
         # halving the step should cut the endpoint error by about 2**4
         params = ModelParams(gamma0=2.0, n_atoms=3)
         spec = KernelSpec.for_channel(params)
-        prop = dynamics.PropagatorParams.from_model(params)
-        exact = dynamics.g_factor(2.0, prop.d_two_level, params.lam).real
+        d = dynamics.ChannelColumns.of([params]).d[0]
+        exact = dynamics.g_factor(2.0, d, params.lam).real
         errs = []
         for steps in (128, 256):
             _, s, _, _ = integrate_kernel_ode(spec, 3, 1.0, 2.0, steps,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qspeedup import bound_state, dynamics, measures, spectral
+from qspeedup import bound_state, measures, spectral
 from qspeedup.bound_state import BracketFailureError, find_bound_state
 from qspeedup.dynamics import population_turning_points
 from qspeedup.measures import BATCH_ELEMENTS, evaluate_point
@@ -150,8 +150,7 @@ class TestRunSweep:
                                          for p in points]
 
     def test_grid_points_build_no_objects(self, monkeypatch):
-        built = {cls: 0 for cls in (spectral.ModelParams, dynamics.PropagatorParams,
-                                    measures.SpeedupReport,
+        built = {cls: 0 for cls in (spectral.ModelParams, measures.SpeedupReport,
                                     bound_state.BoundStateResult)}
         for cls in built:
             def counting(self, *args, __init__=cls.__init__, cls=cls, **kwargs):
@@ -231,6 +230,18 @@ class TestCriticalCoupling:
         onsets = [find_critical_coupling(AtomKind.TWO_LEVEL, n, tol=1e-4)
                   for n in (3, 8, 30)]
         assert onsets[0] > onsets[1] > onsets[2]
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+    def test_rejects_invalid_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            find_critical_coupling(AtomKind.TWO_LEVEL, 3, tol=tol)
+
+    def test_tol_below_float_spacing_ends_at_the_bracket_edge(self):
+        # the bracket reaches float spacing long before a width of 1e-300
+        onset = find_critical_coupling(AtomKind.TWO_LEVEL, 1, tol=1e-300)
+        assert onset == pytest.approx(find_critical_coupling(AtomKind.TWO_LEVEL, 1),
+                                      abs=1e-6)
+        assert onset == pytest.approx(1.281805, abs=2e-3)
 
     def test_no_transition_raises(self):
         with pytest.raises(NoTransitionError, match="no transition"):
