@@ -16,13 +16,15 @@ equally) stays in the symmetric channel, read through m excited levels:
 m = 1 for two-level emitters, m = 2 for V-type ones in the equal
 superposition of both upper levels (spectral.channel_coefficients decides
 this once).  amplitude (kind-guarded aliases alpha1 / nu1) starts at
-1/sqrt(m) and the population is m*|amplitude|**2; the general propagators
+1/sqrt(m) and the population is m*amplitude**2; the general propagators
 accept arbitrary per-emitter initial amplitudes.
 
 A batch of parameter points is a ChannelColumns: one array per channel
 constant (gamma0, lam, omega0, N, the collective factor N*c, m and d),
 built in one place, ChannelColumns.build.  It is the input of both column
-kernels, measures.evaluate_columns and bound_state.solve_bound_states.
+kernels, measures.evaluate_columns and bound_state.solve_bound_states, and
+of population_rows, whose real arithmetic every one-point function runs on
+t as the one row of a batch of one.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ def channel_discriminant(gamma0, lam, n_atoms, c):
     return lam * lam - 2.0 * gamma0 * c * lam * n_atoms
 
 
-def _damped_cosh_sinh(t: np.ndarray, d, lam):
-    """exp(-lam*t/2) times cosh(d*t/2) and sinh(d*t/2)/d.
+def _damped_cosh_sinh(t, d, lam):
+    """exp(-lam*t/2) times cosh(d*t/2) and sinh(d*t/2)/d; finite t >= 0.
 
     d and lam may be scalars or arrays broadcasting against t (one channel
     per row of a batch).  The damping is folded into the growing
@@ -61,6 +63,9 @@ def _damped_cosh_sinh(t: np.ndarray, d, lam):
     oscillating channel (Re d = 0) stays exactly real, and the degenerate
     channel d = 0 (critical coupling) takes the limit sinh(d*t/2)/d = t/2.
     """
+    t = np.asarray(t, dtype=float)
+    if not (t.min(initial=0.0) >= 0.0 and t.max(initial=0.0) < math.inf):  # NaN fails
+        raise ValueError("t must be finite and >= 0")
     d = np.asarray(d, dtype=complex)
     grow = np.exp(0.5 * (d.real - lam) * t)
     half_m = 0.5 * np.expm1(-d.real * t)
@@ -81,9 +86,6 @@ def g_factor(t, d: complex, lam: float):
 
     d and lam may also be arrays broadcasting against t, one channel per row.
     """
-    t = np.asarray(t, dtype=float)
-    if not (t.min(initial=0.0) >= 0.0 and t.max(initial=0.0) < math.inf):  # NaN fails
-        raise ValueError("t must be finite and >= 0")
     cosh_part, sinh_over_d = _damped_cosh_sinh(t, d, lam)
     out = cosh_part + lam * sinh_over_d
     return out if out.ndim else complex(out)
@@ -95,19 +97,9 @@ def g_factor_dt(t, d: complex, lam: float):
     The prefactor w = (lam**2 - d**2)/2 is recovered from d itself, so the
     derivative shares the envelope's parametrisation exactly.
     """
-    t = np.asarray(t, dtype=float)
-    if not (t.min(initial=0.0) >= 0.0 and t.max(initial=0.0) < math.inf):  # NaN fails
-        raise ValueError("t must be finite and >= 0")
-    w = 0.5 * (lam * lam - complex(d) ** 2).real
+    w = 0.5 * (lam * lam - np.square(d)).real
     out = -w * _damped_cosh_sinh(t, d, lam)[1]
     return out if out.ndim else complex(out)
-
-
-def _channel(params: ModelParams):
-    """(d, lam, N, m) of the symmetric channel of one point."""
-    c, m = channel_coefficients(params.kind, params.theta)
-    x = channel_discriminant(params.gamma0, params.lam, float(params.n_atoms), c)
-    return principal_sqrt(x), params.lam, params.n_atoms, m
 
 
 def _amplitude(g, n, initial):
@@ -115,14 +107,27 @@ def _amplitude(g, n, initial):
     return initial * (1.0 + (g - 1.0) / n)
 
 
+def _batch_of_one(t, params: ModelParams, initial):
+    """t as the one row of times of a batch of one, the point's d, lam and N
+    as population_rows reads them, and initial (1/sqrt(m) unless given)."""
+    channels = ChannelColumns.of([params])
+    initial = math.sqrt(1.0 / channels.levels[0]) if initial is None else initial
+    return (np.asarray(t, dtype=float).reshape(1, -1), channels.d[0], channels.lam[0],
+            channels.n_atoms[0], initial)
+
+
+def _complex_like(row: np.ndarray, t):
+    """A row of a batch of one in the shape of t, as complex."""
+    return row.reshape(np.shape(t)).astype(complex) if np.ndim(t) else complex(row[0, 0])
+
+
 def amplitude(t, params: ModelParams, initial: complex | None = None):
     """Symmetric excited amplitude per level: alpha1 or nu1 by emitter kind.
 
     amplitude(0) = initial exactly, by default 1/sqrt(m) (1 or ROOT_HALF).
     """
-    d, lam, n, m = _channel(params)
-    initial = math.sqrt(1.0 / m) if initial is None else initial
-    return _amplitude(g_factor(t, d, lam), n, initial)
+    row, d, lam, n, initial = _batch_of_one(t, params, initial)
+    return _complex_like(_amplitude(g_factor(row, d, lam).real, n, initial), t)
 
 
 def alpha1(t, params: ModelParams, initial: complex = 1.0):
@@ -141,9 +146,8 @@ def nu1(t, params: ModelParams, initial: complex = ROOT_HALF):
 
 def amplitude_rate(t, params: ModelParams, initial: complex | None = None):
     """d/dt of amplitude (alpha1 or nu1) for the same initial value."""
-    d, lam, n, m = _channel(params)
-    initial = math.sqrt(1.0 / m) if initial is None else initial
-    return initial * g_factor_dt(t, d, lam) / n
+    row, d, lam, n, initial = _batch_of_one(t, params, initial)
+    return _complex_like(initial * g_factor_dt(row, d, lam).real / n, t)
 
 
 def excited_population(t, params: ModelParams):
@@ -157,10 +161,9 @@ def excited_population(t, params: ModelParams):
 
 
 def population_rate(t, params: ModelParams):
-    """Analytic d/dt of excited_population (no finite differences)."""
-    rate = np.conjugate(amplitude(t, params)) * amplitude_rate(t, params)
-    out = 2.0 * _channel(params)[3] * np.real(rate)
-    return out if np.ndim(out) else float(out)
+    """Analytic d/dt of excited_population; + 0.0 writes -0.0 (t = 0) as 0.0."""
+    m = channel_coefficients(params.kind, params.theta)[1]
+    return 2.0 * m * (amplitude(t, params).real * amplitude_rate(t, params).real) + 0.0
 
 
 def population_turning_points(params: ModelParams, tau: float) -> np.ndarray:
@@ -286,9 +289,8 @@ def propagate_two_level(t: float, initials, params: ModelParams) -> np.ndarray:
     initials = np.asarray(initials, dtype=complex)
     if initials.shape != (params.n_atoms,):
         raise ValueError("need one initial amplitude per emitter")
-    d, lam, n, _ = _channel(params)
-    g = g_factor(float(t), d, lam)
-    return initials + (g - 1.0) * initials.sum() / n
+    g = g_factor(float(t), ChannelColumns.of([params]).d[0], params.lam)
+    return initials + (g - 1.0) * initials.sum() / params.n_atoms
 
 
 def propagate_three_level(t: float, initials_a, initials_b, params: ModelParams):
@@ -336,13 +338,10 @@ def trajectory(params: ModelParams, tau: float, steps: int = 4096) -> Trajectory
         raise ValueError("steps must be >= 1")
     times = np.linspace(0.0, tau, steps + 1)
     amp = amplitude(times, params)
-    pop_c = _channel(params)[3] * np.conjugate(amp) * amp
-    rate = np.asarray(population_rate(times, params), dtype=float)
-    if not (np.isfinite(pop_c).all() and np.isfinite(rate).all()):
+    pop = channel_coefficients(params.kind, params.theta)[1] * (amp.real * amp.real)
+    rate = population_rate(times, params)
+    if not (np.isfinite(pop).all() and np.isfinite(rate).all()):
         raise FloatingPointError("population or its rate is not finite")
-    if np.abs(pop_c.imag).max() >= 1e-13:
-        raise FloatingPointError("population picked up an imaginary residue")
-    pop = pop_c.real
     if pop.min() < -1e-12 or pop.max() > 1.0 + 1e-12:
         raise FloatingPointError("population left [0, 1] beyond rounding slack")
     return Trajectory(times, amp, np.clip(pop, 0.0, 1.0), rate)
@@ -374,18 +373,18 @@ def _density_ops(times: np.ndarray, params: ModelParams, ground_amplitude: compl
     a0 = complex(ground_amplitude)
     if abs(a0) > 1.0:
         raise ValueError("ground amplitude exceeds normalization")
-    m = _channel(params)[3]
+    m = channel_coefficients(params.kind, params.theta)[1]
     exc0 = math.sqrt(max(0.0, (1.0 - abs(a0) ** 2) / m))
-    amp = np.atleast_1d(amplitude(times, params, initial=exc0))
-    damp = np.atleast_1d(amplitude_rate(times, params, initial=exc0))
-    q = (np.conjugate(amp) * amp).real
-    dq = 2.0 * (np.conjugate(amp) * damp).real
+    amp = amplitude(times, params, initial=exc0).real
+    damp = amplitude_rate(times, params, initial=exc0).real
+    q = amp * amp
+    dq = 2.0 * (amp * damp)
     rho = np.zeros((len(times), m + 1, m + 1), dtype=complex)
     rate = np.zeros_like(rho)
     for out, level, coherence in ((rho, q, amp), (rate, dq, damp)):
         out[:, :m, :m] = level[:, None, None]
         out[:, :m, m] = (np.conjugate(a0) * coherence)[:, None]
-        out[:, m, :m] = (a0 * np.conjugate(coherence))[:, None]
+        out[:, m, :m] = (a0 * coherence)[:, None]
     rho[:, m, m] = 1.0 - m * q
     rate[:, m, m] = -m * dq
     return rho, rate

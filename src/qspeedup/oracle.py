@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ROOT_HALF, Trajectory
+from .dynamics import Trajectory
 from .spectral import AtomKind, ModelParams, validate_tau
 
 LTE_TOL = 1e-8

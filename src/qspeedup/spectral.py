@@ -38,6 +38,14 @@ def channel_coefficients(kind: AtomKind, theta: float) -> tuple[float, int]:
     return 1.0, 1
 
 
+def _check_n_atoms(n) -> None:
+    """ValueError unless N is an integer (not a bool) in [1, float max]."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValueError("n_atoms must be an integer >= 1")
+    if not 1 <= n <= sys.float_info.max:  # N enters as a float
+        raise ValueError("n_atoms must be >= 1 and representable as a float")
+
+
 # slotted: a survey holds one per grid point
 @dataclass(frozen=True, slots=True)
 class ModelParams:
@@ -57,10 +65,7 @@ class ModelParams:
     kind: AtomKind = AtomKind.TWO_LEVEL
 
     def __post_init__(self):
-        if not isinstance(self.n_atoms, (int, np.integer)) or isinstance(self.n_atoms, bool):
-            raise ValueError("n_atoms must be an integer >= 1")
-        if not 1 <= self.n_atoms <= sys.float_info.max:  # N enters as a float
-            raise ValueError("n_atoms must be >= 1 and representable as a float")
+        _check_n_atoms(self.n_atoms)
         for name in ("gamma0", "lam", "omega0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

@@ -13,7 +13,8 @@ import numpy as np
 from .bound_state import solve_bound_states
 from .dynamics import ChannelColumns
 from .measures import evaluate_columns, evaluate_point
-from .spectral import AtomKind, ModelParams, channel_coefficients, validate_tau
+from .spectral import (AtomKind, ModelParams, _check_n_atoms, channel_coefficients,
+                       validate_tau)
 
 BACKFLOW_ONSET_TOL = 1e-10
 
@@ -42,8 +43,8 @@ class SweepConfig:
     def __post_init__(self):
         if not self.n_atoms_list:
             raise ValueError("n_atoms_list must not be empty")
-        if any(n < 1 for n in self.n_atoms_list):
-            raise ValueError("n_atoms must be >= 1")
+        for n in self.n_atoms_list:  # ModelParams's rule, so int(n) is exact
+            _check_n_atoms(n)
         if not self.theta_list:
             raise ValueError("theta_list must not be empty")
         lo, hi, count = self.gamma0_grid

@@ -2,12 +2,14 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qspeedup import bound_state, dynamics
 from qspeedup.bound_state import find_bound_state
 from qspeedup.cli import CSV_HEADER, EXIT_NUMERICAL, RunConfig, main, parse_args
+from qspeedup.dynamics import excited_population
 from qspeedup.measures import evaluate_point
 from qspeedup.spectral import AtomKind, ModelParams
 
@@ -251,6 +253,29 @@ class TestDynamicsCommand:
         assert payload["config"]["steps"] == 4096
         assert len(payload["rows"]) == 4097
         assert payload["rows"][0]["population"] == 1.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_population_column_is_excited_population(self, tmp_path, fmt):
+        # N = 3: the division by N rounds, so the column shows which
+        # arithmetic produced it; the t = 0 rate is written as 0.0
+        out = tmp_path / f"traj.{fmt}"
+        assert main(["dynamics", "--gamma0", "1.3", "--lambda", "2", "--n", "3",
+                     "--steps", "600", "--output", str(out), "--format", fmt]) == 0
+        text = out.read_text()
+        if fmt == "csv":
+            header, *lines = text.splitlines()
+            rows = [dict(zip(header.split(","), map(float, line.split(","))))
+                    for line in lines]
+        else:
+            rows = json.loads(text)["rows"]
+        assert rows[0]["population_rate"] == 0.0
+        assert not [v for row in rows for v in row.values()
+                    if v == 0.0 and math.copysign(1.0, v) < 0.0]  # no -0.0
+        times = np.array([row["t"] for row in rows])
+        expected = np.clip(excited_population(times, ModelParams(gamma0=1.3, n_atoms=3)),
+                           0.0, 1.0)
+        assert [row["population"].hex() for row in rows] == [
+            p.hex() for p in expected.tolist()]
 
     def test_overwrite_refused_without_force(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"

@@ -5,15 +5,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qspeedup import dynamics
 from qspeedup.dynamics import (ChannelColumns, DensityMatrix, ROOT_HALF, alpha1,
-                               amplitude_rate, density_matrix, density_trajectory,
-                               excited_population, g_factor, g_factor_dt, nu1,
-                               population_rate, population_turning_points,
-                               principal_sqrt, propagate_three_level,
-                               propagate_two_level, trajectory)
+                               amplitude, amplitude_rate, density_matrix,
+                               density_trajectory, excited_population, g_factor,
+                               g_factor_dt, nu1, population_rate,
+                               population_turning_points, principal_sqrt,
+                               propagate_three_level, propagate_two_level, trajectory)
 from qspeedup.spectral import AtomKind, ModelParams
 
 TWO = ModelParams(gamma0=1.0, n_atoms=3)
@@ -238,6 +238,42 @@ class TestAmplitudes:
     def test_population_rate_zero_at_origin(self):
         assert population_rate(0.0, TWO) == 0.0
         assert population_rate(0.0, VEE) == 0.0
+
+
+def _bits(values):
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
+@settings(max_examples=40, deadline=None)
+# N = 3 and 30: the division by N rounds; gamma0 = 0 does not move
+@example(AtomKind.TWO_LEVEL, 3, 0.0, 1.3, 2.0, 5.0)
+@example(AtomKind.THREE_LEVEL_V, 30, 1.0, 3.0, 2.0, 5.0)
+@example(AtomKind.THREE_LEVEL_V, 8, 0.4, 0.0, 2.0, 5.0)
+@given(st.sampled_from(list(AtomKind)), st.integers(1, 40), st.floats(0.0, 1.0),
+       st.just(0.0) | st.floats(0.0, 5.0), st.floats(0.1, 5.0), st.floats(0.1, 20.0))
+def test_one_point_calls_equal_their_batch_rows(kind, n, theta, gamma0, lam, tau):
+    """A scalar t gives the bits of the same t inside an array, and the
+    trajectory's population is excited_population's."""
+    if kind is AtomKind.TWO_LEVEL:
+        theta = 0.0
+    params = ModelParams(gamma0=gamma0, lam=lam, n_atoms=n, theta=theta, kind=kind)
+    traj = trajectory(params, tau, steps=40)
+    times = traj.times
+    for fn, scalar_type in ((amplitude, complex), (amplitude_rate, complex),
+                            (population_rate, float), (excited_population, float)):
+        batch = fn(times, params)
+        assert batch.dtype == np.dtype(scalar_type) and batch.shape == times.shape
+        scalars = [fn(t, params) for t in times.tolist()]
+        assert {type(v) for v in scalars} == {scalar_type}
+        assert _bits(scalars) == _bits(batch)
+        grid = fn(times[1:].reshape(5, 8), params)
+        assert grid.shape == (5, 8) and _bits(grid.ravel()) == _bits(batch[1:])
+    assert _bits(traj.population) == _bits(
+        np.clip(excited_population(times, params), 0.0, 1.0))
+    assert _bits(traj.amplitude) == _bits(amplitude(times, params))
+    assert _bits(traj.population_rate) == _bits(population_rate(times, params))
+    assert (traj.amplitude.dtype, traj.population.dtype, traj.population_rate.dtype) == (
+        np.dtype(complex), np.dtype(float), np.dtype(float))
 
 
 class TestGeneralPropagation:

@@ -287,6 +287,12 @@ class TestGenericQsl:
         bad_times[5] = bad_times[4]
         with pytest.raises(ValueError, match="increasing"):
             qsl_generic(bad_times, rhos)
+        for index, value in ((2000, math.nan), (-1, math.inf)):
+            bad_times = times.copy()
+            bad_times[index] = value
+            for bad_rates in (None, rates):
+                with pytest.raises(ValueError, match="finite"):
+                    qsl_generic(bad_times, rhos, rho_rates=bad_rates)
         with pytest.raises(ValueError, match="one state per snapshot"):
             qsl_generic(times, rhos[:-1])
         with pytest.raises(ValueError, match="match rhos"):

@@ -67,6 +67,8 @@ class TestSweepConfig:
         dict(tau=math.nan),
         dict(gamma0_grid=(0.0, math.inf, 5)),
         dict(gamma0_grid=(math.nan, 2.0, 5)),
+        dict(n_atoms_list=(2.7,)),  # would run and label N = 2
+        dict(n_atoms_list=(True,)),  # would run N = 1
     ])
     def test_rejects_bad_grids(self, kwargs):
         with pytest.raises(ValueError):
