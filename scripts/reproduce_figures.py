@@ -33,7 +33,7 @@ def main(argv=None) -> int:
                          "--svg", str(outdir / f"fig{fig}.svg"), "--force"])
         if code != cli.EXIT_OK:
             return code
-        print(f"fig{fig}: {time.perf_counter() - t0:.1f}s")
+        print(f"fig{fig}: {(time.perf_counter() - t0) * 1e3:.0f} ms")
     return cli.EXIT_OK
 
 

@@ -17,7 +17,8 @@ from .oracle import KernelSpec, StepSizeError, integrate_kernel_ode, solve_colle
 from .spectral import (AtomKind, ModelParams, lorentzian_j, reservoir_integral,
                        reservoir_integral_quad, total_spectral_weight)
 from .sweep import (FigurePreset, NoTransitionError, OnsetCriterion, SweepConfig,
-                    SweepRow, figure_preset, find_critical_coupling, run_sweep)
+                    SweepRow, SweepTable, figure_preset, find_critical_coupling,
+                    run_sweep)
 
 __version__ = "0.1.0"
 
@@ -26,7 +27,7 @@ __all__ = [
     "BracketFailureError", "DensityMatrix", "FigurePreset", "GenericQslResult",
     "KernelSpec", "ModelParams", "NoTransitionError", "OnsetCriterion",
     "ReportStatus", "SpeedupReport", "StepSizeError", "SweepConfig",
-    "SweepRow", "Trajectory", "alpha1", "bures_angle",
+    "SweepRow", "SweepTable", "Trajectory", "alpha1", "bures_angle",
     "density_matrix", "density_trajectory", "evaluate_point",
     "evaluate_points", "excited_population", "figure_preset",
     "find_bound_state", "find_bound_states", "find_critical_coupling",

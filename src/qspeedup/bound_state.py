@@ -46,7 +46,7 @@ class BisectionStallError(RuntimeError):
     """The root search ended with a residual above its target."""
 
 
-# slotted: a survey holds one per grid point
+# slotted: find_bound_states builds one per point of its list
 @dataclass(frozen=True, slots=True)
 class BoundStateResult:
     exists: bool

@@ -28,7 +28,7 @@ from .dynamics import trajectory
 from .measures import evaluate_point
 from .spectral import AtomKind, ModelParams
 from .svg import Panel, Series, render_figure
-from .sweep import FigurePreset, SweepRow, figure_preset, run_sweep
+from .sweep import FigurePreset, SweepTable, figure_preset, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,55 +180,53 @@ def _config_echo(cfg: RunConfig, preset: FigurePreset | None = None) -> dict:
     }
 
 
-def _rows_csv(rows: list[SweepRow]) -> str:
-    # run_sweep rows hold plain floats, so !r is their shortest round trip
+def _rows_csv(table: SweepTable) -> str:
+    # the columns hold plain floats, so !r is their shortest round trip
+    g0 = list(map(repr, table.gamma0))
     lines = [CSV_HEADER]
-    lines += [f"{r.gamma0!r},{r.n_atoms},{r.theta!r},{r.ratio!r},{r.nonmarkov!r},"
-              f"{'' if r.bound_energy is None else repr(r.bound_energy)},{r.status}"
-              for r in rows]
+    for n, theta, *values in table.curve_columns():
+        key = f"{n},{theta!r}"
+        lines += [f"{g},{key},{r!r},{m!r},{'' if b is None else repr(b)},{s}"
+                  for g, r, m, b, s in zip(g0, *values)]
     return "\n".join(lines) + "\n"
 
 
-def _rows_json(rows: list[SweepRow], config: dict) -> str:
-    payload = {
-        "schema": 1,
-        "config": config,
-        "rows": [{
-            "gamma0": r.gamma0,
-            "n_atoms": r.n_atoms,
-            "theta": r.theta,
-            "ratio": r.ratio,
-            "nonmarkov": r.nonmarkov,
-            "bound_energy": r.bound_energy,
-            "status": r.status,
-        } for r in rows],
-    }
+def _rows_json(table: SweepTable, config: dict) -> str:
+    rows = []
+    for n, theta, *values in table.curve_columns():
+        rows += [{
+            "gamma0": g,
+            "n_atoms": n,
+            "theta": theta,
+            "ratio": r,
+            "nonmarkov": m,
+            "bound_energy": b,
+            "status": s,
+        } for g, r, m, b, s in zip(table.gamma0, *values)]
+    payload = {"schema": 1, "config": config, "rows": rows}
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _sweep_panels(rows: list[SweepRow], preset: FigurePreset) -> list[Panel]:
+def _sweep_panels(table: SweepTable, preset: FigurePreset) -> list[Panel]:
     sc = preset.config
     right_label = "ℜ" if preset.right_axis == "nonmarkov" else "E_b/ω₀"
-    # run_sweep writes each (n, theta) curve as one contiguous run of rows
-    count = sc.gamma0_grid[2]
-    curves = (rows[i:i + count] for i in range(0, len(rows), count))
+    xs = tuple(table.gamma0)  # every series of every panel shares it
+    curves = table.curve_columns()
     panels = []
     for n in sc.n_atoms_list:
         series = []
         for k, theta in enumerate(sc.theta_list):
-            pts = next(curves)
-            xs = tuple(r.gamma0 for r in pts)
+            _, _, ratio, nonmarkov, bound_energy, _ = next(curves)
             suffix = f", θ={theta:g}" if len(sc.theta_list) > 1 else ""
             series.append(Series(
-                x=xs, y=tuple(r.ratio for r in pts),
+                x=xs, y=tuple(ratio),
                 label="τ_QSL/τ" + suffix, color=PALETTE[k % len(PALETTE)]))
             if preset.right_axis == "nonmarkov":
-                ys = tuple(r.nonmarkov for r in pts)
+                ys = tuple(nonmarkov)
             else:
                 # presentation floor: energies under the plot resolution read 0
-                ys = tuple(0.0 if r.bound_energy is None
-                           or abs(r.bound_energy) < BOUND_PLOT_FLOOR
-                           else r.bound_energy for r in pts)
+                ys = tuple(0.0 if b is None or abs(b) < BOUND_PLOT_FLOOR else b
+                           for b in bound_energy)
             series.append(Series(
                 x=xs, y=ys, label=right_label + suffix,
                 color=PALETTE[(k + 2) % len(PALETTE)], dashed=True, axis="right"))
@@ -318,15 +316,15 @@ def cmd_qsl(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     preset = figure_preset(cfg.figure)
-    rows = run_sweep(preset.config)
+    table = run_sweep(preset.config)
     out = cfg.output or f"fig{cfg.figure}.{cfg.fmt}"
     if cfg.fmt == "csv":
-        _write_text(out, _rows_csv(rows), cfg.force)
+        _write_text(out, _rows_csv(table), cfg.force)
     else:
-        _write_text(out, _rows_json(rows, _config_echo(cfg, preset)), cfg.force)
-    print(f"wrote {len(rows)} rows to {out}")
+        _write_text(out, _rows_json(table, _config_echo(cfg, preset)), cfg.force)
+    print(f"wrote {len(table)} rows to {out}")
     if cfg.svg:
-        _write_text(cfg.svg, render_figure(_sweep_panels(rows, preset)), cfg.force)
+        _write_text(cfg.svg, render_figure(_sweep_panels(table, preset)), cfg.force)
         print(f"wrote panels to {cfg.svg}")
     return EXIT_OK
 

@@ -41,7 +41,7 @@ class ReportStatus(enum.Enum):
     STATIONARY = "stationary"
 
 
-# slotted: a survey holds one per grid point
+# slotted: evaluate_points builds one per point of its list
 @dataclass(frozen=True, slots=True)
 class SpeedupReport:
     """Speed-limit and backflow summary of one parameter point."""

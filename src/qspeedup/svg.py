@@ -67,8 +67,9 @@ def _panel_svg(panel: Panel, ox: float, oy: float) -> list[str]:
     x0, x1 = ox + MARGIN_L, ox + PANEL_W - MARGIN_R
     y0, y1 = oy + PANEL_H - MARGIN_B, oy + MARGIN_T  # y grows downward in SVG
 
-    xs = [v for s in panel.series for v in s.x]
-    xlo, xhi = _limits(xs)
+    # series often share one x sequence: its values are read once per panel
+    distinct_x = dict.fromkeys(s.x for s in panel.series)
+    xlo, xhi = _limits([v for x in distinct_x for v in x])
     left = [v for s in panel.series if s.axis == "left" for v in s.y]
     right = [v for s in panel.series if s.axis == "right" for v in s.y]
     yllo, ylhi = _limits(left) if left else (0.0, 1.0)
@@ -121,10 +122,11 @@ def _panel_svg(panel: Panel, ox: float, oy: float) -> list[str]:
                    f'font-size="16" transform="rotate(90 {_fmt(cx)} {_fmt(cy)})">'
                    f'{panel.y_right_label}</text>')
 
+    x_text = {x: [f"{v:.2f}" for v in px(np.asarray(x, dtype=float)).tolist()]
+              for x in distinct_x}
     for k, s in enumerate(panel.series):
-        xs = px(np.asarray(s.x, dtype=float)).tolist()
         ys = py(np.asarray(s.y, dtype=float), s.axis).tolist()
-        pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys)])
+        pts = " ".join([f"{x},{y:.2f}" for x, y in zip(x_text[s.x], ys)])
         dash = ' stroke-dasharray="7,4"' if s.dashed else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
                    f'stroke-width="1.5"{dash}/>')

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
@@ -50,6 +50,8 @@ class SweepConfig:
         lo, hi, count = self.gamma0_grid
         if not (0 <= lo <= hi and math.isfinite(hi)):
             raise ValueError("gamma0_grid must satisfy 0 <= lo <= hi < inf")
+        if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
+            raise ValueError("gamma0_grid count must be an integer")
         if count < 2:
             raise ValueError("gamma0_grid needs at least 2 points")
         validate_tau(self.tau)
@@ -59,7 +61,7 @@ class SweepConfig:
         return np.linspace(lo, hi, count)
 
 
-# slotted: a survey holds one per grid point
+# slotted: SweepTable.rows builds one per grid point it reads
 @dataclass(frozen=True, slots=True)
 class SweepRow:
     """One parameter point of a sweep, CSV-shaped."""
@@ -73,16 +75,52 @@ class SweepRow:
     status: str
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRow]:
+@dataclass(frozen=True)
+class SweepTable:
+    """A sweep as columns, one entry per grid point in curve-major order.
+
+    Every (n_atoms, theta) curve in `curves` runs over the one shared
+    `gamma0` grid, so curve k holds entries k*len(gamma0) up to the next
+    curve's.  The columns are plain Python floats, None and str.
+    """
+
+    curves: tuple[tuple[int, float], ...]
+    gamma0: list[float]
+    ratio: list[float]
+    nonmarkov: list[float]
+    bound_energy: list[float | None]
+    status: list[str]
+
+    def __len__(self) -> int:
+        return len(self.ratio)
+
+    def curve_columns(self) -> Iterator[tuple[int, float, list, list, list, list]]:
+        """(n_atoms, theta, ratio, nonmarkov, bound_energy, status) of each
+        curve in order, the value columns sliced to the curve."""
+        count = len(self.gamma0)
+        for k, (n, theta) in enumerate(self.curves):
+            part = slice(k * count, (k + 1) * count)
+            yield (n, theta, self.ratio[part], self.nonmarkov[part],
+                   self.bound_energy[part], self.status[part])
+
+    def rows(self) -> Iterator[SweepRow]:
+        """The grid points as SweepRow records, built as they are read."""
+        keys = ((g0, n, theta) for n, theta in self.curves for g0 in self.gamma0)
+        values = zip(self.ratio, self.nonmarkov, self.bound_energy, self.status)
+        return (SweepRow(*key, *value) for key, value in zip(keys, values))
+
+
+def run_sweep(config: SweepConfig) -> SweepTable:
     """Evaluate every (n_atoms, theta, gamma0) point of the grid, in order.
 
     Each (n_atoms, theta) curve is one ChannelColumns, handed to
-    evaluate_columns and solve_bound_states, with no per-point objects;
-    each row equals the single-point calls for its point exactly.
+    evaluate_columns and solve_bound_states, and its results are appended
+    to the table's columns with no per-point objects; each row of the
+    table equals the single-point calls for its point exactly.
     """
     gamma0 = config.gamma0_values()
     g0_list = gamma0.tolist()
-    rows = []
+    curves, ratios, nonmarkovs, bounds, statuses = [], [], [], [], []
     for n in config.n_atoms_list:
         for theta in config.theta_list:
             n, theta = int(n), float(theta)
@@ -101,12 +139,13 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             # a bracket failure: the root lies below the probe floor (or, at
             # absurd couplings, beyond the last outer probe)
             lost = underflow | failed
-            bound = np.where(coupled, np.where(lost, 0.0, energy), None)
-            status = np.where(lost, "bound-underflow",
-                              np.where(stationary, "stationary", "normal"))
-            rows += map(SweepRow, g0_list, repeat(n), repeat(theta), ratio.tolist(),
-                        nonmarkov.tolist(), bound.tolist(), status.tolist())
-    return rows
+            curves.append((n, theta))
+            ratios += ratio.tolist()
+            nonmarkovs += nonmarkov.tolist()
+            bounds += np.where(coupled, np.where(lost, 0.0, energy), None).tolist()
+            statuses += np.where(lost, "bound-underflow",
+                                 np.where(stationary, "stationary", "normal")).tolist()
+    return SweepTable(tuple(curves), g0_list, ratios, nonmarkovs, bounds, statuses)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,10 +9,14 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qspeedup import bound_state, dynamics
 from qspeedup.bound_state import find_bound_state
-from qspeedup.cli import CSV_HEADER, EXIT_NUMERICAL, RunConfig, main, parse_args
+from qspeedup.cli import (CSV_HEADER, EXIT_NUMERICAL, RunConfig, _rows_csv, _rows_json,
+                          main, parse_args)
 from qspeedup.dynamics import excited_population
 from qspeedup.measures import evaluate_point
 from qspeedup.spectral import AtomKind, ModelParams
+from qspeedup.sweep import SweepConfig, run_sweep
+
+from test_sweep import per_point_row
 
 
 class TestArgvHandling:
@@ -349,6 +354,40 @@ class TestSweepCommand:
             report = evaluate_point(params, 5.0)
             assert float(ratio) == report.ratio
             assert float(nonmarkov) == report.nonmarkov
+
+
+def _per_row_csv(rows) -> str:
+    lines = [CSV_HEADER] + [",".join([
+        repr(r.gamma0), str(r.n_atoms), repr(r.theta), repr(r.ratio),
+        repr(r.nonmarkov), "" if r.bound_energy is None else repr(r.bound_energy),
+        r.status]) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _per_row_json(rows, config: dict) -> str:
+    payload = {"schema": 1, "config": config,
+               "rows": [dataclasses.asdict(r) for r in rows]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestSweepWriters:
+    @pytest.mark.parametrize("config", [
+        SweepConfig(kind=AtomKind.TWO_LEVEL, n_atoms_list=(1, 3),
+                    gamma0_grid=(0.0, 2.0, 11)),
+        SweepConfig(kind=AtomKind.THREE_LEVEL_V, n_atoms_list=(1, 8),
+                    theta_list=(0.0, 0.5, 1.0), gamma0_grid=(0.0, 2.0, 21)),
+    ])
+    def test_writers_equal_a_per_row_formatter(self, config):
+        rows = [per_point_row(ModelParams(gamma0=g0, lam=config.lam, n_atoms=n,
+                                          theta=theta, omega0=config.omega0,
+                                          kind=config.kind), config.tau)
+                for n in config.n_atoms_list for theta in config.theta_list
+                for g0 in config.gamma0_values().tolist()]
+        assert {r.status for r in rows} == {"stationary", "bound-underflow", "normal"}
+        table = run_sweep(config)
+        assert _rows_csv(table) == _per_row_csv(rows)
+        echo = {"figure": 0, "lam": config.lam}
+        assert _rows_json(table, echo) == _per_row_json(rows, echo)
 
 
 class TestValidateCommand:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qspeedup import bound_state, measures, spectral
+from qspeedup import bound_state, cli, measures, spectral
 from qspeedup.bound_state import BracketFailureError, find_bound_state
 from qspeedup.dynamics import population_turning_points
 from qspeedup.measures import BATCH_ELEMENTS, evaluate_point
 from qspeedup.spectral import AtomKind, ModelParams
+from qspeedup.svg import render_figure
 from qspeedup.sweep import (FigurePreset, NoTransitionError, OnsetCriterion,
                             SweepConfig, SweepRow, figure_preset,
                             find_critical_coupling, run_sweep)
@@ -69,6 +70,10 @@ class TestSweepConfig:
         dict(gamma0_grid=(math.nan, 2.0, 5)),
         dict(n_atoms_list=(2.7,)),  # would run and label N = 2
         dict(n_atoms_list=(True,)),  # would run N = 1
+        dict(gamma0_grid=(0.0, 2.0, 5.0)),  # np.linspace would raise TypeError
+        dict(gamma0_grid=(0.0, 2.0, 2.5)),
+        dict(gamma0_grid=(0.0, 2.0, True)),
+        dict(gamma0_grid=(0.0, 2.0, np.float64(5.0))),
     ])
     def test_rejects_bad_grids(self, kwargs):
         with pytest.raises(ValueError):
@@ -77,7 +82,7 @@ class TestSweepConfig:
 
 class TestRunSweep:
     def test_row_order_and_statuses(self):
-        rows = run_sweep(SMALL)
+        rows = list(run_sweep(SMALL).rows())
         assert len(rows) == 22
         assert [r.n_atoms for r in rows] == [1] * 11 + [3] * 11
         assert [r.gamma0 for r in rows[:3]] == [0.0, 0.2, 0.4]
@@ -88,7 +93,7 @@ class TestRunSweep:
         assert rows[10].status == "normal" and rows[10].bound_energy < 0
 
     def test_rows_match_direct_evaluation(self):
-        rows = run_sweep(SMALL)
+        rows = run_sweep(SMALL).rows()
         for row in rows:
             params = ModelParams(gamma0=row.gamma0, n_atoms=row.n_atoms,
                                  theta=row.theta)
@@ -108,7 +113,7 @@ class TestRunSweep:
                     theta_list=(1.0,), gamma0_grid=(0.0, 1.0, 11)),
     ])
     def test_rows_match_per_point_public_api(self, config):
-        rows = run_sweep(config)
+        rows = list(run_sweep(config).rows())
         points = [ModelParams(gamma0=float(g0), lam=config.lam, n_atoms=n,
                               theta=theta, omega0=config.omega0, kind=config.kind)
                   for n in config.n_atoms_list for theta in config.theta_list
@@ -143,7 +148,7 @@ class TestRunSweep:
                          lam=0.7, omega0=2.0, tau=200.0))
     @given(sweep_configs())
     def test_rows_equal_the_one_point_calls(self, config):
-        rows = run_sweep(config)
+        rows = run_sweep(config).rows()
         points = [ModelParams(gamma0=g0, lam=config.lam, n_atoms=n, theta=theta,
                               omega0=config.omega0, kind=config.kind)
                   for n in config.n_atoms_list for theta in config.theta_list
@@ -153,16 +158,21 @@ class TestRunSweep:
 
     def test_grid_points_build_no_objects(self, monkeypatch):
         built = {cls: 0 for cls in (spectral.ModelParams, measures.SpeedupReport,
-                                    bound_state.BoundStateResult)}
+                                    bound_state.BoundStateResult, SweepRow)}
         for cls in built:
             def counting(self, *args, __init__=cls.__init__, cls=cls, **kwargs):
                 built[cls] += 1
                 __init__(self, *args, **kwargs)
             monkeypatch.setattr(cls, "__init__", counting)
-        config = figure_preset(4).config
-        rows = run_sweep(config)
+        preset = figure_preset(4)
+        config = preset.config
+        table = run_sweep(config)
         curves = len(config.n_atoms_list) * len(config.theta_list)
-        assert len(rows) == curves * config.gamma0_grid[2]
+        assert len(table) == curves * config.gamma0_grid[2]
+        # nor do the writers, which read the table's columns
+        cli._rows_csv(table)
+        cli._rows_json(table, {})
+        render_figure(cli._sweep_panels(table, preset))
         # the ModelParams checks run at each curve's two ends only
         assert built.pop(spectral.ModelParams) <= 2 * curves
         assert set(built.values()) == {0}
@@ -183,7 +193,7 @@ class TestRunSweep:
     def test_theta_grid_multiplies_rows(self):
         config = SweepConfig(kind=AtomKind.THREE_LEVEL_V, n_atoms_list=(2,),
                              theta_list=(0.0, 1.0), gamma0_grid=(0.0, 2.0, 3))
-        rows = run_sweep(config)
+        rows = run_sweep(config).rows()
         assert [(r.n_atoms, r.theta, r.gamma0) for r in rows] == [
             (2, 0.0, 0.0), (2, 0.0, 1.0), (2, 0.0, 2.0),
             (2, 1.0, 0.0), (2, 1.0, 1.0), (2, 1.0, 2.0)]
