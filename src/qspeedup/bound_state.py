@@ -2,12 +2,13 @@
 
 K(E) = omega0 - c * I(E) with c the collective multiplicity and I the
 reservoir integral.  On E < 0, K is strictly decreasing from omega0 (at
-E -> -inf) to -inf (at E -> 0-), so K(E) - E has exactly one sign change
-whenever the coupling is nonzero.  Weak coupling pushes the root
-exponentially close to zero, hence the bracketing probes and the root
-search both work geometrically on the energy axis: the search is regula
-falsi on log|E| with the Illinois weight, which keeps the bracket of a
-bisection but needs about 7 steps where bisection needs about 40.
+E -> -inf) to -inf (at E -> 0-), so h(E) = K(E) - E has exactly one sign
+change whenever the coupling is nonzero.  Weak coupling pushes the root
+exponentially close to zero, so the search works on u = log|E|, where h
+rises with u and is nearly linear at weak coupling: Newton's iteration
+with the closed-form derivative of I, kept inside a sign bracket, needs
+about 4-5 evaluations per point.  One evaluation at the probe floor -1e-16
+decides beforehand whether the root is representable at all.
 
 A batch of parameter points is solved together: solve_bound_states takes
 the dynamics.ChannelColumns that measures.evaluate_columns also reads.
@@ -28,18 +29,12 @@ from .spectral import ModelParams, ReservoirIntegral, reservoir_integral
 
 RESIDUAL_TOL = 1e-10
 BRACKET_FLOOR = -1e-16
-MAX_PROBES = 200
-DOUBLINGS_PER_PASS = 16
-MAX_BISECTIONS = 65  # cap on the steps of the root search
-# inner bracket probes, from the outermost inward to the floor
-INNER_PROBES = np.array([-1e-2, -1e-4, -1e-6, -1e-8, -1e-10, -1e-12, -1e-14,
-                         BRACKET_FLOOR])
-# outer bracket probes -1, -2, -4, ..., -2**MAX_PROBES
-OUTER_PROBES = np.array([-(2.0 ** j) for j in range(MAX_PROBES + 1)])
+MAX_STEPS = 64  # cap on the Newton evaluations of one point
+SETTLE = 1e-7  # a Newton step on log|E| this short is taken unevaluated
 
 
 class BracketFailureError(RuntimeError):
-    """No sign change of K(E) - E found between the probe limits."""
+    """K(E) - E has no sign change above the probe floor."""
 
 
 class BisectionStallError(RuntimeError):
@@ -65,109 +60,103 @@ def solve_bound_states(channels: ChannelColumns, tol: float = RESIDUAL_TOL,
                        label="point {}".format) -> tuple:
     """Locate the unique E < 0 with K(E) = E for every point of a batch.
 
-    Reads omega0, the collective factor, gamma0 and lam of each point, and
-    returns the columns (coupled, underflow, failed, energy, residual, lo,
-    hi, iterations).  coupled is False only for gamma0 = 0, where K is
-    constant at omega0.  The bracket fails when the root lies beyond the
-    probe floor of -1e-16 (underflow) or, at absurd couplings, beyond the
-    last outer probe -2**MAX_PROBES (failed).  Raises BisectionStallError,
-    naming point i by label(i), when a point misses the residual target.
+    Reads omega0, the collective factor c, gamma0 and lam of each point,
+    and returns the columns (coupled, underflow, energy, residual, lo, hi,
+    iterations).  coupled is False only for gamma0 = 0, where K is constant
+    at omega0; underflow marks a root beyond the probe floor of -1e-16.
+    Raises BisectionStallError, naming point i by label(i), when a point
+    misses the residual target tol * max(1, |E|).
 
-    The inner bracket edge is the first probe with K(E) - E < 0, the outer
-    one comes from doubling -1 until K(E) - E > 0.  The search then runs on
-    u = log|E| for at most MAX_BISECTIONS steps: each step takes the secant
-    root of the two edges (the Illinois weight halves the residual of an
-    edge that stays put twice in a row) and falls back to the geometric
-    midpoint where that point rounds onto an edge.  The energy is the step
-    of smallest residual; each point stops once that residual is 100 times
-    below tol, or within 16 float spacings of |E| for large |E|.
+    The search is Newton's iteration on u = log|E| for h = K(E) - E, with
+    the exact slope dh/du = -E - c * dI/du (ReservoirIntegral.unit), run on
+    h scaled by 1/(c * max(1, gamma0/(2*pi))) so that it stays finite.
+    The evaluation at the floor decides underflow and is the inner edge
+    (hi) of a sign bracket; the outer edge (lo) starts beyond a proven
+    bound of the root, and every evaluation moves the edge on its side.
+    The seed is the smaller of the roots of h's two limiting forms: the
+    tangent at the floor (weak coupling, where h is nearly linear in u)
+    and the balance |E|**2 = c*T + omega0**2 (strong coupling, where the
+    tail T/|E| of I balances |E|).  Where that seed lands below the root,
+    the next point is at least the balance.  A step scales E by exp(-step);
+    one that leaves the bracket or is longer than 3/4 of a unit of u
+    bisects the bracket on the log axis instead.  The energy is the last
+    point evaluated: a point stops once its residual there is 100 times
+    below tol, or within 16 float spacings of |E| for large |E|, and after
+    at most MAX_STEPS evaluations.  A step of at most SETTLE also stops
+    it, and then the step's end is the energy, unevaluated, if it lies
+    strictly inside the bracket.  The residual is evaluated at the energy
+    afterwards.
     """
-    # (points, 1) columns, so E may be a column of one energy per point or
-    # a row of energies shared by all points
-    gamma0, omega0, factor = (channels.gamma0[:, None], channels.omega0[:, None],
-                              channels.factor[:, None])
-    integral = ReservoirIntegral(gamma0, channels.lam[:, None], omega0)
+    omega0, factor = channels.omega0, channels.factor
+    integral = ReservoirIntegral(channels.gamma0, channels.lam, omega0)
+    # h / (c * big) is finite for every admissible point, where K(E) itself
+    # passes float range near the floor at the largest couplings
+    big = np.maximum(integral.scale, 1.0)
+    small = integral.scale / big
 
-    def h(e):  # K(E) - E, point i on row i
-        return omega0 - factor * integral(e) - e
+    def newton(e):  # h / (c * big) and its slope on u at E = -exp(u)
+        value, slope = integral.unit(e)
+        return (omega0 - e) / factor / big - small * value, -e / factor / big - small * slope
 
-    coupled = gamma0 != 0.0
-
-    inner = h(INNER_PROBES)
-    below = inner < 0.0
-    # h decreases along the ladder, so only the floor probe decides underflow
-    underflow = coupled & ~below[:, -1:]
+    coupled = channels.gamma0 != 0.0
+    hi = np.full(coupled.shape, BRACKET_FLOOR)
+    h, dh = newton(hi)
+    # h falls as E rises, so the root lies below the floor unless h < 0 there
+    underflow = coupled & ~(h < 0.0)
     solve = coupled & ~underflow
-    # h(E) rises as E falls: the first probe below zero is the lowest E and
-    # the largest residual among those below
-    hi = np.where(below, INNER_PROBES, BRACKET_FLOOR).min(axis=1, keepdims=True)
-    h_hi = inner.max(axis=1, initial=-np.inf, where=below, keepdims=True)
-
-    # outer edge: the first of -1, -2, -4, ... with K(E) - E > 0, doubling
-    # DOUBLINGS_PER_PASS times per array pass
-    lo, h_lo = np.full_like(hi, -1.0), np.ones_like(hi)
-    searching = solve
-    for start in range(0, MAX_PROBES + 1, DOUBLINGS_PER_PASS):
-        ladder = OUTER_PROBES[start:start + DOUBLINGS_PER_PASS]
-        outer = h(ladder)
-        above = outer > 0.0
-        found = searching & above.any(axis=1, keepdims=True)
-        edge = np.where(above, ladder, -np.inf).max(axis=1, keepdims=True)
-        lo = np.where(found, edge, lo)
-        h_lo = np.where(found, outer.min(axis=1, initial=np.inf, where=above,
-                                         keepdims=True), h_lo)
-        searching = searching & ~found
-        if not searching.any():
-            break
-    failed = searching
-    solve = solve & ~failed
-
-    # edges in u = log|E|; rows not solved get harmless values
-    u_hi, u_lo = np.log(-hi), np.log(-lo)
-    f_hi, f_lo = np.where(solve, h_hi, -1.0), np.where(solve, h_lo, 1.0)
+    # with q = omega0 + |E|, h = q - c*I > 0 wherever |E|**2 >= c*T and
+    # u >= o (T = W*s the tail of I, W, s and o its weight, slope and
+    # offset), since there c*I < c*W*(q*s + o - u)/q**2 <= c*T/q < q.  The
+    # outer edge starts one unit of u beyond that bound, so rounding cannot
+    # put the root outside.
+    balance = np.log(np.hypot(np.sqrt(factor * integral.tail), omega0))
+    lo = -np.exp(np.maximum(balance, integral.offset) + 1.0)
+    # the smaller seed: the tangent at the floor (only points being solved
+    # divide) or the balance
+    e = -np.exp(np.minimum(np.log(-hi) - np.divide(h, dh, out=np.zeros_like(h), where=solve),
+                           balance))
     energy = hi
-    residual = np.abs(f_hi)
-    iterations = np.zeros(hi.shape, dtype=int)
+    iterations = np.zeros(coupled.shape, dtype=int)
     active = solve
-    kept_hi = kept_lo = np.zeros_like(solve)
-    for _ in range(MAX_BISECTIONS):
+    mid = hi * np.sqrt(lo / hi)  # the geometric midpoint, without lo*hi
+    for count in range(MAX_STEPS):
         if not active.any():
             break
-        u = u_hi - f_hi * (u_lo - u_hi) / (f_lo - f_hi)
-        mid = -np.exp(u)
-        inside = (lo < mid) & (mid < hi)
-        if not inside.all(where=active):
-            mid = np.where(inside, mid, -np.sqrt(lo * hi))
-            u = np.where(inside, u, np.log(-mid))
-            active = active & (lo < mid) & (mid < hi)
+        e = np.where((lo < e) & (e < hi), e, mid)
         iterations += active
-        val = h(mid)
-        size = np.abs(val)
-        better = active & (size < residual)
-        energy = np.where(better, mid, energy)
-        residual = np.where(better, size, residual)
-        # an exact root (val == 0) moves neither edge and stops below
-        up = active & (val > 0.0)
-        down = active & (val < 0.0)
-        f_hi = np.where(up & kept_hi, 0.5 * f_hi, f_hi)
-        f_lo = np.where(down & kept_lo, 0.5 * f_lo, f_lo)
-        lo, u_lo, f_lo = (np.where(up, mid, lo), np.where(up, u, u_lo),
-                          np.where(up, val, f_lo))
-        hi, u_hi, f_hi = (np.where(down, mid, hi), np.where(down, u, u_hi),
-                          np.where(down, val, f_hi))
-        kept_hi, kept_lo = up, down
-        # stop 100 times below tol, or at the float resolution of the
-        # residual where |E| is too large for that (the gate stays relative)
-        done = np.maximum(0.01 * tol, 16.0 * np.spacing(np.abs(energy)))
-        active = active & (residual >= done)
+        h, dh = newton(e)
+        energy = np.where(active, e, energy)
+        # an exact root (h == 0) moves neither edge and stops below
+        lo = np.where(active & (h > 0.0), e, lo)
+        hi = np.where(active & (h < 0.0), e, hi)
+        mid = hi * np.sqrt(lo / hi)
+        step = np.divide(h, dh, out=np.zeros_like(h), where=active)
+        # stop 100 times below tol, or at the float resolution of K where
+        # |E| is too large for that (the gate stays relative)
+        done = np.maximum(0.01 * tol, 16.0 * np.spacing(-e)) / factor / big
+        active = active & (np.abs(h) >= done)
+        # a step scales E, which keeps its own precision where u = log|E|
+        # has less.  Past 3/4 of a unit of u Newton is far from the root (it
+        # crawls by about one unit per step on an exponential flank), so a
+        # longer step bisects the bracket instead.
+        e = np.where(np.abs(step) <= 0.75, e * np.exp(-np.clip(step, -1.0, 1.0)), mid)
+        if count == 0:  # a tangent seed below the root: strong coupling
+            e = np.where(h < 0.0, np.minimum(e, -np.exp(balance)), e)
+        # a step of at most SETTLE lands within about its square of the
+        # root, so it ends the search: its end is the energy, unevaluated
+        # (the gate below checks it), if strictly inside the bracket; a
+        # step below float resolution stays on the edge just evaluated
+        settled = active & (np.abs(step) <= SETTLE)
+        energy = np.where(settled & (lo < e) & (e < hi), e, energy)
+        active = active & ~settled
 
+    residual = np.abs(omega0 - factor * integral(energy) - energy)
     stalled = solve & ~(residual < tol * np.maximum(1.0, np.abs(energy)))
     if stalled.any():
         i = int(np.argmax(stalled))
         raise BisectionStallError(
-            f"bisection stalled at residual {residual[i, 0]:g} for {label(i)}")
-    return tuple(c[:, 0] for c in (coupled, underflow, failed, energy, residual, lo, hi,
-                                   iterations))
+            f"root search stalled at residual {residual[i]:g} for {label(i)}")
+    return coupled, underflow, energy, residual, lo, hi, iterations
 
 
 def find_bound_states(points, tol: float = RESIDUAL_TOL) -> list:
@@ -179,7 +168,7 @@ def find_bound_states(points, tol: float = RESIDUAL_TOL) -> list:
     columns = solve_bound_states(ChannelColumns.of(points), tol,
                                  label=lambda i: repr(points[i]))
     results = []
-    for params, coupled, underflow, failed, e, r, a, b, n in zip(
+    for params, coupled, underflow, e, r, a, b, n in zip(
             points, *(c.tolist() for c in columns)):
         if not coupled:
             results.append(BoundStateResult(False, None, None, None, 0))
@@ -188,9 +177,6 @@ def find_bound_states(points, tol: float = RESIDUAL_TOL) -> list:
                 "no sign change of K(E) - E above the probe floor "
                 f"{BRACKET_FLOOR:g}; coupling gamma0={params.gamma0:g} is too "
                 "weak for the root to be representable"))
-        elif failed:
-            results.append(BracketFailureError(
-                f"no sign change of K(E) - E within {MAX_PROBES} bracket probes"))
         else:
             # the best step may have become a bracket edge; keep it inside
             bracket = (math.nextafter(a, -math.inf) if e <= a else a,
@@ -203,8 +189,7 @@ def find_bound_state(params: ModelParams, tol: float = RESIDUAL_TOL) -> BoundSta
     """Locate the unique E < 0 with K(E) = E: find_bound_states of one point.
 
     Returns exists=False only for gamma0 = 0.  Raises BracketFailureError
-    when the root lies beyond the probe floor of -1e-16 (or beyond the last
-    outer probe).
+    when the root lies beyond the probe floor of -1e-16.
     """
     (result,) = find_bound_states([params], tol)
     if isinstance(result, BracketFailureError):

@@ -143,22 +143,41 @@ class ReservoirIntegral:
 
     gamma0, lam and omega0 are scalars or arrays (one entry per parameter
     point, shaped to broadcast against E), so a batch of points is one
-    pass; the parts that do not depend on E are computed once.
+    pass; the parts that do not depend on E are computed once.  With
+    q = omega0 - E and H = hypot(q, lam) the closed form is
+
+        I(E) = scale * (lam/H)**2 * (q*slope + offset - log(-E)),
+
+    scale = gamma0/(2*pi).  (lam/H)**2 <= 1 stands for lam**2/(q**2 + lam**2)
+    without forming either square, so I is finite wherever its value is,
+    even where gamma0*lam**2 or q**2 alone would pass float range; lam/H is
+    applied as two factors, so no subnormal (lam/H)**2 costs precision.
     """
 
     def __init__(self, gamma0, lam, omega0):
-        # squares as products: x * x rounds the same way for Python floats
-        # and numpy arrays, so a batch agrees with its one-point calls
-        lam2 = lam * lam
-        self.omega0, self.lam2 = omega0, lam2
-        self.slope = (0.5 * np.pi + np.arctan(omega0 / lam)) / lam
-        self.offset = 0.5 * np.log(omega0 * omega0 + lam2)
-        self.weight = gamma0 * lam2 / (2.0 * np.pi)
+        self.omega0, self.lam = omega0, lam
+        self.scale = gamma0 / (2.0 * np.pi)
+        angle = 0.5 * np.pi + np.arctan(omega0 / lam)
+        self.slope = angle / lam
+        self.offset = np.log(np.hypot(omega0, lam))
+        # I(E) -> tail / |E| as E -> -inf
+        self.tail = self.scale * lam * angle
 
     def __call__(self, e):
+        return self.scale * self.unit(e)[0]
+
+    def unit(self, e):
+        """(I(E), dI/du) / scale on u = log(-E), where
+
+            dI/du = E * dI/dE
+                  = scale * (lam/H)**2 * (E*(2q/H**2*(q*slope + offset - u) - slope) - 1).
+        """
         q = self.omega0 - e
-        return self.weight / (q * q + self.lam2) * (q * self.slope + self.offset
-                                                     - np.log(-e))
+        hyp = np.hypot(q, self.lam)
+        ratio = self.lam / hyp  # applied twice, so (lam/H)**2 is never formed
+        num = q * self.slope + self.offset - np.log(-e)
+        return (ratio * (ratio * num),
+                ratio * (ratio * (e * (2.0 * (q / hyp / hyp) * num - self.slope) - 1.0)))
 
 
 def reservoir_integral_quad(e: float, params: ModelParams, tol: float = 1e-13) -> float:

@@ -113,39 +113,42 @@ class SweepTable:
 def run_sweep(config: SweepConfig) -> SweepTable:
     """Evaluate every (n_atoms, theta, gamma0) point of the grid, in order.
 
-    Each (n_atoms, theta) curve is one ChannelColumns, handed to
-    evaluate_columns and solve_bound_states, and its results are appended
-    to the table's columns with no per-point objects; each row of the
-    table equals the single-point calls for its point exactly.
+    The grid is one ChannelColumns in curve-major order: evaluate_columns
+    takes it one (n_atoms, theta) curve at a time, solve_bound_states
+    whole, and the results become the table's columns with no per-point
+    objects; each row of the table equals the single-point calls for its
+    point exactly.
     """
     gamma0 = config.gamma0_values()
-    g0_list = gamma0.tolist()
-    curves, ratios, nonmarkovs, bounds, statuses = [], [], [], [], []
-    for n in config.n_atoms_list:
-        for theta in config.theta_list:
-            n, theta = int(n), float(theta)
-            point = partial(ModelParams, lam=config.lam, n_atoms=n, theta=theta,
-                            omega0=config.omega0, kind=config.kind)
-            # every ModelParams check is independent of gamma0 or monotone in
-            # it (gamma0 >= 0, finiteness, the channel-constant overflow), so
-            # the curve's smallest and largest gamma0 vouch for all its points
-            point(gamma0=min(g0_list))
-            point(gamma0=max(g0_list))
-            channels = ChannelColumns.build(gamma0, config.lam, config.omega0, n,
-                                            *channel_coefficients(config.kind, theta))
-            _, ratio, nonmarkov, _, stationary = evaluate_columns(channels, config.tau)
-            coupled, underflow, failed, energy, *_ = solve_bound_states(
-                channels, label=lambda i: repr(point(gamma0=g0_list[i])))
-            # a bracket failure: the root lies below the probe floor (or, at
-            # absurd couplings, beyond the last outer probe)
-            lost = underflow | failed
-            curves.append((n, theta))
-            ratios += ratio.tolist()
-            nonmarkovs += nonmarkov.tolist()
-            bounds += np.where(coupled, np.where(lost, 0.0, energy), None).tolist()
-            statuses += np.where(lost, "bound-underflow",
-                                 np.where(stationary, "stationary", "normal")).tolist()
-    return SweepTable(tuple(curves), g0_list, ratios, nonmarkovs, bounds, statuses)
+    g0_list, size = gamma0.tolist(), len(gamma0)
+    curves = tuple((int(n), float(theta)) for n in config.n_atoms_list
+                   for theta in config.theta_list)
+    points = [partial(ModelParams, lam=config.lam, n_atoms=n, theta=theta,
+                      omega0=config.omega0, kind=config.kind) for n, theta in curves]
+    for point in points:
+        # every ModelParams check is independent of gamma0 or monotone in
+        # it (gamma0 >= 0, finiteness, the channel-constant overflow), so
+        # the curve's smallest and largest gamma0 vouch for all its points
+        point(gamma0=min(g0_list))
+        point(gamma0=max(g0_list))
+    n_atoms, c, levels = (np.repeat(np.array(column, dtype=float), size) for column in zip(
+        *((n, *channel_coefficients(config.kind, theta)) for n, theta in curves)))
+    channels = ChannelColumns.build(np.tile(gamma0, len(curves)), config.lam, config.omega0,
+                                    n_atoms, c, levels)
+    ratios, nonmarkovs, stationary = [], [], []
+    for k in range(len(curves)):
+        _, ratio, nonmarkov, _, still = evaluate_columns(
+            channels.rows(slice(k * size, (k + 1) * size)), config.tau)
+        ratios += ratio.tolist()
+        nonmarkovs += nonmarkov.tolist()
+        stationary.append(still)
+    coupled, lost, energy, *_ = solve_bound_states(
+        channels, label=lambda i: repr(points[i // size](gamma0=g0_list[i % size])))
+    # lost: the root lies below the probe floor
+    bounds = np.where(coupled, np.where(lost, 0.0, energy), None).tolist()
+    statuses = np.where(lost, "bound-underflow",
+                        np.where(np.concatenate(stationary), "stationary", "normal")).tolist()
+    return SweepTable(curves, g0_list, ratios, nonmarkovs, bounds, statuses)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,14 +8,16 @@ from hypothesis import example, given, settings, strategies as st
 from qspeedup import bound_state
 from qspeedup.bound_state import (BRACKET_FLOOR, BisectionStallError, BoundStateResult,
                                   BracketFailureError, find_bound_state,
-                                  find_bound_states, kernel_k, MAX_BISECTIONS,
+                                  find_bound_states, kernel_k, MAX_STEPS,
                                   RESIDUAL_TOL)
-from qspeedup.spectral import AtomKind, ModelParams
+from qspeedup.spectral import (AtomKind, ModelParams, reservoir_integral,
+                               reservoir_integral_quad)
 
 
-def dense_scan_energy(params, rel=1e-9):
-    """Independent root: brute-force sign scan of K(E) - E on a log grid."""
-    e = -np.logspace(3.0, -8.0, 1_000_000)
+def dense_scan_energy(params, rel=1e-9, top=3.0):
+    """Independent root: brute-force sign scan of K(E) - E on a log grid
+    from |E| = 10**top down to 1e-8."""
+    e = -np.logspace(top, -8.0, 1_000_000)
     h = kernel_k(e, params) - e
     sign = np.sign(h)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -56,7 +59,7 @@ class TestFindBoundState:
         assert res.exists
         lo, hi = res.bracket
         assert lo < res.energy < hi <= 0.0
-        assert res.iterations <= MAX_BISECTIONS
+        assert res.iterations <= MAX_STEPS
         assert res.residual < 1e-10 * max(1.0, abs(res.energy))
         assert abs(kernel_k(res.energy, params) - res.energy) == res.residual
 
@@ -168,23 +171,99 @@ def test_empty_batch():
 
 
 def test_outer_bracket_failure_stays_with_its_point():
-    # gamma0 = 1e200 keeps K(E) - E <= 0 down to the last outer probe
+    # gamma0 = 1e200 puts the root near -8e99, past any fixed ladder of outer
+    # probes (a ladder to -2**200 missed it); the search's outer edge scales
+    # with the coupling.  At strong coupling |E|**2 -> c*W*s, the balance of
+    # |E| against the 1/|E| tail of the reservoir integral.
     absurd = ModelParams(gamma0=1e200)
-    with pytest.raises(BracketFailureError, match="bracket probes"):
-        find_bound_state(absurd)
+    alone = find_bound_state(absurd)
+    slope = (0.5 * math.pi + math.atan(absurd.omega0 / absurd.lam)) / absurd.lam
+    weight = absurd.gamma0 * absurd.lam ** 2 / (2.0 * math.pi)
+    assert alone.energy == pytest.approx(-math.sqrt(weight * slope), rel=1e-12)
+    assert kernel_k(alone.energy, absurd) == pytest.approx(alone.energy, rel=1e-15)
+    lo, hi = alone.bracket
+    assert math.isfinite(lo) and lo < alone.energy < hi
     params = ModelParams(gamma0=2.0, n_atoms=3)
-    solved, failed, zero = find_bound_states([params, absurd, ModelParams(gamma0=0.0)])
+    solved, deep, zero, weak = find_bound_states(
+        [params, absurd, ModelParams(gamma0=0.0), ModelParams(gamma0=0.05)])
     assert solved == find_bound_state(params)
-    assert isinstance(failed, BracketFailureError)
-    assert "bracket probes" in str(failed)
+    assert deep == alone
     assert not zero.exists
+    assert isinstance(weak, BracketFailureError) and "probe floor" in str(weak)
 
 
 def test_search_is_far_shorter_than_bisection():
-    # regula falsi with the Illinois weight: about 7 steps where a bisection
-    # on log|E| needs about 40
+    # Newton on log|E| from the weak- or strong-coupling seed: 1-5
+    # evaluations where a bisection on log|E| needs about 40 (up to 6
+    # without the SETTLE step, which saves the last one)
     for params in SPOT_POINTS + [ModelParams(gamma0=0.25)]:
-        assert find_bound_state(params).iterations <= 12
+        assert find_bound_state(params).iterations <= 5
+
+
+def test_newton_roots_match_the_independent_routes():
+    # a seeded batch of both kinds: roots from the probe floor to |E| ~ 1e4
+    rng = np.random.default_rng(20190101)
+    points = []
+    for _ in range(40):
+        kind = VEE if rng.random() < 0.5 else TWO
+        points.append(ModelParams(
+            gamma0=float(10.0 ** rng.uniform(-2.0, 6.0)), n_atoms=int(rng.integers(1, 40)),
+            theta=float(rng.random()) if kind is VEE else 0.0, kind=kind))
+    batch = find_bound_states(points)
+    solved = 0
+    for params, entry in zip(points, batch):
+        if isinstance(entry, BracketFailureError):
+            assert kernel_k(BRACKET_FLOOR, params) - BRACKET_FLOOR >= 0.0
+            continue
+        assert entry == find_bound_state(params)
+        assert repr(entry) == repr(find_bound_state(params))
+        solved += 1
+        e = entry.energy
+        # the kernel by quadrature, not by the closed form the search uses
+        k_quad = params.omega0 - params.collective_factor() * reservoir_integral_quad(e, params)
+        assert abs(k_quad - e) < RESIDUAL_TOL * max(1.0, abs(e))
+        assert reservoir_integral_quad(e, params) == pytest.approx(
+            reservoir_integral(e, params), rel=1e-12)
+        if abs(e) > 1e-7:  # inside the dense scan's energy range
+            ref, (lo, hi) = dense_scan_energy(params, top=math.log10(abs(e)) + 1.0)
+            assert lo <= e <= hi
+            assert e == pytest.approx(ref, rel=1e-6)
+    assert solved >= 30
+
+
+@pytest.mark.parametrize("gamma0", [1e4, 1e8, 1e12, 1e20, 1e30, 1e100, 1e200])
+def test_search_length_does_not_grow_with_the_coupling(gamma0):
+    # regula falsi took 11 / 17 / 23 / 35 / 51 / 65 (its cap) steps from
+    # gamma0 = 1e4 to 1e100.  Newton from the strong-coupling balance takes
+    # 2-4: a short step or a residual within 16 float spacings of |E| ends
+    # the search where the residual cannot fall to 0.01 * tol
+    params = ModelParams(gamma0=gamma0, n_atoms=30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = find_bound_state(params)
+    assert result.iterations <= 12
+    assert kernel_k(result.energy, params) == pytest.approx(result.energy, rel=1e-15)
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(gamma0=4e307),  # K(-1e-16) lies past float range
+    ModelParams(gamma0=1e10, lam=1e150),  # so does gamma0 * lam**2
+    ModelParams(gamma0=1.0, omega0=1e200),  # and omega0**2
+])
+def test_extreme_admissible_points_raise_no_warning(params):
+    with np.errstate(over="ignore"):  # K(-1e-16) = -inf is the reference here
+        underflow = kernel_k(BRACKET_FLOOR, params) - BRACKET_FLOOR >= 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = find_bound_state(params)
+        except BracketFailureError:
+            assert underflow
+            return
+    assert not underflow
+    assert result.residual < RESIDUAL_TOL * max(1.0, abs(result.energy))
+    lo, hi = result.bracket
+    assert math.isfinite(lo) and lo < result.energy < hi
 
 
 def test_large_roots_stop_at_float_resolution():
@@ -198,9 +277,9 @@ def test_large_roots_stop_at_float_resolution():
 
 
 def test_residual_gate_raises_for_the_batch(monkeypatch):
-    monkeypatch.setattr(bound_state, "MAX_BISECTIONS", 2)
+    monkeypatch.setattr(bound_state, "MAX_STEPS", 2)
     params = ModelParams(gamma0=2.0, n_atoms=3)
-    with pytest.raises(BisectionStallError, match="bisection stalled"):
+    with pytest.raises(BisectionStallError, match="root search stalled"):
         find_bound_state(params)
     with pytest.raises(BisectionStallError, match="n_atoms=3"):
         find_bound_states([ModelParams(gamma0=0.0), params])

@@ -52,11 +52,11 @@ class TestArgvHandling:
         assert "population" not in captured.out
 
     def test_stalled_bisection_is_a_numerical_failure(self, monkeypatch, capsys):
-        monkeypatch.setattr(bound_state, "MAX_BISECTIONS", 2)
+        monkeypatch.setattr(bound_state, "MAX_STEPS", 2)
         assert main(["bound-state", "--gamma0", "2", "--lambda", "2",
                      "--n", "3"]) == EXIT_NUMERICAL
         captured = capsys.readouterr()
-        assert "bisection stalled" in captured.err
+        assert "root search stalled" in captured.err
         assert "energy" not in captured.out
 
     def test_unphysical_state_is_a_numerical_failure(self, monkeypatch, capsys):
