@@ -6,8 +6,8 @@ from .bound_state import (BisectionStallError, BoundStateResult, BracketFailureE
                           find_bound_state, find_bound_states, kernel_k)
 from .dynamics import (DensityMatrix, Trajectory, alpha1, density_matrix,
                        density_trajectory, excited_population, g_factor,
-                       g_factor_dt, nu1, population_rate, population_turning_points,
-                       propagate_three_level, propagate_two_level, trajectory)
+                       g_factor_dt, nu1, population_rate, propagate_three_level,
+                       propagate_two_level, trajectory)
 from .measures import (GenericQslResult, ReportStatus, SpeedupReport, bures_angle,
                        evaluate_point, evaluate_points, nonmarkov,
                        nonmarkov_three_level, nonmarkov_two_level, qsl_generic,
@@ -33,8 +33,7 @@ __all__ = [
     "find_bound_state", "find_bound_states", "find_critical_coupling",
     "g_factor", "g_factor_dt", "integrate_kernel_ode", "kernel_k",
     "lorentzian_j", "nonmarkov", "nonmarkov_three_level",
-    "nonmarkov_two_level", "nu1", "population_rate",
-    "population_turning_points", "propagate_three_level",
+    "nonmarkov_two_level", "nu1", "population_rate", "propagate_three_level",
     "propagate_two_level", "qsl_generic", "qsl_three_level", "qsl_time",
     "qsl_two_level", "reservoir_integral", "reservoir_integral_quad",
     "run_sweep", "schatten_norm", "solve_collective", "total_spectral_weight",

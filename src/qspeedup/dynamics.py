@@ -166,21 +166,6 @@ def population_rate(t, params: ModelParams):
     return 2.0 * m * (amplitude(t, params).real * amplitude_rate(t, params).real) + 0.0
 
 
-def population_turning_points(params: ModelParams, tau: float) -> np.ndarray:
-    """Sorted zeros of population_rate inside (0, tau), in closed form.
-
-    The rate is proportional to a(t) * g'(t) with a = 1 + (g - 1)/N real.
-    g' carries sin(|d| t/2) once the channel oscillates (d imaginary), so it
-    vanishes at t_k = 2 pi k/|d|; an overdamped or degenerate channel has no
-    zeros.  The amplitude vanishes only for N = 1, where g = 0 at
-    t = 2 (pi k - atan(|d|/lam))/|d|; for N >= 2 it would need g <= -1,
-    beyond the envelope's reach |g(t_k)| = exp(-pi k lam/|d|).
-    """
-    tau = validate_tau(tau)
-    table = turning_point_table(ChannelColumns.of([params]), tau)[0]
-    return table[table < tau]
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelColumns:
     """Symmetric-channel constants of a batch of points, one entry per point.
@@ -220,62 +205,18 @@ class ChannelColumns:
     def __len__(self) -> int:
         return len(self.lam)
 
-    def rows(self, select) -> "ChannelColumns":
-        return ChannelColumns(*(column[select] for column in vars(self).values()))
-
-
-# Refused before any table is allocated (at the limit an N = 1 point peaks
-# near 50 MB); tau = 2000 at N = 30, gamma0 = 3 holds about 6e3 periods.
-MAX_WINDOW_PERIODS = 1e5
-
-
-def window_periods(channels: ChannelColumns, tau: float) -> np.ndarray:
-    """Envelope periods of each point in [0, tau]; ValueError past the limit."""
-    periods = tau * channels.d.imag / (2.0 * math.pi)
-    if not periods.max(initial=0.0) <= MAX_WINDOW_PERIODS:  # also NaN, inf
-        raise ValueError(f"window exceeds {MAX_WINDOW_PERIODS:.0e} envelope periods")
-    return periods
-
-
-def turning_point_table(channels: ChannelColumns, tau: float) -> np.ndarray:
-    """population_turning_points of a batch as one array.
-
-    Row i holds the turning points of point i inside (0, tau) in ascending
-    order, padded on the right with tau up to the longest row.  For N = 1
-    the amplitude zeros interleave with the envelope extrema (each zero
-    falls in the half period before its extremum); other rows in the same
-    batch repeat each extremum instead, which adds Delta p = 0.
-    """
-    omega = channels.d.imag
-    # a channel that does not oscillate gets the period 4 tau, which puts
-    # its first extremum at 4 tau and its first amplitude zero past 2 tau
-    omega_safe = np.where(omega > 0.0, omega, 0.5 * math.pi / tau)[:, None]
-    cycles = float(window_periods(channels, tau).max(initial=0.0))
-    k = np.arange(1.0, math.floor(cycles) + 2.0)
-    points = 2.0 * math.pi * k / omega_safe
-    single = channels.n_atoms == 1.0
-    if single.any():
-        phase = np.arctan(omega_safe / channels.lam[:, None])
-        zeros = np.where(single[:, None],
-                         2.0 * (math.pi * k - phase) / omega_safe, points)
-        interleaved = np.empty((len(omega), 2 * len(k)))
-        interleaved[:, 0::2], interleaved[:, 1::2] = zeros, points
-        points = interleaved
-    table = np.minimum(points, tau)
-    return table[:, :(table < tau).sum(axis=1).max(initial=0)]
-
 
 def population_rows(times: np.ndarray, channels: ChannelColumns) -> np.ndarray:
     """excited_population of each point of a batch on its own row of times.
 
-    The amplitude is that of the point's channel, starting at 1/sqrt(m), and
-    the population m * amplitude**2.  With d real or imaginary the envelope
-    is exactly real, so the rest is real arithmetic.
+    The population m * (a/sqrt(m))**2 of either kind is a**2, with
+    a = 1 + (g - 1)/N the symmetric amplitude scaled to start at 1, so it
+    starts at exactly 1.  With d real or imaginary the envelope is exactly
+    real, so the rest is real arithmetic.
     """
     g = g_factor(times, channels.d[:, None], channels.lam[:, None]).real
-    levels = channels.levels[:, None]
-    amp = _amplitude(g, channels.n_atoms[:, None], np.sqrt(1.0 / levels))
-    return levels * (amp * amp)
+    amp = _amplitude(g, channels.n_atoms[:, None], 1.0)
+    return amp * amp
 
 
 def propagate_two_level(t: float, initials, params: ModelParams) -> np.ndarray:
@@ -338,7 +279,7 @@ def trajectory(params: ModelParams, tau: float, steps: int = 4096) -> Trajectory
         raise ValueError("steps must be >= 1")
     times = np.linspace(0.0, tau, steps + 1)
     amp = amplitude(times, params)
-    pop = channel_coefficients(params.kind, params.theta)[1] * (amp.real * amp.real)
+    pop = excited_population(times, params)
     rate = population_rate(times, params)
     if not (np.isfinite(pop).all() and np.isfinite(rate).all()):
         raise FloatingPointError("population or its rate is not finite")

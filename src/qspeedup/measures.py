@@ -2,11 +2,8 @@
 quantum-speed-limit time and the information-backflow measure.
 
 For the symmetric initial states the excited population p(t) carries the
-whole story.  Splitting [0, tau] at the zeros of dp/dt gives monotone
-segments.  Those turning points are enumerated in closed form
-(dynamics.population_turning_points), so p is read off only at them and
-at the window ends.  With R the total rise of p over the ascending
-segments (population returning from the reservoir), the exact decomposition
+whole story.  With R the total rise of p over its ascending segments
+(population returning from the reservoir), the exact decomposition
 
     int_0^tau |dp/dt| dt = (p(0) - p(tau)) + 2 R,    p(0) = 1,
 
@@ -14,12 +11,14 @@ assembles both functionals:
 
     tau_qsl = tau * (1 - p(tau)) / [(1 - p(tau)) + 2 R],    backflow = R.
 
-Both emitter kinds share this structure: the two-level population is
-|alpha1|**2 and the V-type one is 2*|nu1|**2, each starting at exactly 1.
-evaluate_columns assembles a whole batch of points (a
-dynamics.ChannelColumns) at once: one envelope evaluation over a
-(points x turning points) array padded with tau, in row blocks of at most
-BATCH_ELEMENTS entries.  evaluate_points wraps it for ModelParams.
+Both emitter kinds share this structure: p = a**2 with a = 1 + (g - 1)/N
+(|alpha1|**2 for two-level emitters, 2*|nu1|**2 for V-type ones).  The
+turning points of p are the extrema t_k = 2 pi k/|d| of an oscillating
+envelope, where g = (-1)**k exp(-pi k lam/|d|), and for N = 1 also the
+zeros of g, so R is a sum of geometric series in closed form; an
+overdamped envelope gives R = 0.  evaluate_columns assembles a whole batch
+of points (a dynamics.ChannelColumns) at once, reading the envelope of
+each point once, at tau.  evaluate_points wraps it for ModelParams.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .dynamics import (ChannelColumns, DensityMatrix, population_rows,
-                       turning_point_table, window_periods)
+from . import dynamics
+from .dynamics import ChannelColumns, DensityMatrix
 from .spectral import AtomKind, ModelParams, validate_tau
 
 
@@ -107,48 +106,46 @@ def bures_angle(initial, target) -> float:
     return math.acos(math.sqrt(fid))
 
 
-# Rows per batch are capped so that a batch's (rows x turning points)
-# arrays stay small next to the rest of a survey.  At the survey's tau = 5
-# the widest preset curve holds 401 x 74 entries; 8192 splits it into four
-# batches and leaves the other curves whole.  Without a cap the survey's
-# peak RSS rises by 0.9 MB, with a cap of 16384 by 0.5 MB; from 8192 down
-# it is flat.
-BATCH_ELEMENTS = 1 << 13
+def _rises(n, lam, omega, tau, g, u, final):
+    """Backflow R of oscillating rows (omega = |d| > 0), in closed form.
 
-
-def _batches(channels: ChannelColumns, tau: float) -> list:
-    """Consecutive row blocks whose turning-point tables fit BATCH_ELEMENTS.
-
-    A row's width is bounded by its window ends plus two turning points per
-    period of the envelope; every block takes as many rows as the widest
-    row of the batch allows.
+    g, u and final are g(tau), the fall u = (1 - g)/N of the amplitude
+    a = 1 - u, and p(tau) = a**2.  The envelope extrema t_k = 2 pi k/omega
+    hold g_k = (-1)**k r**k, r = exp(-pi*lam/omega), and K of them lie in
+    the window.  For N >= 2 each full rise runs from odd k to k + 1 and
+    gains (a_k+1 - a_k)(a_k + a_k+1); for N = 1 each one runs from an
+    amplitude zero to t_k and gains r**2k.  Both sums are geometric, with
+    every 1 - r**j an expm1 and every ratio in powers of r <= 1.
     """
-    if len(channels) == 1:  # turning_point_table checks its window itself
-        return [channels]
-    widest = 4 + 2 * math.floor(window_periods(channels, tau).max())
-    step = max(1, BATCH_ELEMENTS // widest)
-    return [channels.rows(slice(start, start + step))
-            for start in range(0, len(channels), step)]
-
-
-def _report_rows(channels: ChannelColumns, tau: float):
-    """Backflow R, |rate| integral, final population and 1 - p(tau) of each row.
-
-    p is read at [0, turning points, tau]; the padding repeats tau, so it
-    adds Delta p = 0.  R accumulates strictly left to right (cumsum, not a
-    pairwise sum), so the padding cannot change how a row's terms round.
-    """
-    table = turning_point_table(channels, tau)
-    cuts = np.empty((len(channels), table.shape[1] + 2))
-    cuts[:, 0], cuts[:, 1:-1], cuts[:, -1] = 0.0, table, tau
-    p = population_rows(cuts, channels)
-    backflow = np.maximum(p[:, 1:] - p[:, :-1], 0.0).cumsum(axis=1)[:, -1]
-    final = p[:, -1]
-    loss = 1.0 - final
-    rate_abs = loss + 2.0 * backflow
-    if not np.isfinite(rate_abs).all():  # carries any NaN or inf of R and p
-        raise FloatingPointError("the population is not finite inside the window")
-    return backflow, rate_abs, final, loss
+    # -5e-324 stands for a log r that underflows to 0: each sum of M terms
+    # r**j then takes its limit M, not 0/0
+    log_r = np.minimum(-math.pi * lam / omega, -5e-324)
+    phase = (0.5 * tau) * omega  # the phase of g(tau), pi k at t_k
+    k = np.floor(phase / math.pi)
+    single = n == 1.0
+    mixed = single.any()
+    if mixed:
+        # sum_{k <= K} r**2k = r**2 (r**2K - 1)/(r**2 - 1), plus p(tau) once
+        # tau passes the next amplitude zero 2 (pi (K + 1) - atan(omega/lam))/omega,
+        # where p rises from 0
+        log_r2 = 2.0 * log_r
+        one = np.exp(log_r2) * np.expm1(k * log_r2) / np.expm1(log_r2)
+        one += final * (np.arctan(omega / lam) > math.pi * (k + 1.0) - phase)
+        if single.all():
+            return one
+    # the full rises end at the first 2J = K - (K mod 2) extrema.  With
+    # em = r**2J - 1, over odd k < 2J: sum r**k (1 + r) = sum_{k <= 2J} r**k
+    # = r em/(r - 1), and sum r**2k (1 - r**2) = alternating
+    odd = np.fmod(k, 2.0)
+    em, r = np.expm1((k - odd) * log_r), np.exp(log_r)
+    up2 = 2.0 * r * em / np.expm1(log_r)
+    r2 = r * r
+    alternating = r2 * (em * (-2.0 - em)) / (1.0 + r2)
+    many = (up2 - (up2 + alternating) / n) / n
+    # odd K: tau lies on the rise from g_K = -r**K
+    rk = np.exp(k * log_r)
+    many += odd * np.maximum((g + rk) / n * (2.0 - u - (1.0 + rk) / n), 0.0)
+    return np.where(single, one, many) if mixed else many
 
 
 def evaluate_columns(channels: ChannelColumns, tau: float):
@@ -156,11 +153,28 @@ def evaluate_columns(channels: ChannelColumns, tau: float):
 
     ratio = (1 - p)/[(1 - p) + 2 R] is exactly 1.0 when the decay is
     monotone (R = 0).  gamma0 = 0 (p = 1) and a population that does not
-    move are stationary: ratio 1, tau_qsl 0, no backflow.
+    move are stationary: ratio 1, tau_qsl 0, no backflow.  Each row is
+    computed on its own (elementwise arithmetic), so a batch of one gives
+    the bits of its row in any batch.
     """
-    parts = [_report_rows(batch, tau) for batch in _batches(channels, tau)]
-    backflow, rate_abs, final, loss = (parts[0] if len(parts) == 1
-                                       else map(np.concatenate, zip(*parts)))
+    n, omega = channels.n_atoms, channels.d.imag
+    # through the module, so the functionals read the same envelope as dynamics
+    g = dynamics.g_factor(tau, channels.d, channels.lam).real
+    u = (1.0 - g) / n
+    a = 1.0 - u  # population_rows' 1 + (g - 1)/N, bit for bit
+    final = a * a
+    loss = u * (2.0 - u)  # 1 - a**2 without cancelling at large N
+    rows = omega > 0.0  # an overdamped or degenerate channel decays monotonically
+    if rows.all():
+        backflow = _rises(n, channels.lam, omega, tau, g, u, final)
+    else:
+        backflow = np.zeros(len(n))
+        if rows.any():
+            backflow[rows] = _rises(n[rows], channels.lam[rows], omega[rows], tau,
+                                    g[rows], u[rows], final[rows])
+    rate_abs = loss + 2.0 * backflow
+    if not np.isfinite(rate_abs).all():  # carries any NaN or inf of R and p
+        raise FloatingPointError("the population is not finite inside the window")
     uncoupled = channels.gamma0 == 0.0
     stationary = uncoupled | (rate_abs == 0.0)
     rate_abs[stationary] = 1.0  # no division by zero

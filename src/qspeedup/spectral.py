@@ -88,6 +88,12 @@ class ModelParams:
         if not math.isfinite(2.0 * float(self.gamma0) * (1.0 + float(self.theta)) * lam
                              * float(self.n_atoms)):
             raise ValueError("channel constant 2*gamma0*(1+theta)*lam*N is not finite")
+        # the reservoir-integral constants (ReservoirIntegral): the slope
+        # (pi/2 + atan(omega0/lam))/lam of I(E), times omega0 as in I near E = 0
+        omega0 = float(self.omega0)
+        if not math.isfinite(omega0 * ((0.5 * math.pi + math.atan(omega0 / lam)) / lam)):
+            raise ValueError("reservoir constant omega0*(pi/2 + atan(omega0/lam))/lam "
+                             "is not finite")
 
     def collective_factor(self) -> float:
         """Multiplicity of the reservoir integral in the bound-state kernel.

@@ -113,11 +113,10 @@ class SweepTable:
 def run_sweep(config: SweepConfig) -> SweepTable:
     """Evaluate every (n_atoms, theta, gamma0) point of the grid, in order.
 
-    The grid is one ChannelColumns in curve-major order: evaluate_columns
-    takes it one (n_atoms, theta) curve at a time, solve_bound_states
-    whole, and the results become the table's columns with no per-point
-    objects; each row of the table equals the single-point calls for its
-    point exactly.
+    The grid is one ChannelColumns in curve-major order that
+    evaluate_columns and solve_bound_states each take whole, and the
+    results become the table's columns with no per-point objects; each row
+    of the table equals the single-point calls for its point exactly.
     """
     gamma0 = config.gamma0_values()
     g0_list, size = gamma0.tolist(), len(gamma0)
@@ -135,20 +134,14 @@ def run_sweep(config: SweepConfig) -> SweepTable:
         *((n, *channel_coefficients(config.kind, theta)) for n, theta in curves)))
     channels = ChannelColumns.build(np.tile(gamma0, len(curves)), config.lam, config.omega0,
                                     n_atoms, c, levels)
-    ratios, nonmarkovs, stationary = [], [], []
-    for k in range(len(curves)):
-        _, ratio, nonmarkov, _, still = evaluate_columns(
-            channels.rows(slice(k * size, (k + 1) * size)), config.tau)
-        ratios += ratio.tolist()
-        nonmarkovs += nonmarkov.tolist()
-        stationary.append(still)
+    _, ratio, nonmarkov, _, stationary = evaluate_columns(channels, config.tau)
     coupled, lost, energy, *_ = solve_bound_states(
         channels, label=lambda i: repr(points[i // size](gamma0=g0_list[i % size])))
     # lost: the root lies below the probe floor
     bounds = np.where(coupled, np.where(lost, 0.0, energy), None).tolist()
     statuses = np.where(lost, "bound-underflow",
-                        np.where(np.concatenate(stationary), "stationary", "normal")).tolist()
-    return SweepTable(curves, g0_list, ratios, nonmarkovs, bounds, statuses)
+                        np.where(stationary, "stationary", "normal")).tolist()
+    return SweepTable(curves, g0_list, ratio.tolist(), nonmarkov.tolist(), bounds, statuses)
 
 
 @dataclass(frozen=True)

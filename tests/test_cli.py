@@ -38,9 +38,9 @@ class TestArgvHandling:
         (["dynamics", "--gamma0", "1", "--lambda", "2", "--tau", "nan"], "tau"),
         (["dynamics", "--gamma0", "1", "--lambda", "2", "--tau", "inf"], "tau"),
         (["qsl", "--gamma0", "1e308", "--lambda", "2"], "channel constant"),
-        (["qsl", "--gamma0", "1e200", "--lambda", "2"], "envelope periods"),
-        (["qsl", "--gamma0", "1", "--lambda", "2", "--n", str(10 ** 21)],
-         "envelope periods"),
+        (["bound-state", "--gamma0", "1", "--lambda", "3.63e-140", "--omega0", "1.58e228"],
+         "omega0/lam"),
+        (["qsl", "--gamma0", "1", "--lambda", "1e-310"], "lam"),
         (["bound-state", "--gamma0", "1", "--lambda", "2", "--n", str(10 ** 400)],
          "n_atoms"),
     ])
@@ -50,6 +50,19 @@ class TestArgvHandling:
         assert fragment in captured.err
         assert "ratio" not in captured.out
         assert "population" not in captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ["qsl", "--gamma0", "1e200", "--lambda", "2"],
+        ["qsl", "--gamma0", "1", "--lambda", "2", "--n", str(10 ** 21)],
+    ])
+    def test_windows_of_many_envelope_periods_have_answers(self, capsys, argv):
+        # about 1.6e100 and 3e10 envelope periods in the default window
+        assert main(argv) == 0
+        values = {key.strip(): value for key, value in (
+            line.split(" = ") for line in capsys.readouterr().out.splitlines())}
+        ratio, nonmarkov = float(values["ratio"]), float(values["nonmarkov"])
+        assert 0.0 <= ratio <= 1.0 and math.isfinite(nonmarkov)
+        assert values["status"] == "normal"
 
     def test_stalled_bisection_is_a_numerical_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(bound_state, "MAX_STEPS", 2)

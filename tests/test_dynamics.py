@@ -11,8 +11,7 @@ from qspeedup import dynamics
 from qspeedup.dynamics import (ChannelColumns, DensityMatrix, ROOT_HALF, alpha1,
                                amplitude, amplitude_rate, density_matrix,
                                density_trajectory, excited_population, g_factor,
-                               g_factor_dt, nu1, population_rate,
-                               population_turning_points, principal_sqrt,
+                               g_factor_dt, nu1, population_rate, principal_sqrt,
                                propagate_three_level, propagate_two_level, trajectory)
 from qspeedup.spectral import AtomKind, ModelParams
 
@@ -192,6 +191,15 @@ class TestAmplitudes:
         assert np.array_equal(amplitude(t, VEE, initial=0.3),
                               nu1(t, VEE, initial=0.3))
 
+    @pytest.mark.parametrize("params", [
+        TWO, VEE, ModelParams(gamma0=0.0, n_atoms=2, kind=AtomKind.THREE_LEVEL_V)])
+    def test_population_starts_at_exactly_one(self, params):
+        # 2*(sqrt(0.5) * 1)**2 would round to 1.0000000000000002; a**2 does not
+        assert excited_population(0.0, params) == 1.0
+        assert excited_population(np.zeros(3), params).tolist() == [1.0] * 3
+        if params.gamma0 == 0.0:
+            assert excited_population(7.5, params) == 1.0
+
     def test_single_atom_amplitude_is_envelope(self):
         params = ModelParams(gamma0=1.0)
         d = ChannelColumns.of([params]).d[0]
@@ -368,8 +376,6 @@ class TestTrajectory:
             trajectory(TWO, tau)
         with pytest.raises(ValueError, match="tau"):
             density_trajectory(VEE, tau)
-        with pytest.raises(ValueError, match="tau"):
-            population_turning_points(TWO, tau)
 
 
 class TestDensityMatrix:

@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qspeedup import dynamics, measures
-from qspeedup.dynamics import (DensityMatrix, alpha1, density_trajectory,
-                               excited_population, nu1, population_rate,
-                               population_turning_points, trajectory)
+from qspeedup.dynamics import (ChannelColumns, DensityMatrix, alpha1,
+                               density_trajectory, excited_population, nu1,
+                               population_rate, trajectory)
 from qspeedup.measures import (GenericQslResult, ReportStatus, bures_angle,
                                evaluate_point, evaluate_points, nonmarkov,
                                nonmarkov_three_level, nonmarkov_two_level,
@@ -77,23 +78,56 @@ class TestBuresAngle:
             bures_angle(mixed, mixed)
 
 
+def _omega(params):
+    """|d| of the symmetric channel: d**2 = lam**2 - 2 gamma0 c lam N."""
+    c = 1.0 + params.theta if params.kind is AtomKind.THREE_LEVEL_V else 1.0
+    return math.sqrt(2.0 * params.gamma0 * c * params.lam * params.n_atoms - params.lam ** 2)
+
+
+def _extrema(params, tau):
+    """Envelope extrema t_k = 2 pi k/|d| inside (0, tau]."""
+    step = 2.0 * math.pi / _omega(params)
+    return step * np.arange(1, math.floor(tau / step) + 1)
+
+
+def _amplitude_zeros(params, tau):
+    """N = 1 zeros of g at 2 (pi k - atan(|d|/lam))/|d| inside (0, tau]."""
+    omega = _omega(params)
+    zeros = 2.0 * (math.pi * np.arange(1, math.floor(tau * omega / math.pi) + 2)
+                   - math.atan(omega / params.lam)) / omega
+    return zeros[zeros <= tau]
+
+
 class TestMonotoneSegments:
-    """Closed-form turning points: the cuts between monotone segments of p."""
+    """The cuts between monotone segments of p, on which the closed-form
+    backflow rests: the population rate vanishes at every envelope extremum
+    and, for N = 1, at every amplitude zero."""
 
     def test_known_zero_structure(self):
-        points = population_turning_points(RESONANT, 5.0)
+        points = np.sort(np.concatenate([_amplitude_zeros(RESONANT, 5.0),
+                                         _extrema(RESONANT, 5.0)]))
         assert np.allclose(points, [3 * math.pi / 4, math.pi], rtol=0, atol=1e-12)
         assert np.abs(population_rate(points, RESONANT)).max() < 1e-15
 
     def test_collective_points_are_envelope_extrema(self):
         # N >= 2: only g' vanishes, at multiples of 2 pi/|d|; |d| = 2 sqrt(5)
-        points = population_turning_points(ModelParams(gamma0=2.0, n_atoms=3), 12.0)
+        params = ModelParams(gamma0=2.0, n_atoms=3)
+        points = _extrema(params, 12.0)
         step = 2 * math.pi / (2 * math.sqrt(5.0))
         assert np.allclose(points, step * np.arange(1, 9), rtol=0, atol=1e-12)
+        assert np.abs(population_rate(points, params)).max() < 1e-15
+        # between them the rate keeps its sign: falling, then rising
+        mid = np.concatenate(([0.5 * points[0]], 0.5 * (points[1:] + points[:-1])))
+        signs = np.sign(population_rate(mid, params))
+        assert signs.tolist() == [-1.0, 1.0] * 4
 
     def test_overdamped_channel_has_none(self):
-        assert population_turning_points(ModelParams(gamma0=0.1), 1e4).size == 0
-        assert population_turning_points(ModelParams(gamma0=0.0, n_atoms=5), 10.0).size == 0
+        for params, tau in ((ModelParams(gamma0=0.1), 1e4),
+                            (ModelParams(gamma0=0.0, n_atoms=5), 10.0)):
+            assert ChannelColumns.of([params]).d.imag[0] == 0.0
+            t = np.linspace(0.0, tau, 4097)
+            assert population_rate(t, params).max() <= 0.0
+            assert evaluate_point(params, tau).nonmarkov == 0.0
 
 
 class TestFunctionals:
@@ -168,13 +202,46 @@ class TestFunctionals:
         ModelParams(gamma0=5e9, kind=AtomKind.THREE_LEVEL_V),
     ])
     def test_rejects_windows_of_too_many_periods(self, params):
-        # refused before the turning-point table is allocated
-        with pytest.raises(ValueError, match="envelope periods"):
-            evaluate_point(params, 5.0)
-        with pytest.raises(ValueError, match="envelope periods"):
-            evaluate_points([TWO, params, VEE], 5.0)
-        with pytest.raises(ValueError, match="envelope periods"):
-            population_turning_points(params, 5.0)
+        # the backflow is a geometric sum, so a window of any number of
+        # envelope periods gets a finite answer
+        for report in (evaluate_point(params, 5.0),
+                       evaluate_points([TWO, params, VEE], 5.0)[1]):
+            assert report.status is ReportStatus.NORMAL
+            assert math.isfinite(report.tau_qsl) and math.isfinite(report.nonmarkov)
+            assert 0.0 <= report.ratio <= 1.0 and report.nonmarkov >= 0.0
+
+    def test_infinite_window_limit(self):
+        # N = 30, gamma0 = 3: the envelope is gone by tau = 2000, so R is
+        # its closed-form limit sum over every rise of the population
+        params = ModelParams(gamma0=3.0, n_atoms=30)
+        long, longer = evaluate_point(params, 2000.0), evaluate_point(params, 1e6)
+        assert longer.ratio == long.ratio and longer.nonmarkov == long.nonmarkov
+        n, r = 30, math.exp(-math.pi * params.lam / _omega(params))
+        rises = r / (1.0 - r)           # sum_k r**k (1 + r), k odd
+        alternating = r * r / (1.0 + r * r)  # sum_k r**2k (1 - r**2), k odd
+        limit = (2.0 * (n - 1) * rises - alternating) / n ** 2
+        assert longer.nonmarkov == pytest.approx(limit, rel=1e-14)
+        assert longer.ratio == pytest.approx(
+            (2.0 - 1.0 / n) / n / ((2.0 - 1.0 / n) / n + 2.0 * limit), rel=1e-14)
+
+    def test_large_n_keeps_its_digits(self):
+        # at fixed gamma0*N the ratio has a finite large-N limit; 1 - a**2
+        # would round the loss of the N = 10**21 point to 0
+        far, near = (evaluate_point(ModelParams(gamma0=90.0 / n, n_atoms=n), 5.0)
+                     for n in (10 ** 21, 10 ** 9))
+        assert far.ratio > 0.0
+        assert far.ratio == pytest.approx(near.ratio, rel=1e-8)
+
+    def test_underflowing_damping_ratio_is_finite(self):
+        # x = pi*lam/|d| underflows to 0 (r = 1): each geometric sum takes
+        # its count, not 0/0
+        params = ModelParams(gamma0=1e300, lam=1e-200, n_atoms=10 ** 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = evaluate_point(params, 5.0)
+        assert report.status is ReportStatus.NORMAL
+        assert math.isfinite(report.nonmarkov) and report.nonmarkov > 0.0
+        assert 0.0 < report.ratio < 1.0
 
     def test_non_finite_population_is_a_numerical_failure(self, monkeypatch):
         # ModelParams refuses overflowing channel constants, so the NaN
@@ -220,20 +287,14 @@ class TestFunctionals:
         with pytest.raises(ValueError, match="tau"):
             evaluate_points(points, math.nan)
 
-    @pytest.mark.parametrize("tau", [5.0, 200.0])
-    def test_batches_fit_the_element_cap(self, tau):
-        # the figure-4 curves at N = 1 and 30: widths from 4 to about 2000
-        points = [ModelParams(gamma0=g0, n_atoms=n, theta=theta,
-                              kind=AtomKind.THREE_LEVEL_V)
-                  for n in (1, 30) for theta in (0.0, 1.0)
-                  for g0 in np.linspace(0.0, 4.0, 401).tolist()]
-        channels = dynamics.ChannelColumns.of(points)
-        blocks = measures._batches(channels, tau)
-        assert len(blocks) > 1
-        assert np.array_equal(np.concatenate([b.d for b in blocks]), channels.d)
-        for block in blocks:
-            width = dynamics.turning_point_table(block, tau).shape[1] + 2
-            assert len(block) * width <= measures.BATCH_ELEMENTS
+    def test_final_population_is_excited_population(self):
+        points = [TWO, VEE, RESONANT, ModelParams(gamma0=0.1, n_atoms=7),
+                  ModelParams(gamma0=2.5, n_atoms=1, theta=0.3, kind=AtomKind.THREE_LEVEL_V),
+                  ModelParams(gamma0=3.0, n_atoms=30)]
+        for tau in (0.5, 5.0, 2000.0):
+            finals = [r.final_population for r in evaluate_points(points, tau)]
+            assert [f.hex() for f in finals] == [
+                excited_population(tau, p).hex() for p in points]
 
     @pytest.mark.parametrize("params", [TWO, VEE])
     def test_functionals_read_the_shared_envelope(self, params, monkeypatch):
@@ -345,3 +406,43 @@ def test_functionals_match_dense_scan(kind, n, gamma0, theta, log_tau):
     rise, ratio = _dense_scan(params, tau)
     assert report.nonmarkov == pytest.approx(rise, abs=1e-7)
     assert report.ratio == pytest.approx(ratio, abs=1e-7)
+
+
+def _turning_point_reference(params, tau):
+    """Backflow and ratio from the population read at its turning points.
+
+    The cuts are the envelope extrema and, for N = 1, the amplitude zeros
+    inside the window; R sums max(0, Delta p) between consecutive cuts.
+    """
+    cuts = [0.0, tau]
+    if ChannelColumns.of([params]).d.imag[0] > 0.0:
+        cuts += _extrema(params, tau).tolist()
+        if params.n_atoms == 1:
+            cuts += _amplitude_zeros(params, tau).tolist()
+    p = excited_population(np.sort(cuts), params)
+    rise = np.maximum(np.diff(p), 0.0).sum()
+    loss = 1.0 - p[-1]
+    return rise, loss / (loss + 2.0 * rise)
+
+
+@settings(max_examples=60, deadline=None)
+# long windows: about 6e3 periods at N = 30, a weakly damped N = 1 point;
+# windows that end on a rise: from an amplitude zero (N = 1) and from an
+# odd extremum (N = 3)
+@example(AtomKind.TWO_LEVEL, 30, 3.0, 0.0, 2.0, 2000.0)
+@example(AtomKind.THREE_LEVEL_V, 39, 4.0, 1.0, 0.5, 1500.0)
+@example(AtomKind.TWO_LEVEL, 1, 3.0, 0.0, 0.2, 300.0)
+@example(AtomKind.TWO_LEVEL, 1, 2.0, 0.0, 2.0, 2.5)
+@example(AtomKind.THREE_LEVEL_V, 1, 2.0, 0.5, 2.0, 4.0)
+@example(AtomKind.TWO_LEVEL, 3, 2.0, 0.0, 2.0, 2.0)
+@given(st.sampled_from(list(AtomKind)), st.integers(1, 39), st.floats(0.01, 4.0),
+       st.floats(0.0, 1.0), st.floats(0.1, 5.0), st.floats(0.1, 2000.0))
+def test_closed_form_backflow_matches_turning_point_reference(kind, n, gamma0, theta,
+                                                              lam, tau):
+    if kind is AtomKind.TWO_LEVEL:
+        theta = 0.0
+    params = ModelParams(gamma0=gamma0, lam=lam, n_atoms=n, theta=theta, kind=kind)
+    report = evaluate_point(params, tau)
+    rise, ratio = _turning_point_reference(params, tau)
+    assert report.nonmarkov == pytest.approx(rise, abs=1e-12)
+    assert report.ratio == pytest.approx(ratio, abs=1e-12)

@@ -39,6 +39,10 @@ class TestModelParams:
         (dict(gamma0=1e308), "channel constant 2"),
         (dict(gamma0=1.0, n_atoms=10 ** 308), "channel constant 2"),
         (dict(gamma0=3e307, theta=1.0, kind=AtomKind.THREE_LEVEL_V), "channel constant 2"),
+        # omega0/lam past float range, and a slope pi/lam past it
+        (dict(gamma0=1.09e45, lam=3.63e-140, n_atoms=1144, omega0=1.58e228),
+         "reservoir constant omega0"),
+        (dict(gamma0=1.0, lam=1e-310), "reservoir constant omega0"),
     ])
     def test_rejects_invalid(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from qspeedup import bound_state, cli, measures, spectral
 from qspeedup.bound_state import BracketFailureError, find_bound_state
-from qspeedup.dynamics import population_turning_points
-from qspeedup.measures import BATCH_ELEMENTS, evaluate_point
+from qspeedup.dynamics import ChannelColumns
+from qspeedup.measures import evaluate_point
 from qspeedup.spectral import AtomKind, ModelParams
 from qspeedup.svg import render_figure
 from qspeedup.sweep import (FigurePreset, NoTransitionError, OnsetCriterion,
@@ -132,14 +132,16 @@ class TestRunSweep:
                 continue
             assert row.status == report.status.value
             assert row.bound_energy == (state.energy if state.exists else None)
-        # the grid reaches every status, more turning points than one batch
-        # holds, and single emitters whose first turning point is an
-        # amplitude zero
+        # the grid reaches every status, windows of many envelope periods,
+        # and single emitters whose first turning point, the amplitude zero
+        # 2 (pi - atan(|d|/lam))/|d|, lies inside the window
         assert {r.status for r in rows} == {"stationary", "bound-underflow", "normal"}
-        counts = [len(population_turning_points(p, config.tau)) for p in points]
-        assert max(c for p, c in zip(points, counts) if p.n_atoms == 1) > 0
+        omega = ChannelColumns.of(points).d.imag
+        single = np.array([p.n_atoms == 1 for p in points]) & (omega > 0.0)
+        first_zero = 2.0 * (math.pi - np.arctan(omega[single] / config.lam)) / omega[single]
+        assert (first_zero < config.tau).any()
         if config.tau > 100.0:
-            assert len(points) * max(counts) > BATCH_ELEMENTS
+            assert (config.tau * omega / (2.0 * math.pi)).max() > 500.0
 
     @settings(max_examples=40, deadline=None)
     @example(SMALL)
