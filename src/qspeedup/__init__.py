@@ -6,19 +6,15 @@ from .bound_state import (BisectionStallError, BoundStateResult, BracketFailureE
                           find_bound_state, find_bound_states, kernel_k)
 from .dynamics import (DensityMatrix, Trajectory, alpha1, density_matrix,
                        density_trajectory, excited_population, g_factor,
-                       g_factor_dt, nu1, population_rate, propagate_three_level,
-                       propagate_two_level, trajectory)
+                       g_factor_dt, nu1, population_rate, trajectory)
 from .measures import (GenericQslResult, ReportStatus, SpeedupReport, bures_angle,
-                       evaluate_point, evaluate_points, nonmarkov,
-                       nonmarkov_three_level, nonmarkov_two_level, qsl_generic,
-                       qsl_three_level, qsl_time, qsl_two_level, schatten_norm,
-                       trace_distance)
+                       evaluate_point, evaluate_points, nonmarkov, qsl_generic,
+                       qsl_time, qsl_two_level, schatten_norm, trace_distance)
 from .oracle import KernelSpec, StepSizeError, integrate_kernel_ode, solve_collective
 from .spectral import (AtomKind, ModelParams, lorentzian_j, reservoir_integral,
                        reservoir_integral_quad, total_spectral_weight)
 from .sweep import (FigurePreset, NoTransitionError, OnsetCriterion, SweepConfig,
-                    SweepRow, SweepTable, figure_preset, find_critical_coupling,
-                    run_sweep)
+                    SweepTable, figure_preset, find_critical_coupling, run_sweep)
 
 __version__ = "0.1.0"
 
@@ -27,15 +23,13 @@ __all__ = [
     "BracketFailureError", "DensityMatrix", "FigurePreset", "GenericQslResult",
     "KernelSpec", "ModelParams", "NoTransitionError", "OnsetCriterion",
     "ReportStatus", "SpeedupReport", "StepSizeError", "SweepConfig",
-    "SweepRow", "SweepTable", "Trajectory", "alpha1", "bures_angle",
-    "density_matrix", "density_trajectory", "evaluate_point",
-    "evaluate_points", "excited_population", "figure_preset",
-    "find_bound_state", "find_bound_states", "find_critical_coupling",
-    "g_factor", "g_factor_dt", "integrate_kernel_ode", "kernel_k",
-    "lorentzian_j", "nonmarkov", "nonmarkov_three_level",
-    "nonmarkov_two_level", "nu1", "population_rate", "propagate_three_level",
-    "propagate_two_level", "qsl_generic", "qsl_three_level", "qsl_time",
-    "qsl_two_level", "reservoir_integral", "reservoir_integral_quad",
-    "run_sweep", "schatten_norm", "solve_collective", "total_spectral_weight",
+    "SweepTable", "Trajectory", "alpha1", "bures_angle", "density_matrix",
+    "density_trajectory", "evaluate_point", "evaluate_points",
+    "excited_population", "figure_preset", "find_bound_state",
+    "find_bound_states", "find_critical_coupling", "g_factor", "g_factor_dt",
+    "integrate_kernel_ode", "kernel_k", "lorentzian_j", "nonmarkov", "nu1",
+    "population_rate", "qsl_generic", "qsl_time", "qsl_two_level",
+    "reservoir_integral", "reservoir_integral_quad", "run_sweep",
+    "schatten_norm", "solve_collective", "total_spectral_weight",
     "trace_distance", "trajectory",
 ]

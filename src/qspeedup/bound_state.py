@@ -118,7 +118,13 @@ def solve_bound_states(channels: ChannelColumns, tol: float = RESIDUAL_TOL,
     energy = hi
     iterations = np.zeros(coupled.shape, dtype=int)
     active = solve
-    mid = hi * np.sqrt(lo / hi)  # the geometric midpoint, without lo*hi
+
+    def midpoint(lo, hi):  # the geometric midpoint, without lo*hi
+        # only the points being solved divide: lo/hi passes float range
+        # near hypot(omega0, lam) ~ 1e291, where no point can be solved
+        return hi * np.sqrt(np.divide(lo, hi, out=np.ones_like(hi), where=solve))
+
+    mid = midpoint(lo, hi)
     for count in range(MAX_STEPS):
         if not active.any():
             break
@@ -129,7 +135,7 @@ def solve_bound_states(channels: ChannelColumns, tol: float = RESIDUAL_TOL,
         # an exact root (h == 0) moves neither edge and stops below
         lo = np.where(active & (h > 0.0), e, lo)
         hi = np.where(active & (h < 0.0), e, hi)
-        mid = hi * np.sqrt(lo / hi)
+        mid = midpoint(lo, hi)
         step = np.divide(h, dh, out=np.zeros_like(h), where=active)
         # stop 100 times below tol, or at the float resolution of K where
         # |E| is too large for that (the gate stays relative)

@@ -167,7 +167,7 @@ def check_onset_agreement(quick: bool = False) -> CheckResult:
 
 
 def check_steady_population(quick: bool = False) -> CheckResult:
-    """Long-time symmetric amplitude settles at (N-1)/N."""
+    """The excited emitter's long-time amplitude settles at (N-1)/N."""
     worst = 0.0
     for n in (3, 8, 30):
         params = ModelParams(gamma0=1.0, n_atoms=n)

@@ -11,16 +11,17 @@ the overdamped regime and switches to a positive imaginary value once the
 collective coupling is strong enough for the envelope to oscillate; both
 regimes are covered by evaluating the same expression over the complex d.
 
-The fully symmetric initial condition (every emitter sharing the excitation
-equally) stays in the symmetric channel, read through m excited levels:
-m = 1 for two-level emitters, m = 2 for V-type ones in the equal
-superposition of both upper levels (spectral.channel_coefficients decides
-this once).  amplitude (kind-guarded aliases alpha1 / nu1) starts at
-1/sqrt(m) and the population is m*amplitude**2; the general propagators
-accept arbitrary per-emitter initial amplitudes.
+One emitter starts excited and the other N - 1 start in their ground
+state as spectators.  Only the symmetric channel couples to the reservoir,
+and the excited emitter's amplitude follows it as 1 + (g - 1)/N, read
+through m excited levels: m = 1 for two-level emitters, m = 2 for V-type
+ones in the equal superposition of both upper levels
+(spectral.channel_coefficients decides this once).  amplitude (kind-guarded
+aliases alpha1 / nu1) starts at 1/sqrt(m) and the population is
+m*amplitude**2.
 
 A batch of parameter points is a ChannelColumns: one array per channel
-constant (gamma0, lam, omega0, N, the collective factor N*c, m and d),
+constant (gamma0, lam, omega0, N, the collective factor N*c and d),
 built in one place, ChannelColumns.build.  It is the input of both column
 kernels, measures.evaluate_columns and bound_state.solve_bound_states, and
 of population_rows, whose real arithmetic every one-point function runs on
@@ -103,7 +104,7 @@ def g_factor_dt(t, d: complex, lam: float):
 
 
 def _amplitude(g, n, initial):
-    """Symmetric amplitude from the envelope; (g - 1)/N keeps t = 0 exact."""
+    """The excited emitter's amplitude; (g - 1)/N keeps t = 0 exact."""
     return initial * (1.0 + (g - 1.0) / n)
 
 
@@ -111,7 +112,8 @@ def _batch_of_one(t, params: ModelParams, initial):
     """t as the one row of times of a batch of one, the point's d, lam and N
     as population_rows reads them, and initial (1/sqrt(m) unless given)."""
     channels = ChannelColumns.of([params])
-    initial = math.sqrt(1.0 / channels.levels[0]) if initial is None else initial
+    if initial is None:
+        initial = math.sqrt(1.0 / channel_coefficients(params.kind, params.theta)[1])
     return (np.asarray(t, dtype=float).reshape(1, -1), channels.d[0], channels.lam[0],
             channels.n_atoms[0], initial)
 
@@ -122,7 +124,7 @@ def _complex_like(row: np.ndarray, t):
 
 
 def amplitude(t, params: ModelParams, initial: complex | None = None):
-    """Symmetric excited amplitude per level: alpha1 or nu1 by emitter kind.
+    """Excited emitter's amplitude per level: alpha1 or nu1 by emitter kind.
 
     amplitude(0) = initial exactly, by default 1/sqrt(m) (1 or ROOT_HALF).
     """
@@ -180,27 +182,26 @@ class ChannelColumns:
     omega0: np.ndarray
     n_atoms: np.ndarray  # as floats
     factor: np.ndarray   # collective factor N*c of the bound-state kernel
-    levels: np.ndarray   # m excited levels, as floats
     d: np.ndarray        # complex envelope parameter of the channel
 
     @classmethod
-    def build(cls, gamma0, lam, omega0, n_atoms, c, levels) -> "ChannelColumns":
+    def build(cls, gamma0, lam, omega0, n_atoms, c) -> "ChannelColumns":
         """Columns of the points of a 1-d gamma0; the other constants are
         columns of the same length or scalars shared by every point."""
         gamma0 = np.asarray(gamma0, dtype=float)
-        lam, omega0, n_atoms, c, levels = [
+        lam, omega0, n_atoms, c = [
             v if np.ndim(v) else np.full(gamma0.shape, v, dtype=float)
-            for v in (lam, omega0, n_atoms, c, levels)]
+            for v in (lam, omega0, n_atoms, c)]
         x = channel_discriminant(gamma0, lam, n_atoms, c)
-        return cls(gamma0, lam, omega0, n_atoms, n_atoms * c, levels, principal_sqrt(x))
+        return cls(gamma0, lam, omega0, n_atoms, n_atoms * c, principal_sqrt(x))
 
     @classmethod
     def of(cls, points) -> "ChannelColumns":
         """The symmetric channel of each point, as arrays."""
         consts = np.array([(p.gamma0, p.lam, p.omega0, float(p.n_atoms),
-                            *channel_coefficients(p.kind, p.theta)) for p in points],
+                            channel_coefficients(p.kind, p.theta)[0]) for p in points],
                           dtype=float)
-        return cls.build(*consts.reshape(-1, 6).T)
+        return cls.build(*consts.reshape(-1, 5).T)
 
     def __len__(self) -> int:
         return len(self.lam)
@@ -210,53 +211,13 @@ def population_rows(times: np.ndarray, channels: ChannelColumns) -> np.ndarray:
     """excited_population of each point of a batch on its own row of times.
 
     The population m * (a/sqrt(m))**2 of either kind is a**2, with
-    a = 1 + (g - 1)/N the symmetric amplitude scaled to start at 1, so it
+    a = 1 + (g - 1)/N the excited emitter's amplitude scaled to 1, so it
     starts at exactly 1.  With d real or imaginary the envelope is exactly
     real, so the rest is real arithmetic.
     """
     g = g_factor(times, channels.d[:, None], channels.lam[:, None]).real
     amp = _amplitude(g, channels.n_atoms[:, None], 1.0)
     return amp * amp
-
-
-def propagate_two_level(t: float, initials, params: ModelParams) -> np.ndarray:
-    """Evolve arbitrary per-emitter amplitudes; returns the N amplitudes at t.
-
-    Each amplitude moves only through the collective sum s0 of the initial
-    ones: a_l(t) = a_l(0) + (g(t) - 1) * s0 / N.
-    """
-    if params.kind is not AtomKind.TWO_LEVEL:
-        raise ValueError("propagate_two_level applies to two-level emitters")
-    initials = np.asarray(initials, dtype=complex)
-    if initials.shape != (params.n_atoms,):
-        raise ValueError("need one initial amplitude per emitter")
-    g = g_factor(float(t), ChannelColumns.of([params]).d[0], params.lam)
-    return initials + (g - 1.0) * initials.sum() / params.n_atoms
-
-
-def propagate_three_level(t: float, initials_a, initials_b, params: ModelParams):
-    """Evolve arbitrary per-emitter V-type amplitudes (both transitions).
-
-    The +- combinations nu_a +- nu_b decouple; each obeys the two-level
-    update with its own envelope.  Returns (amps_a, amps_b) at time t.
-    """
-    if params.kind is not AtomKind.THREE_LEVEL_V:
-        raise ValueError("propagate_three_level applies to V-type emitters")
-    a = np.asarray(initials_a, dtype=complex)
-    b = np.asarray(initials_b, dtype=complex)
-    if a.shape != (params.n_atoms,) or b.shape != (params.n_atoms,):
-        raise ValueError("need one initial amplitude per emitter and transition")
-    lam, n = params.lam, params.n_atoms
-    c = np.array([1.0 + params.theta, 1.0 - params.theta])
-    d_plus, d_minus = principal_sqrt(
-        channel_discriminant(params.gamma0, lam, float(n), c)).tolist()
-    plus = a + b
-    minus = a - b
-    g_plus = g_factor(float(t), d_plus, lam)
-    g_minus = g_factor(float(t), d_minus, lam)
-    plus_t = plus + (g_plus - 1.0) * plus.sum() / n
-    minus_t = minus + (g_minus - 1.0) * minus.sum() / n
-    return 0.5 * (plus_t + minus_t), 0.5 * (plus_t - minus_t)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,7 @@
 """State-space measures: Schatten norms, Bures angle, trace distance, the
 quantum-speed-limit time and the information-backflow measure.
 
-For the symmetric initial states the excited population p(t) carries the
+For one excited emitter among N, its excited population p(t) carries the
 whole story.  With R the total rise of p over its ascending segments
 (population returning from the reservoir), the exact decomposition
 
@@ -215,24 +215,11 @@ def nonmarkov(params: ModelParams, tau: float) -> float:
     return evaluate_point(params, tau).nonmarkov
 
 
-def _kind_alias(measure, kind: AtomKind, name: str, emitters: str):
-    def alias(params: ModelParams, tau: float) -> float:
-        if params.kind is not kind:
-            raise ValueError(f"{name} applies to {emitters} emitters")
-        return measure(params, tau)
-
-    alias.__name__ = alias.__qualname__ = name
-    alias.__doc__ = f"{measure.__name__} restricted to {emitters} emitters."
-    return alias
-
-
-qsl_two_level = _kind_alias(qsl_time, AtomKind.TWO_LEVEL, "qsl_two_level", "two-level")
-qsl_three_level = _kind_alias(qsl_time, AtomKind.THREE_LEVEL_V, "qsl_three_level",
-                              "V-type")
-nonmarkov_two_level = _kind_alias(nonmarkov, AtomKind.TWO_LEVEL, "nonmarkov_two_level",
-                                  "two-level")
-nonmarkov_three_level = _kind_alias(nonmarkov, AtomKind.THREE_LEVEL_V,
-                                    "nonmarkov_three_level", "V-type")
+def qsl_two_level(params: ModelParams, tau: float) -> float:
+    """qsl_time restricted to two-level emitters."""
+    if params.kind is not AtomKind.TWO_LEVEL:
+        raise ValueError("qsl_two_level applies to two-level emitters")
+    return qsl_time(params, tau)
 
 
 def qsl_generic(times, rhos, rho_rates=None) -> GenericQslResult:

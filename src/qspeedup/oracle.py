@@ -132,7 +132,7 @@ def integrate_kernel_ode(spec: KernelSpec, n_atoms: int, s0: float, tau: float,
 
 
 def solve_collective(params: ModelParams, tau: float, steps: int = 16384) -> Trajectory:
-    """Trajectory of the symmetric initial state, by direct kernel integration.
+    """Trajectory of one excited emitter among N, by direct kernel integration.
 
     Matches the grid convention of dynamics.trajectory: steps divisible by
     4096 are thinned to a 4097-point record, anything else is recorded in

@@ -61,20 +61,6 @@ class SweepConfig:
         return np.linspace(lo, hi, count)
 
 
-# slotted: SweepTable.rows builds one per grid point it reads
-@dataclass(frozen=True, slots=True)
-class SweepRow:
-    """One parameter point of a sweep, CSV-shaped."""
-
-    gamma0: float
-    n_atoms: int
-    theta: float
-    ratio: float
-    nonmarkov: float
-    bound_energy: float | None
-    status: str
-
-
 @dataclass(frozen=True)
 class SweepTable:
     """A sweep as columns, one entry per grid point in curve-major order.
@@ -103,12 +89,6 @@ class SweepTable:
             yield (n, theta, self.ratio[part], self.nonmarkov[part],
                    self.bound_energy[part], self.status[part])
 
-    def rows(self) -> Iterator[SweepRow]:
-        """The grid points as SweepRow records, built as they are read."""
-        keys = ((g0, n, theta) for n, theta in self.curves for g0 in self.gamma0)
-        values = zip(self.ratio, self.nonmarkov, self.bound_energy, self.status)
-        return (SweepRow(*key, *value) for key, value in zip(keys, values))
-
 
 def run_sweep(config: SweepConfig) -> SweepTable:
     """Evaluate every (n_atoms, theta, gamma0) point of the grid, in order.
@@ -130,10 +110,10 @@ def run_sweep(config: SweepConfig) -> SweepTable:
         # the curve's smallest and largest gamma0 vouch for all its points
         point(gamma0=min(g0_list))
         point(gamma0=max(g0_list))
-    n_atoms, c, levels = (np.repeat(np.array(column, dtype=float), size) for column in zip(
-        *((n, *channel_coefficients(config.kind, theta)) for n, theta in curves)))
+    n_atoms, c = (np.repeat(np.array(column, dtype=float), size) for column in zip(
+        *((n, channel_coefficients(config.kind, theta)[0]) for n, theta in curves)))
     channels = ChannelColumns.build(np.tile(gamma0, len(curves)), config.lam, config.omega0,
-                                    n_atoms, c, levels)
+                                    n_atoms, c)
     _, ratio, nonmarkov, _, stationary = evaluate_columns(channels, config.tau)
     coupled, lost, energy, *_ = solve_bound_states(
         channels, label=lambda i: repr(points[i // size](gamma0=g0_list[i % size])))

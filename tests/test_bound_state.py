@@ -249,6 +249,8 @@ def test_search_length_does_not_grow_with_the_coupling(gamma0):
     ModelParams(gamma0=4e307),  # K(-1e-16) lies past float range
     ModelParams(gamma0=1e10, lam=1e150),  # so does gamma0 * lam**2
     ModelParams(gamma0=1.0, omega0=1e200),  # and omega0**2
+    # the search's outer edge over the floor, lo/hi, passes float range
+    ModelParams(gamma0=1.84e-05, lam=106.1, n_atoms=1969, omega0=3.10e296),
 ])
 def test_extreme_admissible_points_raise_no_warning(params):
     with np.errstate(over="ignore"):  # K(-1e-16) = -inf is the reference here

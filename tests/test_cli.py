@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -371,15 +370,15 @@ class TestSweepCommand:
 
 def _per_row_csv(rows) -> str:
     lines = [CSV_HEADER] + [",".join([
-        repr(r.gamma0), str(r.n_atoms), repr(r.theta), repr(r.ratio),
-        repr(r.nonmarkov), "" if r.bound_energy is None else repr(r.bound_energy),
-        r.status]) for r in rows]
+        repr(g0), str(n), repr(theta), repr(ratio), repr(backflow),
+        "" if bound is None else repr(bound), status])
+        for g0, n, theta, ratio, backflow, bound, status in rows]
     return "\n".join(lines) + "\n"
 
 
 def _per_row_json(rows, config: dict) -> str:
     payload = {"schema": 1, "config": config,
-               "rows": [dataclasses.asdict(r) for r in rows]}
+               "rows": [dict(zip(CSV_HEADER.split(","), r)) for r in rows]}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -396,7 +395,7 @@ class TestSweepWriters:
                                           kind=config.kind), config.tau)
                 for n in config.n_atoms_list for theta in config.theta_list
                 for g0 in config.gamma0_values().tolist()]
-        assert {r.status for r in rows} == {"stationary", "bound-underflow", "normal"}
+        assert {r[-1] for r in rows} == {"stationary", "bound-underflow", "normal"}
         table = run_sweep(config)
         assert _rows_csv(table) == _per_row_csv(rows)
         echo = {"figure": 0, "lam": config.lam}

@@ -1,9 +1,20 @@
-"""The README's code examples run and print what the README says."""
+"""The README's code examples run and print what the README says, and
+every library name it writes in backticks exists."""
 
+import builtins
+import cmath
 import contextlib
+import importlib
+import inspect
 import io
+import math
 import pathlib
+import pkgutil
 import re
+
+import numpy as np
+
+import qspeedup
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +32,76 @@ def test_library_example_prints_the_documented_energy():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines()[0] == documented
+
+
+# a README span ending in one of these names a file, not a library attribute
+FILE_SUFFIXES = {"csv", "json", "md", "py", "svg", "toml"}
+
+
+def library_namespace() -> tuple[dict, set]:
+    """The heads a dotted README name may start from (the package, its
+    modules and classes, math, cmath and numpy) and the flat set of every
+    name those and the builtins define, class attributes and dataclass
+    fields included."""
+    heads = {"qspeedup": qspeedup, "math": math, "cmath": cmath, "numpy": np, "np": np}
+    for info in pkgutil.iter_modules(qspeedup.__path__):
+        module = importlib.import_module(f"qspeedup.{info.name}")
+        heads[info.name] = module
+        heads.update((name, value) for name, value in vars(module).items()
+                     if inspect.isclass(value) and value.__module__ == module.__name__)
+    names = set(heads) | set(dir(builtins)) | set(dir(np.ndarray))
+    for value in list(heads.values()):
+        names.update(dir(value), getattr(value, "__dataclass_fields__", ()))
+    return heads, names
+
+
+def resolves(chain: str, heads: dict) -> bool:
+    """module.name or Class.attribute, looked up one dot at a time."""
+    head, *rest = chain.split(".")
+    if head not in heads:
+        return False
+    value = heads[head]
+    for part in rest:
+        if part in getattr(value, "__dataclass_fields__", ()):
+            return True  # a field holds no class attribute to descend into
+        if not hasattr(value, part):
+            return False
+        value = getattr(value, part)
+    return True
+
+
+def unknown_readme_names(text: str) -> list[str]:
+    """Backticked names in text that no library name, builtin, math, cmath
+    or numpy name matches: every dotted name (module.name,
+    Class.attribute), every name called as name( or written in CamelCase,
+    and every span that is one snake_case name (test names excepted)."""
+    heads, names = library_namespace()
+    unknown = []
+    for span in re.findall(r"(?<!`)`([^`\n]+)`(?!`)", text):
+        whole = re.fullmatch(r"[A-Za-z_]\w*", span)
+        for match in re.finditer(r"(?<![\w.\-/])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*(\()?",
+                                 span):
+            chain = match.group(0).rstrip("(")
+            if "." in chain:
+                if not (chain.rsplit(".", 1)[1] in FILE_SUFFIXES or resolves(chain, heads)):
+                    unknown.append(chain)
+            elif (match.group(1) or re.fullmatch(r"[A-Z]\w*[a-z]\w*", chain)
+                  or (whole and "_" in chain and not chain.startswith("test_"))):
+                if chain not in names:
+                    unknown.append(chain)
+    return unknown
+
+
+def test_unknown_name_reader_sees_every_token_form():
+    text = ("`SweepRow` `SweepTable.rows()` `propagate_two_level(t, a, params)` "
+            "`qsl_three_level` `measures.gone` `fig2.csv` `test_04_x` `gamma0` "
+            "`ModelParams` `ChannelColumns.of([params])` `math.expm1` `len(table)` "
+            "`tolist()` `spectral.ReservoirIntegral.unit` `SweepTable.ratio` "
+            "`n_atoms_list` `--lambda 1e-310`")
+    assert unknown_readme_names(text) == ["SweepRow", "SweepTable.rows",
+                                          "propagate_two_level", "qsl_three_level",
+                                          "measures.gone"]
+
+
+def test_readme_names_only_existing_library_names():
+    assert unknown_readme_names(README.read_text(encoding="utf-8")) == []

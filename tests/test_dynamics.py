@@ -12,7 +12,7 @@ from qspeedup.dynamics import (ChannelColumns, DensityMatrix, ROOT_HALF, alpha1,
                                amplitude, amplitude_rate, density_matrix,
                                density_trajectory, excited_population, g_factor,
                                g_factor_dt, nu1, population_rate, principal_sqrt,
-                               propagate_three_level, propagate_two_level, trajectory)
+                               trajectory)
 from qspeedup.spectral import AtomKind, ModelParams
 
 TWO = ModelParams(gamma0=1.0, n_atoms=3)
@@ -88,7 +88,7 @@ class TestEnvelope:
         assert abs(g_factor(t, d, lam)) <= 1.0 + 1e-9
 
 
-class TestPropagatorParams:
+class TestChannelConstants:
     def test_principal_branch(self):
         assert principal_sqrt(4.0) == 2.0 + 0.0j
         assert principal_sqrt(-4.0) == 2.0j
@@ -129,8 +129,8 @@ class TestPropagatorParams:
                             for p in points]
         # one curve per kind: every gamma0 at the first point's lam, N, theta
         curves = []
-        for first, c, levels in ((points[0], 1.0 + points[0].theta, 2),
-                                 (two_level_points[0], 1.0, 1)):
+        for first, c in ((points[0], 1.0 + points[0].theta),
+                         (two_level_points[0], 1.0)):
             curve = []
             for g0 in gamma0.tolist():
                 try:
@@ -139,7 +139,7 @@ class TestPropagatorParams:
                                              kind=first.kind))
                 except ValueError:  # channel constant past float range
                     pass
-            curves.append((curve, (first.lam, 1.0, first.n_atoms, c, levels)))
+            curves.append((curve, (first.lam, 1.0, first.n_atoms, c)))
 
         def bits(values):
             return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
@@ -282,55 +282,6 @@ def test_one_point_calls_equal_their_batch_rows(kind, n, theta, gamma0, lam, tau
     assert _bits(traj.population_rate) == _bits(population_rate(times, params))
     assert (traj.amplitude.dtype, traj.population.dtype, traj.population_rate.dtype) == (
         np.dtype(complex), np.dtype(float), np.dtype(float))
-
-
-class TestGeneralPropagation:
-    def test_symmetric_initials_reduce_to_alpha1(self):
-        init = np.zeros(3, complex)
-        init[0] = 1.0
-        amps = propagate_two_level(1.3, init, TWO)
-        assert amps[0] == pytest.approx(alpha1(1.3, TWO), abs=1e-15)
-        # the other emitters pick up equal shares
-        assert amps[1] == amps[2] == pytest.approx((g_factor(
-            1.3, ChannelColumns.of([TWO]).d[0], 2.0) - 1.0) / 3, abs=1e-15)
-
-    def test_collective_sum_follows_envelope(self):
-        rng = np.random.default_rng(5)
-        init = rng.normal(size=3) + 1j * rng.normal(size=3)
-        amps = propagate_two_level(2.1, init, TWO)
-        d = ChannelColumns.of([TWO]).d[0]
-        assert amps.sum() == pytest.approx(g_factor(2.1, d, 2.0) * init.sum(), abs=1e-12)
-
-    def test_dark_states_are_frozen(self):
-        init = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
-        amps = propagate_two_level(4.0, init.astype(complex), TWO)
-        assert np.abs(amps - init).max() < 1e-15
-
-    def test_three_level_standard_initial_matches_nu1(self):
-        a0 = np.zeros(3, complex)
-        b0 = np.zeros(3, complex)
-        a0[0] = b0[0] = ROOT_HALF
-        amps_a, amps_b = propagate_three_level(1.7, a0, b0, VEE)
-        assert amps_a[0] == pytest.approx(nu1(1.7, VEE), abs=1e-15)
-        assert amps_b[0] == pytest.approx(nu1(1.7, VEE), abs=1e-15)
-
-    def test_antialigned_transition_rides_minus_channel(self):
-        vee1 = ModelParams(gamma0=1.0, n_atoms=1, theta=0.4,
-                           kind=AtomKind.THREE_LEVEL_V)
-        a0 = np.array([ROOT_HALF + 0j])
-        b0 = np.array([-ROOT_HALF + 0j])
-        amps_a, amps_b = propagate_three_level(2.2, a0, b0, vee1)
-        # the minus channel has c = 1 - theta
-        d_minus = principal_sqrt(dynamics.channel_discriminant(1.0, 2.0, 1.0, 1.0 - 0.4))
-        expected = ROOT_HALF * g_factor(2.2, d_minus, 2.0)
-        assert amps_a[0] == pytest.approx(expected, abs=1e-14)
-        assert amps_b[0] == pytest.approx(-expected, abs=1e-14)
-
-    def test_shape_guards(self):
-        with pytest.raises(ValueError):
-            propagate_two_level(1.0, np.ones(2, complex), TWO)
-        with pytest.raises(ValueError):
-            propagate_three_level(1.0, np.ones(3, complex), np.ones(2, complex), VEE)
 
 
 class TestTrajectory:

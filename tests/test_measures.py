@@ -11,9 +11,8 @@ from qspeedup.dynamics import (ChannelColumns, DensityMatrix, alpha1,
                                population_rate, trajectory)
 from qspeedup.measures import (GenericQslResult, ReportStatus, bures_angle,
                                evaluate_point, evaluate_points, nonmarkov,
-                               nonmarkov_three_level, nonmarkov_two_level,
-                               qsl_generic, qsl_three_level, qsl_time,
-                               qsl_two_level, schatten_norm, trace_distance)
+                               qsl_generic, qsl_time, qsl_two_level,
+                               schatten_norm, trace_distance)
 from qspeedup.spectral import AtomKind, ModelParams
 
 TWO = ModelParams(gamma0=1.0, n_atoms=3)
@@ -132,7 +131,7 @@ class TestMonotoneSegments:
 
 class TestFunctionals:
     def test_backflow_closed_form_value(self):
-        assert nonmarkov_two_level(RESONANT, 5.0) == pytest.approx(
+        assert nonmarkov(RESONANT, 5.0) == pytest.approx(
             math.exp(-2 * math.pi), abs=1e-10)
 
     def test_monotone_regime_is_exact(self):
@@ -167,13 +166,11 @@ class TestFunctionals:
     def test_flat_v_backflow_matches_two_level(self):
         flat = ModelParams(gamma0=2.0, n_atoms=3, kind=AtomKind.THREE_LEVEL_V)
         two = ModelParams(gamma0=2.0, n_atoms=3)
-        assert nonmarkov_three_level(flat, 5.0) == pytest.approx(
-            nonmarkov_two_level(two, 5.0), abs=1e-10)
-        assert qsl_three_level(flat, 5.0) == pytest.approx(
-            qsl_two_level(two, 5.0), abs=1e-10)
+        assert nonmarkov(flat, 5.0) == pytest.approx(nonmarkov(two, 5.0), abs=1e-10)
+        assert qsl_time(flat, 5.0) == pytest.approx(qsl_two_level(two, 5.0), abs=1e-10)
 
     def test_backflow_grows_with_the_window(self):
-        values = [nonmarkov_two_level(RESONANT, tau) for tau in (2.5, 5.0, 10.0)]
+        values = [nonmarkov(RESONANT, tau) for tau in (2.5, 5.0, 10.0)]
         assert values[0] < values[1] < values[2]
         # windows past the last rate zero pick up whole e**(-2 pi k) rises
         assert values[2] == pytest.approx(
@@ -256,14 +253,8 @@ class TestFunctionals:
             evaluate_points([TWO, bad], 5.0)
 
     def test_kind_guards(self):
-        with pytest.raises(ValueError):
-            nonmarkov_two_level(VEE, 5.0)
-        with pytest.raises(ValueError):
-            nonmarkov_three_level(TWO, 5.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="two-level"):
             qsl_two_level(VEE, 5.0)
-        with pytest.raises(ValueError):
-            qsl_three_level(TWO, 5.0)
 
     @pytest.mark.parametrize("params", [TWO, VEE, RESONANT])
     def test_kind_aware_measures(self, params):
@@ -272,10 +263,6 @@ class TestFunctionals:
         assert nonmarkov(params, 5.0) == report.nonmarkov
         if params.kind is AtomKind.TWO_LEVEL:
             assert qsl_two_level(params, 5.0) == report.tau_qsl
-            assert nonmarkov_two_level(params, 5.0) == report.nonmarkov
-        else:
-            assert qsl_three_level(params, 5.0) == report.tau_qsl
-            assert nonmarkov_three_level(params, 5.0) == report.nonmarkov
 
     def test_batch_rows_equal_single_points(self):
         points = [TWO, VEE, RESONANT, ModelParams(gamma0=0.0, n_atoms=2),

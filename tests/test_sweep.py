@@ -11,15 +11,16 @@ from qspeedup.measures import evaluate_point
 from qspeedup.spectral import AtomKind, ModelParams
 from qspeedup.svg import render_figure
 from qspeedup.sweep import (FigurePreset, NoTransitionError, OnsetCriterion,
-                            SweepConfig, SweepRow, figure_preset,
+                            SweepConfig, figure_preset,
                             find_critical_coupling, run_sweep)
 
 SMALL = SweepConfig(kind=AtomKind.TWO_LEVEL, n_atoms_list=(1, 3),
                     gamma0_grid=(0.0, 2.0, 11))
 
 
-def per_point_row(params: ModelParams, tau: float) -> SweepRow:
-    """The row of one point from the public one-point calls."""
+def per_point_row(params: ModelParams, tau: float) -> tuple:
+    """The row of one point from the public one-point calls: (gamma0,
+    n_atoms, theta, ratio, nonmarkov, bound_energy, status)."""
     report = evaluate_point(params, tau)
     try:
         state = find_bound_state(params)
@@ -28,8 +29,16 @@ def per_point_row(params: ModelParams, tau: float) -> SweepRow:
     else:
         bound = state.energy if state.exists else None
         status = report.status.value
-    return SweepRow(params.gamma0, params.n_atoms, params.theta, report.ratio,
-                    report.nonmarkov, bound, status)
+    return (params.gamma0, params.n_atoms, params.theta, report.ratio,
+            report.nonmarkov, bound, status)
+
+
+def table_rows(table) -> list[tuple]:
+    """The grid points of a SweepTable as per_point_row tuples, zipped from
+    its columns in curve-major order."""
+    keys = ((g0, n, theta) for n, theta in table.curves for g0 in table.gamma0)
+    values = zip(table.ratio, table.nonmarkov, table.bound_energy, table.status)
+    return [(*key, *value) for key, value in zip(keys, values)]
 
 
 @st.composite
@@ -82,26 +91,25 @@ class TestSweepConfig:
 
 class TestRunSweep:
     def test_row_order_and_statuses(self):
-        rows = list(run_sweep(SMALL).rows())
-        assert len(rows) == 22
-        assert [r.n_atoms for r in rows] == [1] * 11 + [3] * 11
-        assert [r.gamma0 for r in rows[:3]] == [0.0, 0.2, 0.4]
-        assert rows[0].status == "stationary"
-        assert rows[0].bound_energy is None and rows[0].ratio == 1.0
+        table = run_sweep(SMALL)
+        rows = table_rows(table)
+        assert len(table) == len(rows) == 22
+        assert [n for _, n, *_ in rows] == [1] * 11 + [3] * 11
+        assert [g0 for g0, *_ in rows[:3]] == [0.0, 0.2, 0.4]
+        (_, _, _, ratio, _, bound, status), underflow, strong = rows[0], rows[1], rows[10]
+        assert status == "stationary" and bound is None and ratio == 1.0
         # gamma0 = 0.2 at N = 1 underflows the bound-state probe floor
-        assert rows[1].status == "bound-underflow" and rows[1].bound_energy == 0.0
-        assert rows[10].status == "normal" and rows[10].bound_energy < 0
+        assert underflow[5:] == (0.0, "bound-underflow")
+        assert strong[6] == "normal" and strong[5] < 0
 
     def test_rows_match_direct_evaluation(self):
-        rows = run_sweep(SMALL).rows()
-        for row in rows:
-            params = ModelParams(gamma0=row.gamma0, n_atoms=row.n_atoms,
-                                 theta=row.theta)
+        for g0, n, theta, ratio, backflow, bound, status in table_rows(run_sweep(SMALL)):
+            params = ModelParams(gamma0=g0, n_atoms=n, theta=theta)
             report = evaluate_point(params, SMALL.tau)
-            assert row.ratio == report.ratio
-            assert row.nonmarkov == report.nonmarkov
-            if row.status == "normal" and row.gamma0 > 0:
-                assert row.bound_energy == find_bound_state(params).energy
+            assert ratio == report.ratio
+            assert backflow == report.nonmarkov
+            if status == "normal" and g0 > 0:
+                assert bound == find_bound_state(params).energy
 
     @pytest.mark.parametrize("config", [
         SweepConfig(kind=AtomKind.TWO_LEVEL, n_atoms_list=(1, 2, 30),
@@ -113,29 +121,28 @@ class TestRunSweep:
                     theta_list=(1.0,), gamma0_grid=(0.0, 1.0, 11)),
     ])
     def test_rows_match_per_point_public_api(self, config):
-        rows = list(run_sweep(config).rows())
+        rows = table_rows(run_sweep(config))
         points = [ModelParams(gamma0=float(g0), lam=config.lam, n_atoms=n,
                               theta=theta, omega0=config.omega0, kind=config.kind)
                   for n in config.n_atoms_list for theta in config.theta_list
                   for g0 in config.gamma0_values()]
         assert len(rows) == len(points)
-        for row, params in zip(rows, points):
-            assert (row.gamma0, row.n_atoms, row.theta) == (
-                params.gamma0, params.n_atoms, params.theta)
+        for (g0, n, theta, ratio, backflow, bound, status), params in zip(rows, points):
+            assert (g0, n, theta) == (params.gamma0, params.n_atoms, params.theta)
             report = evaluate_point(params, config.tau)
-            assert row.ratio == report.ratio
-            assert row.nonmarkov == report.nonmarkov
+            assert ratio == report.ratio
+            assert backflow == report.nonmarkov
             try:
                 state = find_bound_state(params)
             except BracketFailureError:
-                assert (row.status, row.bound_energy) == ("bound-underflow", 0.0)
+                assert (status, bound) == ("bound-underflow", 0.0)
                 continue
-            assert row.status == report.status.value
-            assert row.bound_energy == (state.energy if state.exists else None)
+            assert status == report.status.value
+            assert bound == (state.energy if state.exists else None)
         # the grid reaches every status, windows of many envelope periods,
         # and single emitters whose first turning point, the amplitude zero
         # 2 (pi - atan(|d|/lam))/|d|, lies inside the window
-        assert {r.status for r in rows} == {"stationary", "bound-underflow", "normal"}
+        assert {r[-1] for r in rows} == {"stationary", "bound-underflow", "normal"}
         omega = ChannelColumns.of(points).d.imag
         single = np.array([p.n_atoms == 1 for p in points]) & (omega > 0.0)
         first_zero = 2.0 * (math.pi - np.arctan(omega[single] / config.lam)) / omega[single]
@@ -150,7 +157,7 @@ class TestRunSweep:
                          lam=0.7, omega0=2.0, tau=200.0))
     @given(sweep_configs())
     def test_rows_equal_the_one_point_calls(self, config):
-        rows = run_sweep(config).rows()
+        rows = table_rows(run_sweep(config))
         points = [ModelParams(gamma0=g0, lam=config.lam, n_atoms=n, theta=theta,
                               omega0=config.omega0, kind=config.kind)
                   for n in config.n_atoms_list for theta in config.theta_list
@@ -160,7 +167,7 @@ class TestRunSweep:
 
     def test_grid_points_build_no_objects(self, monkeypatch):
         built = {cls: 0 for cls in (spectral.ModelParams, measures.SpeedupReport,
-                                    bound_state.BoundStateResult, SweepRow)}
+                                    bound_state.BoundStateResult)}
         for cls in built:
             def counting(self, *args, __init__=cls.__init__, cls=cls, **kwargs):
                 built[cls] += 1
@@ -187,7 +194,7 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="channel constant"):
             run_sweep(config)
 
-    def test_deterministic_across_cache_resets(self):
+    def test_deterministic_across_calls(self):
         first = run_sweep(SMALL)
         second = run_sweep(SMALL)
         assert first == second
@@ -195,8 +202,8 @@ class TestRunSweep:
     def test_theta_grid_multiplies_rows(self):
         config = SweepConfig(kind=AtomKind.THREE_LEVEL_V, n_atoms_list=(2,),
                              theta_list=(0.0, 1.0), gamma0_grid=(0.0, 2.0, 3))
-        rows = run_sweep(config).rows()
-        assert [(r.n_atoms, r.theta, r.gamma0) for r in rows] == [
+        rows = table_rows(run_sweep(config))
+        assert [(n, theta, g0) for g0, n, theta, *_ in rows] == [
             (2, 0.0, 0.0), (2, 0.0, 1.0), (2, 0.0, 2.0),
             (2, 1.0, 0.0), (2, 1.0, 1.0), (2, 1.0, 2.0)]
 
