@@ -9,7 +9,7 @@ from .dynamics import (DensityMatrix, Trajectory, alpha1, density_matrix,
                        g_factor_dt, nu1, population_rate, trajectory)
 from .measures import (GenericQslResult, ReportStatus, SpeedupReport, bures_angle,
                        evaluate_point, evaluate_points, nonmarkov, qsl_generic,
-                       qsl_time, qsl_two_level, schatten_norm, trace_distance)
+                       qsl_time, qsl_two_level, schatten_norm)
 from .oracle import KernelSpec, StepSizeError, integrate_kernel_ode, solve_collective
 from .spectral import (AtomKind, ModelParams, lorentzian_j, reservoir_integral,
                        reservoir_integral_quad, total_spectral_weight)
@@ -30,6 +30,5 @@ __all__ = [
     "integrate_kernel_ode", "kernel_k", "lorentzian_j", "nonmarkov", "nu1",
     "population_rate", "qsl_generic", "qsl_time", "qsl_two_level",
     "reservoir_integral", "reservoir_integral_quad", "run_sweep",
-    "schatten_norm", "solve_collective", "total_spectral_weight",
-    "trace_distance", "trajectory",
+    "schatten_norm", "solve_collective", "total_spectral_weight", "trajectory",
 ]

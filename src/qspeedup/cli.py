@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .bound_state import BisectionStallError, BracketFailureError, find_bound_state
 from .checks import run_checks
@@ -50,27 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation, as parse_args() reads it."""
-
-    command: str
-    kind: AtomKind = AtomKind.TWO_LEVEL
-    n_atoms: int = 1
-    theta: float = 0.0
-    gamma0: float = 1.0
-    lam: float = 2.0
-    omega0: float = 1.0
-    tau: float = 5.0
-    steps: int = 4096
-    figure: int | None = None
-    output: str | None = None
-    fmt: str = "csv"
-    svg: str | None = None
-    force: bool = False
-    quick: bool = False
-
-
 def _add_model_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--kind", choices=[k.value for k in AtomKind],
                     default=AtomKind.TWO_LEVEL.value, help="emitter kind")
@@ -93,47 +71,9 @@ def _add_output_flags(sp: argparse.ArgumentParser) -> None:
                     help="overwrite an existing output file")
 
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="qspeedup",
-                description="Collective decay in a shared Lorentzian reservoir")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("bound-state", help="solve K(E) = E")
-    _add_model_flags(sp)
-
-    sp = sub.add_parser("dynamics", help="sample a trajectory")
-    _add_model_flags(sp)
-    sp.add_argument("--tau", type=float, default=5.0, help="time window")
-    sp.add_argument("--steps", type=int, default=4096, help="grid steps")
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("qsl", help="speed-limit report")
-    _add_model_flags(sp)
-    sp.add_argument("--tau", type=float, default=5.0, help="time window")
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("sweep", help="regenerate a survey grid")
-    sp.add_argument("--figure", type=int, choices=(2, 3, 4, 5), required=True)
-    _add_output_flags(sp)
-    sp.add_argument("--svg", default=None, help="also draw the panels to this path")
-
-    sp = sub.add_parser("validate", help="run the consistency checks")
-    sp.add_argument("--quick", action="store_true", help="reduced grids, < 5 s")
-    return p
-
-
-def parse_args(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    fields = {k: v for k, v in vars(ns).items() if v is not None or k in
-              ("figure", "output", "svg")}
-    if "kind" in fields:
-        fields["kind"] = AtomKind(fields["kind"])
-    return RunConfig(**fields)
-
-
-def _build_params(cfg: RunConfig) -> ModelParams:
-    return ModelParams(gamma0=cfg.gamma0, lam=cfg.lam, n_atoms=cfg.n_atoms,
-                       theta=cfg.theta, omega0=cfg.omega0, kind=cfg.kind)
+def _build_params(args: argparse.Namespace) -> ModelParams:
+    return ModelParams(gamma0=args.gamma0, lam=args.lam, n_atoms=args.n_atoms,
+                       theta=args.theta, omega0=args.omega0, kind=AtomKind(args.kind))
 
 
 def _write_text(path: str, text: str, force: bool) -> None:
@@ -156,27 +96,20 @@ def _write_text(path: str, text: str, force: bool) -> None:
         raise
 
 
-def _config_echo(cfg: RunConfig, preset: FigurePreset | None = None) -> dict:
-    if preset is not None:
-        sc = preset.config
-        return {
-            "figure": preset.figure,
-            "kind": sc.kind.value,
-            "n_atoms_list": list(sc.n_atoms_list),
-            "theta_list": list(sc.theta_list),
-            "gamma0_grid": list(sc.gamma0_grid),
-            "lam": sc.lam,
-            "omega0": sc.omega0,
-            "tau": sc.tau,
-        }
+def _write_json(path: str, force: bool, config: dict, **body) -> None:
+    payload = {"schema": 1, "config": config, **body}
+    _write_text(path, json.dumps(payload, indent=2) + "\n", force)
+
+
+def _config_echo(args: argparse.Namespace) -> dict:
     return {
-        "kind": cfg.kind.value,
-        "n_atoms": cfg.n_atoms,
-        "theta": cfg.theta,
-        "gamma0": cfg.gamma0,
-        "lam": cfg.lam,
-        "omega0": cfg.omega0,
-        "tau": cfg.tau,
+        "kind": args.kind,
+        "n_atoms": args.n_atoms,
+        "theta": args.theta,
+        "gamma0": args.gamma0,
+        "lam": args.lam,
+        "omega0": args.omega0,
+        "tau": args.tau,
     }
 
 
@@ -191,7 +124,7 @@ def _rows_csv(table: SweepTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows_json(table: SweepTable, config: dict) -> str:
+def _rows_json(table: SweepTable) -> list[dict]:
     rows = []
     for n, theta, *values in table.curve_columns():
         rows += [{
@@ -203,8 +136,7 @@ def _rows_json(table: SweepTable, config: dict) -> str:
             "bound_energy": b,
             "status": s,
         } for g, r, m, b, s in zip(table.gamma0, *values)]
-    payload = {"schema": 1, "config": config, "rows": rows}
-    return json.dumps(payload, indent=2) + "\n"
+    return rows
 
 
 def _sweep_panels(table: SweepTable, preset: FigurePreset) -> list[Panel]:
@@ -235,9 +167,8 @@ def _sweep_panels(table: SweepTable, preset: FigurePreset) -> list[Panel]:
     return panels
 
 
-def cmd_bound_state(cfg: RunConfig) -> int:
-    params = _build_params(cfg)
-    result = find_bound_state(params)
+def cmd_bound_state(args: argparse.Namespace) -> int:
+    result = find_bound_state(_build_params(args))
     if not result.exists:
         print("no bound state (zero coupling)")
         return EXIT_OK
@@ -248,10 +179,9 @@ def cmd_bound_state(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_dynamics(cfg: RunConfig) -> int:
-    params = _build_params(cfg)
-    traj = trajectory(params, cfg.tau, cfg.steps)
-    if cfg.output is None:
+def cmd_dynamics(args: argparse.Namespace) -> int:
+    traj = trajectory(_build_params(args), args.tau, args.steps)
+    if args.output is None:
         print(f"grid points      = {len(traj)}")
         print(f"final population = {traj.population[-1]:.12g}")
         print(f"min population   = {traj.population.min():.12g}")
@@ -259,25 +189,22 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     # plain floats (tolist), so !r is their shortest round-trip decimal
     samples = list(zip(traj.times.tolist(), traj.amplitude.tolist(),
                        traj.population.tolist(), traj.population_rate.tolist()))
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         lines = ["t,amplitude_re,amplitude_im,population,population_rate"]
         lines += [f"{t!r},{a.real!r},{a.imag!r},{p!r},{r!r}" for t, a, p, r in samples]
-        _write_text(cfg.output, "\n".join(lines) + "\n", cfg.force)
+        _write_text(args.output, "\n".join(lines) + "\n", args.force)
     else:
-        payload = {
-            "schema": 1,
-            "config": _config_echo(cfg) | {"steps": cfg.steps},
-            "rows": [{"t": t, "amplitude_re": a.real, "amplitude_im": a.imag,
-                      "population": p, "population_rate": r} for t, a, p, r in samples],
-        }
-        _write_text(cfg.output, json.dumps(payload, indent=2) + "\n", cfg.force)
-    print(f"wrote {len(traj)} samples to {cfg.output}")
+        _write_json(args.output, args.force, _config_echo(args) | {"steps": args.steps},
+                    rows=[{"t": t, "amplitude_re": a.real, "amplitude_im": a.imag,
+                           "population": p, "population_rate": r}
+                          for t, a, p, r in samples])
+    print(f"wrote {len(traj)} samples to {args.output}")
     return EXIT_OK
 
 
-def cmd_qsl(cfg: RunConfig) -> int:
-    params = _build_params(cfg)
-    report = evaluate_point(params, cfg.tau)
+def cmd_qsl(args: argparse.Namespace) -> int:
+    params = _build_params(args)
+    point = evaluate_point(params, args.tau)
     bound_note = None
     bound = None
     try:
@@ -285,52 +212,55 @@ def cmd_qsl(cfg: RunConfig) -> int:
         bound = state.energy if state.exists else None
     except BracketFailureError as exc:
         bound_note = str(exc)
-    print(f"tau              = {report.tau:.12g}")
-    print(f"tau_qsl          = {report.tau_qsl:.12g}")
-    print(f"ratio            = {report.ratio:.12g}")
-    print(f"nonmarkov        = {report.nonmarkov:.12g}")
-    print(f"final_population = {report.final_population:.12g}")
-    print(f"bound_energy     = "
-          + ("none" if bound is None else f"{bound:.12g}"))
-    print(f"status           = {report.status.value}")
+    report = {
+        "tau": point.tau,
+        "tau_qsl": point.tau_qsl,
+        "ratio": point.ratio,
+        "nonmarkov": point.nonmarkov,
+        "final_population": point.final_population,
+        "bound_energy": bound,
+        "status": point.status.value,
+    }
+    for key, value in report.items():
+        text = ("none" if value is None else value if isinstance(value, str)
+                else f"{value:.12g}")
+        print(f"{key:<16} = {text}")
     if bound_note:
         print(f"note: {bound_note}")
-    if cfg.output is not None:
-        payload = {
-            "schema": 1,
-            "config": _config_echo(cfg),
-            "report": {
-                "tau": report.tau,
-                "tau_qsl": report.tau_qsl,
-                "ratio": report.ratio,
-                "nonmarkov": report.nonmarkov,
-                "final_population": report.final_population,
-                "bound_energy": bound,
-                "status": report.status.value,
-            },
-        }
-        _write_text(cfg.output, json.dumps(payload, indent=2) + "\n", cfg.force)
-        print(f"wrote report to {cfg.output}")
+    if args.output is not None:
+        _write_json(args.output, args.force, _config_echo(args), report=report)
+        print(f"wrote report to {args.output}")
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    preset = figure_preset(cfg.figure)
-    table = run_sweep(preset.config)
-    out = cfg.output or f"fig{cfg.figure}.{cfg.fmt}"
-    if cfg.fmt == "csv":
-        _write_text(out, _rows_csv(table), cfg.force)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    preset = figure_preset(args.figure)
+    sc = preset.config
+    table = run_sweep(sc)
+    out = args.output or f"fig{args.figure}.{args.fmt}"
+    if args.fmt == "csv":
+        _write_text(out, _rows_csv(table), args.force)
     else:
-        _write_text(out, _rows_json(table, _config_echo(cfg, preset)), cfg.force)
+        config = {
+            "figure": preset.figure,
+            "kind": sc.kind.value,
+            "n_atoms_list": list(sc.n_atoms_list),
+            "theta_list": list(sc.theta_list),
+            "gamma0_grid": list(sc.gamma0_grid),
+            "lam": sc.lam,
+            "omega0": sc.omega0,
+            "tau": sc.tau,
+        }
+        _write_json(out, args.force, config, rows=_rows_json(table))
     print(f"wrote {len(table)} rows to {out}")
-    if cfg.svg:
-        _write_text(cfg.svg, render_figure(_sweep_panels(table, preset)), cfg.force)
-        print(f"wrote panels to {cfg.svg}")
+    if args.svg:
+        _write_text(args.svg, render_figure(_sweep_panels(table, preset)), args.force)
+        print(f"wrote panels to {args.svg}")
     return EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    results = run_checks(quick=cfg.quick)
+def cmd_validate(args: argparse.Namespace) -> int:
+    results = run_checks(quick=args.quick)
     width = max(len(r.name) for r in results)
     for r in results:
         verdict = "PASS" if r.passed else "FAIL"
@@ -344,25 +274,54 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "bound-state": cmd_bound_state,
-    "dynamics": cmd_dynamics,
-    "qsl": cmd_qsl,
-    "sweep": cmd_sweep,
-    "validate": cmd_validate,
-}
+def _build_parser() -> _Parser:
+    p = _Parser(prog="qspeedup",
+                description="Collective decay in a shared Lorentzian reservoir")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("bound-state", help="solve K(E) = E")
+    _add_model_flags(sp)
+    sp.set_defaults(run=cmd_bound_state)
+
+    sp = sub.add_parser("dynamics", help="sample a trajectory")
+    _add_model_flags(sp)
+    sp.add_argument("--tau", type=float, default=5.0, help="time window")
+    sp.add_argument("--steps", type=int, default=4096, help="grid steps")
+    _add_output_flags(sp)
+    sp.set_defaults(run=cmd_dynamics)
+
+    sp = sub.add_parser("qsl", help="speed-limit report")
+    _add_model_flags(sp)
+    sp.add_argument("--tau", type=float, default=5.0, help="time window")
+    _add_output_flags(sp)
+    sp.set_defaults(run=cmd_qsl)
+
+    sp = sub.add_parser("sweep", help="regenerate a survey grid")
+    sp.add_argument("--figure", type=int, choices=(2, 3, 4, 5), required=True)
+    _add_output_flags(sp)
+    sp.add_argument("--svg", default=None, help="also draw the panels to this path")
+    sp.set_defaults(run=cmd_sweep)
+
+    sp = sub.add_parser("validate", help="run the consistency checks")
+    sp.add_argument("--quick", action="store_true", help="reduced grids, < 5 s")
+    sp.set_defaults(run=cmd_validate)
+    return p
+
+
+# built once: argparse parsers are reusable, and building one costs ~2 ms
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_args(sys.argv[1:] if argv is None else list(argv))
+        args = _PARSER.parse_args(argv)  # None reads sys.argv[1:]
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return args.run(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -51,7 +51,6 @@ class SpeedupReport:
     nonmarkov: float
     final_population: float
     status: ReportStatus
-    bound_energy: float | None = None
 
 
 @dataclass(frozen=True)
@@ -82,14 +81,6 @@ def schatten_norm(matrix, order) -> float:
     if order == math.inf:
         return float(sv[0])
     raise ValueError("order must be 1, 2 or inf")
-
-
-def trace_distance(a, b) -> float:
-    """Half the trace norm of the difference of two states."""
-    ma, mb = _entries(a), _entries(b)
-    if ma.shape != mb.shape:
-        raise ValueError("states must have equal dimension")
-    return 0.5 * schatten_norm(ma - mb, 1)
 
 
 def bures_angle(initial, target) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -6,10 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from qspeedup import bound_state, dynamics
+from qspeedup import bound_state, cli, dynamics
 from qspeedup.bound_state import find_bound_state
-from qspeedup.cli import (CSV_HEADER, EXIT_NUMERICAL, RunConfig, _rows_csv, _rows_json,
-                          main, parse_args)
+from qspeedup.cli import CSV_HEADER, EXIT_NUMERICAL, _rows_csv, _rows_json, _write_json, main
 from qspeedup.dynamics import excited_population
 from qspeedup.measures import evaluate_point
 from qspeedup.spectral import AtomKind, ModelParams
@@ -92,31 +92,47 @@ class TestArgvHandling:
     def test_unknown_command_is_a_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["bound-state", "--gamma0", "2", "--lambda", "2"]) == 0
+        assert main(["validate", "--bogus"]) == 1
+        assert built == []
+
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
         assert "bound-state" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("argv,cfg", [
+    @pytest.mark.parametrize("argv,fields", [
         (["bound-state", "--kind", "three-level-v", "--n", "4", "--theta", "0.3",
           "--gamma0", "1.7", "--lambda", "2.5", "--omega0", "0.9"],
-         RunConfig(command="bound-state", kind=AtomKind.THREE_LEVEL_V, n_atoms=4,
-                   theta=0.3, gamma0=1.7, lam=2.5, omega0=0.9)),
+         dict(command="bound-state", run=cli.cmd_bound_state, kind="three-level-v",
+              n_atoms=4, theta=0.3, gamma0=1.7, lam=2.5, omega0=0.9)),
         (["dynamics", "--gamma0", "2.0", "--lambda", "2.0", "--tau", "7.5",
           "--steps", "8192", "--output", "traj.json", "--format", "json", "--force"],
-         RunConfig(command="dynamics", gamma0=2.0, lam=2.0, tau=7.5, steps=8192,
-                   output="traj.json", fmt="json", force=True)),
+         dict(command="dynamics", run=cli.cmd_dynamics, kind="two-level", n_atoms=1,
+              theta=0.0, gamma0=2.0, lam=2.0, omega0=1.0, tau=7.5, steps=8192,
+              output="traj.json", fmt="json", force=True)),
         (["qsl", "--n", "8", "--gamma0", "3", "--lambda", "2", "--tau", "4",
           "--output", "report.json", "--format", "json"],
-         RunConfig(command="qsl", n_atoms=8, gamma0=3.0, lam=2.0, tau=4.0,
-                   output="report.json", fmt="json")),
+         dict(command="qsl", run=cli.cmd_qsl, kind="two-level", n_atoms=8, theta=0.0,
+              gamma0=3.0, lam=2.0, omega0=1.0, tau=4.0, output="report.json",
+              fmt="json", force=False)),
         (["sweep", "--figure", "3", "--output", "rows.csv", "--svg", "rows.svg",
           "--force"],
-         RunConfig(command="sweep", figure=3, output="rows.csv", svg="rows.svg",
-                   force=True)),
-        (["validate", "--quick"], RunConfig(command="validate", quick=True)),
+         dict(command="sweep", run=cli.cmd_sweep, figure=3, output="rows.csv",
+              fmt="csv", force=True, svg="rows.svg")),
+        (["validate", "--quick"], dict(command="validate", run=cli.cmd_validate,
+                                       quick=True)),
     ], ids=["bound-state", "dynamics", "qsl", "sweep", "validate"])
-    def test_parse_args_reads_every_command(self, argv, cfg):
-        assert parse_args(argv) == cfg
+    def test_parse_args_reads_every_command(self, argv, fields):
+        assert vars(cli._PARSER.parse_args(argv)) == fields
 
 
 # Numbers as text: any float (finite, non-finite, huge or subnormal) and a
@@ -389,7 +405,7 @@ class TestSweepWriters:
         SweepConfig(kind=AtomKind.THREE_LEVEL_V, n_atoms_list=(1, 8),
                     theta_list=(0.0, 0.5, 1.0), gamma0_grid=(0.0, 2.0, 21)),
     ])
-    def test_writers_equal_a_per_row_formatter(self, config):
+    def test_writers_equal_a_per_row_formatter(self, tmp_path, config):
         rows = [per_point_row(ModelParams(gamma0=g0, lam=config.lam, n_atoms=n,
                                           theta=theta, omega0=config.omega0,
                                           kind=config.kind), config.tau)
@@ -399,7 +415,8 @@ class TestSweepWriters:
         table = run_sweep(config)
         assert _rows_csv(table) == _per_row_csv(rows)
         echo = {"figure": 0, "lam": config.lam}
-        assert _rows_json(table, echo) == _per_row_json(rows, echo)
+        _write_json(tmp_path / "rows.json", False, echo, rows=_rows_json(table))
+        assert (tmp_path / "rows.json").read_text() == _per_row_json(rows, echo)
 
 
 class TestValidateCommand:

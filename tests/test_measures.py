@@ -12,7 +12,7 @@ from qspeedup.dynamics import (ChannelColumns, DensityMatrix, alpha1,
 from qspeedup.measures import (GenericQslResult, ReportStatus, bures_angle,
                                evaluate_point, evaluate_points, nonmarkov,
                                qsl_generic, qsl_time, qsl_two_level,
-                               schatten_norm, trace_distance)
+                               schatten_norm)
 from qspeedup.spectral import AtomKind, ModelParams
 
 TWO = ModelParams(gamma0=1.0, n_atoms=3)
@@ -54,12 +54,11 @@ class TestNorms:
                                                + schatten_norm(b, p) + slack)
 
     def test_trace_distance_extremes(self):
+        # trace distance is half the trace norm of the difference
         up = np.diag([1.0, 0.0]).astype(complex)
         down = np.diag([0.0, 1.0]).astype(complex)
-        assert trace_distance(up, up) == pytest.approx(0.0, abs=1e-15)
-        assert trace_distance(up, down) == pytest.approx(1.0)
-        with pytest.raises(ValueError, match="equal dimension"):
-            trace_distance(up, np.eye(3, dtype=complex) / 3)
+        assert 0.5 * schatten_norm(up - up, 1) == pytest.approx(0.0, abs=1e-15)
+        assert 0.5 * schatten_norm(up - down, 1) == pytest.approx(1.0)
 
 
 class TestBuresAngle:

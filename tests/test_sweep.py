@@ -180,7 +180,7 @@ class TestRunSweep:
         assert len(table) == curves * config.gamma0_grid[2]
         # nor do the writers, which read the table's columns
         cli._rows_csv(table)
-        cli._rows_json(table, {})
+        cli._rows_json(table)
         render_figure(cli._sweep_panels(table, preset))
         # the ModelParams checks run at each curve's two ends only
         assert built.pop(spectral.ModelParams) <= 2 * curves
