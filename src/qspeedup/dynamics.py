@@ -8,8 +8,9 @@ where d = sqrt(lam**2 - 2*w*lam) carries the effective kernel weight w of
 the channel: w = gamma0*N for N two-level emitters and w = gamma0*N*(1 +- theta)
 for the symmetric/antisymmetric channels of V-type emitters.  d is real in
 the overdamped regime and switches to a positive imaginary value once the
-collective coupling is strong enough for the envelope to oscillate; both
-regimes are covered by evaluating the same expression over the complex d.
+collective coupling is strong enough for the envelope to oscillate.  Either
+way g is exactly real, and g_factor and g_factor_dt evaluate it in real
+arithmetic from the two parts of d, one of which is 0.
 
 One emitter starts excited and the other N - 1 start in their ground
 state as spectators.  Only the symmetric channel couples to the reservoir,
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import AtomKind, ModelParams, channel_coefficients, validate_tau
+from .spectral import (AtomKind, ModelParams, channel_coefficients, validate_steps,
+                       validate_tau)
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -57,39 +59,57 @@ def _damped_cosh_sinh(t, d, lam):
     """exp(-lam*t/2) times cosh(d*t/2) and sinh(d*t/2)/d; finite t >= 0.
 
     d and lam may be scalars or arrays broadcasting against t (one channel
-    per row of a batch).  The damping is folded into the growing
-    exponential, exp((Re d - lam)*t/2), which never exceeds 1 because
-    Re d <= lam; the rest of the hyperbolic functions is written through
-    expm1(-Re d * t).  Nothing overflows on long overdamped windows, an
-    oscillating channel (Re d = 0) stays exactly real, and the degenerate
-    channel d = 0 (critical coupling) takes the limit sinh(d*t/2)/d = t/2.
+    per row of a batch).  d = a + ib is real (b = 0, overdamped) or
+    imaginary (a = 0, oscillating), so both parts are real and are computed
+    in real arithmetic: cosh(d*t/2) = cosh(a*t/2)*cos(b*t/2) and
+    sinh(d*t/2)/d = (cosh(a*t/2)*sin(b*t/2) + sinh(a*t/2)*cos(b*t/2))/(a + b).
+    The damping is folded into the growing exponential, exp((a - lam)*t/2),
+    which never exceeds 1 because a <= lam; the rest of the hyperbolic
+    functions is written through expm1(-a*t).  Nothing overflows on long
+    overdamped windows, and the degenerate channel d = 0 (critical coupling)
+    takes the limit sinh(d*t/2)/d = t/2.  Multiplying by 1/(a + b) gives
+    the bits of numpy's complex division by d, which multiplies by that
+    reciprocal.  ValueError unless d is finite and real or imaginary.
     """
     t = np.asarray(t, dtype=float)
     if not (t.min(initial=0.0) >= 0.0 and t.max(initial=0.0) < math.inf):  # NaN fails
         raise ValueError("t must be finite and >= 0")
     d = np.asarray(d, dtype=complex)
-    grow = np.exp(0.5 * (d.real - lam) * t)
-    half_m = 0.5 * np.expm1(-d.real * t)
-    phase = 0.5 * d.imag * t
-    cos_b, sin_b = np.cos(phase), np.sin(phase)
+    a, b = d.real, d.imag
+    # checked once per channel with count_nonzero, the cheapest numpy
+    # reduction on the one-element arrays of one-point calls
+    bad = "d must be finite and either real or imaginary"
+    if np.count_nonzero(np.logical_and(a, b)):  # a NaN part counts as nonzero
+        raise ValueError(bad)
+    part = a + b  # the nonzero part of d, 0 for d = 0; not finite unless d is
+    if np.count_nonzero(np.isfinite(part)) < part.size:
+        raise ValueError(bad)
+    grow = np.exp(0.5 * (a - lam) * t)
+    half_m = 0.5 * np.expm1(-a * t)
     even, odd = grow * (1.0 + half_m), grow * half_m
-    cosh_part = even * cos_b - 1j * (odd * sin_b)
-    sinh_part = 1j * (even * sin_b) - odd * cos_b
-    if d.all():
-        return cosh_part, sinh_part / d
-    degenerate = d == 0
+    # the phase b*t/2 is 0 on overdamped rows, with cos 1.0 and sin 0.0
+    if np.count_nonzero(b):
+        cos_b, sin_b = np.cos(0.5 * b * t), np.sin(0.5 * b * t)
+    else:
+        cos_b, sin_b = 1.0, 0.0
+    cosh_part = even * cos_b
+    sinh_part = even * sin_b - odd * cos_b
+    if np.count_nonzero(part) == part.size:
+        return cosh_part, sinh_part * (1.0 / part)
+    degenerate = part == 0.0
     return cosh_part, np.where(degenerate, 0.5 * t * cosh_part,
-                               sinh_part / np.where(degenerate, 1.0, d))
+                               sinh_part * (1.0 / np.where(degenerate, 1.0, part)))
 
 
 def g_factor(t, d: complex, lam: float):
-    """Decay envelope g(t); scalar or array of finite t >= 0.
+    """Decay envelope g(t), real; scalar or array of finite t >= 0.
 
     d and lam may also be arrays broadcasting against t, one channel per row.
+    A float for a scalar result, a float64 array otherwise.
     """
     cosh_part, sinh_over_d = _damped_cosh_sinh(t, d, lam)
     out = cosh_part + lam * sinh_over_d
-    return out if out.ndim else complex(out)
+    return out if out.ndim else float(out)
 
 
 def g_factor_dt(t, d: complex, lam: float):
@@ -98,9 +118,10 @@ def g_factor_dt(t, d: complex, lam: float):
     The prefactor w = (lam**2 - d**2)/2 is recovered from d itself, so the
     derivative shares the envelope's parametrisation exactly.
     """
-    w = 0.5 * (lam * lam - np.square(d)).real
-    out = -w * _damped_cosh_sinh(t, d, lam)[1]
-    return out if out.ndim else complex(out)
+    sinh_over_d = _damped_cosh_sinh(t, d, lam)[1]  # refuses a bad d first
+    a, b = np.real(d), np.imag(d)
+    out = -(0.5 * (lam * lam - (a * a - b * b))) * sinh_over_d
+    return out if out.ndim else float(out)
 
 
 def _amplitude(g, n, initial):
@@ -114,8 +135,15 @@ def _batch_of_one(t, params: ModelParams, initial):
     channels = ChannelColumns.of([params])
     if initial is None:
         initial = math.sqrt(1.0 / channel_coefficients(params.kind, params.theta)[1])
-    return (np.asarray(t, dtype=float).reshape(1, -1), channels.d[0], channels.lam[0],
-            channels.n_atoms[0], initial)
+    return (np.asarray(t, dtype=float).reshape(1, -1), channels.d[:, None],
+            channels.lam[:, None], channels.n_atoms[:, None], initial)
+
+
+def _amplitude_and_rate(t, params: ModelParams, initial):
+    """amplitude and amplitude_rate for a real initial, as the real rows of
+    a batch of one."""
+    row, d, lam, n, initial = _batch_of_one(t, params, initial)
+    return _amplitude(g_factor(row, d, lam), n, initial), initial * g_factor_dt(row, d, lam) / n
 
 
 def _complex_like(row: np.ndarray, t):
@@ -129,7 +157,7 @@ def amplitude(t, params: ModelParams, initial: complex | None = None):
     amplitude(0) = initial exactly, by default 1/sqrt(m) (1 or ROOT_HALF).
     """
     row, d, lam, n, initial = _batch_of_one(t, params, initial)
-    return _complex_like(_amplitude(g_factor(row, d, lam).real, n, initial), t)
+    return _complex_like(_amplitude(g_factor(row, d, lam), n, initial), t)
 
 
 def alpha1(t, params: ModelParams, initial: complex = 1.0):
@@ -149,7 +177,7 @@ def nu1(t, params: ModelParams, initial: complex = ROOT_HALF):
 def amplitude_rate(t, params: ModelParams, initial: complex | None = None):
     """d/dt of amplitude (alpha1 or nu1) for the same initial value."""
     row, d, lam, n, initial = _batch_of_one(t, params, initial)
-    return _complex_like(initial * g_factor_dt(row, d, lam).real / n, t)
+    return _complex_like(initial * g_factor_dt(row, d, lam) / n, t)
 
 
 def excited_population(t, params: ModelParams):
@@ -165,7 +193,9 @@ def excited_population(t, params: ModelParams):
 def population_rate(t, params: ModelParams):
     """Analytic d/dt of excited_population; + 0.0 writes -0.0 (t = 0) as 0.0."""
     m = channel_coefficients(params.kind, params.theta)[1]
-    return 2.0 * m * (amplitude(t, params).real * amplitude_rate(t, params).real) + 0.0
+    amp, rate = _amplitude_and_rate(t, params, None)
+    out = 2.0 * m * (amp * rate) + 0.0
+    return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,10 +242,9 @@ def population_rows(times: np.ndarray, channels: ChannelColumns) -> np.ndarray:
 
     The population m * (a/sqrt(m))**2 of either kind is a**2, with
     a = 1 + (g - 1)/N the excited emitter's amplitude scaled to 1, so it
-    starts at exactly 1.  With d real or imaginary the envelope is exactly
-    real, so the rest is real arithmetic.
+    starts at exactly 1.
     """
-    g = g_factor(times, channels.d[:, None], channels.lam[:, None]).real
+    g = g_factor(times, channels.d[:, None], channels.lam[:, None])
     amp = _amplitude(g, channels.n_atoms[:, None], 1.0)
     return amp * amp
 
@@ -236,9 +265,7 @@ class Trajectory:
 def trajectory(params: ModelParams, tau: float, steps: int = 4096) -> Trajectory:
     """Sample the symmetric-channel evolution on steps+1 uniform points."""
     tau = validate_tau(tau)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    times = np.linspace(0.0, tau, steps + 1)
+    times = np.linspace(0.0, tau, validate_steps(steps) + 1)
     amp = amplitude(times, params)
     pop = excited_population(times, params)
     rate = population_rate(times, params)
@@ -277,8 +304,7 @@ def _density_ops(times: np.ndarray, params: ModelParams, ground_amplitude: compl
         raise ValueError("ground amplitude exceeds normalization")
     m = channel_coefficients(params.kind, params.theta)[1]
     exc0 = math.sqrt(max(0.0, (1.0 - abs(a0) ** 2) / m))
-    amp = amplitude(times, params, initial=exc0).real
-    damp = amplitude_rate(times, params, initial=exc0).real
+    amp, damp = (row[0] for row in _amplitude_and_rate(times, params, exc0))
     q = amp * amp
     dq = 2.0 * (amp * damp)
     rho = np.zeros((len(times), m + 1, m + 1), dtype=complex)
@@ -315,9 +341,7 @@ def density_trajectory(params: ModelParams, tau: float, steps: int = 4096,
                        ground_amplitude: complex = 0.0):
     """Times, reduced states and analytic state rates on a uniform grid."""
     tau = validate_tau(tau)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    times = np.linspace(0.0, tau, steps + 1)
+    times = np.linspace(0.0, tau, validate_steps(steps) + 1)
     rhos, rates = _density_ops(times, params, ground_amplitude)
     _check_states(rhos, FloatingPointError, "reduced state")
     return times, rhos, rates

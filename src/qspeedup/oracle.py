@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .spectral import AtomKind, ModelParams, validate_tau
+from .spectral import AtomKind, ModelParams, validate_steps, validate_tau
 
 LTE_TOL = 1e-8
 MIN_STEPS = 4096
@@ -141,8 +141,7 @@ def solve_collective(params: ModelParams, tau: float, steps: int = 16384) -> Tra
     point, and FloatingPointError when a state is not finite.
     """
     tau = validate_tau(tau)
-    if steps < MIN_STEPS:
-        raise ValueError(f"steps must be >= {MIN_STEPS}")
+    steps = validate_steps(steps, MIN_STEPS)
     record_every = steps // 4096 if steps % 4096 == 0 else 1
     n = params.n_atoms
     # V-type: the symmetric initial state excites only the + channel, read

@@ -113,6 +113,14 @@ def validate_tau(tau) -> float:
     return tau
 
 
+def validate_steps(steps, least: int = 1) -> int:
+    """A time grid's step count; ValueError unless an integer (not a bool)
+    >= least."""
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < least:
+        raise ValueError(f"steps must be an integer >= {least}")
+    return int(steps)
+
+
 def lorentzian_j(omega, params: ModelParams):
     """Spectral density at frequency omega (scalar or array, omega >= 0)."""
     omega = np.asarray(omega, dtype=float)

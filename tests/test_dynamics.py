@@ -13,6 +13,7 @@ from qspeedup.dynamics import (ChannelColumns, DensityMatrix, ROOT_HALF, alpha1,
                                density_trajectory, excited_population, g_factor,
                                g_factor_dt, nu1, population_rate, principal_sqrt,
                                trajectory)
+from qspeedup.oracle import solve_collective
 from qspeedup.spectral import AtomKind, ModelParams
 
 TWO = ModelParams(gamma0=1.0, n_atoms=3)
@@ -86,6 +87,109 @@ class TestEnvelope:
     def test_bounded_by_one(self, t, w, lam):
         d = principal_sqrt(lam * lam - 2.0 * w * lam)
         assert abs(g_factor(t, d, lam)) <= 1.0 + 1e-9
+
+
+    @pytest.mark.parametrize("fn", [g_factor, g_factor_dt])
+    def test_real_return_types(self, fn):
+        for d in (1.3 + 0j, 2.7j, 0j):
+            assert type(fn(0.7, d, 2.0)) is float
+            assert type(fn(np.float64(0.7), d, 2.0)) is float
+            for t in (np.linspace(0.0, 5.0, 9), np.zeros((2, 3))):
+                out = fn(t, d, 2.0)
+                assert out.dtype == np.float64 and out.shape == t.shape
+        column = fn(0.7, np.array([1.3 + 0j, 2.7j, 0j]), 2.0)
+        assert column.dtype == np.float64 and column.shape == (3,)
+
+    @pytest.mark.parametrize("d", [
+        complex(math.nan), complex(math.inf), complex(0.0, -math.inf),
+        complex(math.nan, math.nan), complex(math.inf, math.inf), 1.0 + 1.0j,
+        complex(1e-200, 1e-200), np.array([1.3 + 0j, 2.7j, 0.5 + 0.5j])])
+    def test_rejects_a_channel_neither_real_nor_imaginary(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (g_factor, g_factor_dt):
+                with pytest.raises(ValueError, match="either real or imaginary"):
+                    fn(np.linspace(0.0, 2.0, 5), d, 2.0)
+                with pytest.raises(ValueError, match="either real or imaginary"):
+                    fn(1.0, d, 2.0)
+
+
+def complex_reference(t, d, lam):
+    """The complex-arithmetic envelope parts the real kernel replaced:
+    exp(-lam*t/2) times cosh(d*t/2) and sinh(d*t/2)/d over a complex d."""
+    t = np.asarray(t, dtype=float)
+    d = np.asarray(d, dtype=complex)
+    grow = np.exp(0.5 * (d.real - lam) * t)
+    half_m = 0.5 * np.expm1(-d.real * t)
+    phase = 0.5 * d.imag * t
+    cos_b, sin_b = np.cos(phase), np.sin(phase)
+    even, odd = grow * (1.0 + half_m), grow * half_m
+    cosh_part = even * cos_b - 1j * (odd * sin_b)
+    sinh_part = 1j * (even * sin_b) - odd * cos_b
+    if d.all():
+        return cosh_part, sinh_part / d
+    degenerate = d == 0
+    return cosh_part, np.where(degenerate, 0.5 * t * cosh_part,
+                               sinh_part / np.where(degenerate, 1.0, d))
+
+
+def reference_g(t, d, lam):
+    cosh_part, sinh_over_d = complex_reference(t, d, lam)
+    return (cosh_part + lam * sinh_over_d).real
+
+
+def reference_g_dt(t, d, lam):
+    w = 0.5 * (lam * lam - np.square(d)).real
+    return (-w * complex_reference(t, d, lam)[1]).real
+
+
+def assert_same_bits(got, want):
+    """Equal values with equal hex; only the sign of an exact zero may differ."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert ([v.hex() for v in (got + 0.0).ravel().tolist()]
+            == [v.hex() for v in (want + 0.0).ravel().tolist()])
+
+
+@st.composite
+def envelope_channels(draw):
+    """(d, lam) of an overdamped, oscillating or degenerate channel."""
+    lam = draw(st.floats(0.01, 8.0))
+    regime = draw(st.sampled_from(("overdamped", "oscillating", "degenerate")))
+    if regime == "degenerate":
+        return 0j, lam
+    weight = (st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+              if regime == "overdamped" else st.floats(0.5, 50.0, exclude_min=True))
+    return principal_sqrt(dynamics.channel_discriminant(draw(weight), lam, lam, 1.0)), lam
+
+
+@settings(max_examples=150, deadline=None)
+# d*t/2 past 710 on an overdamped row, and tau = 2000, where g underflows
+@example([(principal_sqrt(64.0 - 2.0 * 0.01 * 8.0), 8.0), (3.9j, 2.0), (0j, 2.0)],
+         2000.0, 64)
+@example([(principal_sqrt(4.0 - 2.0 * 0.2539 * 2.0), 2.0)], 894.6, 16)
+@example([(principal_sqrt(-12.0), 2.0), (principal_sqrt(4.0 - 1.0), 2.0)], 5.0, 8)
+@given(st.lists(envelope_channels(), min_size=1, max_size=5),
+       st.floats(1e-3, 2000.0), st.integers(1, 64))
+def test_real_envelope_equals_the_complex_path(channels, tau, steps):
+    """g_factor and g_factor_dt are the real part of the complex path, bit
+    for bit: on mixed-row (n, 1) batches, on one column at a scalar t and
+    on each channel alone."""
+    d = np.array([c[0] for c in channels], dtype=complex)
+    lam = np.array([c[1] for c in channels])
+    t = np.linspace(0.0, tau, steps + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, reference in ((g_factor, reference_g), (g_factor_dt, reference_g_dt)):
+            assert_same_bits(fn(t, d[:, None], lam[:, None]),
+                             reference(t, d[:, None], lam[:, None]))
+            assert_same_bits(fn(tau, d, lam), reference(tau, d, lam))
+            for d_i, lam_i in channels:
+                scalar = fn(tau, d_i, lam_i)
+                assert type(scalar) is float
+                assert_same_bits(scalar, reference(tau, d_i, lam_i))
+                assert_same_bits(fn(t, d_i, lam_i), reference(t, d_i, lam_i))
 
 
 class TestChannelConstants:
@@ -309,6 +413,17 @@ class TestTrajectory:
             trajectory(TWO, 0.0)
         with pytest.raises(ValueError):
             trajectory(TWO, 5.0, steps=0)
+
+    @pytest.mark.parametrize("steps", [True, False, 4.5, 16384.0, "4096", None, 0, -4096])
+    def test_rejects_a_step_count_that_is_not_an_integer(self, steps):
+        for call in (trajectory, density_trajectory, solve_collective):
+            with pytest.raises(ValueError, match="steps must be an integer"):
+                call(TWO, 5.0, steps=steps)
+
+    def test_accepts_numpy_integer_steps(self):
+        assert len(trajectory(TWO, 5.0, steps=np.int64(8))) == 9
+        assert len(density_trajectory(VEE, 5.0, steps=np.int32(8))[0]) == 9
+        assert len(solve_collective(TWO, 5.0, steps=np.int64(4096))) == 4097
 
     def test_non_finite_population_is_a_numerical_failure(self, monkeypatch):
         # ModelParams refuses overflowing channel constants, so a NaN
