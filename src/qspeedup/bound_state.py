@@ -65,7 +65,9 @@ def solve_bound_states(channels: ChannelColumns, tol: float = RESIDUAL_TOL,
     iterations).  coupled is False only for gamma0 = 0, where K is constant
     at omega0; underflow marks a root beyond the probe floor of -1e-16.
     Raises BisectionStallError, naming point i by label(i), when a point
-    misses the residual target tol * max(1, |E|).
+    misses the residual target tol * max(1, |E|, omega0): K(E) = omega0 -
+    c * I(E) cancels two terms of size omega0, so the residual cannot
+    resolve less than a few float spacings of omega0.
 
     The search is Newton's iteration on u = log|E| for h = K(E) - E, with
     the exact slope dh/du = -E - c * dI/du (ReservoirIntegral.unit), run on
@@ -146,8 +148,6 @@ def solve_bound_states(channels: ChannelColumns, tol: float = RESIDUAL_TOL,
         # crawls by about one unit per step on an exponential flank), so a
         # longer step bisects the bracket instead.
         e = np.where(np.abs(step) <= 0.75, e * np.exp(-np.clip(step, -1.0, 1.0)), mid)
-        if count == 0:  # a tangent seed below the root: strong coupling
-            e = np.where(h < 0.0, np.minimum(e, -np.exp(balance)), e)
         # a step of at most SETTLE lands within about its square of the
         # root, so it ends the search: its end is the energy, unevaluated
         # (the gate below checks it), if strictly inside the bracket; a
@@ -155,9 +155,13 @@ def solve_bound_states(channels: ChannelColumns, tol: float = RESIDUAL_TOL,
         settled = active & (np.abs(step) <= SETTLE)
         energy = np.where(settled & (lo < e) & (e < hi), e, energy)
         active = active & ~settled
+        if count == 0:  # a tangent seed below the root: strong coupling
+            # (only for points still searching: a settled seed is the root)
+            e = np.where(active & (h < 0.0), np.minimum(e, -np.exp(balance)), e)
 
     residual = np.abs(omega0 - factor * integral(energy) - energy)
-    stalled = solve & ~(residual < tol * np.maximum(1.0, np.abs(energy)))
+    gate = tol * np.maximum(np.maximum(1.0, np.abs(energy)), omega0)
+    stalled = solve & ~(residual < gate)
     if stalled.any():
         i = int(np.argmax(stalled))
         raise BisectionStallError(

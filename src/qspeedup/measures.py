@@ -150,7 +150,7 @@ def evaluate_columns(channels: ChannelColumns, tau: float):
     """
     n, omega = channels.n_atoms, channels.d.imag
     # through the module, so the functionals read the same envelope as dynamics
-    g = dynamics.g_factor(tau, channels.d, channels.lam).real
+    g = dynamics.g_factor(tau, channels.d, channels.lam)
     u = (1.0 - g) / n
     a = 1.0 - u  # population_rows' 1 + (g - 1)/N, bit for bit
     final = a * a

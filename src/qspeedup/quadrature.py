@@ -49,10 +49,10 @@ def adaptive_simpson(f: Integrand, a: float, b: float, tol: float = 1e-12,
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = (left + right - coarse) / 15.0
         done = (np.abs(err) <= budget) | (depth == max_depth)
-        # one interval at a time in worklist order: a pairwise sum would
-        # move the last bits of the quadrature cross-check's reference values
-        for part in (left + right + err)[done]:
-            total += part
+        # one interval at a time in worklist order (accumulate adds
+        # sequentially): a pairwise sum would move the last bits of the
+        # quadrature cross-check's reference values
+        total = np.add.accumulate(np.concatenate([[total], (left + right + err)[done]]))[-1]
         keep = ~done
         if not np.any(keep):
             break

@@ -12,11 +12,12 @@ import numpy as np
 
 from .bound_state import solve_bound_states
 from .dynamics import ChannelColumns
-from .measures import evaluate_columns, evaluate_point
+from .measures import evaluate_columns, evaluate_point, evaluate_points
 from .spectral import (AtomKind, ModelParams, _check_n_atoms, channel_coefficients,
                        validate_tau)
 
 BACKFLOW_ONSET_TOL = 1e-10
+_DEPTH = 4  # bisection levels of find_critical_coupling per kernel call
 
 
 class OnsetCriterion(enum.Enum):
@@ -159,29 +160,48 @@ def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
     evaluate_point returns a ratio of exactly 1.0 while the decay is
     monotone, so both detect the first population rise inside the window
     and agree closely for every N, N = 1 included.  Bisection to width tol,
-    or until the midpoint rounds onto an edge.
+    or until the midpoint rounds onto an edge.  One evaluate_points call
+    takes the midpoints of the next _DEPTH levels below the bracket (15
+    points), and the bisection then walks down that subtree, so the result
+    is the one-midpoint-at-a-time bisection's, bit for bit.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and > 0")
 
-    def fires(g0: float) -> bool:
-        params = ModelParams(gamma0=g0, lam=lam, n_atoms=n_atoms, theta=theta,
-                             omega0=omega0, kind=kind)
-        report = evaluate_point(params, tau)
+    def point(g0: float) -> ModelParams:
+        return ModelParams(gamma0=g0, lam=lam, n_atoms=n_atoms, theta=theta,
+                           omega0=omega0, kind=kind)
+
+    def fires(report) -> bool:
         if criterion is OnsetCriterion.SPEEDUP:
             return report.ratio < 1.0
         return report.nonmarkov > BACKFLOW_ONSET_TOL
 
-    if not fires(gamma0_max):
+    if not fires(evaluate_point(point(gamma0_max), tau)):
         raise NoTransitionError(
             f"no transition in range (0, {gamma0_max:g}] for {criterion.value}")
     lo, hi = 0.0, gamma0_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # the bracket is down to float spacing
-            break
-        if fires(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    size = 1 << _DEPTH
+    while True:
+        # the subtree in heap order: node k brackets edges[k] and splits it
+        # at mids[k] into nodes 2k (lower half) and 2k + 1.  A node where the
+        # bisection stops (width tol reached, or the midpoint rounds onto an
+        # edge) has no midpoint.
+        edges, mids = {1: (lo, hi)}, {}
+        for k in range(1, size):
+            if k in edges:
+                a, b = edges[k]
+                mid = 0.5 * (a + b)
+                if b - a > tol and a < mid < b:
+                    mids[k] = mid
+                    edges[2 * k], edges[2 * k + 1] = (a, mid), (mid, b)
+        reports = evaluate_points([point(mid) for mid in mids.values()], tau)
+        fired = {k: fires(report) for k, report in zip(mids, reports)}
+        k = 1
+        while k < size:
+            if k not in mids:
+                return 0.5 * (lo + hi)
+            if fired[k]:
+                hi, k = mids[k], 2 * k
+            else:
+                lo, k = mids[k], 2 * k + 1

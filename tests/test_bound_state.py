@@ -285,3 +285,32 @@ def test_residual_gate_raises_for_the_batch(monkeypatch):
         find_bound_state(params)
     with pytest.raises(BisectionStallError, match="n_atoms=3"):
         find_bound_states([ModelParams(gamma0=0.0), params])
+
+
+def test_a_settled_tangent_seed_is_the_energy():
+    # the tangent seed -1.4092376e-12 is already the root (h = -3.5e-18
+    # there), and its first step settles; the strong-coupling jump once
+    # moved that step's end to -exp(balance) = -2.5e4, which became the
+    # energy unevaluated and missed the gate by a residual of 4.6e4
+    params = ModelParams(gamma0=0.049993694058727306, lam=6504.034821439798,
+                         omega0=22787.18232260179, n_atoms=589094,
+                         theta=0.3616925968836283, kind=VEE)
+    result = find_bound_state(params)
+    assert result.energy == pytest.approx(-1.4092376e-12, rel=1e-7)
+    assert result.residual < RESIDUAL_TOL * max(1.0, abs(result.energy), params.omega0)
+
+
+@pytest.mark.parametrize("params, energy", [
+    (ModelParams(gamma0=1138.6521477765136, lam=320357.6494831029,
+                 omega0=16926074.03757828, n_atoms=1400517), -0.0100360),
+    (ModelParams(gamma0=3059616.4865094232, lam=68928954.86855517,
+                 omega0=38766507.36612774, n_atoms=3), -1.7248e-7),
+])
+def test_residual_gate_scales_with_omega0(params, energy):
+    # K(E) = omega0 - c*I cancels two terms of size omega0 ~ 1e7, so the
+    # float residual carries about 1e-9 of error even at the root (the
+    # reference energies are from a 60-digit root); a gate of 1e-10 * max(1,
+    # |E|) raised BisectionStallError at residuals of 1.3e-9 and 8.6e-9
+    result = find_bound_state(params)
+    assert result.energy == pytest.approx(energy, rel=1e-4)
+    assert result.residual < RESIDUAL_TOL * max(1.0, abs(result.energy), params.omega0)

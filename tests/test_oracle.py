@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qspeedup import dynamics
-from qspeedup.checks import _oracle_points
+from qspeedup.checks import TAU, _oracle_points, check_oracle_equivalence
 from qspeedup.oracle import (KernelSpec, StepSizeError, integrate_kernel_ode,
                              solve_collective)
 from qspeedup.spectral import AtomKind, ModelParams
@@ -196,3 +196,17 @@ class TestSolveCollective:
         traj = solve_collective(stiff, 5.0, steps=262144)
         assert traj.population[-1] == pytest.approx(
             dynamics.excited_population(5.0, stiff), abs=1e-7)
+
+
+def test_oracle_check_worst_equals_the_one_point_closed_form():
+    # the check reads the envelope once per point and forms the amplitude
+    # and the population from it: the one-point calls give the same bits
+    worst = 0.0
+    for params in _oracle_points(quick=True):
+        ref = solve_collective(params, TAU, steps=8192)
+        worst = max(worst,
+                    float(np.abs(dynamics.amplitude(ref.times, params)
+                                 - ref.amplitude).max()),
+                    float(np.abs(dynamics.excited_population(ref.times, params)
+                                 - ref.population).max()))
+    assert check_oracle_equivalence(quick=True).worst.hex() == worst.hex()

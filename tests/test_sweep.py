@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qspeedup import bound_state, cli, measures, spectral
+from qspeedup import bound_state, cli, measures, spectral, sweep
 from qspeedup.bound_state import BracketFailureError, find_bound_state
 from qspeedup.dynamics import ChannelColumns
 from qspeedup.measures import evaluate_point
@@ -230,7 +230,41 @@ class TestFigurePresets:
             figure_preset(6)
 
 
+def sequential_onset(kind, n_atoms, theta, criterion, tol, gamma0_max=4.0):
+    """find_critical_coupling as a plain bisection: one evaluate_point per
+    midpoint, each decided before the next midpoint is formed."""
+    def fires(g0):
+        report = evaluate_point(ModelParams(gamma0=g0, n_atoms=n_atoms, theta=theta,
+                                            kind=kind), 5.0)
+        if criterion is OnsetCriterion.SPEEDUP:
+            return report.ratio < 1.0
+        return report.nonmarkov > sweep.BACKFLOW_ONSET_TOL
+
+    assert fires(gamma0_max)
+    lo, hi = 0.0, gamma0_max
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if fires(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 class TestCriticalCoupling:
+    @pytest.mark.parametrize("kind, theta", [(AtomKind.TWO_LEVEL, 0.0),
+                                             (AtomKind.THREE_LEVEL_V, 0.5)])
+    @pytest.mark.parametrize("criterion", list(OnsetCriterion))
+    @pytest.mark.parametrize("n_atoms", [1, 3, 8])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-300, 5.0])  # 5.0: wider than (0, 4]
+    def test_subtree_bisection_equals_the_sequential_one(self, kind, theta, criterion,
+                                                         n_atoms, tol):
+        onset = find_critical_coupling(kind, n_atoms, theta, criterion=criterion, tol=tol)
+        expected = sequential_onset(kind, n_atoms, theta, criterion, tol)
+        assert onset.hex() == expected.hex()
+
     def test_regression_value(self):
         onset = find_critical_coupling(AtomKind.TWO_LEVEL, 3)
         assert onset == pytest.approx(0.464940, abs=2e-3)
