@@ -55,7 +55,7 @@ def check_oracle_equivalence(quick: bool = False) -> CheckResult:
     worst = 0.0
     for i, params in enumerate(points):
         ref = oracle.solve_collective(params, TAU, steps=steps)
-        g = dynamics.g_factor(ref.times, channels.d[i], channels.lam[i])
+        g = dynamics.envelope(ref.times, channels.a[i], channels.b[i], channels.lam[i])[0]
         a = 1.0 + (g - 1.0) / channels.n_atoms[i]
         initial = math.sqrt(1.0 / channel_coefficients(params.kind, params.theta)[1])
         worst = max(worst,

@@ -9,8 +9,9 @@ the channel: w = gamma0*N for N two-level emitters and w = gamma0*N*(1 +- theta)
 for the symmetric/antisymmetric channels of V-type emitters.  d is real in
 the overdamped regime and switches to a positive imaginary value once the
 collective coupling is strong enough for the envelope to oscillate.  Either
-way g is exactly real, and g_factor and g_factor_dt evaluate it in real
-arithmetic from the two parts of d, one of which is 0.
+way g is exactly real, and envelope evaluates it and its derivative in
+real arithmetic from the two parts of d, one of which is 0.  g_factor and
+g_factor_dt take a complex d, check it and split it for envelope.
 
 One emitter starts excited and the other N - 1 start in their ground
 state as spectators.  Only the symmetric channel couples to the reservoir,
@@ -21,12 +22,13 @@ ones in the equal superposition of both upper levels
 aliases alpha1 / nu1) starts at 1/sqrt(m) and the population is
 m*amplitude**2.
 
-A batch of parameter points is a ChannelColumns: one array per channel
-constant (gamma0, lam, omega0, N, the collective factor N*c and d),
-built in one place, ChannelColumns.build.  It is the input of both column
-kernels, measures.evaluate_columns and bound_state.solve_bound_states, and
-of population_rows, whose real arithmetic every one-point function runs on
-t as the one row of a batch of one.
+A batch of parameter points is a ChannelColumns: one float array per
+channel constant (gamma0, lam, omega0, N, the collective factor N*c and
+the two parts of d), built in one place, ChannelColumns.build.  It is the
+input of both column kernels, measures.evaluate_columns and
+bound_state.solve_bound_states, and of population_rows, whose real
+arithmetic every one-point function runs on t as the one row of a batch
+of one.
 """
 
 from __future__ import annotations
@@ -42,26 +44,19 @@ from .spectral import (AtomKind, ModelParams, channel_coefficients, validate_ste
 ROOT_HALF = math.sqrt(0.5)
 
 
-def principal_sqrt(x):
-    """sqrt|x| for x >= 0, i*sqrt|x| below (scalar or array): the bits of
-    cmath.sqrt(complex(x, 0.0)) on the principal branch, without a warning."""
-    root = np.sqrt(np.abs(x))
-    d = np.where(x >= 0.0, root, 1j * root)
-    return d if d.ndim else complex(d)
-
-
 def channel_discriminant(gamma0, lam, n_atoms, c):
     """lam**2 - 2*gamma0*c*lam*N (c = 1 or 1 +- theta); scalars or arrays."""
     return lam * lam - 2.0 * gamma0 * c * lam * n_atoms
 
 
-def _damped_cosh_sinh(t, d, lam):
-    """exp(-lam*t/2) times cosh(d*t/2) and sinh(d*t/2)/d; finite t >= 0.
+def envelope(t, a, b, lam):
+    """(g, dg/dt) of channels with d = a + ib, unchecked; finite t >= 0.
 
-    d and lam may be scalars or arrays broadcasting against t (one channel
-    per row of a batch).  d = a + ib is real (b = 0, overdamped) or
-    imaginary (a = 0, oscillating), so both parts are real and are computed
-    in real arithmetic: cosh(d*t/2) = cosh(a*t/2)*cos(b*t/2) and
+    a, b and lam may be scalars or arrays broadcasting against t (one channel
+    per row of a batch).  d is real (b = 0, overdamped) or imaginary (a = 0,
+    oscillating), so both parts of exp(-lam*t/2) cosh(d*t/2) and
+    sinh(d*t/2)/d are real and are computed in real arithmetic:
+    cosh(d*t/2) = cosh(a*t/2)*cos(b*t/2) and
     sinh(d*t/2)/d = (cosh(a*t/2)*sin(b*t/2) + sinh(a*t/2)*cos(b*t/2))/(a + b).
     The damping is folded into the growing exponential, exp((a - lam)*t/2),
     which never exceeds 1 because a <= lam; the rest of the hyperbolic
@@ -69,21 +64,13 @@ def _damped_cosh_sinh(t, d, lam):
     overdamped windows, and the degenerate channel d = 0 (critical coupling)
     takes the limit sinh(d*t/2)/d = t/2.  Multiplying by 1/(a + b) gives
     the bits of numpy's complex division by d, which multiplies by that
-    reciprocal.  ValueError unless d is finite and real or imaginary.
+    reciprocal.  The derivative -w*exp(-lam*t/2)*sinh(d*t/2)/d recovers its
+    prefactor w = (lam**2 - d**2)/2 from d, so both share one
+    parametrisation.
     """
     t = np.asarray(t, dtype=float)
     if not (t.min(initial=0.0) >= 0.0 and t.max(initial=0.0) < math.inf):  # NaN fails
         raise ValueError("t must be finite and >= 0")
-    d = np.asarray(d, dtype=complex)
-    a, b = d.real, d.imag
-    # checked once per channel with count_nonzero, the cheapest numpy
-    # reduction on the one-element arrays of one-point calls
-    bad = "d must be finite and either real or imaginary"
-    if np.count_nonzero(np.logical_and(a, b)):  # a NaN part counts as nonzero
-        raise ValueError(bad)
-    part = a + b  # the nonzero part of d, 0 for d = 0; not finite unless d is
-    if np.count_nonzero(np.isfinite(part)) < part.size:
-        raise ValueError(bad)
     grow = np.exp(0.5 * (a - lam) * t)
     half_m = 0.5 * np.expm1(-a * t)
     even, odd = grow * (1.0 + half_m), grow * half_m
@@ -94,11 +81,29 @@ def _damped_cosh_sinh(t, d, lam):
         cos_b, sin_b = 1.0, 0.0
     cosh_part = even * cos_b
     sinh_part = even * sin_b - odd * cos_b
-    if np.count_nonzero(part) == part.size:
-        return cosh_part, sinh_part * (1.0 / part)
-    degenerate = part == 0.0
-    return cosh_part, np.where(degenerate, 0.5 * t * cosh_part,
+    part = a + b  # the nonzero part of d, 0 for d = 0
+    if np.count_nonzero(part) == np.size(part):
+        sinh_over_d = sinh_part * (1.0 / part)
+    else:
+        degenerate = part == 0.0
+        sinh_over_d = np.where(degenerate, 0.5 * t * cosh_part,
                                sinh_part * (1.0 / np.where(degenerate, 1.0, part)))
+    return (cosh_part + lam * sinh_over_d,
+            -(0.5 * (lam * lam - (a * a - b * b))) * sinh_over_d)
+
+
+def _real_parts(d):
+    """(a, b) of a given d = a + ib; ValueError unless d is finite and real
+    or imaginary, checked once per channel with count_nonzero, the cheapest
+    numpy reduction on the one-element arrays of one-point calls."""
+    d = np.asarray(d, dtype=complex)
+    a, b = d.real, d.imag
+    bad = "d must be finite and either real or imaginary"
+    if np.count_nonzero(np.logical_and(a, b)):  # a NaN part counts as nonzero
+        raise ValueError(bad)
+    if np.count_nonzero(np.isfinite(a + b)) < d.size:
+        raise ValueError(bad)
+    return a, b
 
 
 def g_factor(t, d: complex, lam: float):
@@ -107,20 +112,14 @@ def g_factor(t, d: complex, lam: float):
     d and lam may also be arrays broadcasting against t, one channel per row.
     A float for a scalar result, a float64 array otherwise.
     """
-    cosh_part, sinh_over_d = _damped_cosh_sinh(t, d, lam)
-    out = cosh_part + lam * sinh_over_d
+    out = envelope(t, *_real_parts(d), lam)[0]
     return out if out.ndim else float(out)
 
 
 def g_factor_dt(t, d: complex, lam: float):
-    """Time derivative of the envelope: dg/dt = -w*exp(-lam*t/2)*sinh(d*t/2)/d.
-
-    The prefactor w = (lam**2 - d**2)/2 is recovered from d itself, so the
-    derivative shares the envelope's parametrisation exactly.
-    """
-    sinh_over_d = _damped_cosh_sinh(t, d, lam)[1]  # refuses a bad d first
-    a, b = np.real(d), np.imag(d)
-    out = -(0.5 * (lam * lam - (a * a - b * b))) * sinh_over_d
+    """Time derivative of the envelope: dg/dt = -w*exp(-lam*t/2)*sinh(d*t/2)/d,
+    with w = (lam**2 - d**2)/2; the same arguments and types as g_factor."""
+    out = envelope(t, *_real_parts(d), lam)[1]
     return out if out.ndim else float(out)
 
 
@@ -129,21 +128,17 @@ def _amplitude(g, n, initial):
     return initial * (1.0 + (g - 1.0) / n)
 
 
-def _batch_of_one(t, params: ModelParams, initial):
-    """t as the one row of times of a batch of one, the point's d, lam and N
-    as population_rows reads them, and initial (1/sqrt(m) unless given)."""
+def _amplitude_and_rate(t, params: ModelParams, initial):
+    """amplitude and amplitude_rate as the rows of a batch of one: t as its
+    one row of times, read as population_rows reads it, and initial
+    (1/sqrt(m) unless given)."""
     channels = ChannelColumns.of([params])
     if initial is None:
         initial = math.sqrt(1.0 / channel_coefficients(params.kind, params.theta)[1])
-    return (np.asarray(t, dtype=float).reshape(1, -1), channels.d[:, None],
-            channels.lam[:, None], channels.n_atoms[:, None], initial)
-
-
-def _amplitude_and_rate(t, params: ModelParams, initial):
-    """amplitude and amplitude_rate for a real initial, as the real rows of
-    a batch of one."""
-    row, d, lam, n, initial = _batch_of_one(t, params, initial)
-    return _amplitude(g_factor(row, d, lam), n, initial), initial * g_factor_dt(row, d, lam) / n
+    g, rate = envelope(np.asarray(t, dtype=float).reshape(1, -1), channels.a[:, None],
+                       channels.b[:, None], channels.lam[:, None])
+    n = channels.n_atoms[:, None]
+    return _amplitude(g, n, initial), initial * rate / n
 
 
 def _complex_like(row: np.ndarray, t):
@@ -156,8 +151,7 @@ def amplitude(t, params: ModelParams, initial: complex | None = None):
 
     amplitude(0) = initial exactly, by default 1/sqrt(m) (1 or ROOT_HALF).
     """
-    row, d, lam, n, initial = _batch_of_one(t, params, initial)
-    return _complex_like(_amplitude(g_factor(row, d, lam), n, initial), t)
+    return _complex_like(_amplitude_and_rate(t, params, initial)[0], t)
 
 
 def alpha1(t, params: ModelParams, initial: complex = 1.0):
@@ -176,8 +170,7 @@ def nu1(t, params: ModelParams, initial: complex = ROOT_HALF):
 
 def amplitude_rate(t, params: ModelParams, initial: complex | None = None):
     """d/dt of amplitude (alpha1 or nu1) for the same initial value."""
-    row, d, lam, n, initial = _batch_of_one(t, params, initial)
-    return _complex_like(initial * g_factor_dt(row, d, lam) / n, t)
+    return _complex_like(_amplitude_and_rate(t, params, initial)[1], t)
 
 
 def excited_population(t, params: ModelParams):
@@ -212,7 +205,8 @@ class ChannelColumns:
     omega0: np.ndarray
     n_atoms: np.ndarray  # as floats
     factor: np.ndarray   # collective factor N*c of the bound-state kernel
-    d: np.ndarray        # complex envelope parameter of the channel
+    a: np.ndarray        # envelope frequency d = a + ib: a = sqrt(x) for x >= 0,
+    b: np.ndarray        # b = sqrt(-x) below, x the channel_discriminant
 
     @classmethod
     def build(cls, gamma0, lam, omega0, n_atoms, c) -> "ChannelColumns":
@@ -223,7 +217,8 @@ class ChannelColumns:
             v if np.ndim(v) else np.full(gamma0.shape, v, dtype=float)
             for v in (lam, omega0, n_atoms, c)]
         x = channel_discriminant(gamma0, lam, n_atoms, c)
-        return cls(gamma0, lam, omega0, n_atoms, n_atoms * c, principal_sqrt(x))
+        return cls(gamma0, lam, omega0, n_atoms, n_atoms * c,
+                   np.sqrt(np.maximum(x, 0.0)), np.sqrt(np.maximum(-x, 0.0)))
 
     @classmethod
     def of(cls, points) -> "ChannelColumns":
@@ -244,7 +239,7 @@ def population_rows(times: np.ndarray, channels: ChannelColumns) -> np.ndarray:
     a = 1 + (g - 1)/N the excited emitter's amplitude scaled to 1, so it
     starts at exactly 1.
     """
-    g = g_factor(times, channels.d[:, None], channels.lam[:, None])
+    g = envelope(times, channels.a[:, None], channels.b[:, None], channels.lam[:, None])[0]
     amp = _amplitude(g, channels.n_atoms[:, None], 1.0)
     return amp * amp
 

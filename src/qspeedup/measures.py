@@ -148,9 +148,9 @@ def evaluate_columns(channels: ChannelColumns, tau: float):
     computed on its own (elementwise arithmetic), so a batch of one gives
     the bits of its row in any batch.
     """
-    n, omega = channels.n_atoms, channels.d.imag
+    n, omega = channels.n_atoms, channels.b
     # through the module, so the functionals read the same envelope as dynamics
-    g = dynamics.g_factor(tau, channels.d, channels.lam)
+    g = dynamics.envelope(tau, channels.a, omega, channels.lam)[0]
     u = (1.0 - g) / n
     a = 1.0 - u  # population_rows' 1 + (g - 1)/N, bit for bit
     final = a * a

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from qspeedup import bound_state, cli, dynamics
+from qspeedup import bound_state, cli
 from qspeedup.bound_state import find_bound_state
 from qspeedup.cli import CSV_HEADER, EXIT_NUMERICAL, _rows_csv, _rows_json, _write_json, main
 from qspeedup.dynamics import excited_population
@@ -71,11 +71,9 @@ class TestArgvHandling:
         assert "root search stalled" in captured.err
         assert "energy" not in captured.out
 
-    def test_unphysical_state_is_a_numerical_failure(self, monkeypatch, capsys):
+    def test_unphysical_state_is_a_numerical_failure(self, skew_envelope, capsys):
         # an envelope starting at 1.5 lifts the population above 1
-        true_g = dynamics.g_factor
-        monkeypatch.setattr(dynamics, "g_factor",
-                            lambda t, d, lam: 1.5 * true_g(t, d, lam))
+        skew_envelope(lambda lam: 1.5)
         assert main(["dynamics", "--gamma0", "1", "--lambda", "2",
                      "--n", "3"]) == EXIT_NUMERICAL
         assert "population" in capsys.readouterr().err
@@ -426,14 +424,9 @@ class TestValidateCommand:
         assert "FAIL" not in out
         assert "checks passed" in out
 
-    def test_detects_perturbed_envelope(self, monkeypatch, capsys):
+    def test_detects_perturbed_envelope(self, skew_envelope, capsys):
         # a 0.1% skew of the decay envelope must trip the cross-checks
-        true_g = dynamics.g_factor
-
-        def skewed(t, d, lam):
-            return 1.001 * true_g(t, d, lam)
-
-        monkeypatch.setattr(dynamics, "g_factor", skewed)
+        skew_envelope(lambda lam: 1.001)
         assert main(["validate", "--quick"]) == 3
         out = capsys.readouterr().out
         assert "FAIL" in out and "checks failed" in out

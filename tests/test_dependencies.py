@@ -1,12 +1,14 @@
 """numpy is the only runtime dependency: every import in the package
-resolves to the standard library, numpy or the package itself, and every
-imported name is used."""
+resolves to the standard library, numpy or the package itself, every
+imported name is used, and every top-level name of a module is read."""
 
 import ast
 import pathlib
+import re
 import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "qspeedup"
+README = PACKAGE.parents[1] / "README.md"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "qspeedup"}
 
 
@@ -33,6 +35,45 @@ def unused_imports(source: str):
              for alias in node.names]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in bound if name not in read]
+
+
+def top_level_names(tree: ast.Module):
+    """Functions, classes and constants a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def read_names(tree: ast.Module) -> set:
+    """Names a module reads: bare, as an attribute, or imported by name."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unreferenced_names(sources: dict, exported: set, documented: set):
+    """Top-level names of the modules in sources that no module reads and
+    that are neither exported nor documented: dead code."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*map(read_names, trees.values()))
+    return [f"{module}: {name}" for module, tree in trees.items()
+            for name in top_level_names(tree)
+            if name not in read | exported | documented]
+
+
+def readme_code_names() -> set:
+    """Identifiers in the README's code spans and code blocks."""
+    code = re.findall(r"```.*?```|`[^`\n]+`", README.read_text(encoding="utf-8"), re.S)
+    return {word for span in code for word in re.findall(r"[A-Za-z_]\w*", span)}
 
 
 def test_reader_sees_every_import_form():
@@ -67,3 +108,23 @@ def test_every_imported_name_is_used():
     unused = [f"{path.name}: {name}" for path in files
               for name in unused_imports(path.read_text(encoding="utf-8"))]
     assert unused == []
+
+
+def test_dead_name_reader_sees_every_definition_form():
+    sources = {"a.py": ("from .b import used\nLIMIT = 3\nX, (Y, Z) = 1, (2, 3)\n"
+                        "def helper():\n    return Y\nclass Shown:\n    pass\n"
+                        "def public():\n    pass\n"),
+               "b.py": "from . import a\ndef used():\n    return a.LIMIT\n"}
+    assert unreferenced_names(sources, {"public"}, {"Shown"}) == [
+        "a.py: X", "a.py: Z", "a.py: helper"]
+
+
+def test_every_top_level_name_is_read_exported_or_documented():
+    # a helper whose last caller is gone fails here; a public name the
+    # package does not read itself is covered by __all__ or the README
+    import qspeedup
+
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})}
+    assert len(sources) >= 10
+    assert unreferenced_names(sources, set(qspeedup.__all__), readme_code_names()) == []

@@ -11,13 +11,17 @@ from qspeedup import dynamics
 from qspeedup.dynamics import (ChannelColumns, DensityMatrix, ROOT_HALF, alpha1,
                                amplitude, amplitude_rate, density_matrix,
                                density_trajectory, excited_population, g_factor,
-                               g_factor_dt, nu1, population_rate, principal_sqrt,
-                               trajectory)
+                               g_factor_dt, nu1, population_rate, trajectory)
 from qspeedup.oracle import solve_collective
 from qspeedup.spectral import AtomKind, ModelParams
 
 TWO = ModelParams(gamma0=1.0, n_atoms=3)
 VEE = ModelParams(gamma0=1.0, n_atoms=3, theta=0.4, kind=AtomKind.THREE_LEVEL_V)
+
+
+def principal_root(x):
+    """The channel's d for a discriminant x, on the principal branch."""
+    return cmath.sqrt(complex(x, 0.0))
 
 
 class TestEnvelope:
@@ -60,7 +64,7 @@ class TestEnvelope:
     def test_long_overdamped_window_stays_finite(self):
         # d t/2 ~ 750: cosh and sinh alone overflow, exp(-lam t/2) underflows
         lam, t = 2.0, 894.6
-        d = principal_sqrt(lam * lam - 2.0 * 0.2539 * lam)
+        d = principal_root(lam * lam - 2.0 * 0.2539 * lam)
         decay = math.exp(-0.5 * (lam - d.real) * t)
         w = 0.5 * (lam * lam - d.real ** 2)
         assert g_factor(t, d, lam).real == pytest.approx(
@@ -85,7 +89,7 @@ class TestEnvelope:
 
     @given(st.floats(0.0, 20.0), st.floats(0.01, 6.0), st.floats(0.1, 4.0))
     def test_bounded_by_one(self, t, w, lam):
-        d = principal_sqrt(lam * lam - 2.0 * w * lam)
+        d = principal_root(lam * lam - 2.0 * w * lam)
         assert abs(g_factor(t, d, lam)) <= 1.0 + 1e-9
 
 
@@ -161,15 +165,15 @@ def envelope_channels(draw):
         return 0j, lam
     weight = (st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
               if regime == "overdamped" else st.floats(0.5, 50.0, exclude_min=True))
-    return principal_sqrt(dynamics.channel_discriminant(draw(weight), lam, lam, 1.0)), lam
+    return principal_root(dynamics.channel_discriminant(draw(weight), lam, lam, 1.0)), lam
 
 
 @settings(max_examples=150, deadline=None)
 # d*t/2 past 710 on an overdamped row, and tau = 2000, where g underflows
-@example([(principal_sqrt(64.0 - 2.0 * 0.01 * 8.0), 8.0), (3.9j, 2.0), (0j, 2.0)],
+@example([(principal_root(64.0 - 2.0 * 0.01 * 8.0), 8.0), (3.9j, 2.0), (0j, 2.0)],
          2000.0, 64)
-@example([(principal_sqrt(4.0 - 2.0 * 0.2539 * 2.0), 2.0)], 894.6, 16)
-@example([(principal_sqrt(-12.0), 2.0), (principal_sqrt(4.0 - 1.0), 2.0)], 5.0, 8)
+@example([(principal_root(4.0 - 2.0 * 0.2539 * 2.0), 2.0)], 894.6, 16)
+@example([(principal_root(-12.0), 2.0), (principal_root(4.0 - 1.0), 2.0)], 5.0, 8)
 @given(st.lists(envelope_channels(), min_size=1, max_size=5),
        st.floats(1e-3, 2000.0), st.integers(1, 64))
 def test_real_envelope_equals_the_complex_path(channels, tau, steps):
@@ -194,19 +198,22 @@ def test_real_envelope_equals_the_complex_path(channels, tau, steps):
 
 class TestChannelConstants:
     def test_principal_branch(self):
-        assert principal_sqrt(4.0) == 2.0 + 0.0j
-        assert principal_sqrt(-4.0) == 2.0j
+        # x = 4 - 4*gamma0 at lam = 2, N = 1: d = 2 (a real root), then 2i
+        channels = ChannelColumns.build(np.array([0.0, 2.0]), 2.0, 1.0, 1.0, 1.0)
+        assert channels.a.tolist() == [2.0, 0.0]
+        assert channels.b.tolist() == [0.0, 2.0]
 
     def test_channel_discriminants(self):
-        two, plus = ChannelColumns.of([
+        channels = ChannelColumns.of([
             ModelParams(gamma0=1.0, n_atoms=2),
             ModelParams(gamma0=1.0, n_atoms=2, theta=0.5,
-                        kind=AtomKind.THREE_LEVEL_V)]).d
+                        kind=AtomKind.THREE_LEVEL_V)])
         lam = 2.0
-        assert two == principal_sqrt(lam * lam - 2 * 1.0 * lam * 2)
-        assert plus == principal_sqrt(lam * lam - 2 * 1.5 * lam * 2)
-        minus = principal_sqrt(dynamics.channel_discriminant(1.0, lam, 2.0, 0.5))
-        assert minus == principal_sqrt(lam * lam - 2 * 0.5 * lam * 2)
+        for i, c in enumerate((1.0, 1.5)):
+            d = principal_root(lam * lam - 2 * c * lam * 2)
+            assert (channels.a[i], channels.b[i]) == (d.real, d.imag)
+        minus = dynamics.channel_discriminant(1.0, lam, 2.0, 0.5)
+        assert minus == lam * lam - 2 * 0.5 * lam * 2
 
     # x = 0 exactly, then channel constants 2*gamma0*c*lam*N near float max
     @example([(1.0, 2.0, 1, 0.0)])
@@ -245,15 +252,20 @@ class TestChannelConstants:
                     pass
             curves.append((curve, (first.lam, 1.0, first.n_atoms, c)))
 
-        def bits(values):
-            return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
-
         def column_bits(channels):
-            return [bits(getattr(channels, f.name)) for f in fields(channels)]
+            # every column is real: a complex d cannot come back
+            assert {getattr(channels, f.name).dtype for f in fields(channels)} == {
+                np.dtype(np.float64)}
+            return [[v.hex() for v in getattr(channels, f.name).tolist()]
+                    for f in fields(channels)]
+
+        def bits(channels, i):
+            return channels.a[i].hex(), channels.b[i].hex()
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            arrays = [principal_sqrt(dynamics.channel_discriminant(gamma0, lam, n, c))
+            # the three channels of each point; 1 - theta reaches build only
+            arrays = [ChannelColumns.build(gamma0, lam, 1.0, n, c)
                       for c in (1.0, 1.0 + theta, 1.0 - theta)]
             vee = ChannelColumns.of(points)
             two_level = ChannelColumns.of(two_level_points)
@@ -263,11 +275,11 @@ class TestChannelConstants:
                 assert column_bits(built) == column_bits(ChannelColumns.of(curve))
         for i, p in enumerate(points):
             lam_i, n_i = p.lam, float(p.n_atoms)
-            expected = bits(cmath.sqrt(complex(lam_i * lam_i
-                                               - 2.0 * p.gamma0 * c * lam_i * n_i, 0.0))
-                            for c in (1.0, 1.0 + p.theta, 1.0 - p.theta))
-            assert bits(d[i] for d in arrays) == expected
-            assert bits((two_level.d[i], vee.d[i])) == expected[:2]
+            expected = [(d.real.hex(), d.imag.hex()) for d in (
+                cmath.sqrt(complex(lam_i * lam_i - 2.0 * p.gamma0 * c * lam_i * n_i, 0.0))
+                for c in (1.0, 1.0 + p.theta, 1.0 - p.theta))]
+            assert [bits(channels, i) for channels in arrays] == expected
+            assert [bits(two_level, i), bits(vee, i)] == expected[:2]
             # the bound-state kernel's collective factor, for both kinds
             assert vee.factor[i].hex() == p.collective_factor().hex()
             assert (two_level.factor[i].hex()
@@ -306,7 +318,7 @@ class TestAmplitudes:
 
     def test_single_atom_amplitude_is_envelope(self):
         params = ModelParams(gamma0=1.0)
-        d = ChannelColumns.of([params]).d[0]
+        d = principal_root(dynamics.channel_discriminant(1.0, 2.0, 1.0, 1.0))
         t = np.linspace(0, 5, 33)
         assert np.allclose(alpha1(t, params), g_factor(t, d, 2.0),
                            rtol=0, atol=1e-15)
@@ -425,12 +437,10 @@ class TestTrajectory:
         assert len(density_trajectory(VEE, 5.0, steps=np.int32(8))[0]) == 9
         assert len(solve_collective(TWO, 5.0, steps=np.int64(4096))) == 4097
 
-    def test_non_finite_population_is_a_numerical_failure(self, monkeypatch):
+    def test_non_finite_population_is_a_numerical_failure(self, skew_envelope):
         # ModelParams refuses overflowing channel constants, so a NaN
         # envelope is injected
-        true_g = g_factor
-        monkeypatch.setattr(dynamics, "g_factor",
-                            lambda t, d, lam: math.nan * true_g(t, d, lam))
+        skew_envelope(lambda lam: math.nan)
         with pytest.raises(FloatingPointError, match="not finite"):
             trajectory(TWO, 5.0, steps=16)
         with pytest.raises(FloatingPointError, match="not Hermitian"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qspeedup import dynamics, measures
+from qspeedup import measures
 from qspeedup.dynamics import (ChannelColumns, DensityMatrix, alpha1,
                                density_trajectory, excited_population, nu1,
                                population_rate, trajectory)
@@ -122,7 +122,7 @@ class TestMonotoneSegments:
     def test_overdamped_channel_has_none(self):
         for params, tau in ((ModelParams(gamma0=0.1), 1e4),
                             (ModelParams(gamma0=0.0, n_atoms=5), 10.0)):
-            assert ChannelColumns.of([params]).d.imag[0] == 0.0
+            assert ChannelColumns.of([params]).b[0] == 0.0
             t = np.linspace(0.0, tau, 4097)
             assert population_rate(t, params).max() <= 0.0
             assert evaluate_point(params, tau).nonmarkov == 0.0
@@ -239,13 +239,11 @@ class TestFunctionals:
         assert math.isfinite(report.nonmarkov) and report.nonmarkov > 0.0
         assert 0.0 < report.ratio < 1.0
 
-    def test_non_finite_population_is_a_numerical_failure(self, monkeypatch):
+    def test_non_finite_population_is_a_numerical_failure(self, skew_envelope):
         # ModelParams refuses overflowing channel constants, so the NaN
         # envelope of one channel (lam = 3) is injected
-        true_g = dynamics.g_factor
         bad = ModelParams(gamma0=1.0, lam=3.0)
-        monkeypatch.setattr(dynamics, "g_factor", lambda t, d, lam: np.where(
-            np.equal(lam, bad.lam), math.nan, 1.0) * true_g(t, d, lam))
+        skew_envelope(lambda lam: np.where(np.equal(lam, bad.lam), math.nan, 1.0))
         with pytest.raises(FloatingPointError, match="not finite"):
             evaluate_point(bad, 5.0)
         with pytest.raises(FloatingPointError, match="not finite"):
@@ -283,13 +281,11 @@ class TestFunctionals:
                 excited_population(tau, p).hex() for p in points]
 
     @pytest.mark.parametrize("params", [TWO, VEE])
-    def test_functionals_read_the_shared_envelope(self, params, monkeypatch):
-        # the batched population goes through dynamics.g_factor, as alpha1
+    def test_functionals_read_the_shared_envelope(self, params, skew_envelope):
+        # the batched population goes through dynamics.envelope, as alpha1
         # and nu1 do, so a skewed envelope reaches both alike
         before = evaluate_point(params, 5.0).final_population
-        true_g = dynamics.g_factor
-        monkeypatch.setattr(dynamics, "g_factor",
-                            lambda t, d, lam: 1.001 * true_g(t, d, lam))
+        skew_envelope(lambda lam: 1.001)
         after = evaluate_point(params, 5.0).final_population
         assert after != before
         assert after == pytest.approx(excited_population(5.0, params), rel=1e-15)
@@ -401,7 +397,7 @@ def _turning_point_reference(params, tau):
     inside the window; R sums max(0, Delta p) between consecutive cuts.
     """
     cuts = [0.0, tau]
-    if ChannelColumns.of([params]).d.imag[0] > 0.0:
+    if ChannelColumns.of([params]).b[0] > 0.0:
         cuts += _extrema(params, tau).tolist()
         if params.n_atoms == 1:
             cuts += _amplitude_zeros(params, tau).tolist()

@@ -75,8 +75,8 @@ class TestIntegrator:
         # halving the step should cut the endpoint error by about 2**4
         params = ModelParams(gamma0=2.0, n_atoms=3)
         spec = KernelSpec.for_channel(params)
-        d = dynamics.ChannelColumns.of([params]).d[0]
-        exact = dynamics.g_factor(2.0, d, params.lam).real
+        channels = dynamics.ChannelColumns.of([params])
+        exact = dynamics.envelope(2.0, channels.a[0], channels.b[0], params.lam)[0]
         errs = []
         for steps in (128, 256):
             _, s, _, _ = integrate_kernel_ode(spec, 3, 1.0, 2.0, steps,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
+from qspeedup import spectral
 from qspeedup.spectral import (AtomKind, ModelParams, lorentzian_j,
                                reservoir_integral, reservoir_integral_quad,
                                total_spectral_weight)
@@ -105,6 +106,25 @@ class TestReservoirIntegral:
     def test_closed_form_vs_own_quadrature(self, e):
         closed = reservoir_integral(e, BASE)
         assert reservoir_integral_quad(e, BASE) == pytest.approx(closed, rel=1e-8)
+
+    def test_quadrature_work_does_not_grow_with_coupling(self, monkeypatch):
+        # a tol that does not scale with I lies below its float resolution at
+        # strong coupling, and every interval is refined to max_depth
+        samples = []
+
+        def counting(w, params):
+            samples.append(np.size(w))
+            return lorentzian_j(w, params)
+
+        monkeypatch.setattr(spectral, "lorentzian_j", counting)
+        counts = {}
+        for g0 in (1.0, 1e4):
+            samples.clear()
+            params = ModelParams(gamma0=g0)
+            assert reservoir_integral_quad(-1.0, params) == pytest.approx(
+                reservoir_integral(-1.0, params), rel=1e-12)
+            counts[g0] = sum(samples)
+        assert counts[1e4] <= 2 * counts[1.0]
 
     @pytest.mark.parametrize("e", [-1e-4, -1.0, -50.0])
     def test_closed_form_vs_scipy(self, e):

@@ -143,7 +143,7 @@ class TestRunSweep:
         # and single emitters whose first turning point, the amplitude zero
         # 2 (pi - atan(|d|/lam))/|d|, lies inside the window
         assert {r[-1] for r in rows} == {"stationary", "bound-underflow", "normal"}
-        omega = ChannelColumns.of(points).d.imag
+        omega = ChannelColumns.of(points).b
         single = np.array([p.n_atoms == 1 for p in points]) & (omega > 0.0)
         first_zero = 2.0 * (math.pi - np.arctan(omega[single] / config.lam)) / omega[single]
         assert (first_zero < config.tau).any()
