@@ -18,6 +18,13 @@ orbit of the initial state under M: the records are powers of
 M**record_every and the step-doubling samples powers of M**lte_every, both
 built by doubling in place of a Python loop over the steps.
 
+Every kernel works on a block of P points at once: the step matrices are a
+(P, 2, 2) stack built from columns of weights, decays and N, and the
+orbit fills one preallocated (P, count, 2) record in place.  A one-point
+call is a block of one, and each row of a block has the bits of its
+one-point call, because the stacked products apply the same 2x2 arithmetic
+to every point.
+
 M is the integrator's own one-step map, a degree-4 polynomial in hA whose
 error shrinks as h**4; it is not exp(hA) and not the envelope g(t).
 Nothing here touches the closed-form envelope, so agreement with it is a
@@ -32,10 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .spectral import AtomKind, ModelParams, validate_steps, validate_tau
+from .spectral import AtomKind, ModelParams, _check_n_atoms, validate_steps, validate_tau
 
 LTE_TOL = 1e-8
 MIN_STEPS = 4096
+_BLOCK = 4  # points per stacked integration in collective_trajectories
 
 
 class StepSizeError(RuntimeError):
@@ -50,10 +58,11 @@ class KernelSpec:
     decay: float
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("kernel weight must be >= 0")
-        if not self.decay > 0:
-            raise ValueError("kernel decay must be > 0")
+        # phrased so that NaN fails too
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError("kernel weight must be finite and >= 0")
+        if not (math.isfinite(self.decay) and self.decay > 0):
+            raise ValueError("kernel decay must be finite and > 0")
 
     @classmethod
     def for_channel(cls, params: ModelParams, sign: float = 0.0) -> "KernelSpec":
@@ -62,20 +71,21 @@ class KernelSpec:
                    decay=params.lam)
 
 
-def _step_matrix(spec: KernelSpec, n: float, h: float) -> np.ndarray:
-    """One classic RK4 step of x' = A x as a matrix: x -> M x.
+def _step_matrix(weight: np.ndarray, decay: np.ndarray, n: np.ndarray,
+                 h: float) -> np.ndarray:
+    """One classic RK4 step of x' = A x per point as a (P, 2, 2) stack: x -> M x.
 
     For a linear system the four stages collapse to the degree-4 Taylor
     polynomial of exp(hA), M = I + hA + (hA)**2/2 + (hA)**3/6 + (hA)**4/24,
-    written here in Horner form.
+    written here in Horner form.  weight, decay and n are columns of P points.
     """
-    b = h * np.array([[0.0, -spec.weight], [n, -spec.decay]])
+    b = h * np.stack([np.zeros_like(weight), -weight, n, -decay], axis=-1).reshape(-1, 2, 2)
     eye = np.eye(2)
     return eye + b @ (eye + b / 2.0 @ (eye + b / 3.0 @ (eye + b / 4.0)))
 
 
 def _power(m: np.ndarray, k: int) -> np.ndarray:
-    """m**k by repeated squaring."""
+    """m**k of each matrix of a (P, 2, 2) stack by repeated squaring; k >= 0."""
     out = np.eye(2)
     while k:
         if k & 1:
@@ -86,17 +96,50 @@ def _power(m: np.ndarray, k: int) -> np.ndarray:
 
 
 def _orbit(m: np.ndarray, x0: np.ndarray, count: int) -> np.ndarray:
-    """The states x0, m x0, m**2 x0, ... as count rows, by doubling.
+    """The states x0, m x0, m**2 x0, ... of each point, as a (P, count, 2) record.
 
-    Each pass maps the rows so far through the current map (m raised to
-    their number) and appends them, then squares the map, so count states
-    take about log2(count) small products.
+    m is a (P, 2, 2) stack and x0 a (P, 2) column of initial states.  The
+    record is allocated once and filled by doubling: each pass maps the j
+    states so far through the current map (m raised to j) into the next j
+    slots, then squares the map, so count states take about log2(count)
+    stacked products and no copy of the record.
     """
-    states = x0[np.newaxis, :]
-    while len(states) < count:
-        states = np.concatenate([states, states[:count - len(states)] @ m.T])
+    states = np.empty((len(m), count, 2))
+    states[:, 0] = x0
+    j = 1
+    while j < count:
+        k = min(j, count - j)
+        np.matmul(states[:, :k], m.transpose(0, 2, 1), out=states[:, j:j + k])
         m = m @ m
+        j += k
     return states
+
+
+def _integrate(weight, decay, n, s0, h: float, steps: int, record_every: int,
+               lte_every: int):
+    """RK4 of a block of points from (S, z)(0) = (s0, 0), unchecked.
+
+    weight, decay, n and s0 are columns of P points.  Returns the (P,
+    steps // record_every + 1, 2) record and the (P,) largest step-doubling
+    estimates, 0 for lte_every = 0.
+    """
+    x0 = np.stack([s0, np.zeros_like(s0)], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = _step_matrix(weight, decay, n, h)
+        states = _orbit(_power(full, record_every), x0, steps // record_every + 1)
+        max_lte = np.zeros(len(weight))
+        if lte_every:
+            half = _step_matrix(weight, decay, n, 0.5 * h)
+            sampled = _orbit(_power(full, lte_every), x0, (steps - 1) // lte_every + 1)
+            error = sampled @ (half @ half - full).transpose(0, 2, 1)
+            max_lte = np.abs(error).max(axis=(1, 2)) / 15.0
+    return states, max_lte
+
+
+def _check_finite(states: np.ndarray) -> None:
+    if not np.isfinite(states).all():
+        raise FloatingPointError("RK4 state is not finite: the step overflows "
+                                 "for this kernel")
 
 
 def integrate_kernel_ode(spec: KernelSpec, n_atoms: int, s0: float, tau: float,
@@ -107,28 +150,81 @@ def integrate_kernel_ode(spec: KernelSpec, n_atoms: int, s0: float, tau: float,
     components on it, and the largest step-doubling error estimate seen.
     The estimate (M_{h/2}**2 x - M_h x)/15 is taken on the state x before
     every lte_every-th step (none for lte_every = 0).  Only the recorded
-    states and the sampled ones are formed.  Raises FloatingPointError when
-    a state is not finite: the step overflows for this kernel.
+    states and the sampled ones are formed.  Raises ValueError unless tau is
+    finite and > 0, N, steps and record_every are integers >= 1 with
+    record_every dividing steps, and lte_every is an integer >= 0; raises
+    FloatingPointError when a state is not finite: the step overflows for
+    this kernel.
     """
+    tau = validate_tau(tau)
+    steps = validate_steps(steps)
+    _check_n_atoms(n_atoms)
+    record_every = validate_steps(record_every, 1, "record_every")
+    lte_every = validate_steps(lte_every, 0, "lte_every")
     if steps % record_every != 0:
         raise ValueError("record_every must divide steps")
-    n = float(n_atoms)
-    h = tau / steps
-    x0 = np.array([float(s0), 0.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        full = _step_matrix(spec, n, h)
-        states = _orbit(_power(full, record_every), x0, steps // record_every + 1)
-        max_lte = 0.0
-        if lte_every:
-            half = _step_matrix(spec, n, 0.5 * h)
-            sampled = _orbit(_power(full, lte_every), x0, (steps - 1) // lte_every + 1)
-            max_lte = float(np.abs(sampled @ (half @ half - full).T).max()) / 15.0
-    if not np.isfinite(states).all():
-        raise FloatingPointError("RK4 state is not finite: the step overflows "
-                                 "for this kernel")
+    states, max_lte = _integrate(np.array([spec.weight]), np.array([spec.decay]),
+                                 np.array([float(n_atoms)]), np.array([float(s0)]),
+                                 tau / steps, steps, record_every, lte_every)
+    _check_finite(states)
     # record_every always divides steps, so the last record sits at t = tau
-    times = np.linspace(0.0, tau, len(states))
-    return times, states[:, 0], states[:, 1], max_lte
+    times = np.linspace(0.0, tau, states.shape[1])
+    return times, states[0, :, 0], states[0, :, 1], float(max_lte[0])
+
+
+def collective_trajectories(points, tau: float, steps: int = 16384):
+    """solve_collective's Trajectory of each point of a sequence, in order.
+
+    The points are integrated _BLOCK at a time, each block as one stack of
+    step matrices, and each point's amplitude and population are formed
+    from its own row, so every trajectory has the bits of the one-point
+    call.  The trajectories of a block share one times array.  A point that
+    fails raises its one-point error when the iteration reaches it.
+    """
+    tau = validate_tau(tau)
+    steps = validate_steps(steps, MIN_STEPS)
+    record_every = steps // 4096 if steps % 4096 == 0 else 1
+    for start in range(0, len(points), _BLOCK):
+        # one block's record at a time: it is freed before the next is built
+        yield from _block_trajectories(points[start:start + _BLOCK], tau, steps,
+                                       record_every)
+
+
+def _block_trajectories(points, tau: float, steps: int, record_every: int):
+    """Trajectories of a block of points, integrated as one stack; each
+    point's guards run on its own row."""
+    # V-type: the symmetric initial state excites only the + channel, read
+    # through both upper levels; the - channel starts at zero and the
+    # homogeneous system keeps it there.
+    levels = [2 if p.kind is AtomKind.THREE_LEVEL_V else 1 for p in points]
+    specs = [KernelSpec.for_channel(p, sign=1.0 if m == 2 else 0.0)
+             for p, m in zip(points, levels)]
+    states, max_lte = _integrate(
+        np.array([spec.weight for spec in specs]), np.array([p.lam for p in points]),
+        np.array([float(p.n_atoms) for p in points]),
+        np.array([math.sqrt(m) for m in levels]), tau / steps, steps,
+        record_every, lte_every=64)
+    times = np.linspace(0.0, tau, states.shape[1])
+    for params, spec, m, record, lte in zip(points, specs, levels, states,
+                                            max_lte.tolist()):
+        _check_finite(record)
+        if not lte <= LTE_TOL:  # NaN fails too
+            raise StepSizeError(f"truncation estimate {lte:g} exceeds {LTE_TOL:g}; "
+                                "increase steps")
+        yield _trajectory(times, record[:, 0], record[:, 1], spec.weight,
+                          params.n_atoms, m)
+
+
+def _trajectory(times, s, z, weight: float, n: int, levels: int) -> Trajectory:
+    """The excited emitter's amplitude, population and rate from S and z.
+
+    A function of its own so that its temporaries are freed before the
+    caller reads the trajectory: they would add to the block's record."""
+    s0 = math.sqrt(levels)
+    amp = (s0 + (s - s0) / n) / levels
+    damp = -weight * z / n / levels
+    return Trajectory(times, amp.astype(complex), levels * amp * amp,
+                      2.0 * levels * amp * damp)
 
 
 def solve_collective(params: ModelParams, tau: float, steps: int = 16384) -> Trajectory:
@@ -140,23 +236,4 @@ def solve_collective(params: ModelParams, tau: float, steps: int = 16384) -> Tra
     LTE_TOL (or is NaN), the sign that steps is too small for the parameter
     point, and FloatingPointError when a state is not finite.
     """
-    tau = validate_tau(tau)
-    steps = validate_steps(steps, MIN_STEPS)
-    record_every = steps // 4096 if steps % 4096 == 0 else 1
-    n = params.n_atoms
-    # V-type: the symmetric initial state excites only the + channel, read
-    # through both upper levels; the - channel starts at zero and the
-    # homogeneous system keeps it there.
-    vee = params.kind is AtomKind.THREE_LEVEL_V
-    levels = 2 if vee else 1
-    spec = KernelSpec.for_channel(params, sign=1.0 if vee else 0.0)
-    s0 = math.sqrt(levels)
-    times, s, z, lte = integrate_kernel_ode(spec, n, s0, tau, steps, record_every)
-    if not lte <= LTE_TOL:  # NaN fails too
-        raise StepSizeError(f"truncation estimate {lte:g} exceeds {LTE_TOL:g}; "
-                            "increase steps")
-    amp = (s0 + (s - s0) / n) / levels
-    damp = -spec.weight * z / n / levels
-    pop = levels * amp * amp
-    rate = 2.0 * levels * amp * damp
-    return Trajectory(times, amp.astype(complex), pop, rate)
+    return next(collective_trajectories([params], tau, steps))

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qspeedup import dynamics
+from qspeedup import dynamics, oracle
 from qspeedup.checks import TAU, _oracle_points, check_oracle_equivalence
-from qspeedup.oracle import (KernelSpec, StepSizeError, integrate_kernel_ode,
-                             solve_collective)
+from qspeedup.oracle import (KernelSpec, StepSizeError, collective_trajectories,
+                             integrate_kernel_ode, solve_collective)
 from qspeedup.spectral import AtomKind, ModelParams
 
 
@@ -21,10 +22,11 @@ class TestKernelSpec:
         assert KernelSpec.for_channel(two).decay == 2.0
 
     def test_rejects_bad_kernels(self):
-        with pytest.raises(ValueError):
-            KernelSpec(weight=-0.1, decay=2.0)
-        with pytest.raises(ValueError):
-            KernelSpec(weight=1.0, decay=0.0)
+        for weight, decay in [(-0.1, 2.0), (math.nan, 2.0), (math.inf, 2.0),
+                              (1.0, 0.0), (1.0, -1.0), (1.0, math.nan),
+                              (1.0, math.inf)]:
+            with pytest.raises(ValueError, match="kernel"):
+                KernelSpec(weight=weight, decay=decay)
 
 
 def loop_reference(spec, n_atoms, s0, tau, steps, record_every=1, lte_every=64):
@@ -63,6 +65,20 @@ class TestIntegrator:
         spec = KernelSpec(weight=1.0, decay=2.0)
         with pytest.raises(ValueError, match="divide"):
             integrate_kernel_ode(spec, 1, 1.0, 5.0, steps=100, record_every=3)
+
+    # negative counts used to loop forever in the repeated squaring, zero
+    # ones to divide by zero, and a negative N or a NaN tau to integrate
+    @pytest.mark.parametrize("change", [
+        {"record_every": -1}, {"lte_every": -2}, {"record_every": 0}, {"steps": 0},
+        {"steps": -4, "record_every": 2}, {"n_atoms": -3}, {"n_atoms": 0},
+        {"n_atoms": 3.0}, {"n_atoms": True}, {"tau": math.nan}, {"tau": math.inf},
+        {"tau": 0.0}, {"steps": 4096.0}, {"record_every": 2.0}, {"lte_every": True},
+    ], ids=repr)
+    def test_rejects_bad_arguments(self, change):
+        args = {"spec": KernelSpec(weight=1.0, decay=2.0), "n_atoms": 3, "s0": 1.0,
+                "tau": 5.0, "steps": 4096, **change}
+        with pytest.raises(ValueError):
+            integrate_kernel_ode(**args)
 
     def test_recorded_grid_reaches_endpoint(self):
         spec = KernelSpec(weight=1.0, decay=2.0)
@@ -210,3 +226,62 @@ def test_oracle_check_worst_equals_the_one_point_closed_form():
                     float(np.abs(dynamics.excited_population(ref.times, params)
                                  - ref.population).max()))
     assert check_oracle_equivalence(quick=True).worst.hex() == worst.hex()
+
+
+TWO, VEE = AtomKind.TWO_LEVEL, AtomKind.THREE_LEVEL_V
+STIFF = ModelParams(gamma0=400.0, n_atoms=30, theta=1.0, kind=VEE)
+HUGE = ModelParams(gamma0=1e300, n_atoms=30)
+FIELDS = ("times", "amplitude", "population", "population_rate")
+
+
+def batches():
+    """Mixed batches of both kinds whose length is not a multiple of the
+    block size, so the last block is partial."""
+    point = st.builds(lambda kind, n, theta, g0: ModelParams(
+        gamma0=g0, n_atoms=n, theta=theta if kind is VEE else 0.0, kind=kind),
+        st.sampled_from([TWO, VEE]), st.integers(1, 30), st.floats(0.0, 1.0),
+        st.floats(0.0, 3.0))
+    return st.lists(point, min_size=1, max_size=3 * oracle._BLOCK).filter(
+        lambda points: len(points) % oracle._BLOCK)
+
+
+@settings(max_examples=20, deadline=None)
+@example([ModelParams(gamma0=0.0, n_atoms=1),
+          ModelParams(gamma0=3.0, n_atoms=30, theta=1.0, kind=VEE)] * 3, 16384)
+# 12288 = 3 * 4096 is thinned to every third state, 6000 is recorded in full
+@given(batches(), st.sampled_from([4096, 8192, 16384, 12288, 6000]))
+def test_block_rows_equal_one_point_solves(points, steps):
+    rows = list(collective_trajectories(points, TAU, steps))
+    assert len(rows) == len(points)
+    for params, row in zip(points, rows):
+        single = solve_collective(params, TAU, steps)
+        for name in FIELDS:
+            assert np.array_equal(getattr(row, name), getattr(single, name)), name
+
+
+@settings(max_examples=15, deadline=None)
+@given(batches(), st.lists(st.sampled_from([STIFF, HUGE]), min_size=1, max_size=2),
+       st.lists(st.integers(0, 3 * oracle._BLOCK), min_size=2, max_size=2))
+def test_a_failing_point_raises_its_one_point_error(points, bad, places):
+    for params, place in zip(bad, places):
+        points.insert(place % (len(points) + 1), params)
+    first = next(p for p in points if p in (STIFF, HUGE))
+    with pytest.raises((StepSizeError, FloatingPointError)) as single:
+        solve_collective(first, TAU, 4096)
+    with pytest.raises(single.type) as batch:
+        list(collective_trajectories(points, TAU, 4096))
+    assert str(batch.value) == str(single.value)
+
+
+def test_oracle_check_integrates_in_blocks(monkeypatch):
+    counts = {"_orbit": 0, "solve_collective": 0}
+    for name in counts:
+        def counting(*args, _fn=getattr(oracle, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(oracle, name, counting)
+    points = len(list(_oracle_points(quick=False)))
+    assert check_oracle_equivalence().passed
+    # a record and an error sample per block, no one-point solve
+    assert counts["_orbit"] <= 2 * math.ceil(points / oracle._BLOCK)
+    assert counts["solve_collective"] == 0
