@@ -44,9 +44,9 @@ def _oracle_points(quick: bool):
 def check_oracle_equivalence(quick: bool = False) -> CheckResult:
     """Closed-form trajectories against direct memory-kernel integration.
 
-    The envelope g is read once per point, through the module, on the
-    times of the oracle's record.  With a = 1 + (g - 1)/N the amplitude is
-    a/sqrt(m) and the population a**2, the bits of dynamics.amplitude and
+    dynamics.unit_amplitude reads the envelope once per point, on the
+    times of the oracle's record.  Its A gives the amplitude A/sqrt(m) and
+    the population A**2, the bits of dynamics.amplitude and
     dynamics.excited_population.  The oracle integrates the points in
     blocks, each row with the bits of oracle.solve_collective.
     """
@@ -56,14 +56,14 @@ def check_oracle_equivalence(quick: bool = False) -> CheckResult:
     worst = 0.0
     for i, ref in enumerate(oracle.collective_trajectories(points, TAU, steps)):
         params = points[i]
-        g = dynamics.envelope(ref.times, channels.a[i], channels.b[i], channels.lam[i])[0]
-        a = 1.0 + (g - 1.0) / channels.n_atoms[i]
+        a = dynamics.unit_amplitude(ref.times, channels.a[i], channels.b[i],
+                                    channels.lam[i], channels.n_atoms[i])[0]
         initial = math.sqrt(1.0 / channel_coefficients(params.kind, params.theta)[1])
         # the oracle's amplitude is real: its real part gives the same gap
         worst = max(worst,
                     float(np.abs(initial * a - ref.amplitude.real).max()),
                     float(np.abs(a * a - ref.population).max()))
-        del g, a  # freed before the next row is integrated and its envelope read
+        del a  # freed before the next row is integrated and its envelope read
     return CheckResult("oracle-equivalence", worst < 1e-6, worst, 1e-6,
                        f"{len(points)} parameter points")
 

@@ -15,20 +15,20 @@ g_factor_dt take a complex d, check it and split it for envelope.
 
 One emitter starts excited and the other N - 1 start in their ground
 state as spectators.  Only the symmetric channel couples to the reservoir,
-and the excited emitter's amplitude follows it as 1 + (g - 1)/N, read
+and the excited emitter's amplitude follows it as A = 1 + (g - 1)/N, read
 through m excited levels: m = 1 for two-level emitters, m = 2 for V-type
 ones in the equal superposition of both upper levels
 (spectral.channel_coefficients decides this once).  amplitude (kind-guarded
-aliases alpha1 / nu1) starts at 1/sqrt(m) and the population is
-m*amplitude**2.
+aliases alpha1 / nu1) is A/sqrt(m) and the population A**2.  One kernel,
+unit_amplitude, reads the envelope once for A and g'; every one-point
+function, trajectory and the density matrices included, forms all its
+outputs from one such pass with t as the one row of a batch of one.
 
-A batch of parameter points is a ChannelColumns: one float array per
-channel constant (gamma0, lam, omega0, N, the collective factor N*c and
-the two parts of d), built in one place, ChannelColumns.build.  It is the
-input of both column kernels, measures.evaluate_columns and
-bound_state.solve_bound_states, and of population_rows, whose real
-arithmetic every one-point function runs on t as the one row of a batch
-of one.
+A batch of parameter points is a ChannelColumns: seven float64 columns
+(gamma0, lam, omega0, N, the collective factor N*c and the two parts a
+and b of d), built in one place, ChannelColumns.build.  It is the input
+of both column kernels, measures.evaluate_columns and
+bound_state.solve_bound_states, and one-point calls build a batch of one.
 """
 
 from __future__ import annotations
@@ -123,27 +123,36 @@ def g_factor_dt(t, d: complex, lam: float):
     return out if out.ndim else float(out)
 
 
-def _amplitude(g, n, initial):
-    """The excited emitter's amplitude; (g - 1)/N keeps t = 0 exact."""
-    return initial * (1.0 + (g - 1.0) / n)
+def unit_amplitude(t, a, b, lam, n):
+    """(A, dg/dt) of channels with d = a + ib and n emitters, broadcast as
+    in envelope: A = 1 + (g - 1)/N, exactly 1 at t = 0, is the amplitude
+    times sqrt(m) and its square the population of either kind."""
+    g, dg = envelope(t, a, b, lam)
+    return 1.0 + (g - 1.0) / n, dg
 
 
-def _amplitude_and_rate(t, params: ModelParams, initial):
-    """amplitude and amplitude_rate as the rows of a batch of one: t as its
-    one row of times, read as population_rows reads it, and initial
-    (1/sqrt(m) unless given)."""
+def _point(t, params: ModelParams):
+    """(A, dg/dt, N, m) of one point: t read as the one row of a batch of
+    one, so a scalar t gives the bits of the same t inside an array, N as a
+    (1, 1) column and m the excited levels of its kind."""
     channels = ChannelColumns.of([params])
-    if initial is None:
-        initial = math.sqrt(1.0 / channel_coefficients(params.kind, params.theta)[1])
-    g, rate = envelope(np.asarray(t, dtype=float).reshape(1, -1), channels.a[:, None],
-                       channels.b[:, None], channels.lam[:, None])
     n = channels.n_atoms[:, None]
-    return _amplitude(g, n, initial), initial * rate / n
+    amp, dg = unit_amplitude(np.asarray(t, dtype=float).reshape(1, -1), channels.a[:, None],
+                             channels.b[:, None], channels.lam[:, None], n)
+    return amp, dg, n, channel_coefficients(params.kind, params.theta)[1]
 
 
-def _complex_like(row: np.ndarray, t):
-    """A row of a batch of one in the shape of t, as complex."""
-    return row.reshape(np.shape(t)).astype(complex) if np.ndim(t) else complex(row[0, 0])
+def _population_rate(amp, dg, n, m: int):
+    """d/dt of m*|amplitude|**2 from A; + 0.0 writes -0.0 (t = 0) as 0.0."""
+    initial = math.sqrt(1.0 / m)
+    return 2.0 * m * ((initial * amp) * (initial * dg / n)) + 0.0
+
+
+def _shaped(row: np.ndarray, t, kind: type):
+    """A row of a batch of one in the shape of t as kind (complex or float)."""
+    if np.ndim(t):
+        return row.reshape(np.shape(t)).astype(kind, copy=False)
+    return kind(row[0, 0])
 
 
 def amplitude(t, params: ModelParams, initial: complex | None = None):
@@ -151,7 +160,9 @@ def amplitude(t, params: ModelParams, initial: complex | None = None):
 
     amplitude(0) = initial exactly, by default 1/sqrt(m) (1 or ROOT_HALF).
     """
-    return _complex_like(_amplitude_and_rate(t, params, initial)[0], t)
+    amp, _, _, m = _point(t, params)
+    initial = math.sqrt(1.0 / m) if initial is None else initial
+    return _shaped(initial * amp, t, complex)
 
 
 def alpha1(t, params: ModelParams, initial: complex = 1.0):
@@ -170,25 +181,21 @@ def nu1(t, params: ModelParams, initial: complex = ROOT_HALF):
 
 def amplitude_rate(t, params: ModelParams, initial: complex | None = None):
     """d/dt of amplitude (alpha1 or nu1) for the same initial value."""
-    return _complex_like(_amplitude_and_rate(t, params, initial)[1], t)
+    _, dg, n, m = _point(t, params)
+    initial = math.sqrt(1.0 / m) if initial is None else initial
+    return _shaped(initial * dg / n, t, complex)
 
 
 def excited_population(t, params: ModelParams):
-    """Excited population m*|amplitude|**2: |alpha1|**2 or 2*|nu1|**2.
-
-    Scalar or array t >= 0; population_rows for a batch of one point.
-    """
-    t = np.asarray(t, dtype=float)
-    out = population_rows(t.reshape(1, -1), ChannelColumns.of([params]))
-    return out.reshape(t.shape) if t.ndim else float(out[0, 0])
+    """Excited population m*|amplitude|**2 = A**2: |alpha1|**2 or 2*|nu1|**2,
+    for scalar or array t >= 0."""
+    amp = _point(t, params)[0]
+    return _shaped(amp * amp, t, float)
 
 
 def population_rate(t, params: ModelParams):
-    """Analytic d/dt of excited_population; + 0.0 writes -0.0 (t = 0) as 0.0."""
-    m = channel_coefficients(params.kind, params.theta)[1]
-    amp, rate = _amplitude_and_rate(t, params, None)
-    out = 2.0 * m * (amp * rate) + 0.0
-    return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0, 0])
+    """Analytic d/dt of excited_population."""
+    return _shaped(_population_rate(*_point(t, params)), t, float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,18 +239,6 @@ class ChannelColumns:
         return len(self.lam)
 
 
-def population_rows(times: np.ndarray, channels: ChannelColumns) -> np.ndarray:
-    """excited_population of each point of a batch on its own row of times.
-
-    The population m * (a/sqrt(m))**2 of either kind is a**2, with
-    a = 1 + (g - 1)/N the excited emitter's amplitude scaled to 1, so it
-    starts at exactly 1.
-    """
-    g = envelope(times, channels.a[:, None], channels.b[:, None], channels.lam[:, None])[0]
-    amp = _amplitude(g, channels.n_atoms[:, None], 1.0)
-    return amp * amp
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Amplitude, population and analytic population rate on a uniform grid."""
@@ -261,9 +256,10 @@ def trajectory(params: ModelParams, tau: float, steps: int = 4096) -> Trajectory
     """Sample the symmetric-channel evolution on steps+1 uniform points."""
     tau = validate_tau(tau)
     times = np.linspace(0.0, tau, validate_steps(steps) + 1)
-    amp = amplitude(times, params)
-    pop = excited_population(times, params)
-    rate = population_rate(times, params)
+    unit, dg, n, m = _point(times, params)
+    pop = (unit * unit)[0]
+    rate = _population_rate(unit, dg, n, m)[0]
+    amp = (math.sqrt(1.0 / m) * unit)[0].astype(complex)
     if not (np.isfinite(pop).all() and np.isfinite(rate).all()):
         raise FloatingPointError("population or its rate is not finite")
     if pop.min() < -1e-12 or pop.max() > 1.0 + 1e-12:
@@ -295,11 +291,11 @@ def _density_ops(times: np.ndarray, params: ModelParams, ground_amplitude: compl
     m excited levels, each pair holding |amplitude|**2, plus the ground level.
     """
     a0 = complex(ground_amplitude)
-    if abs(a0) > 1.0:
+    if not abs(a0) <= 1.0:  # NaN fails too
         raise ValueError("ground amplitude exceeds normalization")
-    m = channel_coefficients(params.kind, params.theta)[1]
+    unit, dg, n, m = _point(times, params)
     exc0 = math.sqrt(max(0.0, (1.0 - abs(a0) ** 2) / m))
-    amp, damp = (row[0] for row in _amplitude_and_rate(times, params, exc0))
+    amp, damp = (exc0 * unit)[0], (exc0 * dg / n)[0]
     q = amp * amp
     dq = 2.0 * (amp * damp)
     rho = np.zeros((len(times), m + 1, m + 1), dtype=complex)

@@ -1,4 +1,4 @@
-"""State-space measures: Schatten norms, Bures angle, trace distance, the
+"""State-space measures: Schatten norms, the Bures angle, the
 quantum-speed-limit time and the information-backflow measure.
 
 For one excited emitter among N, its excited population p(t) carries the
@@ -88,6 +88,9 @@ def bures_angle(initial, target) -> float:
     rho0, rho = _entries(initial), _entries(target)
     if rho0.shape != rho.shape:
         raise ValueError("states must have equal dimension")
+    # a NaN would pass the purity test and be clamped to fidelity 0
+    if not (np.isfinite(rho0).all() and np.isfinite(rho).all()):
+        raise ValueError("states must be finite")
     w, v = np.linalg.eigh(rho0)
     if w[-1] < 1.0 - 1e-8:
         raise ValueError("initial state must be pure")
@@ -152,7 +155,7 @@ def evaluate_columns(channels: ChannelColumns, tau: float):
     # through the module, so the functionals read the same envelope as dynamics
     g = dynamics.envelope(tau, channels.a, omega, channels.lam)[0]
     u = (1.0 - g) / n
-    a = 1.0 - u  # population_rows' 1 + (g - 1)/N, bit for bit
+    a = 1.0 - u  # dynamics.unit_amplitude's 1 + (g - 1)/N, bit for bit
     final = a * a
     loss = u * (2.0 - u)  # 1 - a**2 without cancelling at large N
     rows = omega > 0.0  # an overdamped or degenerate channel decays monotonically
@@ -228,7 +231,7 @@ def qsl_generic(times, rhos, rho_rates=None) -> GenericQslResult:
         raise ValueError("need at least 4096 snapshots")
     if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
         raise ValueError("time grid must be finite and strictly increasing")
-    if rhos.shape[0] != len(times) or rhos.ndim != 3:
+    if rhos.ndim != 3 or rhos.shape[0] != len(times):
         raise ValueError("rhos must stack one state per snapshot")
     angle = bures_angle(rhos[0], rhos[-1])
     if rho_rates is None:
@@ -239,7 +242,7 @@ def qsl_generic(times, rhos, rho_rates=None) -> GenericQslResult:
             raise ValueError("rho_rates must match rhos in shape")
 
     sv = np.linalg.svd(rho_rates, compute_uv=False)
-    span = times[-1] - times[0]
+    span = float(times[-1] - times[0])
     lam1 = float(np.trapezoid(sv.sum(axis=1), times)) / span
     lam2 = float(np.trapezoid(np.sqrt((sv * sv).sum(axis=1)), times)) / span
     lam_inf = float(np.trapezoid(sv[:, 0], times)) / span

@@ -34,12 +34,11 @@ genuine check rather than a tautology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Trajectory
-from .spectral import AtomKind, ModelParams, _check_n_atoms, validate_steps, validate_tau
+from .spectral import AtomKind, ModelParams, validate_steps, validate_tau
 
 LTE_TOL = 1e-8
 MIN_STEPS = 4096
@@ -48,27 +47,6 @@ _BLOCK = 4  # points per stacked integration in collective_trajectories
 
 class StepSizeError(RuntimeError):
     """The fixed step failed its local truncation estimate."""
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Exponential memory kernel w * exp(-decay * t) of one channel."""
-
-    weight: float
-    decay: float
-
-    def __post_init__(self):
-        # phrased so that NaN fails too
-        if not (math.isfinite(self.weight) and self.weight >= 0):
-            raise ValueError("kernel weight must be finite and >= 0")
-        if not (math.isfinite(self.decay) and self.decay > 0):
-            raise ValueError("kernel decay must be finite and > 0")
-
-    @classmethod
-    def for_channel(cls, params: ModelParams, sign: float = 0.0) -> "KernelSpec":
-        """sign = 0 for two-level, +1 / -1 for the V-type channels."""
-        return cls(weight=0.5 * params.gamma0 * params.lam * (1.0 + sign * params.theta),
-                   decay=params.lam)
 
 
 def _step_matrix(weight: np.ndarray, decay: np.ndarray, n: np.ndarray,
@@ -142,36 +120,6 @@ def _check_finite(states: np.ndarray) -> None:
                                  "for this kernel")
 
 
-def integrate_kernel_ode(spec: KernelSpec, n_atoms: int, s0: float, tau: float,
-                         steps: int, record_every: int = 1, lte_every: int = 64):
-    """RK4 on S' = -w z, z' = N S - lam z from (S, z)(0) = (s0, 0).
-
-    Returns (times, s, z, max_lte): the recorded subgrid, the two state
-    components on it, and the largest step-doubling error estimate seen.
-    The estimate (M_{h/2}**2 x - M_h x)/15 is taken on the state x before
-    every lte_every-th step (none for lte_every = 0).  Only the recorded
-    states and the sampled ones are formed.  Raises ValueError unless tau is
-    finite and > 0, N, steps and record_every are integers >= 1 with
-    record_every dividing steps, and lte_every is an integer >= 0; raises
-    FloatingPointError when a state is not finite: the step overflows for
-    this kernel.
-    """
-    tau = validate_tau(tau)
-    steps = validate_steps(steps)
-    _check_n_atoms(n_atoms)
-    record_every = validate_steps(record_every, 1, "record_every")
-    lte_every = validate_steps(lte_every, 0, "lte_every")
-    if steps % record_every != 0:
-        raise ValueError("record_every must divide steps")
-    states, max_lte = _integrate(np.array([spec.weight]), np.array([spec.decay]),
-                                 np.array([float(n_atoms)]), np.array([float(s0)]),
-                                 tau / steps, steps, record_every, lte_every)
-    _check_finite(states)
-    # record_every always divides steps, so the last record sits at t = tau
-    times = np.linspace(0.0, tau, states.shape[1])
-    return times, states[0, :, 0], states[0, :, 1], float(max_lte[0])
-
-
 def collective_trajectories(points, tau: float, steps: int = 16384):
     """solve_collective's Trajectory of each point of a sequence, in order.
 
@@ -193,26 +141,25 @@ def collective_trajectories(points, tau: float, steps: int = 16384):
 def _block_trajectories(points, tau: float, steps: int, record_every: int):
     """Trajectories of a block of points, integrated as one stack; each
     point's guards run on its own row."""
+    # theta is 0 for two-level points, so (1 + theta) is their weight's 1
+    weights = [0.5 * p.gamma0 * p.lam * (1.0 + p.theta) for p in points]
     # V-type: the symmetric initial state excites only the + channel, read
     # through both upper levels; the - channel starts at zero and the
     # homogeneous system keeps it there.
     levels = [2 if p.kind is AtomKind.THREE_LEVEL_V else 1 for p in points]
-    specs = [KernelSpec.for_channel(p, sign=1.0 if m == 2 else 0.0)
-             for p, m in zip(points, levels)]
     states, max_lte = _integrate(
-        np.array([spec.weight for spec in specs]), np.array([p.lam for p in points]),
+        np.array(weights), np.array([p.lam for p in points]),
         np.array([float(p.n_atoms) for p in points]),
         np.array([math.sqrt(m) for m in levels]), tau / steps, steps,
         record_every, lte_every=64)
     times = np.linspace(0.0, tau, states.shape[1])
-    for params, spec, m, record, lte in zip(points, specs, levels, states,
-                                            max_lte.tolist()):
+    for params, weight, m, record, lte in zip(points, weights, levels, states,
+                                              max_lte.tolist()):
         _check_finite(record)
         if not lte <= LTE_TOL:  # NaN fails too
             raise StepSizeError(f"truncation estimate {lte:g} exceeds {LTE_TOL:g}; "
                                 "increase steps")
-        yield _trajectory(times, record[:, 0], record[:, 1], spec.weight,
-                          params.n_atoms, m)
+        yield _trajectory(times, record[:, 0], record[:, 1], weight, params.n_atoms, m)
 
 
 def _trajectory(times, s, z, weight: float, n: int, levels: int) -> Trajectory:

@@ -113,11 +113,11 @@ def validate_tau(tau) -> float:
     return tau
 
 
-def validate_steps(steps, least: int = 1, name: str = "steps") -> int:
-    """A time grid's step count (or another count, called name); ValueError
-    unless an integer (not a bool) >= least."""
+def validate_steps(steps, least: int = 1) -> int:
+    """A time grid's step count; ValueError unless an integer (not a bool)
+    >= least."""
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < least:
-        raise ValueError(f"{name} must be an integer >= {least}")
+        raise ValueError(f"steps must be an integer >= {least}")
     return int(steps)
 
 

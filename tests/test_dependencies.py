@@ -9,6 +9,8 @@ import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "qspeedup"
 README = PACKAGE.parents[1] / "README.md"
+# the benchmark harness and the scripts, read here and never written
+CONSUMERS = [PACKAGE.parents[1] / "bench", PACKAGE.parents[1] / "scripts"]
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "qspeedup"}
 
 
@@ -62,12 +64,19 @@ def read_names(tree: ast.Module) -> set:
 
 def unreferenced_names(sources: dict, exported: set, documented: set):
     """Top-level names of the modules in sources that no module reads and
-    that are neither exported nor documented: dead code."""
+    that are neither in exported nor in documented: dead code."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     read = set().union(*map(read_names, trees.values()))
     return [f"{module}: {name}" for module, tree in trees.items()
             for name in top_level_names(tree)
             if name not in read | exported | documented]
+
+
+def consumer_names() -> set:
+    """Names the Python files under bench/ and scripts/ read."""
+    paths = sorted(path for folder in CONSUMERS for path in folder.rglob("*.py"))
+    return set().union(*(read_names(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in paths))
 
 
 def readme_code_names() -> set:
@@ -120,11 +129,13 @@ def test_dead_name_reader_sees_every_definition_form():
 
 
 def test_every_top_level_name_is_read_exported_or_documented():
-    # a helper whose last caller is gone fails here; a public name the
-    # package does not read itself is covered by __all__ or the README
+    # a helper whose last caller is gone fails here.  A public name the
+    # package does not read itself must be named in the README's code or be
+    # read by the benchmark or a script: a place in __all__ alone is not use
     import qspeedup
 
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})}
     assert len(sources) >= 10
-    assert unreferenced_names(sources, set(qspeedup.__all__), readme_code_names()) == []
+    used_outside = set(qspeedup.__all__) & consumer_names()
+    assert unreferenced_names(sources, used_outside, readme_code_names()) == []

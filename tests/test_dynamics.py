@@ -401,6 +401,19 @@ def test_one_point_calls_equal_their_batch_rows(kind, n, theta, gamma0, lam, tau
 
 
 class TestTrajectory:
+    def test_reads_the_envelope_once(self, monkeypatch):
+        # amplitude, population and rate all come from one pass
+        calls = []
+
+        def counting(*args, _envelope=dynamics.envelope):
+            calls.append(np.size(args[0]))
+            return _envelope(*args)
+        monkeypatch.setattr(dynamics, "envelope", counting)
+        for params in (TWO, VEE):
+            calls.clear()
+            trajectory(params, 5.0)
+            assert calls == [4097]
+
     def test_grid_convention(self):
         traj = trajectory(TWO, 5.0)
         assert len(traj) == 4097
@@ -480,6 +493,12 @@ class TestDensityMatrix:
     def test_rejects_overweight_ground_amplitude(self):
         with pytest.raises(ValueError):
             density_matrix(0.5, TWO, ground_amplitude=1.2)
+        # NaN is an input error, not a numerical failure of the states
+        for a0 in (math.nan, complex(0.0, math.nan)):
+            with pytest.raises(ValueError, match="normalization"):
+                density_matrix(0.5, TWO, ground_amplitude=a0)
+            with pytest.raises(ValueError, match="normalization"):
+                density_trajectory(TWO, 5.0, steps=64, ground_amplitude=a0)
 
     def test_validate_flags_bad_matrices(self):
         with pytest.raises(ValueError, match="Hermitian"):

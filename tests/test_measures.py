@@ -75,6 +75,17 @@ class TestBuresAngle:
         with pytest.raises(ValueError, match="pure"):
             bures_angle(mixed, mixed)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_states(self, value):
+        # a NaN used to pass the purity test and clamp the fidelity to 0,
+        # so the angle read pi/2
+        up = np.diag([1.0, 0.0]).astype(complex)
+        bad = up.copy()
+        bad[1, 1] = value
+        for initial, target in ((up, bad), (bad, up)):
+            with pytest.raises(ValueError, match="finite"):
+                bures_angle(initial, target)
+
 
 def _omega(params):
     """|d| of the symmetric channel: d**2 = lam**2 - 2 gamma0 c lam N."""
@@ -314,6 +325,12 @@ class TestGenericQsl:
         lam1, lam2, lam_inf = qsl_generic(times, rhos, rho_rates=rates).rates
         assert lam_inf <= lam2 <= lam1
 
+    def test_rates_and_time_are_floats(self):
+        times, rhos, rates = density_trajectory(TWO, 5.0, steps=4096)
+        for result in (qsl_generic(times, rhos, rho_rates=rates), qsl_generic(times, rhos)):
+            assert type(result.tau_qsl) is float and type(result.bures) is float
+            assert [type(r) for r in result.rates] == [float] * 3
+
     def test_stationary_stack(self):
         times = np.linspace(0.0, 5.0, 4097)
         rhos = np.broadcast_to(np.diag([1.0, 0.0]).astype(complex),
@@ -336,14 +353,21 @@ class TestGenericQsl:
             for bad_rates in (None, rates):
                 with pytest.raises(ValueError, match="finite"):
                     qsl_generic(bad_times, rhos, rho_rates=bad_rates)
-        with pytest.raises(ValueError, match="one state per snapshot"):
-            qsl_generic(times, rhos[:-1])
+        for bad_rhos in (rhos[:-1], np.array(1.0), rhos[:, 0]):
+            with pytest.raises(ValueError, match="one state per snapshot"):
+                qsl_generic(times, bad_rhos)
         with pytest.raises(ValueError, match="match rhos"):
             qsl_generic(times, rhos, rho_rates=rates[:-1])
         mixed = np.broadcast_to(np.eye(2, dtype=complex) / 2,
                                 rhos.shape).copy()
         with pytest.raises(ValueError, match="pure"):
             qsl_generic(times, mixed)
+        # a NaN final state, with exact rates, used to give status normal
+        # and a speed-limit time beyond the window
+        nan_final = rhos.copy()
+        nan_final[-1] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            qsl_generic(times, nan_final, rho_rates=rates)
 
 
 

@@ -6,32 +6,32 @@ from hypothesis import example, given, settings, strategies as st
 
 from qspeedup import dynamics, oracle
 from qspeedup.checks import TAU, _oracle_points, check_oracle_equivalence
-from qspeedup.oracle import (KernelSpec, StepSizeError, collective_trajectories,
-                             integrate_kernel_ode, solve_collective)
+from qspeedup.oracle import StepSizeError, collective_trajectories, solve_collective
 from qspeedup.spectral import AtomKind, ModelParams
 
 
-class TestKernelSpec:
-    def test_channel_weights(self):
-        two = ModelParams(gamma0=1.5, n_atoms=2)
-        vee = ModelParams(gamma0=1.5, n_atoms=2, theta=0.4,
-                          kind=AtomKind.THREE_LEVEL_V)
-        assert KernelSpec.for_channel(two).weight == pytest.approx(1.5)
-        assert KernelSpec.for_channel(vee, +1.0).weight == pytest.approx(2.1)
-        assert KernelSpec.for_channel(vee, -1.0).weight == pytest.approx(0.9)
-        assert KernelSpec.for_channel(two).decay == 2.0
+def integrate(weight, decay, n_atoms, s0, tau, steps, record_every=1, lte_every=64):
+    """One point through the oracle's block kernel: (times, s, z, max_lte).
 
-    def test_rejects_bad_kernels(self):
-        for weight, decay in [(-0.1, 2.0), (math.nan, 2.0), (math.inf, 2.0),
-                              (1.0, 0.0), (1.0, -1.0), (1.0, math.nan),
-                              (1.0, math.inf)]:
-            with pytest.raises(ValueError, match="kernel"):
-                KernelSpec(weight=weight, decay=decay)
+    record_every must divide steps, so the last record sits at t = tau.
+    """
+    states, max_lte = oracle._integrate(
+        np.array([weight]), np.array([decay]), np.array([float(n_atoms)]),
+        np.array([float(s0)]), tau / steps, steps, record_every, lte_every)
+    oracle._check_finite(states)
+    times = np.linspace(0.0, tau, states.shape[1])
+    return times, states[0, :, 0], states[0, :, 1], float(max_lte[0])
 
 
-def loop_reference(spec, n_atoms, s0, tau, steps, record_every=1, lte_every=64):
+def channel_weight(params):
+    """The kernel weight gamma0*lam/2 of a two-level point, times (1 + theta)
+    for the + channel of a V-type one."""
+    return 0.5 * params.gamma0 * params.lam * (1.0 + params.theta)
+
+
+def loop_reference(w, lam, n_atoms, s0, tau, steps, record_every=1, lte_every=64):
     """The scalar RK4 loop the step matrices replaced: (s, z, max_lte)."""
-    w, lam, n = spec.weight, spec.decay, float(n_atoms)
+    n = float(n_atoms)
     h = tau / steps
 
     def step(s, z, hh):
@@ -61,42 +61,24 @@ def loop_reference(spec, n_atoms, s0, tau, steps, record_every=1, lte_every=64):
 
 
 class TestIntegrator:
-    def test_record_every_must_divide(self):
-        spec = KernelSpec(weight=1.0, decay=2.0)
-        with pytest.raises(ValueError, match="divide"):
-            integrate_kernel_ode(spec, 1, 1.0, 5.0, steps=100, record_every=3)
-
-    # negative counts used to loop forever in the repeated squaring, zero
-    # ones to divide by zero, and a negative N or a NaN tau to integrate
-    @pytest.mark.parametrize("change", [
-        {"record_every": -1}, {"lte_every": -2}, {"record_every": 0}, {"steps": 0},
-        {"steps": -4, "record_every": 2}, {"n_atoms": -3}, {"n_atoms": 0},
-        {"n_atoms": 3.0}, {"n_atoms": True}, {"tau": math.nan}, {"tau": math.inf},
-        {"tau": 0.0}, {"steps": 4096.0}, {"record_every": 2.0}, {"lte_every": True},
-    ], ids=repr)
-    def test_rejects_bad_arguments(self, change):
-        args = {"spec": KernelSpec(weight=1.0, decay=2.0), "n_atoms": 3, "s0": 1.0,
-                "tau": 5.0, "steps": 4096, **change}
-        with pytest.raises(ValueError):
-            integrate_kernel_ode(**args)
-
     def test_recorded_grid_reaches_endpoint(self):
-        spec = KernelSpec(weight=1.0, decay=2.0)
-        times, s, z, _ = integrate_kernel_ode(spec, 1, 1.0, 5.0, steps=120,
-                                              record_every=4)
+        times, s, z, _ = integrate(1.0, 2.0, 1, 1.0, 5.0, steps=120, record_every=4)
         assert times[0] == 0.0 and times[-1] == 5.0
         assert len(times) == len(s) == len(z) == 31
+        # every fourth state of the full loop, the last one after all 120 steps
+        ref_s, ref_z, _ = loop_reference(1.0, 2.0, 1, 1.0, 5.0, steps=120)
+        assert np.abs(s - ref_s[::4]).max() < 1e-13
+        assert np.abs(z - ref_z[::4]).max() < 1e-13
 
     def test_fourth_order_convergence(self):
         # halving the step should cut the endpoint error by about 2**4
         params = ModelParams(gamma0=2.0, n_atoms=3)
-        spec = KernelSpec.for_channel(params)
         channels = dynamics.ChannelColumns.of([params])
         exact = dynamics.envelope(2.0, channels.a[0], channels.b[0], params.lam)[0]
         errs = []
         for steps in (128, 256):
-            _, s, _, _ = integrate_kernel_ode(spec, 3, 1.0, 2.0, steps,
-                                              record_every=steps, lte_every=0)
+            _, s, _, _ = integrate(channel_weight(params), params.lam, 3, 1.0, 2.0,
+                                   steps, record_every=steps, lte_every=0)
             errs.append(abs(s[-1] - exact))
         ratio = errs[0] / errs[1]
         assert 8.0 < ratio < 32.0
@@ -131,10 +113,9 @@ class TestIntegrator:
     @staticmethod
     def _compare(params, steps, record_every, lte_every=64):
         vee = params.kind is AtomKind.THREE_LEVEL_V
-        spec = KernelSpec.for_channel(params, sign=1.0 if vee else 0.0)
-        args = (spec, params.n_atoms, math.sqrt(2.0) if vee else 1.0, 5.0, steps,
-                record_every, lte_every)
-        _, s, z, lte = integrate_kernel_ode(*args)
+        args = (channel_weight(params), params.lam, params.n_atoms,
+                math.sqrt(2.0) if vee else 1.0, 5.0, steps, record_every, lte_every)
+        _, s, z, lte = integrate(*args)
         ref_s, ref_z, ref_lte = loop_reference(*args)
         assert len(s) == len(ref_s) == steps // record_every + 1
         assert np.abs(s - ref_s).max() < 1e-11
@@ -143,17 +124,15 @@ class TestIntegrator:
         assert (lte == 0.0) == (lte_every == 0)
 
     def test_overflowing_step_is_a_floating_point_error(self):
-        spec = KernelSpec(weight=1e300, decay=2.0)
         with pytest.raises(FloatingPointError, match="not finite"):
-            integrate_kernel_ode(spec, 30, 1.0, 5.0, 4096, lte_every=0)
+            integrate(1e300, 2.0, 30, 1.0, 5.0, 4096, lte_every=0)
 
     def test_state_derivative_identity(self):
         # central difference of the recorded S should track -w z to O(h^2)
-        spec = KernelSpec(weight=3.0, decay=2.0)
-        times, s, z, _ = integrate_kernel_ode(spec, 4, 1.0, 3.0, steps=3000)
+        times, s, z, _ = integrate(3.0, 2.0, 4, 1.0, 3.0, steps=3000)
         h = times[1] - times[0]
         fd = (s[2:] - s[:-2]) / (2.0 * h)
-        assert np.abs(fd + spec.weight * z[1:-1]).max() < 1e-4
+        assert np.abs(fd + 3.0 * z[1:-1]).max() < 1e-4
 
 
 class TestSolveCollective:
