@@ -95,12 +95,16 @@ def _orbit(m: np.ndarray, x0: np.ndarray, count: int) -> np.ndarray:
 
 def _integrate(weight, decay, n, s0, h: float, steps: int, record_every: int,
                lte_every: int):
-    """RK4 of a block of points from (S, z)(0) = (s0, 0), unchecked.
+    """RK4 of a block of points from (S, z)(0) = (s0, 0); states unchecked.
 
     weight, decay, n and s0 are columns of P points.  Returns the (P,
     steps // record_every + 1, 2) record and the (P,) largest step-doubling
-    estimates, 0 for lte_every = 0.
+    estimates, 0 for lte_every = 0.  Refuses bad counts: a negative one would hang _power.
     """
+    if not (type(record_every) is type(lte_every) is int and record_every >= 1
+            and lte_every >= 0 and steps % record_every == 0):
+        raise ValueError("record_every must be an integer >= 1 that divides "
+                         "steps and lte_every an integer >= 0")
     x0 = np.stack([s0, np.zeros_like(s0)], axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
         full = _step_matrix(weight, decay, n, h)

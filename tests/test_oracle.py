@@ -13,7 +13,8 @@ from qspeedup.spectral import AtomKind, ModelParams
 def integrate(weight, decay, n_atoms, s0, tau, steps, record_every=1, lte_every=64):
     """One point through the oracle's block kernel: (times, s, z, max_lte).
 
-    record_every must divide steps, so the last record sits at t = tau.
+    The kernel refuses a record_every that does not divide steps, so the
+    last record sits at t = tau.
     """
     states, max_lte = oracle._integrate(
         np.array([weight]), np.array([decay]), np.array([float(n_atoms)]),
@@ -21,6 +22,38 @@ def integrate(weight, decay, n_atoms, s0, tau, steps, record_every=1, lte_every=
     oracle._check_finite(states)
     times = np.linspace(0.0, tau, states.shape[1])
     return times, states[0, :, 0], states[0, :, 1], float(max_lte[0])
+
+
+class TestKernelSpec:
+    """The exponential memory kernel w * exp(-lam * t) that the block kernel
+    forms inline from each point's ModelParams."""
+
+    def test_channel_weights(self, monkeypatch):
+        seen = []
+
+        def recording(weight, decay, *args, _fn=oracle._integrate, **kwargs):
+            seen.append((weight.tolist(), decay.tolist()))
+            return _fn(weight, decay, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_integrate", recording)
+        two = ModelParams(gamma0=1.5, n_atoms=2)
+        vee = ModelParams(gamma0=1.5, n_atoms=2, theta=0.4,
+                          kind=AtomKind.THREE_LEVEL_V)
+        list(collective_trajectories([two, vee], 5.0, 4096))
+        (weights, decays), = seen
+        # gamma0*lam/2, times (1 + theta) for the + channel of a V-type point;
+        # the - channel starts at zero and is not integrated
+        assert weights == pytest.approx([1.5, 2.1])
+        assert weights == [channel_weight(two), channel_weight(vee)]
+        assert decays == [2.0, 2.0]
+
+    def test_rejects_bad_kernels(self):
+        # the weight and the decay reach the kernel only through ModelParams
+        for gamma0, lam in [(-0.1, 2.0), (math.nan, 2.0), (math.inf, 2.0),
+                            (1.0, 0.0), (1.0, -1.0), (1.0, math.nan),
+                            (1.0, math.inf)]:
+            with pytest.raises(ValueError, match="gamma0|lam"):
+                solve_collective(ModelParams(gamma0=gamma0, lam=lam), 5.0, steps=4096)
 
 
 def channel_weight(params):
@@ -61,6 +94,31 @@ def loop_reference(w, lam, n_atoms, s0, tau, steps, record_every=1, lte_every=64
 
 
 class TestIntegrator:
+    def test_record_every_must_divide(self):
+        with pytest.raises(ValueError, match="divide"):
+            integrate(1.0, 2.0, 1, 1.0, 5.0, steps=100, record_every=3)
+
+    # negative counts used to loop forever in the repeated squaring, zero
+    # ones to divide by zero, and a negative N or a NaN tau to integrate.
+    # record_every and lte_every are the kernel's own counts; N, tau and
+    # steps reach it through ModelParams and solve_collective.
+    @pytest.mark.parametrize("change", [
+        {"record_every": -1}, {"lte_every": -2}, {"record_every": 0}, {"steps": 0},
+        {"steps": -4, "record_every": 2}, {"n_atoms": -3}, {"n_atoms": 0},
+        {"n_atoms": 3.0}, {"n_atoms": True}, {"tau": math.nan}, {"tau": math.inf},
+        {"tau": 0.0}, {"steps": 4096.0}, {"record_every": 2.0}, {"lte_every": True},
+    ], ids=repr)
+    def test_rejects_bad_arguments(self, change):
+        args = {"n_atoms": 3, "tau": 5.0, "steps": 4096, "record_every": 1,
+                "lte_every": 64, **change}
+        with pytest.raises(ValueError):
+            if change.keys() <= {"record_every", "lte_every"}:
+                integrate(1.0, 2.0, args["n_atoms"], 1.0, args["tau"], args["steps"],
+                          args["record_every"], args["lte_every"])
+            else:
+                solve_collective(ModelParams(gamma0=1.0, n_atoms=args["n_atoms"]),
+                                 args["tau"], args["steps"])
+
     def test_recorded_grid_reaches_endpoint(self):
         times, s, z, _ = integrate(1.0, 2.0, 1, 1.0, 5.0, steps=120, record_every=4)
         assert times[0] == 0.0 and times[-1] == 5.0
