@@ -41,7 +41,6 @@ class BisectionStallError(RuntimeError):
     """The root search ended with a residual above its target."""
 
 
-# slotted: find_bound_states builds one per point of its list
 @dataclass(frozen=True, slots=True)
 class BoundStateResult:
     exists: bool
@@ -56,8 +55,7 @@ def kernel_k(e, params: ModelParams):
     return params.omega0 - params.collective_factor() * reservoir_integral(e, params)
 
 
-def solve_bound_states(channels: ChannelColumns, tol: float = RESIDUAL_TOL,
-                       label="point {}".format) -> tuple:
+def solve_bound_states(channels: ChannelColumns, label="point {}".format) -> tuple:
     """Locate the unique E < 0 with K(E) = E for every point of a batch.
 
     Reads omega0, the collective factor c, gamma0 and lam of each point,
@@ -65,9 +63,9 @@ def solve_bound_states(channels: ChannelColumns, tol: float = RESIDUAL_TOL,
     iterations).  coupled is False only for gamma0 = 0, where K is constant
     at omega0; underflow marks a root beyond the probe floor of -1e-16.
     Raises BisectionStallError, naming point i by label(i), when a point
-    misses the residual target tol * max(1, |E|, omega0): K(E) = omega0 -
-    c * I(E) cancels two terms of size omega0, so the residual cannot
-    resolve less than a few float spacings of omega0.
+    misses the residual target RESIDUAL_TOL * max(1, |E|, omega0): K(E) =
+    omega0 - c * I(E) cancels two terms of size omega0, so the residual
+    cannot resolve less than a few float spacings of omega0.
 
     The search is Newton's iteration on u = log|E| for h = K(E) - E, with
     the exact slope dh/du = -E - c * dI/du (ReservoirIntegral.unit), run on
@@ -83,11 +81,11 @@ def solve_bound_states(channels: ChannelColumns, tol: float = RESIDUAL_TOL,
     one that leaves the bracket or is longer than 3/4 of a unit of u
     bisects the bracket on the log axis instead.  The energy is the last
     point evaluated: a point stops once its residual there is 100 times
-    below tol, or within 16 float spacings of |E| for large |E|, and after
-    at most MAX_STEPS evaluations.  A step of at most SETTLE also stops
-    it, and then the step's end is the energy, unevaluated, if it lies
-    strictly inside the bracket.  The residual is evaluated at the energy
-    afterwards.
+    below RESIDUAL_TOL, or within 16 float spacings of |E| for large |E|,
+    and after at most MAX_STEPS evaluations.  A step of at most SETTLE
+    also stops it, and then the step's end is the energy, unevaluated, if
+    it lies strictly inside the bracket.  The residual is evaluated at the
+    energy afterwards.
     """
     omega0, factor = channels.omega0, channels.factor
     integral = ReservoirIntegral(channels.gamma0, channels.lam, omega0)
@@ -139,9 +137,9 @@ def solve_bound_states(channels: ChannelColumns, tol: float = RESIDUAL_TOL,
         hi = np.where(active & (h < 0.0), e, hi)
         mid = midpoint(lo, hi)
         step = np.divide(h, dh, out=np.zeros_like(h), where=active)
-        # stop 100 times below tol, or at the float resolution of K where
-        # |E| is too large for that (the gate stays relative)
-        done = np.maximum(0.01 * tol, 16.0 * np.spacing(-e)) / factor / big
+        # stop 100 times below RESIDUAL_TOL, or at the float resolution of
+        # K where |E| is too large for that (the gate stays relative)
+        done = np.maximum(0.01 * RESIDUAL_TOL, 16.0 * np.spacing(-e)) / factor / big
         active = active & (np.abs(h) >= done)
         # a step scales E, which keeps its own precision where u = log|E|
         # has less.  Past 3/4 of a unit of u Newton is far from the root (it
@@ -160,7 +158,7 @@ def solve_bound_states(channels: ChannelColumns, tol: float = RESIDUAL_TOL,
             e = np.where(active & (h < 0.0), np.minimum(e, -np.exp(balance)), e)
 
     residual = np.abs(omega0 - factor * integral(energy) - energy)
-    gate = tol * np.maximum(np.maximum(1.0, np.abs(energy)), omega0)
+    gate = RESIDUAL_TOL * np.maximum(np.maximum(1.0, np.abs(energy)), omega0)
     stalled = solve & ~(residual < gate)
     if stalled.any():
         i = int(np.argmax(stalled))
@@ -169,39 +167,23 @@ def solve_bound_states(channels: ChannelColumns, tol: float = RESIDUAL_TOL,
     return coupled, underflow, energy, residual, lo, hi, iterations
 
 
-def find_bound_states(points, tol: float = RESIDUAL_TOL) -> list:
-    """solve_bound_states of ModelParams: entry i is the BoundStateResult of
-    points[i], or the BracketFailureError that find_bound_state raises."""
-    points = list(points)
-    if not points:
-        return []
-    columns = solve_bound_states(ChannelColumns.of(points), tol,
-                                 label=lambda i: repr(points[i]))
-    results = []
-    for params, coupled, underflow, e, r, a, b, n in zip(
-            points, *(c.tolist() for c in columns)):
-        if not coupled:
-            results.append(BoundStateResult(False, None, None, None, 0))
-        elif underflow:
-            results.append(BracketFailureError(
-                "no sign change of K(E) - E above the probe floor "
-                f"{BRACKET_FLOOR:g}; coupling gamma0={params.gamma0:g} is too "
-                "weak for the root to be representable"))
-        else:
-            # the best step may have become a bracket edge; keep it inside
-            bracket = (math.nextafter(a, -math.inf) if e <= a else a,
-                       math.nextafter(b, 0.0) if e >= b else b)
-            results.append(BoundStateResult(True, e, r, bracket, n))
-    return results
-
-
-def find_bound_state(params: ModelParams, tol: float = RESIDUAL_TOL) -> BoundStateResult:
-    """Locate the unique E < 0 with K(E) = E: find_bound_states of one point.
+def find_bound_state(params: ModelParams) -> BoundStateResult:
+    """Locate the unique E < 0 with K(E) = E: row 0 of solve_bound_states
+    on a batch of one.
 
     Returns exists=False only for gamma0 = 0.  Raises BracketFailureError
     when the root lies beyond the probe floor of -1e-16.
     """
-    (result,) = find_bound_states([params], tol)
-    if isinstance(result, BracketFailureError):
-        raise result
-    return result
+    coupled, underflow, e, r, a, b, n = (column.item(0) for column in solve_bound_states(
+        ChannelColumns.of([params]), label=lambda i: repr(params)))
+    if not coupled:
+        return BoundStateResult(False, None, None, None, 0)
+    if underflow:
+        raise BracketFailureError(
+            "no sign change of K(E) - E above the probe floor "
+            f"{BRACKET_FLOOR:g}; coupling gamma0={params.gamma0:g} is too "
+            "weak for the root to be representable")
+    # the best step may have become a bracket edge; keep it inside
+    bracket = (math.nextafter(a, -math.inf) if e <= a else a,
+               math.nextafter(b, 0.0) if e >= b else b)
+    return BoundStateResult(True, e, r, bracket, n)

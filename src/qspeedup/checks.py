@@ -76,17 +76,14 @@ def check_speedup_backflow_identity(quick: bool = False) -> CheckResult:
               for params in (ModelParams(gamma0=g0, n_atoms=n),
                              ModelParams(gamma0=g0, n_atoms=n, theta=1.0,
                                          kind=AtomKind.THREE_LEVEL_V))]
-    worst = 0.0
-    count = 0
-    for report in measures.evaluate_points(points, TAU):
-        loss = 1.0 - report.final_population
-        if loss <= 0.0:
-            continue
-        recomputed = TAU / (2.0 * report.nonmarkov / loss + 1.0)
-        worst = max(worst, abs(report.tau_qsl - recomputed))
-        count += 1
+    tau_qsl, _, backflow, final, _ = measures.evaluate_columns(
+        dynamics.ChannelColumns.of(points), TAU)
+    loss = 1.0 - final
+    moved = loss > 0.0
+    recomputed = TAU / (2.0 * backflow[moved] / loss[moved] + 1.0)
+    worst = float(np.abs(tau_qsl[moved] - recomputed).max(initial=0.0))
     return CheckResult("speedup-backflow-identity", worst < 1e-9 * TAU, worst,
-                       1e-9 * TAU, f"{count} parameter points")
+                       1e-9 * TAU, f"{np.count_nonzero(moved)} parameter points")
 
 
 def check_reduction_mappings(quick: bool = False) -> CheckResult:
@@ -97,17 +94,15 @@ def check_reduction_mappings(quick: bool = False) -> CheckResult:
     limits = [(ModelParams(gamma0=g0, n_atoms=n, theta=theta, kind=AtomKind.THREE_LEVEL_V),
                ModelParams(gamma0=(1.0 + theta) * g0, n_atoms=n))
               for g0 in gammas for n in ns for theta in (0.0, 1.0)]
-    reports = iter(measures.evaluate_points([p for pair in limits for p in pair], TAU))
-    worst = 0.0
+    # tau_qsl, ratio, backflow and final population; V-type rows alternate
+    # with their references
+    columns = np.array(measures.evaluate_columns(
+        dynamics.ChannelColumns.of([p for pair in limits for p in pair]), TAU)[:4])
+    worst = float(np.abs(columns[:, 0::2] - columns[:, 1::2]).max())
     for v_params, ref_params in limits:
         worst = max(worst, float(np.abs(
             dynamics.nu1(t, v_params) * math.sqrt(2.0)
             - dynamics.alpha1(t, ref_params)).max()))
-        rv, rr = next(reports), next(reports)
-        worst = max(worst, abs(rv.tau_qsl - rr.tau_qsl),
-                    abs(rv.ratio - rr.ratio),
-                    abs(rv.nonmarkov - rr.nonmarkov),
-                    abs(rv.final_population - rr.final_population))
     return CheckResult("reduction-mappings", worst < 1e-10, worst, 1e-10,
                        f"{len(gammas) * len(ns)} parameter points, both limits")
 
@@ -130,19 +125,20 @@ def check_bound_state_solver(quick: bool = False) -> CheckResult:
               (point(2.0, 1), point(2.0, 3), point(2.0, 8)),
               tuple(point(2.0, 3, theta, AtomKind.THREE_LEVEL_V)
                     for theta in (0.0, 0.5, 1.0)))
-    ranked = list(dict.fromkeys(p for chain in chains for p in chain))
-    results = bound_state.find_bound_states(pts + ranked)
-    for res in results:
-        if isinstance(res, bound_state.BracketFailureError):
-            raise res
-    worst = 0.0
+    points = pts + list(dict.fromkeys(p for chain in chains for p in chain))
+    coupled, underflow, energies, residuals, *_ = bound_state.solve_bound_states(
+        dynamics.ChannelColumns.of(points), label=lambda i: repr(points[i]))
+    missing = ~coupled | underflow
+    if missing.any():  # every point here binds, above the probe floor
+        raise bound_state.BracketFailureError(
+            f"no bound state for {points[int(np.argmax(missing))]!r}")
+    worst = float(residuals[:len(pts)].max())
     quad_ok = True
-    for params, res in zip(pts, results):
-        worst = max(worst, res.residual)
-        closed = reservoir_integral(res.energy, params)
-        quad = reservoir_integral_quad(res.energy, params)
+    for params, e in zip(pts, energies.tolist()):
+        closed = reservoir_integral(e, params)
+        quad = reservoir_integral_quad(e, params)
         quad_ok = quad_ok and abs(closed - quad) < 1e-8 * abs(closed)
-    energy = {p: res.energy for p, res in zip(ranked, results[len(pts):])}
+    energy = dict(zip(points, energies.tolist()))
     ordered = all(energy[a] > energy[b] for chain in chains for a, b in pairwise(chain))
     passed = worst < 1e-10 and ordered and quad_ok
     detail = (f"{len(pts)} residuals; ordering {'ok' if ordered else 'violated'}; "
@@ -184,8 +180,8 @@ def check_steady_population(quick: bool = False) -> CheckResult:
 
 def check_speedup_monotone_in_n(quick: bool = False) -> CheckResult:
     """More emitters accelerate the evolution: ratio falls with N at gamma0=2."""
-    ratios = [report.ratio for report in measures.evaluate_points(
-        [ModelParams(gamma0=2.0, n_atoms=n) for n in (1, 3, 8, 30)], TAU)]
+    ratios = measures.evaluate_columns(dynamics.ChannelColumns.of(
+        [ModelParams(gamma0=2.0, n_atoms=n) for n in (1, 3, 8, 30)]), TAU)[1]
     gaps = np.diff(ratios)
     worst = float(max(0.0, gaps.max()))
     return CheckResult("speedup-monotone-in-n", bool(np.all(gaps < 0)), worst, 0.0,

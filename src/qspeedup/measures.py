@@ -18,7 +18,7 @@ envelope, where g = (-1)**k exp(-pi k lam/|d|), and for N = 1 also the
 zeros of g, so R is a sum of geometric series in closed form; an
 overdamped envelope gives R = 0.  evaluate_columns assembles a whole batch
 of points (a dynamics.ChannelColumns) at once, reading the envelope of
-each point once, at tau.  evaluate_points wraps it for ModelParams.
+each point once, at tau; evaluate_point reads row 0 of a batch of one.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -40,7 +39,6 @@ class ReportStatus(enum.Enum):
     STATIONARY = "stationary"
 
 
-# slotted: evaluate_points builds one per point of its list
 @dataclass(frozen=True, slots=True)
 class SpeedupReport:
     """Speed-limit and backflow summary of one parameter point."""
@@ -178,25 +176,13 @@ def evaluate_columns(channels: ChannelColumns, tau: float):
     return tau_qsl, ratio, backflow, final, stationary
 
 
-def evaluate_points(points, tau: float) -> list[SpeedupReport]:
-    """evaluate_point for every point of a batch, as array passes.
-
-    Each row is computed on its own, so entry i equals
-    evaluate_point(points[i], tau) bit for bit.
-    """
-    tau = validate_tau(tau)
-    channels = ChannelColumns.of(points)
-    if not len(channels):
-        return []
-    *columns, stationary = evaluate_columns(channels, tau)
-    status = [ReportStatus.STATIONARY if s else ReportStatus.NORMAL
-              for s in stationary.tolist()]
-    return list(map(SpeedupReport, repeat(tau), *(c.tolist() for c in columns), status))
-
-
 def evaluate_point(params: ModelParams, tau: float) -> SpeedupReport:
-    """Full speed-limit/backflow summary of one parameter point."""
-    return evaluate_points([params], tau)[0]
+    """Full speed-limit/backflow summary of one parameter point: row 0 of
+    evaluate_columns on a batch of one."""
+    tau = validate_tau(tau)
+    *columns, stationary = evaluate_columns(ChannelColumns.of([params]), tau)
+    status = ReportStatus.STATIONARY if stationary[0] else ReportStatus.NORMAL
+    return SpeedupReport(tau, *(column.item(0) for column in columns), status)
 
 
 def qsl_time(params: ModelParams, tau: float) -> float:
@@ -220,10 +206,10 @@ def qsl_generic(times, rhos, rho_rates=None) -> GenericQslResult:
     """Speed-limit time from a sampled state trajectory alone.
 
     times must be >= 4096 finite, strictly increasing snapshots; rhos the
-    matching stack of states with a pure first snapshot.  When rho_rates is
-    omitted the rates come from second-order finite differences of the
-    stack.  The bound uses the best (largest) of the inverse time-averaged
-    Schatten rates of order 1, 2 and inf.
+    matching finite stack of states with a pure first snapshot.  When
+    rho_rates (finite too) is omitted the rates come from second-order
+    finite differences of the stack.  The bound uses the best (largest) of
+    the inverse time-averaged Schatten rates of order 1, 2 and inf.
     """
     times = np.asarray(times, dtype=float)
     rhos = np.asarray(rhos, dtype=complex)
@@ -233,6 +219,9 @@ def qsl_generic(times, rhos, rho_rates=None) -> GenericQslResult:
         raise ValueError("time grid must be finite and strictly increasing")
     if rhos.ndim != 3 or rhos.shape[0] != len(times):
         raise ValueError("rhos must stack one state per snapshot")
+    # the angle reads only the end states, and a NaN rate stalls the SVD
+    if not np.isfinite(rhos).all():
+        raise ValueError("rhos must be finite")
     angle = bures_angle(rhos[0], rhos[-1])
     if rho_rates is None:
         rho_rates = np.gradient(rhos, times, axis=0)
@@ -240,6 +229,8 @@ def qsl_generic(times, rhos, rho_rates=None) -> GenericQslResult:
         rho_rates = np.asarray(rho_rates, dtype=complex)
         if rho_rates.shape != rhos.shape:
             raise ValueError("rho_rates must match rhos in shape")
+        if not np.isfinite(rho_rates).all():
+            raise ValueError("rho_rates must be finite")
 
     sv = np.linalg.svd(rho_rates, compute_uv=False)
     span = float(times[-1] - times[0])

@@ -46,7 +46,6 @@ def _check_n_atoms(n) -> None:
         raise ValueError("n_atoms must be >= 1 and representable as a float")
 
 
-# slotted: list callers (evaluate_points, find_bound_states) pass one per point
 @dataclass(frozen=True, slots=True)
 class ModelParams:
     """One ensemble of identical emitters coupled to a shared reservoir.

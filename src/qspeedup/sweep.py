@@ -12,7 +12,7 @@ import numpy as np
 
 from .bound_state import solve_bound_states
 from .dynamics import ChannelColumns
-from .measures import evaluate_columns, evaluate_point, evaluate_points
+from .measures import evaluate_columns, evaluate_point
 from .spectral import (AtomKind, ModelParams, _check_n_atoms, channel_coefficients,
                        validate_tau)
 
@@ -157,29 +157,31 @@ def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
     """Smallest gamma0 in (0, gamma0_max] where the chosen indicator fires.
 
     SPEEDUP looks for ratio < 1, NONMARKOV for backflow > BACKFLOW_ONSET_TOL.
-    evaluate_point returns a ratio of exactly 1.0 while the decay is
+    evaluate_columns gives a ratio of exactly 1.0 while the decay is
     monotone, so both detect the first population rise inside the window
     and agree closely for every N, N = 1 included.  Bisection to width tol,
-    or until the midpoint rounds onto an edge.  One evaluate_points call
+    or until the midpoint rounds onto an edge.  One evaluate_columns call
     takes the midpoints of the next _DEPTH levels below the bracket (15
-    points), and the bisection then walks down that subtree, so the result
-    is the one-midpoint-at-a-time bisection's, bit for bit.
+    points) as one ChannelColumns, and the bisection then walks down that
+    subtree, so the result is the one-midpoint-at-a-time bisection's, bit
+    for bit.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and > 0")
 
-    def point(g0: float) -> ModelParams:
-        return ModelParams(gamma0=g0, lam=lam, n_atoms=n_atoms, theta=theta,
-                           omega0=omega0, kind=kind)
-
-    def fires(report) -> bool:
+    def fires(ratio, backflow):
         if criterion is OnsetCriterion.SPEEDUP:
-            return report.ratio < 1.0
-        return report.nonmarkov > BACKFLOW_ONSET_TOL
+            return ratio < 1.0
+        return backflow > BACKFLOW_ONSET_TOL
 
-    if not fires(evaluate_point(point(gamma0_max), tau)):
+    # every ModelParams check is independent of gamma0 or monotone in it,
+    # so the top point vouches for every midpoint in (0, gamma0_max]
+    top = evaluate_point(ModelParams(gamma0=gamma0_max, lam=lam, n_atoms=n_atoms,
+                                     theta=theta, omega0=omega0, kind=kind), tau)
+    if not fires(top.ratio, top.nonmarkov):
         raise NoTransitionError(
             f"no transition in range (0, {gamma0_max:g}] for {criterion.value}")
+    tau, c = top.tau, channel_coefficients(kind, theta)[0]
     lo, hi = 0.0, gamma0_max
     size = 1 << _DEPTH
     while True:
@@ -195,8 +197,9 @@ def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
                 if b - a > tol and a < mid < b:
                     mids[k] = mid
                     edges[2 * k], edges[2 * k + 1] = (a, mid), (mid, b)
-        reports = evaluate_points([point(mid) for mid in mids.values()], tau)
-        fired = {k: fires(report) for k, report in zip(mids, reports)}
+        channels = ChannelColumns.build(list(mids.values()), lam, omega0, float(n_atoms), c)
+        _, ratio, backflow, *_ = evaluate_columns(channels, tau)
+        fired = dict(zip(mids, fires(ratio, backflow).tolist()))
         k = 1
         while k < size:
             if k not in mids:

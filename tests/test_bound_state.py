@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qspeedup import bound_state
+from qspeedup import bound_state, checks
 from qspeedup.bound_state import (BRACKET_FLOOR, BisectionStallError, BoundStateResult,
-                                  BracketFailureError, find_bound_state,
-                                  find_bound_states, kernel_k, MAX_STEPS,
-                                  RESIDUAL_TOL)
+                                  BracketFailureError, find_bound_state, kernel_k,
+                                  MAX_STEPS, RESIDUAL_TOL, solve_bound_states)
+from qspeedup.dynamics import ChannelColumns
 from qspeedup.spectral import (AtomKind, ModelParams, reservoir_integral,
                                reservoir_integral_quad)
 
@@ -132,6 +132,37 @@ class TestKernel:
 TWO, VEE = AtomKind.TWO_LEVEL, AtomKind.THREE_LEVEL_V
 
 
+def batch_rows(points):
+    """solve_bound_states on points, one tuple of Python scalars a row:
+    (coupled, underflow, energy, residual, lo, hi, iterations)."""
+    return list(zip(*(column.tolist()
+                      for column in solve_bound_states(ChannelColumns.of(points)))))
+
+
+def point_row(params):
+    """The row find_bound_state(params) reads: (coupled, underflow) and, for
+    a solved point, (energy, residual, iterations) of its result."""
+    try:
+        result = find_bound_state(params)
+    except BracketFailureError as exc:
+        assert "probe floor" in str(exc)
+        return True, True
+    if not result.exists:
+        assert result == BoundStateResult(False, None, None, None, 0)
+        return False, False
+    lo, hi = result.bracket
+    assert lo < result.energy < hi
+    return True, False, result.energy, result.residual, result.iterations
+
+
+def short_row(row):
+    """A batch row cut to the fields of point_row."""
+    coupled, underflow, energy, residual, _, _, iterations = row
+    if not coupled or underflow:
+        return coupled, underflow
+    return coupled, underflow, energy, residual, iterations
+
+
 @settings(max_examples=15, deadline=None)
 # zero coupling, an underflow beside a solvable point, roots near the floor
 # (E ~ -2e-15 for gamma0 = 0.22) and the deepest survey root in one batch
@@ -145,29 +176,33 @@ TWO, VEE = AtomKind.TWO_LEVEL, AtomKind.THREE_LEVEL_V
 def test_batch_rows_equal_single_point_solves(rows):
     points = [ModelParams(gamma0=g0, n_atoms=n, theta=theta if kind is VEE else 0.0,
                           kind=kind) for kind, n, theta, g0 in rows]
-    batch = find_bound_states(points)
+    batch = batch_rows(points)
     assert len(batch) == len(points)
     for params, entry in zip(points, batch):
+        # every column of the row holds the bits of the point's batch of one
+        assert repr(entry) == repr(batch_rows([params])[0])
         if params.gamma0 == 0.0:
-            assert entry == BoundStateResult(False, None, None, None, 0)
-            assert find_bound_state(params) == entry
+            assert short_row(entry) == (False, False)
+            assert point_row(params) == short_row(entry)
             continue
         underflow = kernel_k(BRACKET_FLOOR, params) - BRACKET_FLOOR >= 0.0
-        assert isinstance(entry, BracketFailureError) == underflow
+        assert entry[1] == underflow
         if underflow:
             with pytest.raises(BracketFailureError, match="probe floor"):
                 find_bound_state(params)
             continue
-        single = find_bound_state(params)
-        assert entry == single
-        assert repr(entry) == repr(single)
-        if entry.energy < -1e-7:  # inside the dense scan's energy range
+        single = point_row(params)
+        assert short_row(entry) == single
+        assert repr(short_row(entry)) == repr(single)
+        energy = entry[2]
+        if energy < -1e-7:  # inside the dense scan's energy range
             ref, _ = dense_scan_energy(params)
-            assert entry.energy == pytest.approx(ref, rel=1e-6)
+            assert energy == pytest.approx(ref, rel=1e-6)
 
 
 def test_empty_batch():
-    assert find_bound_states([]) == []
+    assert batch_rows([]) == []
+    assert all(len(column) == 0 for column in solve_bound_states(ChannelColumns.of([])))
 
 
 def test_outer_bracket_failure_stays_with_its_point():
@@ -184,12 +219,12 @@ def test_outer_bracket_failure_stays_with_its_point():
     lo, hi = alone.bracket
     assert math.isfinite(lo) and lo < alone.energy < hi
     params = ModelParams(gamma0=2.0, n_atoms=3)
-    solved, deep, zero, weak = find_bound_states(
-        [params, absurd, ModelParams(gamma0=0.0), ModelParams(gamma0=0.05)])
-    assert solved == find_bound_state(params)
-    assert deep == alone
-    assert not zero.exists
-    assert isinstance(weak, BracketFailureError) and "probe floor" in str(weak)
+    solved, deep, zero, weak = map(short_row, batch_rows(
+        [params, absurd, ModelParams(gamma0=0.0), ModelParams(gamma0=0.05)]))
+    assert solved == point_row(params)
+    assert deep == point_row(absurd)
+    assert not zero[0]
+    assert weak == (True, True) == point_row(ModelParams(gamma0=0.05))
 
 
 def test_search_is_far_shorter_than_bisection():
@@ -209,16 +244,16 @@ def test_newton_roots_match_the_independent_routes():
         points.append(ModelParams(
             gamma0=float(10.0 ** rng.uniform(-2.0, 6.0)), n_atoms=int(rng.integers(1, 40)),
             theta=float(rng.random()) if kind is VEE else 0.0, kind=kind))
-    batch = find_bound_states(points)
+    batch = map(short_row, batch_rows(points))
     solved = 0
     for params, entry in zip(points, batch):
-        if isinstance(entry, BracketFailureError):
+        if entry[1]:  # underflow
             assert kernel_k(BRACKET_FLOOR, params) - BRACKET_FLOOR >= 0.0
             continue
-        assert entry == find_bound_state(params)
-        assert repr(entry) == repr(find_bound_state(params))
+        assert entry == point_row(params)
+        assert repr(entry) == repr(point_row(params))
         solved += 1
-        e = entry.energy
+        e = entry[2]
         # the kernel by quadrature, not by the closed form the search uses
         k_quad = params.omega0 - params.collective_factor() * reservoir_integral_quad(e, params)
         assert abs(k_quad - e) < RESIDUAL_TOL * max(1.0, abs(e))
@@ -283,8 +318,18 @@ def test_residual_gate_raises_for_the_batch(monkeypatch):
     params = ModelParams(gamma0=2.0, n_atoms=3)
     with pytest.raises(BisectionStallError, match="root search stalled"):
         find_bound_state(params)
+    points = [ModelParams(gamma0=0.0), params]
     with pytest.raises(BisectionStallError, match="n_atoms=3"):
-        find_bound_states([ModelParams(gamma0=0.0), params])
+        solve_bound_states(ChannelColumns.of(points), label=lambda i: repr(points[i]))
+
+
+def test_a_point_without_a_bound_state_fails_the_check(monkeypatch):
+    # a floor below every root of the check: each of its points underflows
+    monkeypatch.setattr(bound_state, "BRACKET_FLOOR", -1e6)
+    with pytest.raises(BracketFailureError, match="no bound state for ModelParams"):
+        checks.check_bound_state_solver(quick=True)
+    (result,) = [r for r in checks.run_checks(quick=True) if r.name == "bound-state-solver"]
+    assert not result.passed and "BracketFailureError" in result.detail
 
 
 def test_a_settled_tangent_seed_is_the_energy():

@@ -9,9 +9,9 @@ from qspeedup import measures
 from qspeedup.dynamics import (ChannelColumns, DensityMatrix, alpha1,
                                density_trajectory, excited_population, nu1,
                                population_rate, trajectory)
-from qspeedup.measures import (GenericQslResult, ReportStatus, bures_angle,
-                               evaluate_point, evaluate_points, nonmarkov,
-                               qsl_generic, qsl_time, qsl_two_level,
+from qspeedup.measures import (GenericQslResult, ReportStatus, SpeedupReport,
+                               bures_angle, evaluate_columns, evaluate_point,
+                               nonmarkov, qsl_generic, qsl_time, qsl_two_level,
                                schatten_norm)
 from qspeedup.spectral import AtomKind, ModelParams
 
@@ -21,6 +21,14 @@ VEE = ModelParams(gamma0=1.0, n_atoms=3, theta=0.4, kind=AtomKind.THREE_LEVEL_V)
 # population rate vanishes inside [0, 5] only at 3*pi/4 (g = 0) and pi
 # (g' = 0); the single ascending segment lifts p from 0 to exp(-2*pi)
 RESONANT = ModelParams(gamma0=2.0, n_atoms=1)
+
+
+def batch_reports(points, tau):
+    """The rows of evaluate_columns on points, each as a SpeedupReport."""
+    *columns, stationary = evaluate_columns(ChannelColumns.of(points), tau)
+    status = [ReportStatus.STATIONARY if s else ReportStatus.NORMAL
+              for s in stationary.tolist()]
+    return [SpeedupReport(tau, *row) for row in zip(*(c.tolist() for c in columns), status)]
 
 
 class TestNorms:
@@ -212,7 +220,7 @@ class TestFunctionals:
         # the backflow is a geometric sum, so a window of any number of
         # envelope periods gets a finite answer
         for report in (evaluate_point(params, 5.0),
-                       evaluate_points([TWO, params, VEE], 5.0)[1]):
+                       batch_reports([TWO, params, VEE], 5.0)[1]):
             assert report.status is ReportStatus.NORMAL
             assert math.isfinite(report.tau_qsl) and math.isfinite(report.nonmarkov)
             assert 0.0 <= report.ratio <= 1.0 and report.nonmarkov >= 0.0
@@ -258,7 +266,7 @@ class TestFunctionals:
         with pytest.raises(FloatingPointError, match="not finite"):
             evaluate_point(bad, 5.0)
         with pytest.raises(FloatingPointError, match="not finite"):
-            evaluate_points([TWO, bad], 5.0)
+            evaluate_columns(ChannelColumns.of([TWO, bad]), 5.0)
 
     def test_kind_guards(self):
         with pytest.raises(ValueError, match="two-level"):
@@ -276,18 +284,18 @@ class TestFunctionals:
         points = [TWO, VEE, RESONANT, ModelParams(gamma0=0.0, n_atoms=2),
                   ModelParams(gamma0=3.0, n_atoms=30)]
         for tau in (0.5, 5.0, 2000.0):
-            assert evaluate_points(points, tau) == [
+            assert batch_reports(points, tau) == [
                 evaluate_point(p, tau) for p in points]
-        assert evaluate_points([], 5.0) == []
+        assert batch_reports([], 5.0) == []
         with pytest.raises(ValueError, match="tau"):
-            evaluate_points(points, math.nan)
+            evaluate_point(points[0], math.nan)
 
     def test_final_population_is_excited_population(self):
         points = [TWO, VEE, RESONANT, ModelParams(gamma0=0.1, n_atoms=7),
                   ModelParams(gamma0=2.5, n_atoms=1, theta=0.3, kind=AtomKind.THREE_LEVEL_V),
                   ModelParams(gamma0=3.0, n_atoms=30)]
         for tau in (0.5, 5.0, 2000.0):
-            finals = [r.final_population for r in evaluate_points(points, tau)]
+            finals = evaluate_columns(ChannelColumns.of(points), tau)[3].tolist()
             assert [f.hex() for f in finals] == [
                 excited_population(tau, p).hex() for p in points]
 
@@ -368,6 +376,17 @@ class TestGenericQsl:
         nan_final[-1] = math.nan
         with pytest.raises(ValueError, match="finite"):
             qsl_generic(times, nan_final, rho_rates=rates)
+        # the angle reads only the end states, so a NaN inside the stack
+        # passed with status normal
+        nan_inside = rhos.copy()
+        nan_inside[100] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            qsl_generic(times, nan_inside, rho_rates=rates)
+        # a NaN rate stalled the SVD with LinAlgError
+        nan_rate = rates.copy()
+        nan_rate[100] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            qsl_generic(times, rhos, rho_rates=nan_rate)
 
 
 

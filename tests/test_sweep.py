@@ -302,6 +302,18 @@ class TestCriticalCoupling:
         with pytest.raises(NoTransitionError, match="no transition"):
             find_critical_coupling(AtomKind.TWO_LEVEL, 3, gamma0_max=0.05)
 
+    def test_search_builds_one_point_and_one_report(self, monkeypatch):
+        # the midpoints go to the kernel as columns: only the gamma0_max
+        # point is a ModelParams, checked once, with one report
+        built = {cls: 0 for cls in (spectral.ModelParams, measures.SpeedupReport)}
+        for cls in built:
+            def counting(self, *args, __init__=cls.__init__, cls=cls, **kwargs):
+                built[cls] += 1
+                __init__(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        find_critical_coupling(AtomKind.TWO_LEVEL, 8)
+        assert built == {spectral.ModelParams: 1, measures.SpeedupReport: 1}
+
     def test_result_is_a_genuine_boundary(self):
         onset = find_critical_coupling(AtomKind.TWO_LEVEL, 8, tol=1e-6)
         below = evaluate_point(ModelParams(gamma0=onset - 1e-5, n_atoms=8), 5.0)
