@@ -10,8 +10,9 @@ for the symmetric/antisymmetric channels of V-type emitters.  d is real in
 the overdamped regime and switches to a positive imaginary value once the
 collective coupling is strong enough for the envelope to oscillate.  Either
 way g is exactly real, and envelope evaluates it and its derivative in
-real arithmetic from the two parts of d, one of which is 0.  g_factor and
-g_factor_dt take a complex d, check it and split it for envelope.
+real arithmetic from the two parts of d, one of which is 0.  Every
+library path reads those parts from a ChannelColumns, so envelope checks
+only t.
 
 One emitter starts excited and the other N - 1 start in their ground
 state as spectators.  Only the symmetric channel couples to the reservoir,
@@ -21,7 +22,7 @@ ones in the equal superposition of both upper levels
 (spectral.channel_coefficients decides this once).  amplitude (kind-guarded
 aliases alpha1 / nu1) is A/sqrt(m) and the population A**2.  One kernel,
 unit_amplitude, reads the envelope once for A and g'; every one-point
-function, trajectory and the density matrices included, forms all its
+function, trajectory and density_trajectory included, forms all its
 outputs from one such pass with t as the one row of a batch of one.
 
 A batch of parameter points is a ChannelColumns: seven float64 columns
@@ -92,37 +93,6 @@ def envelope(t, a, b, lam):
             -(0.5 * (lam * lam - (a * a - b * b))) * sinh_over_d)
 
 
-def _real_parts(d):
-    """(a, b) of a given d = a + ib; ValueError unless d is finite and real
-    or imaginary, checked once per channel with count_nonzero, the cheapest
-    numpy reduction on the one-element arrays of one-point calls."""
-    d = np.asarray(d, dtype=complex)
-    a, b = d.real, d.imag
-    bad = "d must be finite and either real or imaginary"
-    if np.count_nonzero(np.logical_and(a, b)):  # a NaN part counts as nonzero
-        raise ValueError(bad)
-    if np.count_nonzero(np.isfinite(a + b)) < d.size:
-        raise ValueError(bad)
-    return a, b
-
-
-def g_factor(t, d: complex, lam: float):
-    """Decay envelope g(t), real; scalar or array of finite t >= 0.
-
-    d and lam may also be arrays broadcasting against t, one channel per row.
-    A float for a scalar result, a float64 array otherwise.
-    """
-    out = envelope(t, *_real_parts(d), lam)[0]
-    return out if out.ndim else float(out)
-
-
-def g_factor_dt(t, d: complex, lam: float):
-    """Time derivative of the envelope: dg/dt = -w*exp(-lam*t/2)*sinh(d*t/2)/d,
-    with w = (lam**2 - d**2)/2; the same arguments and types as g_factor."""
-    out = envelope(t, *_real_parts(d), lam)[1]
-    return out if out.ndim else float(out)
-
-
 def unit_amplitude(t, a, b, lam, n):
     """(A, dg/dt) of channels with d = a + ib and n emitters, broadcast as
     in envelope: A = 1 + (g - 1)/N, exactly 1 at t = 0, is the amplitude
@@ -177,13 +147,6 @@ def nu1(t, params: ModelParams, initial: complex = ROOT_HALF):
     if params.kind is not AtomKind.THREE_LEVEL_V:
         raise ValueError("nu1 applies to V-type emitters")
     return amplitude(t, params, initial)
-
-
-def amplitude_rate(t, params: ModelParams, initial: complex | None = None):
-    """d/dt of amplitude (alpha1 or nu1) for the same initial value."""
-    _, dg, n, m = _point(t, params)
-    initial = math.sqrt(1.0 / m) if initial is None else initial
-    return _shaped(initial * dg / n, t, complex)
 
 
 def excited_population(t, params: ModelParams):
@@ -267,24 +230,6 @@ def trajectory(params: ModelParams, tau: float, steps: int = 4096) -> Trajectory
     return Trajectory(times, amp, np.clip(pop, 0.0, 1.0), rate)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """A 2x2 or 3x3 reduced state with its physicality checks."""
-
-    entries: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def validate(self) -> "DensityMatrix":
-        m = self.entries
-        if m.shape not in ((2, 2), (3, 3)):
-            raise ValueError("density matrix must be 2x2 or 3x3")
-        _check_states(m, ValueError, "density matrix")
-        return self
-
-
 def _density_ops(times: np.ndarray, params: ModelParams, ground_amplitude: complex):
     """Vectorised reduced states and their analytic rates on a time grid.
 
@@ -317,15 +262,6 @@ def _check_states(rhos: np.ndarray, error: type, what: str) -> None:
         raise error(f"{what} trace is not 1")
     if not np.linalg.eigvalsh(rhos).min() >= -1e-12:
         raise error(f"{what} has a negative eigenvalue")
-
-
-def density_matrix(t: float, params: ModelParams,
-                   ground_amplitude: complex = 0.0) -> DensityMatrix:
-    """Reduced state of one emitter at time t (shared ground amplitude a0)."""
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be finite and >= 0")
-    rho, _ = _density_ops(np.asarray([float(t)]), params, ground_amplitude)
-    return DensityMatrix(rho[0]).validate()
 
 
 def density_trajectory(params: ModelParams, tau: float, steps: int = 4096,

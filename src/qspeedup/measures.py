@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .dynamics import ChannelColumns, DensityMatrix
+from .dynamics import ChannelColumns
 from .spectral import AtomKind, ModelParams, validate_tau
 
 
@@ -61,14 +61,9 @@ class GenericQslResult:
     status: ReportStatus
 
 
-def _entries(state) -> np.ndarray:
-    m = state.entries if isinstance(state, DensityMatrix) else state
-    return np.asarray(m, dtype=complex)
-
-
 def schatten_norm(matrix, order) -> float:
     """Schatten norm of order 1, 2 or inf via singular values."""
-    m = _entries(matrix)
+    m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     sv = np.linalg.svd(m, compute_uv=False)
@@ -83,7 +78,7 @@ def schatten_norm(matrix, order) -> float:
 
 def bures_angle(initial, target) -> float:
     """Bures angle between a pure initial state and an arbitrary target."""
-    rho0, rho = _entries(initial), _entries(target)
+    rho0, rho = np.asarray(initial, dtype=complex), np.asarray(target, dtype=complex)
     if rho0.shape != rho.shape:
         raise ValueError("states must have equal dimension")
     # a NaN would pass the purity test and be clamped to fidelity 0
@@ -185,21 +180,11 @@ def evaluate_point(params: ModelParams, tau: float) -> SpeedupReport:
     return SpeedupReport(tau, *(column.item(0) for column in columns), status)
 
 
-def qsl_time(params: ModelParams, tau: float) -> float:
-    """Speed-limit time over [0, tau], for either emitter kind."""
-    return evaluate_point(params, tau).tau_qsl
-
-
-def nonmarkov(params: ModelParams, tau: float) -> float:
-    """Information backflow over [0, tau], for either emitter kind."""
-    return evaluate_point(params, tau).nonmarkov
-
-
 def qsl_two_level(params: ModelParams, tau: float) -> float:
-    """qsl_time restricted to two-level emitters."""
+    """Speed-limit time over [0, tau] of two-level emitters."""
     if params.kind is not AtomKind.TWO_LEVEL:
         raise ValueError("qsl_two_level applies to two-level emitters")
-    return qsl_time(params, tau)
+    return evaluate_point(params, tau).tau_qsl
 
 
 def qsl_generic(times, rhos, rho_rates=None) -> GenericQslResult:

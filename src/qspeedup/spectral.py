@@ -131,12 +131,6 @@ def lorentzian_j(omega, params: ModelParams):
     return out if out.ndim else float(out)
 
 
-def total_spectral_weight(params: ModelParams) -> float:
-    """int_0^inf J(w) dw, the full weight of the positive-frequency band."""
-    return params.gamma0 * params.lam / (2.0 * np.pi) * (
-        0.5 * np.pi + math.atan(params.omega0 / params.lam))
-
-
 def reservoir_integral(e, params: ModelParams):
     """I(E) = int_0^inf J(w)/(w - E) dw for E < 0, in closed form.
 

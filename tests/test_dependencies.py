@@ -4,13 +4,13 @@ imported name is used, and every top-level name of a module is read."""
 
 import ast
 import pathlib
-import re
 import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "qspeedup"
-README = PACKAGE.parents[1] / "README.md"
-# the benchmark harness and the scripts, read here and never written
+# the benchmark harness, the scripts and the acceptance suite, read here
+# and never written
 CONSUMERS = [PACKAGE.parents[1] / "bench", PACKAGE.parents[1] / "scripts"]
+ACCEPTANCE = pathlib.Path(__file__).resolve().parent / "test_acceptance.py"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "qspeedup"}
 
 
@@ -62,27 +62,22 @@ def read_names(tree: ast.Module) -> set:
     return read
 
 
-def unreferenced_names(sources: dict, exported: set, documented: set):
+def unreferenced_names(sources: dict, used_outside: set):
     """Top-level names of the modules in sources that no module reads and
-    that are neither in exported nor in documented: dead code."""
+    that are not in used_outside: dead code."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     read = set().union(*map(read_names, trees.values()))
     return [f"{module}: {name}" for module, tree in trees.items()
             for name in top_level_names(tree)
-            if name not in read | exported | documented]
+            if name not in read | used_outside]
 
 
 def consumer_names() -> set:
-    """Names the Python files under bench/ and scripts/ read."""
+    """Names the Python files under bench/ and scripts/ and the acceptance
+    suite read."""
     paths = sorted(path for folder in CONSUMERS for path in folder.rglob("*.py"))
     return set().union(*(read_names(ast.parse(path.read_text(encoding="utf-8")))
-                         for path in paths))
-
-
-def readme_code_names() -> set:
-    """Identifiers in the README's code spans and code blocks."""
-    code = re.findall(r"```.*?```|`[^`\n]+`", README.read_text(encoding="utf-8"), re.S)
-    return {word for span in code for word in re.findall(r"[A-Za-z_]\w*", span)}
+                         for path in [*paths, ACCEPTANCE]))
 
 
 def test_reader_sees_every_import_form():
@@ -124,18 +119,19 @@ def test_dead_name_reader_sees_every_definition_form():
                         "def helper():\n    return Y\nclass Shown:\n    pass\n"
                         "def public():\n    pass\n"),
                "b.py": "from . import a\ndef used():\n    return a.LIMIT\n"}
-    assert unreferenced_names(sources, {"public"}, {"Shown"}) == [
+    assert unreferenced_names(sources, {"public", "Shown"}) == [
         "a.py: X", "a.py: Z", "a.py: helper"]
 
 
-def test_every_top_level_name_is_read_exported_or_documented():
+def test_every_top_level_name_is_read_or_used_outside():
     # a helper whose last caller is gone fails here.  A public name the
-    # package does not read itself must be named in the README's code or be
-    # read by the benchmark or a script: a place in __all__ alone is not use
+    # package does not read itself must be read by the benchmark, a script
+    # or the acceptance suite: a place in __all__ or in the README alone is
+    # not use
     import qspeedup
 
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})}
     assert len(sources) >= 10
     used_outside = set(qspeedup.__all__) & consumer_names()
-    assert unreferenced_names(sources, used_outside, readme_code_names()) == []
+    assert unreferenced_names(sources, used_outside) == []

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qspeedup import dynamics
-from qspeedup.dynamics import (ChannelColumns, DensityMatrix, ROOT_HALF, alpha1,
-                               amplitude, amplitude_rate, density_matrix,
-                               density_trajectory, excited_population, g_factor,
-                               g_factor_dt, nu1, population_rate, trajectory)
+from qspeedup.dynamics import (ChannelColumns, ROOT_HALF, alpha1, amplitude,
+                               density_trajectory, envelope, excited_population,
+                               nu1, population_rate, trajectory)
 from qspeedup.oracle import solve_collective
 from qspeedup.spectral import AtomKind, ModelParams
 
@@ -26,40 +25,38 @@ def principal_root(x):
 
 class TestEnvelope:
     def test_frozen_value(self):
-        g = g_factor(1.0, complex(math.sqrt(2.0)), 2.0)
-        assert g.real == pytest.approx(0.8630574847803386, rel=1e-14)
-        assert g.imag == 0.0
+        g = envelope(1.0, math.sqrt(2.0), 0.0, 2.0)[0]
+        assert g.dtype == np.float64
+        assert g == pytest.approx(0.8630574847803386, rel=1e-14)
 
     def test_exactly_one_at_time_zero(self):
-        assert g_factor(0.0, 1.3 + 0j, 2.0) == 1.0 + 0.0j
-        assert g_factor(0.0, 2.7j, 2.0) == 1.0 + 0.0j
+        assert envelope(0.0, 1.3, 0.0, 2.0)[0] == 1.0
+        assert envelope(0.0, 0.0, 2.7, 2.0)[0] == 1.0
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            g_factor(-0.5, 1.0 + 0j, 2.0)
+            envelope(-0.5, 1.0, 0.0, 2.0)
         with pytest.raises(ValueError):
-            g_factor_dt(np.array([0.0, -1.0]), 1.0 + 0j, 2.0)
+            envelope(np.array([0.0, -1.0]), 1.0, 0.0, 2.0)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_rejects_non_finite_time(self, t):
         with pytest.raises(ValueError, match="finite"):
-            g_factor(t, 1.0 + 0j, 2.0)
+            envelope(t, 1.0, 0.0, 2.0)
         with pytest.raises(ValueError, match="finite"):
-            g_factor_dt(np.array([0.0, t]), 1.0 + 0j, 2.0)
-        with pytest.raises(ValueError, match="finite"):
-            density_matrix(t, TWO)
+            envelope(np.array([0.0, t]), 1.0, 0.0, 2.0)
 
     def test_degenerate_channel_is_continuous(self):
         t = np.linspace(0.0, 5.0, 64)
-        near = g_factor(t, complex(1e-9), 2.0)
-        at = g_factor(t, complex(0.0), 2.0)
+        near = envelope(t, 1e-9, 0.0, 2.0)[0]
+        at = envelope(t, 0.0, 0.0, 2.0)[0]
         assert np.abs(near - at).max() < 1e-12
 
     def test_degenerate_channel_closed_form(self):
         # d = 0: g(t) = exp(-lam t/2) (1 + lam t/2)
         lam, t = 2.0, 1.7
         expected = math.exp(-lam * t / 2) * (1 + lam * t / 2)
-        assert g_factor(t, 0j, lam) == pytest.approx(expected, rel=1e-14)
+        assert envelope(t, 0.0, 0.0, lam)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_long_overdamped_window_stays_finite(self):
         # d t/2 ~ 750: cosh and sinh alone overflow, exp(-lam t/2) underflows
@@ -67,55 +64,34 @@ class TestEnvelope:
         d = principal_root(lam * lam - 2.0 * 0.2539 * lam)
         decay = math.exp(-0.5 * (lam - d.real) * t)
         w = 0.5 * (lam * lam - d.real ** 2)
-        assert g_factor(t, d, lam).real == pytest.approx(
-            0.5 * (1.0 + lam / d.real) * decay, rel=1e-12)
-        assert g_factor_dt(t, d, lam).real == pytest.approx(
-            -0.5 * w / d.real * decay, rel=1e-12)
+        g, dg = envelope(t, d.real, d.imag, lam)
+        assert g == pytest.approx(0.5 * (1.0 + lam / d.real) * decay, rel=1e-12)
+        assert dg == pytest.approx(-0.5 * w / d.real * decay, rel=1e-12)
 
     def test_oscillatory_channel_is_real(self):
-        g = g_factor(np.linspace(0, 5, 257), 3j, 2.0)
-        assert np.abs(g.imag).max() == 0.0
+        # d = 3i: g(t) = exp(-t) (cos(3t/2) + (2/3) sin(3t/2))
+        t = np.linspace(0, 5, 257)
+        g = envelope(t, 0.0, 3.0, 2.0)[0]
+        assert g.dtype == np.float64
+        expected = np.exp(-t) * (np.cos(1.5 * t) + np.sin(1.5 * t) / 1.5)
+        assert np.abs(g - expected).max() < 1e-15
 
     def test_derivative_matches_finite_differences(self):
         lam = 2.0
         for d in (1.2 + 0j, 2.9j, 0j):
             for t in (0.05, 0.7, 2.3, 4.9):
                 h = 1e-6
-                fd = (g_factor(t + h, d, lam) - g_factor(t - h, d, lam)) / (2 * h)
-                assert g_factor_dt(t, d, lam) == pytest.approx(fd, abs=5e-10)
+                fd = (envelope(t + h, d.real, d.imag, lam)[0]
+                      - envelope(t - h, d.real, d.imag, lam)[0]) / (2 * h)
+                assert envelope(t, d.real, d.imag, lam)[1] == pytest.approx(fd, abs=5e-10)
 
     def test_derivative_zero_at_time_zero(self):
-        assert g_factor_dt(0.0, 1.5 + 0j, 2.0) == 0.0 + 0.0j
+        assert envelope(0.0, 1.5, 0.0, 2.0)[1] == 0.0
 
     @given(st.floats(0.0, 20.0), st.floats(0.01, 6.0), st.floats(0.1, 4.0))
     def test_bounded_by_one(self, t, w, lam):
         d = principal_root(lam * lam - 2.0 * w * lam)
-        assert abs(g_factor(t, d, lam)) <= 1.0 + 1e-9
-
-
-    @pytest.mark.parametrize("fn", [g_factor, g_factor_dt])
-    def test_real_return_types(self, fn):
-        for d in (1.3 + 0j, 2.7j, 0j):
-            assert type(fn(0.7, d, 2.0)) is float
-            assert type(fn(np.float64(0.7), d, 2.0)) is float
-            for t in (np.linspace(0.0, 5.0, 9), np.zeros((2, 3))):
-                out = fn(t, d, 2.0)
-                assert out.dtype == np.float64 and out.shape == t.shape
-        column = fn(0.7, np.array([1.3 + 0j, 2.7j, 0j]), 2.0)
-        assert column.dtype == np.float64 and column.shape == (3,)
-
-    @pytest.mark.parametrize("d", [
-        complex(math.nan), complex(math.inf), complex(0.0, -math.inf),
-        complex(math.nan, math.nan), complex(math.inf, math.inf), 1.0 + 1.0j,
-        complex(1e-200, 1e-200), np.array([1.3 + 0j, 2.7j, 0.5 + 0.5j])])
-    def test_rejects_a_channel_neither_real_nor_imaginary(self, d):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for fn in (g_factor, g_factor_dt):
-                with pytest.raises(ValueError, match="either real or imaginary"):
-                    fn(np.linspace(0.0, 2.0, 5), d, 2.0)
-                with pytest.raises(ValueError, match="either real or imaginary"):
-                    fn(1.0, d, 2.0)
+        assert abs(envelope(t, d.real, d.imag, lam)[0]) <= 1.0 + 1e-9
 
 
 def complex_reference(t, d, lam):
@@ -177,23 +153,26 @@ def envelope_channels(draw):
 @given(st.lists(envelope_channels(), min_size=1, max_size=5),
        st.floats(1e-3, 2000.0), st.integers(1, 64))
 def test_real_envelope_equals_the_complex_path(channels, tau, steps):
-    """g_factor and g_factor_dt are the real part of the complex path, bit
-    for bit: on mixed-row (n, 1) batches, on one column at a scalar t and
-    on each channel alone."""
+    """Both outputs of envelope, g and g' (the operation order of its
+    prefactor included), are the real part of the complex path, bit for
+    bit: on mixed-row (n, 1) batches, on one column at a scalar t and on
+    each channel alone."""
     d = np.array([c[0] for c in channels], dtype=complex)
     lam = np.array([c[1] for c in channels])
     t = np.linspace(0.0, tau, steps + 1)
+
+    def assert_envelope(t, d, lam):
+        g, dg = envelope(t, d.real, d.imag, lam)
+        assert_same_bits(g, reference_g(t, d, lam))
+        assert_same_bits(dg, reference_g_dt(t, d, lam))
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for fn, reference in ((g_factor, reference_g), (g_factor_dt, reference_g_dt)):
-            assert_same_bits(fn(t, d[:, None], lam[:, None]),
-                             reference(t, d[:, None], lam[:, None]))
-            assert_same_bits(fn(tau, d, lam), reference(tau, d, lam))
-            for d_i, lam_i in channels:
-                scalar = fn(tau, d_i, lam_i)
-                assert type(scalar) is float
-                assert_same_bits(scalar, reference(tau, d_i, lam_i))
-                assert_same_bits(fn(t, d_i, lam_i), reference(t, d_i, lam_i))
+        assert_envelope(t, d[:, None], lam[:, None])
+        assert_envelope(tau, d, lam)
+        for d_i, lam_i in channels:
+            assert_envelope(tau, d_i, lam_i)
+            assert_envelope(t, d_i, lam_i)
 
 
 class TestChannelConstants:
@@ -320,7 +299,7 @@ class TestAmplitudes:
         params = ModelParams(gamma0=1.0)
         d = principal_root(dynamics.channel_discriminant(1.0, 2.0, 1.0, 1.0))
         t = np.linspace(0, 5, 33)
-        assert np.allclose(alpha1(t, params), g_factor(t, d, 2.0),
+        assert np.allclose(alpha1(t, params), envelope(t, d.real, d.imag, 2.0)[0],
                            rtol=0, atol=1e-15)
 
     def test_flat_v_matches_two_level(self):
@@ -353,12 +332,6 @@ class TestAmplitudes:
                 fd = (8 * (pf - pb) - (pf2 - pb2)) / (12 * h)
                 assert population_rate(t, params) == pytest.approx(fd, abs=1e-9)
 
-    def test_amplitude_rate_matches_finite_differences(self):
-        h = 1e-5
-        for t in (0.3, 1.6, 3.9):
-            fd = (nu1(t + h, VEE) - nu1(t - h, VEE)) / (2 * h)
-            assert amplitude_rate(t, VEE) == pytest.approx(fd, abs=1e-9)
-
     def test_population_rate_zero_at_origin(self):
         assert population_rate(0.0, TWO) == 0.0
         assert population_rate(0.0, VEE) == 0.0
@@ -383,8 +356,8 @@ def test_one_point_calls_equal_their_batch_rows(kind, n, theta, gamma0, lam, tau
     params = ModelParams(gamma0=gamma0, lam=lam, n_atoms=n, theta=theta, kind=kind)
     traj = trajectory(params, tau, steps=40)
     times = traj.times
-    for fn, scalar_type in ((amplitude, complex), (amplitude_rate, complex),
-                            (population_rate, float), (excited_population, float)):
+    for fn, scalar_type in ((amplitude, complex), (population_rate, float),
+                            (excited_population, float)):
         batch = fn(times, params)
         assert batch.dtype == np.dtype(scalar_type) and batch.shape == times.shape
         scalars = [fn(t, params) for t in times.tolist()]
@@ -467,50 +440,53 @@ class TestTrajectory:
             density_trajectory(VEE, tau)
 
 
+def final_state(params, tau, ground_amplitude=0.0):
+    """The reduced state at tau: the last row of a density trajectory."""
+    return density_trajectory(params, tau, steps=16, ground_amplitude=ground_amplitude)[1][-1]
+
+
 class TestDensityMatrix:
     def test_two_level_t0_is_pure_excited(self):
-        rho = density_matrix(0.0, TWO)
-        assert rho.dim == 2
-        assert rho.entries[0, 0] == pytest.approx(1.0)
-        assert np.linalg.eigvalsh(rho.entries).max() == pytest.approx(1.0)
+        rho = density_trajectory(TWO, 5.0, steps=16)[1][0]
+        assert rho.shape == (2, 2)
+        assert rho[0, 0] == pytest.approx(1.0)
+        assert np.linalg.eigvalsh(rho).max() == pytest.approx(1.0)
 
     def test_three_level_structure(self):
-        rho = density_matrix(0.8, VEE)
+        rho = final_state(VEE, 0.8)
         q = abs(nu1(0.8, VEE)) ** 2
-        assert rho.dim == 3
-        assert rho.entries[0, 0] == pytest.approx(q, abs=1e-15)
-        assert rho.entries[0, 1] == pytest.approx(q, abs=1e-15)
-        assert rho.entries[2, 2] == pytest.approx(1 - 2 * q, abs=1e-15)
+        assert rho.shape == (3, 3)
+        assert rho[0, 0] == pytest.approx(q, abs=1e-15)
+        assert rho[0, 1] == pytest.approx(q, abs=1e-15)
+        assert rho[2, 2] == pytest.approx(1 - 2 * q, abs=1e-15)
 
     def test_ground_amplitude_coherences(self):
         a0 = 0.6 * cmath.exp(0.3j)
-        rho = density_matrix(1.1, TWO, ground_amplitude=a0)
+        rho = final_state(TWO, 1.1, ground_amplitude=a0)
         exc0 = math.sqrt(1 - abs(a0) ** 2)
         amp = alpha1(1.1, TWO, initial=exc0)
-        assert rho.entries[0, 1] == pytest.approx(np.conjugate(a0) * amp, abs=1e-15)
-        assert rho.entries[1, 0] == pytest.approx(a0 * np.conjugate(amp), abs=1e-15)
+        assert rho[0, 1] == pytest.approx(np.conjugate(a0) * amp, abs=1e-15)
+        assert rho[1, 0] == pytest.approx(a0 * np.conjugate(amp), abs=1e-15)
 
     def test_rejects_overweight_ground_amplitude(self):
         with pytest.raises(ValueError):
-            density_matrix(0.5, TWO, ground_amplitude=1.2)
+            final_state(TWO, 0.5, ground_amplitude=1.2)
         # NaN is an input error, not a numerical failure of the states
         for a0 in (math.nan, complex(0.0, math.nan)):
             with pytest.raises(ValueError, match="normalization"):
-                density_matrix(0.5, TWO, ground_amplitude=a0)
-            with pytest.raises(ValueError, match="normalization"):
                 density_trajectory(TWO, 5.0, steps=64, ground_amplitude=a0)
 
-    def test_validate_flags_bad_matrices(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]], complex)).validate()
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(2, dtype=complex)).validate()
-        with pytest.raises(ValueError, match="eigenvalue"):
-            DensityMatrix(np.diag([1.5, -0.5]).astype(complex)).validate()
-        with pytest.raises(ValueError, match="2x2 or 3x3"):
-            DensityMatrix(np.eye(4, dtype=complex) / 4).validate()
-        with pytest.raises(ValueError):
-            DensityMatrix(np.full((2, 2), np.nan, complex)).validate()
+    @pytest.mark.parametrize("bad, match", [
+        (np.array([[0.5, 0.1], [0.3, 0.5]], complex), "Hermitian"),
+        (np.eye(2, dtype=complex), "trace"),
+        (np.diag([1.5, -0.5]).astype(complex), "eigenvalue"),
+        (np.full((2, 2), np.nan, complex), "Hermitian"),  # NaN fails every test
+    ])
+    def test_state_check_flags_bad_matrices(self, bad, match):
+        good = np.diag([0.25, 0.75]).astype(complex)
+        dynamics._check_states(np.stack([good, good]), ValueError, "density matrix")
+        with pytest.raises(ValueError, match=f"density matrix .*{match}"):
+            dynamics._check_states(np.stack([good, bad]), ValueError, "density matrix")
 
     def test_trajectory_rates_match_finite_differences(self):
         for params, a0 in ((TWO, 0.0), (VEE, 0.3 + 0.2j)):
@@ -528,7 +504,7 @@ class TestDensityMatrix:
     def test_long_time_limit(self):
         n = 3
         params = ModelParams(gamma0=1.0, n_atoms=n)
-        rho = density_matrix(80.0, params)
+        rho = final_state(params, 80.0)
         frac = ((n - 1) / n) ** 2
-        assert rho.entries[0, 0].real == pytest.approx(frac, abs=1e-9)
-        assert rho.entries[1, 1].real == pytest.approx(1 - frac, abs=1e-9)
+        assert rho[0, 0].real == pytest.approx(frac, abs=1e-9)
+        assert rho[1, 1].real == pytest.approx(1 - frac, abs=1e-9)

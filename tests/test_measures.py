@@ -6,13 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qspeedup import measures
-from qspeedup.dynamics import (ChannelColumns, DensityMatrix, alpha1,
-                               density_trajectory, excited_population, nu1,
-                               population_rate, trajectory)
+from qspeedup.dynamics import (ChannelColumns, alpha1, density_trajectory,
+                               excited_population, nu1, population_rate, trajectory)
 from qspeedup.measures import (GenericQslResult, ReportStatus, SpeedupReport,
                                bures_angle, evaluate_columns, evaluate_point,
-                               nonmarkov, qsl_generic, qsl_time, qsl_two_level,
-                               schatten_norm)
+                               qsl_generic, qsl_two_level, schatten_norm)
 from qspeedup.spectral import AtomKind, ModelParams
 
 TWO = ModelParams(gamma0=1.0, n_atoms=3)
@@ -37,10 +35,6 @@ class TestNorms:
         assert schatten_norm(eye, 1) == pytest.approx(2.0)
         assert schatten_norm(eye, 2) == pytest.approx(math.sqrt(2.0))
         assert schatten_norm(eye, math.inf) == pytest.approx(1.0)
-
-    def test_accepts_density_matrix_wrapper(self):
-        rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
-        assert schatten_norm(rho, 1) == pytest.approx(1.0)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="square"):
@@ -149,7 +143,7 @@ class TestMonotoneSegments:
 
 class TestFunctionals:
     def test_backflow_closed_form_value(self):
-        assert nonmarkov(RESONANT, 5.0) == pytest.approx(
+        assert evaluate_point(RESONANT, 5.0).nonmarkov == pytest.approx(
             math.exp(-2 * math.pi), abs=1e-10)
 
     def test_monotone_regime_is_exact(self):
@@ -184,11 +178,12 @@ class TestFunctionals:
     def test_flat_v_backflow_matches_two_level(self):
         flat = ModelParams(gamma0=2.0, n_atoms=3, kind=AtomKind.THREE_LEVEL_V)
         two = ModelParams(gamma0=2.0, n_atoms=3)
-        assert nonmarkov(flat, 5.0) == pytest.approx(nonmarkov(two, 5.0), abs=1e-10)
-        assert qsl_time(flat, 5.0) == pytest.approx(qsl_two_level(two, 5.0), abs=1e-10)
+        flat_report, two_report = evaluate_point(flat, 5.0), evaluate_point(two, 5.0)
+        assert flat_report.nonmarkov == pytest.approx(two_report.nonmarkov, abs=1e-10)
+        assert flat_report.tau_qsl == pytest.approx(qsl_two_level(two, 5.0), abs=1e-10)
 
     def test_backflow_grows_with_the_window(self):
-        values = [nonmarkov(RESONANT, tau) for tau in (2.5, 5.0, 10.0)]
+        values = [evaluate_point(RESONANT, tau).nonmarkov for tau in (2.5, 5.0, 10.0)]
         assert values[0] < values[1] < values[2]
         # windows past the last rate zero pick up whole e**(-2 pi k) rises
         assert values[2] == pytest.approx(
@@ -275,10 +270,11 @@ class TestFunctionals:
     @pytest.mark.parametrize("params", [TWO, VEE, RESONANT])
     def test_kind_aware_measures(self, params):
         report = evaluate_point(params, 5.0)
-        assert qsl_time(params, 5.0) == report.tau_qsl
-        assert nonmarkov(params, 5.0) == report.nonmarkov
         if params.kind is AtomKind.TWO_LEVEL:
             assert qsl_two_level(params, 5.0) == report.tau_qsl
+        else:
+            with pytest.raises(ValueError, match="two-level"):
+                qsl_two_level(params, 5.0)
 
     def test_batch_rows_equal_single_points(self):
         points = [TWO, VEE, RESONANT, ModelParams(gamma0=0.0, n_atoms=2),
@@ -431,6 +427,39 @@ def test_functionals_match_dense_scan(kind, n, gamma0, theta, log_tau):
     rise, ratio = _dense_scan(params, tau)
     assert report.nonmarkov == pytest.approx(rise, abs=1e-7)
     assert report.ratio == pytest.approx(ratio, abs=1e-7)
+
+
+def seeded_dense_points(seed=20261019, count=200):
+    """count points with gamma0, lam and omega0 log-uniform on 1e-4..1e4,
+    N on 1..1000, both kinds and tau log-uniform on 0.01..1000; a draw
+    whose window holds more than 300 envelope periods is passed over."""
+    rng = np.random.default_rng(seed)
+    draws = 4 * count
+    gamma0, lam, omega0 = (10.0 ** rng.uniform(-4.0, 4.0, draws) for _ in range(3))
+    n_atoms = np.floor(10.0 ** rng.uniform(0.0, 3.0, draws)).astype(int)
+    vee = rng.random(draws) < 0.5
+    theta = np.where(vee, rng.random(draws), 0.0)
+    tau = 10.0 ** rng.uniform(-2.0, 3.0, draws)
+    points = []
+    for g0, l, w0, n, v, th, t in zip(gamma0.tolist(), lam.tolist(), omega0.tolist(),
+                                      n_atoms.tolist(), vee.tolist(), theta.tolist(),
+                                      tau.tolist()):
+        params = ModelParams(gamma0=g0, lam=l, omega0=w0, n_atoms=n, theta=th,
+                             kind=AtomKind.THREE_LEVEL_V if v else AtomKind.TWO_LEVEL)
+        if t * ChannelColumns.of([params]).b[0] <= 300 * 2.0 * math.pi:
+            points.append((params, t))
+    assert len(points) >= count
+    return points[:count]
+
+
+def test_backflow_matches_dense_scan_over_seeded_points():
+    # eight decades in each reservoir constant, where the hypothesis test
+    # above keeps lam = 2 and omega0 = 1
+    for params, tau in seeded_dense_points():
+        report = evaluate_point(params, tau)
+        rise, ratio = _dense_scan(params, tau)
+        assert report.nonmarkov == pytest.approx(rise, rel=1e-9)
+        assert report.ratio == pytest.approx(ratio, abs=1e-9)
 
 
 def _turning_point_reference(params, tau):
