@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qspeedup import dynamics
 from qspeedup.dynamics import (ChannelColumns, ROOT_HALF, alpha1, amplitude,
                                density_trajectory, envelope, excited_population,
-                               nu1, population_rate, trajectory)
+                               nu1, population_rate, trajectory, unit_amplitude)
 from qspeedup.oracle import solve_collective
 from qspeedup.spectral import AtomKind, ModelParams
 
@@ -92,6 +92,18 @@ class TestEnvelope:
     def test_bounded_by_one(self, t, w, lam):
         d = principal_root(lam * lam - 2.0 * w * lam)
         assert abs(envelope(t, d.real, d.imag, lam)[0]) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("output", [0, 1], ids=["g", "dg"])
+    def test_real_return_types(self, output):
+        # both outputs are real float64, shaped like t broadcast on the channel
+        for d in (1.3 + 0j, 2.7j, 0j):
+            assert type(envelope(0.7, d.real, d.imag, 2.0)[output]) is np.float64
+            for t in (np.linspace(0.0, 5.0, 9), np.zeros((2, 3))):
+                out = envelope(t, d.real, d.imag, 2.0)[output]
+                assert out.dtype == np.float64 and out.shape == t.shape
+        column = envelope(0.7, np.array([1.3, 0.0, 0.0]), np.array([0.0, 2.7, 0.0]),
+                          2.0)[output]
+        assert column.dtype == np.float64 and column.shape == (3,)
 
 
 def complex_reference(t, d, lam):
@@ -332,6 +344,16 @@ class TestAmplitudes:
                 fd = (8 * (pf - pb) - (pf2 - pb2)) / (12 * h)
                 assert population_rate(t, params) == pytest.approx(fd, abs=1e-9)
 
+    def test_amplitude_rate_matches_finite_differences(self):
+        # nu1 = sqrt(1/2) A, and dA/dt = (dg/dt)/N
+        channels = ChannelColumns.of([VEE])
+        a, b, lam, n = channels.a[0], channels.b[0], channels.lam[0], channels.n_atoms[0]
+        h = 1e-5
+        for t in (0.3, 1.6, 3.9):
+            fd = (nu1(t + h, VEE) - nu1(t - h, VEE)) / (2 * h)
+            rate = ROOT_HALF * unit_amplitude(t, a, b, lam, n)[1] / n
+            assert rate == pytest.approx(fd, abs=1e-9)
+
     def test_population_rate_zero_at_origin(self):
         assert population_rate(0.0, TWO) == 0.0
         assert population_rate(0.0, VEE) == 0.0
@@ -481,9 +503,10 @@ class TestDensityMatrix:
         (np.eye(2, dtype=complex), "trace"),
         (np.diag([1.5, -0.5]).astype(complex), "eigenvalue"),
         (np.full((2, 2), np.nan, complex), "Hermitian"),  # NaN fails every test
+        (np.diag([0.6, 0.6, -0.2]).astype(complex), "eigenvalue"),  # a V-type state
     ])
     def test_state_check_flags_bad_matrices(self, bad, match):
-        good = np.diag([0.25, 0.75]).astype(complex)
+        good = np.eye(len(bad), dtype=complex) / len(bad)  # maximally mixed
         dynamics._check_states(np.stack([good, good]), ValueError, "density matrix")
         with pytest.raises(ValueError, match=f"density matrix .*{match}"):
             dynamics._check_states(np.stack([good, bad]), ValueError, "density matrix")

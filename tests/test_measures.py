@@ -36,6 +36,14 @@ class TestNorms:
         assert schatten_norm(eye, 2) == pytest.approx(math.sqrt(2.0))
         assert schatten_norm(eye, math.inf) == pytest.approx(1.0)
 
+    def test_accepts_array_likes(self):
+        # nested lists of real entries read as the complex matrix they spell
+        up, plus = [[1, 0], [0, 0]], [[0.5, 0.5], [0.5, 0.5]]
+        assert schatten_norm(plus, 1) == schatten_norm(np.array(plus, complex), 1)
+        assert bures_angle(up, plus) == bures_angle(np.array(up, complex),
+                                                    np.array(plus, complex))
+        assert bures_angle(up, plus) == pytest.approx(math.pi / 4)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="square"):
             schatten_norm(np.ones((2, 3)), 1)
