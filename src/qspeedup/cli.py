@@ -142,7 +142,7 @@ def _rows_json(table: SweepTable) -> list[dict]:
 def _sweep_panels(table: SweepTable, preset: FigurePreset) -> list[Panel]:
     sc = preset.config
     right_label = "ℜ" if preset.right_axis == "nonmarkov" else "E_b/ω₀"
-    xs = tuple(table.gamma0)  # every series of every panel shares it
+    xs = tuple(table.gamma0)  # the x of every panel
     curves = table.curve_columns()
     panels = []
     for n in sc.n_atoms_list:
@@ -151,8 +151,8 @@ def _sweep_panels(table: SweepTable, preset: FigurePreset) -> list[Panel]:
             _, _, ratio, nonmarkov, bound_energy, _ = next(curves)
             suffix = f", θ={theta:g}" if len(sc.theta_list) > 1 else ""
             series.append(Series(
-                x=xs, y=tuple(ratio),
-                label="τ_QSL/τ" + suffix, color=PALETTE[k % len(PALETTE)]))
+                y=tuple(ratio), label="τ_QSL/τ" + suffix,
+                color=PALETTE[k % len(PALETTE)]))
             if preset.right_axis == "nonmarkov":
                 ys = tuple(nonmarkov)
             else:
@@ -160,9 +160,9 @@ def _sweep_panels(table: SweepTable, preset: FigurePreset) -> list[Panel]:
                 ys = tuple(0.0 if b is None or abs(b) < BOUND_PLOT_FLOOR else b
                            for b in bound_energy)
             series.append(Series(
-                x=xs, y=ys, label=right_label + suffix,
+                y=ys, label=right_label + suffix,
                 color=PALETTE[(k + 2) % len(PALETTE)], dashed=True, axis="right"))
-        panels.append(Panel(title=f"N = {n}", series=tuple(series),
+        panels.append(Panel(title=f"N = {n}", x=xs, series=tuple(series),
                             y_left_label="τ_QSL/τ", y_right_label=right_label))
     return panels
 

@@ -15,10 +15,11 @@ Both emitter kinds share this structure: p = a**2 with a = 1 + (g - 1)/N
 (|alpha1|**2 for two-level emitters, 2*|nu1|**2 for V-type ones).  The
 turning points of p are the extrema t_k = 2 pi k/|d| of an oscillating
 envelope, where g = (-1)**k exp(-pi k lam/|d|), and for N = 1 also the
-zeros of g, so R is a sum of geometric series in closed form; an
-overdamped envelope gives R = 0.  evaluate_columns assembles a whole batch
-of points (a dynamics.ChannelColumns) at once, reading the envelope of
-each point once, at tau; evaluate_point reads row 0 of a batch of one.
+zeros of g, so R is a sum of geometric series in closed form, one for
+N = 1 and one for N >= 2, each run only on its own rows; an overdamped
+envelope gives R = 0.  evaluate_columns assembles a whole batch of points
+(a dynamics.ChannelColumns) at once, reading the envelope of each point
+once, at tau; evaluate_point reads row 0 of a batch of one.
 """
 
 from __future__ import annotations
@@ -93,33 +94,35 @@ def bures_angle(initial, target) -> float:
     return math.acos(math.sqrt(fid))
 
 
-def _rises(n, lam, omega, tau, g, u, final):
-    """Backflow R of oscillating rows (omega = |d| > 0), in closed form.
-
-    g, u and final are g(tau), the fall u = (1 - g)/N of the amplitude
-    a = 1 - u, and p(tau) = a**2.  The envelope extrema t_k = 2 pi k/omega
-    hold g_k = (-1)**k r**k, r = exp(-pi*lam/omega), and K of them lie in
-    the window.  For N >= 2 each full rise runs from odd k to k + 1 and
-    gains (a_k+1 - a_k)(a_k + a_k+1); for N = 1 each one runs from an
-    amplitude zero to t_k and gains r**2k.  Both sums are geometric, with
-    every 1 - r**j an expm1 and every ratio in powers of r <= 1.
-    """
+def _extrema(lam, omega, tau):
+    """(log r, phase, K) of oscillating rows, omega = |d| > 0: the extrema
+    t_k = 2 pi k/omega hold g_k = (-1)**k r**k, r = exp(-pi*lam/omega), the
+    phase tau*omega/2 of g(tau) is pi k at t_k, and K of them lie in the window."""
     # -5e-324 stands for a log r that underflows to 0: each sum of M terms
     # r**j then takes its limit M, not 0/0
     log_r = np.minimum(-math.pi * lam / omega, -5e-324)
-    phase = (0.5 * tau) * omega  # the phase of g(tau), pi k at t_k
-    k = np.floor(phase / math.pi)
-    single = n == 1.0
-    mixed = single.any()
-    if mixed:
-        # sum_{k <= K} r**2k = r**2 (r**2K - 1)/(r**2 - 1), plus p(tau) once
-        # tau passes the next amplitude zero 2 (pi (K + 1) - atan(omega/lam))/omega,
-        # where p rises from 0
-        log_r2 = 2.0 * log_r
-        one = np.exp(log_r2) * np.expm1(k * log_r2) / np.expm1(log_r2)
-        one += final * (np.arctan(omega / lam) > math.pi * (k + 1.0) - phase)
-        if single.all():
-            return one
+    phase = (0.5 * tau) * omega
+    return log_r, phase, np.floor(phase / math.pi)
+
+
+def _single_rises(lam, omega, tau, final):
+    """Backflow R of oscillating N = 1 rows, final = p(tau): each full rise
+    runs from an amplitude zero to t_k and gains r**2k."""
+    log_r, phase, k = _extrema(lam, omega, tau)
+    # sum_{k <= K} r**2k = r**2 (r**2K - 1)/(r**2 - 1), plus p(tau) once
+    # tau passes the next amplitude zero 2 (pi (K + 1) - atan(omega/lam))/omega,
+    # where p rises from 0
+    log_r2 = 2.0 * log_r
+    rises = np.exp(log_r2) * np.expm1(k * log_r2) / np.expm1(log_r2)
+    return rises + final * (np.arctan(omega / lam) > math.pi * (k + 1.0) - phase)
+
+
+def _many_rises(n, lam, omega, tau, g, u):
+    """Backflow R of oscillating N >= 2 rows, g = g(tau) and u = (1 - g)/N
+    the fall of the amplitude a = 1 - u: each full rise runs from odd k to
+    k + 1 and gains (a_k+1 - a_k)(a_k + a_k+1).  Every 1 - r**j of both
+    sums is an expm1 and every ratio in powers of r <= 1."""
+    log_r, _, k = _extrema(lam, omega, tau)
     # the full rises end at the first 2J = K - (K mod 2) extrema.  With
     # em = r**2J - 1, over odd k < 2J: sum r**k (1 + r) = sum_{k <= 2J} r**k
     # = r em/(r - 1), and sum r**2k (1 - r**2) = alternating
@@ -128,11 +131,10 @@ def _rises(n, lam, omega, tau, g, u, final):
     up2 = 2.0 * r * em / np.expm1(log_r)
     r2 = r * r
     alternating = r2 * (em * (-2.0 - em)) / (1.0 + r2)
-    many = (up2 - (up2 + alternating) / n) / n
+    rises = (up2 - (up2 + alternating) / n) / n
     # odd K: tau lies on the rise from g_K = -r**K
     rk = np.exp(k * log_r)
-    many += odd * np.maximum((g + rk) / n * (2.0 - u - (1.0 + rk) / n), 0.0)
-    return np.where(single, one, many) if mixed else many
+    return rises + odd * np.maximum((g + rk) / n * (2.0 - u - (1.0 + rk) / n), 0.0)
 
 
 def evaluate_columns(channels: ChannelColumns, tau: float):
@@ -144,21 +146,20 @@ def evaluate_columns(channels: ChannelColumns, tau: float):
     computed on its own (elementwise arithmetic), so a batch of one gives
     the bits of its row in any batch.
     """
-    n, omega = channels.n_atoms, channels.b
+    n, lam, omega = channels.n_atoms, channels.lam, channels.b
     # through the module, so the functionals read the same envelope as dynamics
-    g = dynamics.envelope(tau, channels.a, omega, channels.lam)[0]
+    g = dynamics.envelope(tau, channels.a, omega, lam)[0]
     u = (1.0 - g) / n
     a = 1.0 - u  # dynamics.unit_amplitude's 1 + (g - 1)/N, bit for bit
     final = a * a
     loss = u * (2.0 - u)  # 1 - a**2 without cancelling at large N
-    rows = omega > 0.0  # an overdamped or degenerate channel decays monotonically
-    if rows.all():
-        backflow = _rises(n, channels.lam, omega, tau, g, u, final)
-    else:
-        backflow = np.zeros(len(n))
-        if rows.any():
-            backflow[rows] = _rises(n[rows], channels.lam[rows], omega[rows], tau,
-                                    g[rows], u[rows], final[rows])
+    # R = 0 where an overdamped or degenerate channel (b = 0) decays monotonically
+    oscillating = omega > 0.0
+    single = np.flatnonzero(oscillating & (n == 1.0))
+    many = np.flatnonzero(oscillating & (n != 1.0))
+    backflow = np.zeros(len(n))
+    backflow[single] = _single_rises(lam[single], omega[single], tau, final[single])
+    backflow[many] = _many_rises(n[many], lam[many], omega[many], tau, g[many], u[many])
     rate_abs = loss + 2.0 * backflow
     if not np.isfinite(rate_abs).all():  # carries any NaN or inf of R and p
         raise FloatingPointError("the population is not finite inside the window")

@@ -13,22 +13,20 @@ from typing import Callable
 import numpy as np
 
 Integrand = Callable[[np.ndarray], np.ndarray]
+MAX_DEPTH = 48
 
 
-def adaptive_simpson(f: Integrand, a: float, b: float, tol: float = 1e-12,
-                     max_depth: int = 48) -> float:
+def adaptive_simpson(f: Integrand, a: float, b: float, tol: float = 1e-12) -> float:
     """Integrate a vectorised integrand over [a, b] to absolute tolerance tol.
 
     Each refinement level is one worklist of intervals evaluated with
     vectorised integrand calls; halves inherit half their parent's error
-    budget.  Intervals still disagreeing at max_depth contribute their
+    budget.  Intervals still disagreeing at MAX_DEPTH contribute their
     Richardson-extrapolated estimate, which bounds the work near endpoints
     where the integrand is nearly singular.
     """
     if a == b:
         return 0.0
-    if b < a:
-        return -adaptive_simpson(f, b, a, tol, max_depth)
 
     a = np.asarray([a], dtype=float)
     b = np.asarray([b], dtype=float)
@@ -40,7 +38,7 @@ def adaptive_simpson(f: Integrand, a: float, b: float, tol: float = 1e-12,
     budget = np.full(1, float(tol))
     total = 0.0
 
-    for depth in range(max_depth + 1):
+    for depth in range(MAX_DEPTH + 1):
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
         flm = np.asarray(f(lm), dtype=float)
@@ -48,7 +46,7 @@ def adaptive_simpson(f: Integrand, a: float, b: float, tol: float = 1e-12,
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = (left + right - coarse) / 15.0
-        done = (np.abs(err) <= budget) | (depth == max_depth)
+        done = (np.abs(err) <= budget) | (depth == MAX_DEPTH)
         # one interval at a time in worklist order (accumulate adds
         # sequentially): a pairwise sum would move the last bits of the
         # quadrature cross-check's reference values

@@ -187,19 +187,19 @@ class ReservoirIntegral:
                 ratio * (ratio * (e * (2.0 * (q / hyp / hyp) * num - self.slope) - 1.0)))
 
 
-def reservoir_integral_quad(e: float, params: ModelParams, tol: float = 1e-13) -> float:
+def reservoir_integral_quad(e: float, params: ModelParams) -> float:
     """I(E) by direct quadrature; slow cross-check for the closed form.
 
-    Splits at omega0 and omega0 + 10 lam, then maps the tail through
-    u = 1/w so the infinite range becomes a finite smooth integral.  tol is
-    absolute up to gamma0 = 2 pi and scales with gamma0/(2 pi) above, as I
-    does, so strong couplings are not refined past float resolution.
+    Splits at omega0 and omega0 + 10 lam, then maps the tail through u = 1/w
+    so the infinite range becomes a finite smooth integral.  Its tolerance
+    1e-13 is absolute up to gamma0 = 2 pi and scales with gamma0/(2 pi)
+    above, as I does, so strong couplings are not refined past float resolution.
     """
     e = float(e)
     if e >= 0:
         raise ValueError("reservoir integral requires E < 0")
     w0, lam = params.omega0, params.lam
-    tol = tol * max(1.0, params.gamma0 / (2.0 * np.pi))
+    tol = 1e-13 * max(1.0, params.gamma0 / (2.0 * np.pi))
 
     def body(w):
         return lorentzian_j(w, params) / (w - e)

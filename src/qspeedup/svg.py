@@ -18,13 +18,14 @@ MARGIN_R = 80
 MARGIN_T = 50
 MARGIN_B = 60
 TICKS = 5
+COLUMNS = 2  # panels per row
+X_LABEL = "γ₀/ω₀"
 
 
 @dataclass(frozen=True)
 class Series:
-    """One polyline; axis selects the left or right y scale."""
+    """One polyline over its panel's x; axis selects the left or right y scale."""
 
-    x: tuple[float, ...]
     y: tuple[float, ...]
     label: str
     color: str = "#1f77b4"
@@ -32,8 +33,6 @@ class Series:
     axis: str = "left"
 
     def __post_init__(self):
-        if len(self.x) != len(self.y):
-            raise ValueError("series x and y must have equal length")
         if self.axis not in ("left", "right"):
             raise ValueError("axis must be 'left' or 'right'")
 
@@ -41,10 +40,14 @@ class Series:
 @dataclass(frozen=True)
 class Panel:
     title: str
+    x: tuple[float, ...]
     series: tuple[Series, ...]
-    x_label: str = "γ₀/ω₀"
     y_left_label: str = ""
     y_right_label: str = ""
+
+    def __post_init__(self):
+        if any(len(s.y) != len(self.x) for s in self.series):
+            raise ValueError("every series needs one y per panel x")
 
 
 def _limits(values) -> tuple[float, float]:
@@ -67,9 +70,7 @@ def _panel_svg(panel: Panel, ox: float, oy: float) -> list[str]:
     x0, x1 = ox + MARGIN_L, ox + PANEL_W - MARGIN_R
     y0, y1 = oy + PANEL_H - MARGIN_B, oy + MARGIN_T  # y grows downward in SVG
 
-    # series often share one x sequence: its values are read once per panel
-    distinct_x = dict.fromkeys(s.x for s in panel.series)
-    xlo, xhi = _limits([v for x in distinct_x for v in x])
+    xlo, xhi = _limits(panel.x)
     left = [v for s in panel.series if s.axis == "left" for v in s.y]
     right = [v for s in panel.series if s.axis == "right" for v in s.y]
     yllo, ylhi = _limits(left) if left else (0.0, 1.0)
@@ -110,7 +111,7 @@ def _panel_svg(panel: Panel, ox: float, oy: float) -> list[str]:
                        f'text-anchor="start" font-size="14">{_tick_label(tr)}</text>')
 
     out.append(f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(y0 + 45)}" '
-               f'text-anchor="middle" font-size="16">{panel.x_label}</text>')
+               f'text-anchor="middle" font-size="16">{X_LABEL}</text>')
     if panel.y_left_label:
         cx, cy = x0 - 55, (y0 + y1) / 2
         out.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
@@ -122,11 +123,10 @@ def _panel_svg(panel: Panel, ox: float, oy: float) -> list[str]:
                    f'font-size="16" transform="rotate(90 {_fmt(cx)} {_fmt(cy)})">'
                    f'{panel.y_right_label}</text>')
 
-    x_text = {x: [f"{v:.2f}" for v in px(np.asarray(x, dtype=float)).tolist()]
-              for x in distinct_x}
+    x_text = [f"{v:.2f}" for v in px(np.asarray(panel.x, dtype=float)).tolist()]
     for k, s in enumerate(panel.series):
         ys = py(np.asarray(s.y, dtype=float), s.axis).tolist()
-        pts = " ".join([f"{x},{y:.2f}" for x, y in zip(x_text[s.x], ys)])
+        pts = " ".join([f"{x},{y:.2f}" for x, y in zip(x_text, ys)])
         dash = ' stroke-dasharray="7,4"' if s.dashed else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
                    f'stroke-width="1.5"{dash}/>')
@@ -139,12 +139,12 @@ def _panel_svg(panel: Panel, ox: float, oy: float) -> list[str]:
     return out
 
 
-def render_figure(panels, columns: int = 2) -> str:
-    """Compose panels into one SVG 1.1 document, row-major in a grid."""
+def render_figure(panels) -> str:
+    """Compose panels into one SVG 1.1 document, COLUMNS per row."""
     panels = list(panels)
     if not panels:
         raise ValueError("need at least one panel")
-    columns = max(1, min(columns, len(panels)))
+    columns = min(COLUMNS, len(panels))
     rows = (len(panels) + columns - 1) // columns
     width = columns * PANEL_W
     height = rows * PANEL_H

@@ -20,8 +20,7 @@ from qspeedup.dynamics import alpha1, density_trajectory, nu1, trajectory
 from qspeedup.measures import evaluate_point, qsl_generic, qsl_two_level
 from qspeedup.oracle import solve_collective
 from qspeedup.spectral import AtomKind, ModelParams
-from qspeedup.sweep import (OnsetCriterion, figure_preset,
-                            find_critical_coupling, run_sweep)
+from qspeedup.sweep import OnsetCriterion, find_critical_coupling
 
 from test_bound_state import dense_scan_energy
 

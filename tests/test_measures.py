@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qspeedup import measures
 from qspeedup.dynamics import (ChannelColumns, alpha1, density_trajectory,
                                excited_population, nu1, population_rate, trajectory)
-from qspeedup.measures import (GenericQslResult, ReportStatus, SpeedupReport,
-                               bures_angle, evaluate_columns, evaluate_point,
-                               qsl_generic, qsl_two_level, schatten_norm)
+from qspeedup.measures import (ReportStatus, SpeedupReport, bures_angle,
+                               evaluate_columns, evaluate_point, qsl_generic,
+                               qsl_two_level, schatten_norm)
 from qspeedup.spectral import AtomKind, ModelParams
 
 TWO = ModelParams(gamma0=1.0, n_atoms=3)
@@ -285,14 +284,25 @@ class TestFunctionals:
                 qsl_two_level(params, 5.0)
 
     def test_batch_rows_equal_single_points(self):
-        points = [TWO, VEE, RESONANT, ModelParams(gamma0=0.0, n_atoms=2),
-                  ModelParams(gamma0=3.0, n_atoms=30)]
-        for tau in (0.5, 5.0, 2000.0):
-            assert batch_reports(points, tau) == [
-                evaluate_point(p, tau) for p in points]
+        def bits(report):
+            return (report.tau_qsl.hex(), report.ratio.hex(), report.nonmarkov.hex(),
+                    report.final_population.hex(), report.status)
+
+        mixed = [TWO, VEE, RESONANT, ModelParams(gamma0=0.0, n_atoms=2),
+                 ModelParams(gamma0=3.0, n_atoms=30)]
+        # omega/lam of the N >= 2 row overflows: only the N = 1 formula reads it
+        overflow = [ModelParams(gamma0=2.0),
+                    ModelParams(gamma0=8e307, lam=1e-300, n_atoms=10 ** 10)]
+        for points, taus in ((mixed, (0.5, 5.0, 2000.0)), (overflow, (1e-4, 7.3, 1e7))):
+            for tau in taus:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rows = batch_reports(points, tau)
+                assert [bits(r) for r in rows] == [
+                    bits(evaluate_point(p, tau)) for p in points]
         assert batch_reports([], 5.0) == []
         with pytest.raises(ValueError, match="tau"):
-            evaluate_point(points[0], math.nan)
+            evaluate_point(TWO, math.nan)
 
     def test_final_population_is_excited_population(self):
         points = [TWO, VEE, RESONANT, ModelParams(gamma0=0.1, n_atoms=7),

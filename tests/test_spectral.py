@@ -108,7 +108,7 @@ class TestReservoirIntegral:
 
     def test_quadrature_work_does_not_grow_with_coupling(self, monkeypatch):
         # a tol that does not scale with I lies below its float resolution at
-        # strong coupling, and every interval is refined to max_depth
+        # strong coupling, and every interval is refined to MAX_DEPTH
         samples = []
 
         def counting(w, params):

@@ -1,5 +1,7 @@
 import re
 
+import pytest
+
 from qspeedup.svg import MARGIN_L, MARGIN_R, PANEL_W, Panel, Series, render_figure
 
 X = (0.0, 0.5, 1.0, 2.0)
@@ -12,26 +14,17 @@ def _polyline_xs(svg: str) -> list[list[str]]:
             for points in re.findall(r'<polyline points="([^"]*)"', svg)]
 
 
-def test_equal_x_tuples_render_like_one_shared_tuple():
-    copy = tuple(list(X))
-    assert copy == X and copy is not X
-    shared = render_figure([Panel("p", (Series(X, LEFT, "a"),
-                                        Series(X, RIGHT, "b", axis="right")))])
-    separate = render_figure([Panel("p", (Series(X, LEFT, "a"),
-                                          Series(copy, RIGHT, "b", axis="right")))])
-    assert separate == shared
-
-
-def test_series_with_another_x_keeps_its_coordinates():
-    other = (0.0, 1.0, 3.0, 4.0)
-    svg = render_figure([Panel("p", (Series(X, LEFT, "a"),
-                                     Series(other, RIGHT, "b", axis="right"),
-                                     Series(X, RIGHT, "c")))])
-    # the panel's x range is the padded span of every series
-    lo, hi = -0.2, 4.2
+def test_every_polyline_sits_on_the_panel_x():
+    svg = render_figure([Panel("p", X, (Series(LEFT, "a"),
+                                        Series(RIGHT, "b", axis="right"),
+                                        Series(RIGHT, "c")))])
+    # the x range is the panel's x padded by 5% of its span on each side
+    lo, hi = -0.1, 2.1
     x0, x1 = MARGIN_L, PANEL_W - MARGIN_R
+    px = [f"{x0 + (v - lo) / (hi - lo) * (x1 - x0):.2f}" for v in X]
+    assert _polyline_xs(svg) == [px, px, px]
 
-    def px(values):
-        return [f"{x0 + (v - lo) / (hi - lo) * (x1 - x0):.2f}" for v in values]
 
-    assert _polyline_xs(svg) == [px(X), px(other), px(X)]
+def test_series_of_another_length_is_refused():
+    with pytest.raises(ValueError, match="one y per panel x"):
+        Panel("p", X, (Series(LEFT, "a"), Series(RIGHT[:-1], "b", axis="right")))
