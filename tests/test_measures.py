@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -303,6 +304,24 @@ class TestFunctionals:
         assert batch_reports([], 5.0) == []
         with pytest.raises(ValueError, match="tau"):
             evaluate_point(TWO, math.nan)
+
+    def test_row_classes_do_not_depend_on_their_batch(self):
+        # monotone, oscillating N = 1 and oscillating N >= 2 rows: a batch of
+        # any of the classes, in any order, leaves the others' sums empty
+        classes = {"monotone": [ModelParams(gamma0=0.1, n_atoms=1),
+                                ModelParams(gamma0=0.01, n_atoms=2)],
+                   "single": [RESONANT, ModelParams(gamma0=5.0, lam=0.5)],
+                   "many": [TWO, VEE]}
+        for tau in (0.5, 5.0, 2000.0):
+            whole = [p for points in classes.values() for p in points]
+            expected = dict(zip(whole, batch_reports(whole, tau)))
+            for r in (1, 2, 3):
+                for names in itertools.permutations(classes, r):
+                    points = [p for name in names for p in classes[name]]
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        rows = batch_reports(points, tau)
+                    assert rows == [expected[p] for p in points]
 
     def test_final_population_is_excited_population(self):
         points = [TWO, VEE, RESONANT, ModelParams(gamma0=0.1, n_atoms=7),
