@@ -1,8 +1,14 @@
-"""Adaptive Simpson quadrature with batched interval refinement.
+"""Adaptive Simpson quadrature of a batch of integrals on one worklist.
 
-The refinement loop is organised as a flat worklist of intervals that is
-processed with vectorised integrand calls instead of the usual
-per-interval recursion.  It backs the quadrature cross-check of the
+The integrals are columns: a, b and tol hold one entry each.  All
+intervals of all integrals form one flat worklist, refined level by level
+with one vectorised integrand call per level instead of the usual
+per-interval recursion; each sample is passed with the index of the
+integral it belongs to.  Halving filters the worklist and appends the
+right halves after the left ones, so each integral sees its intervals in
+the order of a one-integral call, and its running total adds them one at
+a time in that order.  Every integral of a batch thus has the bits of its
+batch-of-one call.  The batch backs the quadrature cross-check of the
 closed-form reservoir integral.
 """
 
@@ -12,56 +18,56 @@ from typing import Callable
 
 import numpy as np
 
-Integrand = Callable[[np.ndarray], np.ndarray]
+Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 MAX_DEPTH = 48
 
 
-def adaptive_simpson(f: Integrand, a: float, b: float, tol: float = 1e-12) -> float:
-    """Integrate a vectorised integrand over [a, b] to absolute tolerance tol.
+def adaptive_simpson(f: Integrand, a, b, tol=1e-12) -> np.ndarray:
+    """Integrate f over [a[k], b[k]] to absolute tolerance tol[k], for every k.
 
-    Each refinement level is one worklist of intervals evaluated with
-    vectorised integrand calls; halves inherit half their parent's error
-    budget.  Intervals still disagreeing at MAX_DEPTH contribute their
+    a, b and tol are columns (or scalars, broadcast to the columns), one
+    entry per integral; the result is one float per integral.  f(x, k)
+    returns the integrand of integral k[i] at x[i], elementwise.  Each
+    refinement level is one worklist of intervals evaluated with one
+    integrand call; halves inherit half their parent's error budget.
+    Intervals still disagreeing at MAX_DEPTH contribute their
     Richardson-extrapolated estimate, which bounds the work near endpoints
-    where the integrand is nearly singular.
+    where the integrand is nearly singular; an interval whose estimate is
+    NaN is not refined, so a NaN sample makes its integral NaN.  An
+    integral with a == b is 0.0 and is never sampled.
     """
-    if a == b:
-        return 0.0
-
-    a = np.asarray([a], dtype=float)
-    b = np.asarray([b], dtype=float)
+    a, b, budget = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                         for v in (a, b, tol)))
+    total = np.zeros(a.shape)
+    k = np.flatnonzero(a != b)
+    if not k.size:
+        return total
+    a, b, budget = a[k], b[k], budget[k]
     m = 0.5 * (a + b)
-    fa = np.asarray(f(a), dtype=float)
-    fm = np.asarray(f(m), dtype=float)
-    fb = np.asarray(f(b), dtype=float)
+    fa, fm, fb = np.asarray(f(np.concatenate([a, m, b]), np.tile(k, 3)),
+                            dtype=float).reshape(3, -1)
     coarse = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    budget = np.full(1, float(tol))
-    total = 0.0
 
     for depth in range(MAX_DEPTH + 1):
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
-        flm = np.asarray(f(lm), dtype=float)
-        frm = np.asarray(f(rm), dtype=float)
+        flm, frm = np.asarray(f(np.concatenate([lm, rm]), np.concatenate([k, k])),
+                              dtype=float).reshape(2, -1)
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = (left + right - coarse) / 15.0
-        done = (np.abs(err) <= budget) | (depth == MAX_DEPTH)
-        # one interval at a time in worklist order (accumulate adds
-        # sequentially): a pairwise sum would move the last bits of the
-        # quadrature cross-check's reference values
-        total = np.add.accumulate(np.concatenate([[total], (left + right + err)[done]]))[-1]
-        keep = ~done
-        if not np.any(keep):
+        # a NaN estimate never converges: it is done, not doubled each level
+        done = ~(np.abs(err) > budget) | (depth == MAX_DEPTH)
+        # unbuffered, so each integral adds its finished intervals one at a
+        # time in worklist order: a pairwise or reduceat sum would move the
+        # last bits of the quadrature cross-check's reference values
+        np.add.at(total, k[done], (left + right + err)[done])
+        keep = np.flatnonzero(~done)
+        if not keep.size:
             break
-        a, b, m, fa, fb, fm, coarse = (
-            np.concatenate([a[keep], m[keep]]),
-            np.concatenate([m[keep], b[keep]]),
-            np.concatenate([lm[keep], rm[keep]]),
-            np.concatenate([fa[keep], fm[keep]]),
-            np.concatenate([fm[keep], fb[keep]]),
-            np.concatenate([flm[keep], frm[keep]]),
-            np.concatenate([left[keep], right[keep]]),
-        )
-        budget = np.concatenate([budget[keep], budget[keep]]) * 0.5
-    return float(total)
+        # the left halves of the kept intervals, then their right halves
+        halves = np.stack([a, m, lm, fa, fm, flm, left, 0.5 * budget,
+                           m, b, rm, fm, fb, frm, right, 0.5 * budget])[:, keep]
+        a, b, m, fa, fb, fm, coarse, budget = np.concatenate([halves[:8], halves[8:]], axis=1)
+        k = np.concatenate([k[keep], k[keep]])
+    return total

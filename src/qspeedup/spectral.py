@@ -19,6 +19,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -121,7 +122,10 @@ def validate_steps(steps, least: int = 1) -> int:
 
 
 def lorentzian_j(omega, params: ModelParams):
-    """Spectral density at frequency omega (scalar or array, omega >= 0)."""
+    """Spectral density at frequency omega (scalar or array, omega >= 0).
+
+    The reservoir constants of params may also be arrays broadcasting
+    against omega, one entry per sample."""
     omega = np.asarray(omega, dtype=float)
     if np.any(omega < 0):
         raise ValueError("omega must be >= 0")
@@ -134,9 +138,11 @@ def lorentzian_j(omega, params: ModelParams):
 def reservoir_integral(e, params: ModelParams):
     """I(E) = int_0^inf J(w)/(w - E) dw for E < 0, in closed form.
 
-    Scalar or array E.  The log of the squared energy is written as a
-    difference of logs so the expression survives |E| down to the smallest
-    normal floats (E**2 would underflow long before).
+    Scalar or array E; the reservoir constants of params are scalars (a
+    ModelParams) or columns, one entry per E (a ChannelColumns).  The log
+    of the squared energy is written as a difference of logs so the
+    expression survives |E| down to the smallest normal floats (E**2 would
+    underflow long before).
     """
     e = np.asarray(e, dtype=float)
     if np.any(e >= 0):
@@ -187,32 +193,49 @@ class ReservoirIntegral:
                 ratio * (ratio * (e * (2.0 * (q / hyp / hyp) * num - self.slope) - 1.0)))
 
 
-def reservoir_integral_quad(e: float, params: ModelParams) -> float:
+def reservoir_integral_quad(e, params: ModelParams):
     """I(E) by direct quadrature; slow cross-check for the closed form.
 
-    Splits at omega0 and omega0 + 10 lam, then maps the tail through u = 1/w
-    so the infinite range becomes a finite smooth integral.  Its tolerance
-    1e-13 is absolute up to gamma0 = 2 pi and scales with gamma0/(2 pi)
-    above, as I does, so strong couplings are not refined past float resolution.
+    Scalar or array E.  The reservoir constants gamma0, lam and omega0 of
+    params are scalars (a ModelParams) or columns, one entry per E (a
+    ChannelColumns).  Each point's integral splits at omega0 and
+    omega0 + 10 lam, and its tail maps through u = 1/w so the infinite
+    range becomes a finite smooth integral; the three pieces of every point
+    are integrals of one adaptive_simpson batch, summed per point as
+    (body1 + body2) + tail.  The tolerance 1e-13 is absolute up to
+    gamma0 = 2 pi and scales with gamma0/(2 pi) above, as I does, so
+    strong couplings are not refined past float resolution.
     """
-    e = float(e)
-    if e >= 0:
+    e = np.asarray(e, dtype=float)
+    if np.any(e >= 0):
         raise ValueError("reservoir integral requires E < 0")
-    w0, lam = params.omega0, params.lam
-    tol = 1e-13 * max(1.0, params.gamma0 / (2.0 * np.pi))
-
-    def body(w):
-        return lorentzian_j(w, params) / (w - e)
-
+    columns = np.broadcast_arrays(e, *(np.asarray(v, dtype=float)
+                                       for v in (params.gamma0, params.lam, params.omega0)))
+    shape = columns[0].shape
+    e, gamma0, lam, w0 = (v.ravel() for v in columns)
+    n = e.size
     cut = w0 + 10.0 * lam
+    # per integral k: the body on [0, omega0], on [omega0, cut], then the tail
+    consts = np.tile(np.stack([gamma0, lam, w0, e]), 3)
 
-    def tail(u):
+    def integrand(x, k):
+        out = np.empty_like(x)
+        body = k < 2 * n
+        g0k, lamk, w0k, ek = consts[:, k[body]]
+        w = x[body]
+        out[body] = lorentzian_j(w, SimpleNamespace(gamma0=g0k, lam=lamk, omega0=w0k)) / (w - ek)
         # J(1/u)/((1/u) - e) * du-Jacobian (1/u**2), simplified to stay
         # finite at u = 0
-        num = params.gamma0 * lam ** 2 * u
-        den = 2.0 * np.pi * ((1.0 - w0 * u) ** 2 + (lam * u) ** 2) * (1.0 - e * u)
-        return num / den
+        tail = ~body
+        g0k, lamk, w0k, ek = consts[:, k[tail]]
+        u = x[tail]
+        out[tail] = g0k * lamk ** 2 * u / (2.0 * np.pi * ((1.0 - w0k * u) ** 2 + (lamk * u) ** 2)
+                                           * (1.0 - ek * u))
+        return out
 
-    return (adaptive_simpson(body, 0.0, w0, tol)
-            + adaptive_simpson(body, w0, cut, tol)
-            + adaptive_simpson(tail, 0.0, 1.0 / cut, tol))
+    zero = np.zeros(n)
+    pieces = adaptive_simpson(integrand, np.concatenate([zero, w0, zero]),
+                              np.concatenate([w0, cut, 1.0 / cut]),
+                              np.tile(1e-13 * np.maximum(1.0, gamma0 / (2.0 * np.pi)), 3))
+    out = ((pieces[:n] + pieces[n:2 * n]) + pieces[2 * n:]).reshape(shape)
+    return out if out.ndim else float(out)

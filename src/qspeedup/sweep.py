@@ -17,7 +17,7 @@ from .spectral import (AtomKind, ModelParams, _check_n_atoms, channel_coefficien
                        validate_tau)
 
 BACKFLOW_ONSET_TOL = 1e-10
-_DEPTH = 4  # bisection levels of find_critical_coupling per kernel call
+_DEPTH = 6  # bisection levels of find_critical_coupling per kernel call
 
 
 class OnsetCriterion(enum.Enum):
@@ -161,7 +161,7 @@ def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
     monotone, so both detect the first population rise inside the window
     and agree closely for every N, N = 1 included.  Bisection to width tol,
     or until the midpoint rounds onto an edge.  One evaluate_columns call
-    takes the midpoints of the next _DEPTH levels below the bracket (15
+    takes the midpoints of the next _DEPTH levels below the bracket (63
     points) as one ChannelColumns, and the bisection then walks down that
     subtree, so the result is the one-midpoint-at-a-time bisection's, bit
     for bit.

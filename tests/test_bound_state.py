@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qspeedup import bound_state, checks
+from qspeedup import bound_state, checks, spectral
 from qspeedup.bound_state import (BRACKET_FLOOR, BisectionStallError, BoundStateResult,
                                   BracketFailureError, find_bound_state, kernel_k,
                                   MAX_STEPS, RESIDUAL_TOL, solve_bound_states)
 from qspeedup.dynamics import ChannelColumns
+from qspeedup.quadrature import adaptive_simpson
 from qspeedup.spectral import (AtomKind, ModelParams, reservoir_integral,
                                reservoir_integral_quad)
 
@@ -330,6 +331,19 @@ def test_a_point_without_a_bound_state_fails_the_check(monkeypatch):
         checks.check_bound_state_solver(quick=True)
     (result,) = [r for r in checks.run_checks(quick=True) if r.name == "bound-state-solver"]
     assert not result.passed and "BracketFailureError" in result.detail
+
+
+def test_the_check_integrates_its_points_in_one_quadrature_batch(monkeypatch):
+    calls = []
+
+    def counting(f, a, b, tol):
+        calls.append(np.size(a))
+        return adaptive_simpson(f, a, b, tol)
+
+    monkeypatch.setattr(spectral, "adaptive_simpson", counting)
+    result = checks.check_bound_state_solver()
+    assert result.passed and "quadrature ok" in result.detail
+    assert 1 <= len(calls) <= 2 and sum(calls) == 15  # 5 points, 3 pieces each
 
 
 def test_a_settled_tangent_seed_is_the_energy():

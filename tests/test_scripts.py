@@ -3,11 +3,12 @@ import pathlib
 
 from qspeedup import cli
 
-SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "reproduce_figures.py"
 
 
-def _load_script():
-    spec = importlib.util.spec_from_file_location("reproduce_figures", SCRIPT)
+def _load_script(path=SCRIPT):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -33,3 +34,11 @@ def test_reproduce_figures_writes_the_cli_outputs(tmp_path, capsys):
 def test_reproduce_figures_uses_only_the_public_cli():
     text = SCRIPT.read_text(encoding="utf-8")
     assert "_rows_csv" not in text and "_sweep_panels" not in text
+
+
+def test_every_mutation_still_applies_once():
+    mutants = _load_script(ROOT / "scripts" / "mutants.py")
+    assert len({m.name for m in mutants.MUTATIONS}) == len(mutants.MUTATIONS)
+    for mutation in mutants.MUTATIONS:
+        assert mutation.old != mutation.new
+        assert not mutants.is_stale(mutation, ROOT / "src"), mutation.name

@@ -6,6 +6,9 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from qspeedup import spectral
+from qspeedup.bound_state import find_bound_state
+from qspeedup.dynamics import ChannelColumns
+from qspeedup.quadrature import adaptive_simpson
 from qspeedup.spectral import (AtomKind, ModelParams, lorentzian_j,
                                reservoir_integral, reservoir_integral_quad)
 
@@ -106,16 +109,29 @@ class TestReservoirIntegral:
         closed = reservoir_integral(e, BASE)
         assert reservoir_integral_quad(e, BASE) == pytest.approx(closed, rel=1e-8)
 
+    def test_quadrature_keeps_its_bits(self):
+        # each integral adds its finished intervals one at a time in
+        # worklist order, and each point sums (body1 + body2) + tail; a
+        # grouped or pairwise sum moves these last bits
+        pinned = {(-1e-6, 1.0): "0x1.fdb395a90c40bp+0", (-1e-3, 1.0): "0x1.1c7692642dee3p+0",
+                  (-0.1, 1.0): "0x1.086752345f8e0p-1", (-1.0, 1.0): "0x1.ceb62c32bd848p-3",
+                  (-10.0, 1.0): "0x1.9458e1eff46ecp-5", (-1e3, 1.0): "0x1.51259721e6224p-11",
+                  (-1.0, 1e4): "0x1.1a6ab079f82c4p+11"}
+        for (e, g0), bits in pinned.items():
+            assert reservoir_integral_quad(e, ModelParams(gamma0=g0)).hex() == bits
+
     def test_quadrature_work_does_not_grow_with_coupling(self, monkeypatch):
         # a tol that does not scale with I lies below its float resolution at
         # strong coupling, and every interval is refined to MAX_DEPTH
         samples = []
 
-        def counting(w, params):
-            samples.append(np.size(w))
-            return lorentzian_j(w, params)
+        def counting(f, a, b, tol):
+            def counted(x, k):
+                samples.append(np.size(x))
+                return f(x, k)
+            return adaptive_simpson(counted, a, b, tol)
 
-        monkeypatch.setattr(spectral, "lorentzian_j", counting)
+        monkeypatch.setattr(spectral, "adaptive_simpson", counting)
         counts = {}
         for g0 in (1.0, 1e4):
             samples.clear()
@@ -123,7 +139,32 @@ class TestReservoirIntegral:
             assert reservoir_integral_quad(-1.0, params) == pytest.approx(
                 reservoir_integral(-1.0, params), rel=1e-12)
             counts[g0] = sum(samples)
-        assert counts[1e4] <= 2 * counts[1.0]
+        assert 0 < counts[1.0] and 0 < counts[1e4] <= 2 * counts[1.0]
+
+    def test_columns_equal_the_one_point_calls(self):
+        # the points of the bound-state-solver check at their bound-state
+        # energies, then seeded points across the reservoir constants
+        points = [ModelParams(gamma0=1.0), ModelParams(gamma0=2.0, n_atoms=3),
+                  ModelParams(gamma0=1.5, theta=1.0, kind=AtomKind.THREE_LEVEL_V),
+                  ModelParams(gamma0=3.0, n_atoms=8),
+                  ModelParams(gamma0=2.5, n_atoms=30, theta=0.5, kind=AtomKind.THREE_LEVEL_V)]
+        energies = [find_bound_state(p).energy for p in points]
+        rng = np.random.default_rng(20261019)
+        for _ in range(40):
+            lam, omega0 = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
+            points.append(ModelParams(gamma0=float(10.0 ** rng.uniform(-3.0, 5.0)),
+                                      lam=float(lam), omega0=float(omega0)))
+            energies.append(-float(10.0 ** rng.uniform(-6.0, 3.0)))
+        batch = reservoir_integral_quad(np.array(energies), ChannelColumns.of(points))
+        assert batch.shape == (len(points),)
+        assert [v.hex() for v in batch.tolist()] == [
+            reservoir_integral_quad(e, p).hex() for e, p in zip(energies, points)]
+        # one point's constants shared by an array of energies, and one
+        # energy shared by columns of constants
+        assert reservoir_integral_quad(np.array(energies[:5]), BASE).tolist() == [
+            reservoir_integral_quad(e, BASE) for e in energies[:5]]
+        assert reservoir_integral_quad(-1.0, ChannelColumns.of(points[:5])).tolist() == [
+            reservoir_integral_quad(-1.0, p) for p in points[:5]]
 
     @pytest.mark.parametrize("e", [-1e-4, -1.0, -50.0])
     def test_closed_form_vs_scipy(self, e):
