@@ -26,7 +26,7 @@ from .checks import run_checks
 from .dynamics import trajectory
 from .measures import evaluate_point
 from .spectral import AtomKind, ModelParams
-from .svg import Panel, Series, render_figure
+from .svg import Y_LEFT_LABEL, Panel, Series, render_figure
 from .sweep import FigurePreset, SweepTable, figure_preset, run_sweep
 
 EXIT_OK = 0
@@ -151,7 +151,7 @@ def _sweep_panels(table: SweepTable, preset: FigurePreset) -> list[Panel]:
             _, _, ratio, nonmarkov, bound_energy, _ = next(curves)
             suffix = f", θ={theta:g}" if len(sc.theta_list) > 1 else ""
             series.append(Series(
-                y=tuple(ratio), label="τ_QSL/τ" + suffix,
+                y=tuple(ratio), label=Y_LEFT_LABEL + suffix,
                 color=PALETTE[k % len(PALETTE)]))
             if preset.right_axis == "nonmarkov":
                 ys = tuple(nonmarkov)
@@ -161,9 +161,9 @@ def _sweep_panels(table: SweepTable, preset: FigurePreset) -> list[Panel]:
                            for b in bound_energy)
             series.append(Series(
                 y=ys, label=right_label + suffix,
-                color=PALETTE[(k + 2) % len(PALETTE)], dashed=True, axis="right"))
+                color=PALETTE[(k + 2) % len(PALETTE)], right=True))
         panels.append(Panel(title=f"N = {n}", x=xs, series=tuple(series),
-                            y_left_label="τ_QSL/τ", y_right_label=right_label))
+                            y_right_label=right_label))
     return panels
 
 

@@ -42,8 +42,6 @@ import numpy as np
 from .spectral import (AtomKind, ModelParams, channel_coefficients, validate_steps,
                        validate_tau)
 
-ROOT_HALF = math.sqrt(0.5)
-
 
 def channel_discriminant(gamma0, lam, n_atoms, c):
     """lam**2 - 2*gamma0*c*lam*N (c = 1 or 1 +- theta); scalars or arrays."""
@@ -114,8 +112,8 @@ def _point(t, params: ModelParams):
 
 def _population_rate(amp, dg, n, m: int):
     """d/dt of m*|amplitude|**2 from A; + 0.0 writes -0.0 (t = 0) as 0.0."""
-    initial = math.sqrt(1.0 / m)
-    return 2.0 * m * ((initial * amp) * (initial * dg / n)) + 0.0
+    root = math.sqrt(1.0 / m)
+    return 2.0 * m * ((root * amp) * (root * dg / n)) + 0.0
 
 
 def _shaped(row: np.ndarray, t, kind: type):
@@ -125,28 +123,25 @@ def _shaped(row: np.ndarray, t, kind: type):
     return kind(row[0, 0])
 
 
-def amplitude(t, params: ModelParams, initial: complex | None = None):
-    """Excited emitter's amplitude per level: alpha1 or nu1 by emitter kind.
-
-    amplitude(0) = initial exactly, by default 1/sqrt(m) (1 or ROOT_HALF).
-    """
+def amplitude(t, params: ModelParams):
+    """Excited emitter's amplitude per level, A/sqrt(m): alpha1 or nu1 by
+    emitter kind; amplitude(0) = 1/sqrt(m) exactly."""
     amp, _, _, m = _point(t, params)
-    initial = math.sqrt(1.0 / m) if initial is None else initial
-    return _shaped(initial * amp, t, complex)
+    return _shaped(math.sqrt(1.0 / m) * amp, t, complex)
 
 
-def alpha1(t, params: ModelParams, initial: complex = 1.0):
-    """amplitude of N two-level emitters; alpha1(0) = initial exactly."""
+def alpha1(t, params: ModelParams):
+    """amplitude of N two-level emitters; alpha1(0) = 1 exactly."""
     if params.kind is not AtomKind.TWO_LEVEL:
         raise ValueError("alpha1 applies to two-level emitters")
-    return amplitude(t, params, initial)
+    return amplitude(t, params)
 
 
-def nu1(t, params: ModelParams, initial: complex = ROOT_HALF):
+def nu1(t, params: ModelParams):
     """amplitude of N V-type emitters, per transition (symmetric channel)."""
     if params.kind is not AtomKind.THREE_LEVEL_V:
         raise ValueError("nu1 applies to V-type emitters")
-    return amplitude(t, params, initial)
+    return amplitude(t, params)
 
 
 def excited_population(t, params: ModelParams):
@@ -230,45 +225,32 @@ def trajectory(params: ModelParams, tau: float, steps: int = 4096) -> Trajectory
     return Trajectory(times, amp, np.clip(pop, 0.0, 1.0), rate)
 
 
-def _density_ops(times: np.ndarray, params: ModelParams, ground_amplitude: complex):
-    """Vectorised reduced states and their analytic rates on a time grid.
-
-    m excited levels, each pair holding |amplitude|**2, plus the ground level.
-    """
-    a0 = complex(ground_amplitude)
-    if not abs(a0) <= 1.0:  # NaN fails too
-        raise ValueError("ground amplitude exceeds normalization")
-    unit, dg, n, m = _point(times, params)
-    exc0 = math.sqrt(max(0.0, (1.0 - abs(a0) ** 2) / m))
-    amp, damp = (exc0 * unit)[0], (exc0 * dg / n)[0]
-    q = amp * amp
-    dq = 2.0 * (amp * damp)
-    rho = np.zeros((len(times), m + 1, m + 1), dtype=complex)
-    rate = np.zeros_like(rho)
-    for out, level, coherence in ((rho, q, amp), (rate, dq, damp)):
-        out[:, :m, :m] = level[:, None, None]
-        out[:, :m, m] = (np.conjugate(a0) * coherence)[:, None]
-        out[:, m, :m] = (a0 * coherence)[:, None]
-    rho[:, m, m] = 1.0 - m * q
-    rate[:, m, m] = -m * dq
-    return rho, rate
-
-
-def _check_states(rhos: np.ndarray, error: type, what: str) -> None:
+def _check_states(rhos: np.ndarray) -> None:
     """Hermitian, unit trace, no negative eigenvalue; a NaN fails every test."""
     if not np.abs(rhos - np.conjugate(np.swapaxes(rhos, -1, -2))).max() <= 1e-14:
-        raise error(f"{what} is not Hermitian")
+        raise FloatingPointError("reduced state is not Hermitian")
     if not np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0).max() <= 1e-12:
-        raise error(f"{what} trace is not 1")
+        raise FloatingPointError("reduced state trace is not 1")
     if not np.linalg.eigvalsh(rhos).min() >= -1e-12:
-        raise error(f"{what} has a negative eigenvalue")
+        raise FloatingPointError("reduced state has a negative eigenvalue")
 
 
-def density_trajectory(params: ModelParams, tau: float, steps: int = 4096,
-                       ground_amplitude: complex = 0.0):
-    """Times, reduced states and analytic state rates on a uniform grid."""
-    tau = validate_tau(tau)
-    times = np.linspace(0.0, tau, validate_steps(steps) + 1)
-    rhos, rates = _density_ops(times, params, ground_amplitude)
-    _check_states(rhos, FloatingPointError, "reduced state")
-    return times, rhos, rates
+def density_trajectory(params: ModelParams, tau: float, steps: int = 4096):
+    """Times, reduced states and analytic state rates on a uniform grid.
+
+    m excited levels, each pair holding q = |amplitude|**2, and the ground
+    level 1 - m*q; the emitter starts excited, so the excited-ground
+    coherences are 0.
+    """
+    traj = trajectory(params, tau, steps)
+    m = channel_coefficients(params.kind, params.theta)[1]
+    q = traj.amplitude.real ** 2
+    dq = traj.population_rate / m
+    rho = np.zeros((len(traj), m + 1, m + 1), dtype=complex)
+    rate = np.zeros_like(rho)
+    rho[:, :m, :m] = q[:, None, None]
+    rate[:, :m, :m] = dq[:, None, None]
+    rho[:, m, m] = 1.0 - m * q
+    rate[:, m, m] = -m * dq
+    _check_states(rho)
+    return traj.times, rho, rate

@@ -188,14 +188,14 @@ def qsl_two_level(params: ModelParams, tau: float) -> float:
     return evaluate_point(params, tau).tau_qsl
 
 
-def qsl_generic(times, rhos, rho_rates=None) -> GenericQslResult:
-    """Speed-limit time from a sampled state trajectory alone.
+def qsl_generic(times, rhos, rho_rates) -> GenericQslResult:
+    """Speed-limit time from a sampled state trajectory and its rates.
 
     times must be >= 4096 finite, strictly increasing snapshots; rhos the
-    matching finite stack of states with a pure first snapshot.  When
-    rho_rates (finite too) is omitted the rates come from second-order
-    finite differences of the stack.  The bound uses the best (largest) of
-    the inverse time-averaged Schatten rates of order 1, 2 and inf.
+    matching finite stack of states with a pure first snapshot, and
+    rho_rates their finite time derivatives.  The bound uses the best
+    (largest) of the inverse time-averaged Schatten rates of order 1, 2
+    and inf.
     """
     times = np.asarray(times, dtype=float)
     rhos = np.asarray(rhos, dtype=complex)
@@ -209,14 +209,11 @@ def qsl_generic(times, rhos, rho_rates=None) -> GenericQslResult:
     if not np.isfinite(rhos).all():
         raise ValueError("rhos must be finite")
     angle = bures_angle(rhos[0], rhos[-1])
-    if rho_rates is None:
-        rho_rates = np.gradient(rhos, times, axis=0)
-    else:
-        rho_rates = np.asarray(rho_rates, dtype=complex)
-        if rho_rates.shape != rhos.shape:
-            raise ValueError("rho_rates must match rhos in shape")
-        if not np.isfinite(rho_rates).all():
-            raise ValueError("rho_rates must be finite")
+    rho_rates = np.asarray(rho_rates, dtype=complex)
+    if rho_rates.shape != rhos.shape:
+        raise ValueError("rho_rates must match rhos in shape")
+    if not np.isfinite(rho_rates).all():
+        raise ValueError("rho_rates must be finite")
 
     sv = np.linalg.svd(rho_rates, compute_uv=False)
     span = float(times[-1] - times[0])

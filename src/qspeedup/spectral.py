@@ -127,12 +127,20 @@ def lorentzian_j(omega, params: ModelParams):
     The reservoir constants of params may also be arrays broadcasting
     against omega, one entry per sample."""
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0):
+    if not np.all(omega >= 0):  # NaN fails
         raise ValueError("omega must be >= 0")
     num = params.gamma0 * params.lam ** 2
     den = 2.0 * np.pi * ((omega - params.omega0) ** 2 + params.lam ** 2)
     out = num / den
     return out if out.ndim else float(out)
+
+
+def _check_energies(e) -> np.ndarray:
+    """E as a float array; ValueError unless every E is finite and < 0."""
+    e = np.asarray(e, dtype=float)
+    if not (e.max(initial=-1.0) < 0.0 and e.min(initial=-1.0) > -math.inf):  # NaN fails
+        raise ValueError("reservoir integral requires finite E < 0")
+    return e
 
 
 def reservoir_integral(e, params: ModelParams):
@@ -144,9 +152,7 @@ def reservoir_integral(e, params: ModelParams):
     expression survives |E| down to the smallest normal floats (E**2 would
     underflow long before).
     """
-    e = np.asarray(e, dtype=float)
-    if np.any(e >= 0):
-        raise ValueError("reservoir integral requires E < 0")
+    e = _check_energies(e)
     out = ReservoirIntegral(params.gamma0, params.lam, params.omega0)(e)
     return out if out.ndim else float(out)
 
@@ -206,9 +212,7 @@ def reservoir_integral_quad(e, params: ModelParams):
     gamma0 = 2 pi and scales with gamma0/(2 pi) above, as I does, so
     strong couplings are not refined past float resolution.
     """
-    e = np.asarray(e, dtype=float)
-    if np.any(e >= 0):
-        raise ValueError("reservoir integral requires E < 0")
+    e = _check_energies(e)
     columns = np.broadcast_arrays(e, *(np.asarray(v, dtype=float)
                                        for v in (params.gamma0, params.lam, params.omega0)))
     shape = columns[0].shape

@@ -20,21 +20,18 @@ MARGIN_B = 60
 TICKS = 5
 COLUMNS = 2  # panels per row
 X_LABEL = "γ₀/ω₀"
+Y_LEFT_LABEL = "τ_QSL/τ"
 
 
 @dataclass(frozen=True)
 class Series:
-    """One polyline over its panel's x; axis selects the left or right y scale."""
+    """One polyline over its panel's x, on the left y scale or on the right
+    one, which draws it with a dash pattern."""
 
     y: tuple[float, ...]
     label: str
     color: str = "#1f77b4"
-    dashed: bool = False
-    axis: str = "left"
-
-    def __post_init__(self):
-        if self.axis not in ("left", "right"):
-            raise ValueError("axis must be 'left' or 'right'")
+    right: bool = False
 
 
 @dataclass(frozen=True)
@@ -42,12 +39,13 @@ class Panel:
     title: str
     x: tuple[float, ...]
     series: tuple[Series, ...]
-    y_left_label: str = ""
-    y_right_label: str = ""
+    y_right_label: str
 
     def __post_init__(self):
         if any(len(s.y) != len(self.x) for s in self.series):
             raise ValueError("every series needs one y per panel x")
+        if {s.right for s in self.series} != {False, True}:
+            raise ValueError("a panel needs a left and a right series")
 
 
 def _limits(values) -> tuple[float, float]:
@@ -71,16 +69,14 @@ def _panel_svg(panel: Panel, ox: float, oy: float) -> list[str]:
     y0, y1 = oy + PANEL_H - MARGIN_B, oy + MARGIN_T  # y grows downward in SVG
 
     xlo, xhi = _limits(panel.x)
-    left = [v for s in panel.series if s.axis == "left" for v in s.y]
-    right = [v for s in panel.series if s.axis == "right" for v in s.y]
-    yllo, ylhi = _limits(left) if left else (0.0, 1.0)
-    yrlo, yrhi = _limits(right) if right else (0.0, 1.0)
+    yllo, ylhi = _limits([v for s in panel.series if not s.right for v in s.y])
+    yrlo, yrhi = _limits([v for s in panel.series if s.right for v in s.y])
 
     def px(v: float) -> float:
         return x0 + (v - xlo) / (xhi - xlo) * (x1 - x0)
 
-    def py(v: float, axis: str) -> float:
-        lo, hi = (yllo, ylhi) if axis == "left" else (yrlo, yrhi)
+    def py(v: float, right: bool) -> float:
+        lo, hi = (yrlo, yrhi) if right else (yllo, ylhi)
         return y0 + (v - lo) / (hi - lo) * (y1 - y0)
 
     out = [f'<rect x="{_fmt(x0)}" y="{_fmt(y1)}" width="{_fmt(x1 - x0)}" '
@@ -97,37 +93,34 @@ def _panel_svg(panel: Panel, ox: float, oy: float) -> list[str]:
         out.append(f'<text x="{_fmt(gx)}" y="{_fmt(y0 + 24)}" text-anchor="middle" '
                    f'font-size="14">{_tick_label(tx)}</text>')
         tl = yllo + frac * (ylhi - yllo)
-        gy = py(tl, "left")
+        gy = py(tl, False)
         out.append(f'<line x1="{_fmt(x0 - 6)}" y1="{_fmt(gy)}" x2="{_fmt(x0)}" '
                    f'y2="{_fmt(gy)}" stroke="#333333"/>')
         out.append(f'<text x="{_fmt(x0 - 10)}" y="{_fmt(gy + 5)}" text-anchor="end" '
                    f'font-size="14">{_tick_label(tl)}</text>')
-        if right:
-            tr = yrlo + frac * (yrhi - yrlo)
-            gy = py(tr, "right")
-            out.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(gy)}" x2="{_fmt(x1 + 6)}" '
-                       f'y2="{_fmt(gy)}" stroke="#333333"/>')
-            out.append(f'<text x="{_fmt(x1 + 10)}" y="{_fmt(gy + 5)}" '
-                       f'text-anchor="start" font-size="14">{_tick_label(tr)}</text>')
+        tr = yrlo + frac * (yrhi - yrlo)
+        gy = py(tr, True)
+        out.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(gy)}" x2="{_fmt(x1 + 6)}" '
+                   f'y2="{_fmt(gy)}" stroke="#333333"/>')
+        out.append(f'<text x="{_fmt(x1 + 10)}" y="{_fmt(gy + 5)}" '
+                   f'text-anchor="start" font-size="14">{_tick_label(tr)}</text>')
 
     out.append(f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(y0 + 45)}" '
                f'text-anchor="middle" font-size="16">{X_LABEL}</text>')
-    if panel.y_left_label:
-        cx, cy = x0 - 55, (y0 + y1) / 2
-        out.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
-                   f'font-size="16" transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">'
-                   f'{panel.y_left_label}</text>')
-    if panel.y_right_label and right:
-        cx, cy = x1 + 60, (y0 + y1) / 2
-        out.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
-                   f'font-size="16" transform="rotate(90 {_fmt(cx)} {_fmt(cy)})">'
-                   f'{panel.y_right_label}</text>')
+    cx, cy = x0 - 55, (y0 + y1) / 2
+    out.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
+               f'font-size="16" transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">'
+               f'{Y_LEFT_LABEL}</text>')
+    cx = x1 + 60
+    out.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
+               f'font-size="16" transform="rotate(90 {_fmt(cx)} {_fmt(cy)})">'
+               f'{panel.y_right_label}</text>')
 
     x_text = [f"{v:.2f}" for v in px(np.asarray(panel.x, dtype=float)).tolist()]
     for k, s in enumerate(panel.series):
-        ys = py(np.asarray(s.y, dtype=float), s.axis).tolist()
+        ys = py(np.asarray(s.y, dtype=float), s.right).tolist()
         pts = " ".join([f"{x},{y:.2f}" for x, y in zip(x_text, ys)])
-        dash = ' stroke-dasharray="7,4"' if s.dashed else ""
+        dash = ' stroke-dasharray="7,4"' if s.right else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
                    f'stroke-width="1.5"{dash}/>')
         ly = y1 + 22 + 18 * k

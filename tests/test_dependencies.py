@@ -92,10 +92,10 @@ def test_reader_sees_every_import_form():
 
 def test_unused_reader_sees_every_binding_form():
     source = ("from __future__ import annotations\nimport os.path, math\n"
-              "import numpy as np\nfrom .dynamics import ROOT_HALF, Trajectory as T\n"
+              "import numpy as np\nfrom .dynamics import envelope, Trajectory as T\n"
               "from . import sweep\n"
               "def f(x: T):\n    import json\n    return os.sep, np.pi, sweep\n")
-    assert unused_imports(source) == ["math", "ROOT_HALF", "json"]
+    assert unused_imports(source) == ["math", "envelope", "json"]
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -70,11 +70,45 @@ def resolves(chain: str, heads: dict) -> bool:
     return True
 
 
+def call_keywords(span: str, start: int) -> list[str]:
+    """The name= keywords at the top level of the call whose argument list
+    starts at span[start]."""
+    depth, top = 0, []
+    for ch in span[start:]:
+        depth += (ch in "([{") - (ch in ")]}")
+        if depth < 0:
+            break
+        top.append(ch if depth == 0 else " ")
+    return re.findall(r"(?<![\w.=!<>])([A-Za-z_]\w*)=(?!=)", "".join(top))
+
+
+def accepts(chain: str, keyword: str, heads: dict) -> bool:
+    """Whether a callable that chain may name takes keyword; True when the
+    chain names nothing (reported as unknown) or has no signature."""
+    *path, name = chain.split(".")
+    if path and path[0] not in heads:
+        return True
+    owners = [heads[path[0]]] if path else [builtins, *heads.values()]
+    for part in path[1:]:
+        owners = [getattr(owner, part, None) for owner in owners]
+    targets = [getattr(owner, name) for owner in owners if hasattr(owner, name)]
+    for target in targets:
+        try:
+            params = inspect.signature(target).parameters.values()
+        except (TypeError, ValueError):
+            return True
+        if any(p.name == keyword or p.kind is p.VAR_KEYWORD for p in params):
+            return True
+    return not targets
+
+
 def unknown_readme_names(text: str) -> list[str]:
     """Backticked names in text that no library name, builtin, math, cmath
     or numpy name matches: every dotted name (module.name,
     Class.attribute), every name called as name( or written in CamelCase,
-    and every span that is one snake_case name (test names excepted)."""
+    and every span that is one snake_case name (test names excepted).  A
+    keyword written as name= in a call the callable does not take is
+    listed as chain(name=)."""
     heads, names = library_namespace()
     unknown = []
     for span in re.findall(r"(?<!`)`([^`\n]+)`(?!`)", text):
@@ -82,6 +116,9 @@ def unknown_readme_names(text: str) -> list[str]:
         for match in re.finditer(r"(?<![\w.\-/])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*(\()?",
                                  span):
             chain = match.group(0).rstrip("(")
+            if match.group(1):
+                unknown += [f"{chain}({keyword}=)" for keyword in call_keywords(span, match.end())
+                            if not accepts(chain, keyword, heads)]
             if "." in chain:
                 if not (chain.rsplit(".", 1)[1] in FILE_SUFFIXES or resolves(chain, heads)):
                     unknown.append(chain)
@@ -97,10 +134,13 @@ def test_unknown_name_reader_sees_every_token_form():
             "`qsl_three_level` `measures.gone` `fig2.csv` `test_04_x` `gamma0` "
             "`ModelParams` `ChannelColumns.of([params])` `math.expm1` `len(table)` "
             "`tolist()` `spectral.ReservoirIntegral.unit` `SweepTable.ratio` "
-            "`n_atoms_list` `--lambda 1e-310`")
+            "`n_atoms_list` `--lambda 1e-310` `dynamics.amplitude(t, params, initial=None)` "
+            "`trajectory(params, tau, steps=8)` `np.linspace(0, 1, num=round(x, ndigits=2))` "
+            "`len(a, b=1)` `atan(|d|/lam) = tau` `evaluate_point(p, tau=5, x==1)`")
     assert unknown_readme_names(text) == ["SweepRow", "SweepTable.rows",
                                           "propagate_two_level", "qsl_three_level",
-                                          "measures.gone"]
+                                          "measures.gone", "dynamics.amplitude(initial=)",
+                                          "len(b=)"]
 
 
 def test_readme_names_only_existing_library_names():

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qspeedup import dynamics
-from qspeedup.dynamics import (ChannelColumns, ROOT_HALF, alpha1, amplitude,
-                               density_trajectory, envelope, excited_population,
-                               nu1, population_rate, trajectory, unit_amplitude)
+from qspeedup.dynamics import (ChannelColumns, alpha1, amplitude, density_trajectory,
+                               envelope, excited_population, nu1, population_rate,
+                               trajectory, unit_amplitude)
 from qspeedup.oracle import solve_collective
 from qspeedup.spectral import AtomKind, ModelParams
 
@@ -280,8 +280,7 @@ class TestChannelConstants:
 class TestAmplitudes:
     def test_initial_values_exact(self):
         assert alpha1(0.0, TWO) == 1.0 + 0.0j
-        assert nu1(0.0, VEE) == complex(ROOT_HALF)
-        assert alpha1(0.0, TWO, initial=0.25) == 0.25 + 0j
+        assert nu1(0.0, VEE) == complex(math.sqrt(0.5))
 
     def test_kind_dispatch_guards(self):
         with pytest.raises(ValueError):
@@ -294,9 +293,7 @@ class TestAmplitudes:
         t = np.linspace(0.0, 5.0, 257)
         assert np.array_equal(amplitude(t, TWO), alpha1(t, TWO))
         assert np.array_equal(amplitude(t, VEE), nu1(t, VEE))
-        assert amplitude(0.0, TWO) == 1.0 and amplitude(0.0, VEE) == ROOT_HALF
-        assert np.array_equal(amplitude(t, VEE, initial=0.3),
-                              nu1(t, VEE, initial=0.3))
+        assert amplitude(0.0, TWO) == 1.0 and amplitude(0.0, VEE) == math.sqrt(0.5)
 
     @pytest.mark.parametrize("params", [
         TWO, VEE, ModelParams(gamma0=0.0, n_atoms=2, kind=AtomKind.THREE_LEVEL_V)])
@@ -351,7 +348,7 @@ class TestAmplitudes:
         h = 1e-5
         for t in (0.3, 1.6, 3.9):
             fd = (nu1(t + h, VEE) - nu1(t - h, VEE)) / (2 * h)
-            rate = ROOT_HALF * unit_amplitude(t, a, b, lam, n)[1] / n
+            rate = math.sqrt(0.5) * unit_amplitude(t, a, b, lam, n)[1] / n
             assert rate == pytest.approx(fd, abs=1e-9)
 
     def test_population_rate_zero_at_origin(self):
@@ -451,7 +448,7 @@ class TestTrajectory:
         skew_envelope(lambda lam: math.nan)
         with pytest.raises(FloatingPointError, match="not finite"):
             trajectory(TWO, 5.0, steps=16)
-        with pytest.raises(FloatingPointError, match="not Hermitian"):
+        with pytest.raises(FloatingPointError, match="not finite"):
             density_trajectory(TWO, 5.0, steps=16)
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
@@ -462,9 +459,9 @@ class TestTrajectory:
             density_trajectory(VEE, tau)
 
 
-def final_state(params, tau, ground_amplitude=0.0):
+def final_state(params, tau):
     """The reduced state at tau: the last row of a density trajectory."""
-    return density_trajectory(params, tau, steps=16, ground_amplitude=ground_amplitude)[1][-1]
+    return density_trajectory(params, tau, steps=16)[1][-1]
 
 
 class TestDensityMatrix:
@@ -482,21 +479,28 @@ class TestDensityMatrix:
         assert rho[0, 1] == pytest.approx(q, abs=1e-15)
         assert rho[2, 2] == pytest.approx(1 - 2 * q, abs=1e-15)
 
-    def test_ground_amplitude_coherences(self):
-        a0 = 0.6 * cmath.exp(0.3j)
-        rho = final_state(TWO, 1.1, ground_amplitude=a0)
-        exc0 = math.sqrt(1 - abs(a0) ** 2)
-        amp = alpha1(1.1, TWO, initial=exc0)
-        assert rho[0, 1] == pytest.approx(np.conjugate(a0) * amp, abs=1e-15)
-        assert rho[1, 0] == pytest.approx(a0 * np.conjugate(amp), abs=1e-15)
-
-    def test_rejects_overweight_ground_amplitude(self):
-        with pytest.raises(ValueError):
-            final_state(TWO, 0.5, ground_amplitude=1.2)
-        # NaN is an input error, not a numerical failure of the states
-        for a0 in (math.nan, complex(0.0, math.nan)):
-            with pytest.raises(ValueError, match="normalization"):
-                density_trajectory(TWO, 5.0, steps=64, ground_amplitude=a0)
+    @pytest.mark.parametrize("n", [1, 3, 30, 1000])
+    @pytest.mark.parametrize("kind", list(AtomKind))
+    def test_rows_carry_the_trajectory_bits(self, kind, n):
+        theta = 0.4 if kind is AtomKind.THREE_LEVEL_V else 0.0
+        for params in (ModelParams(gamma0=0.3, n_atoms=n, theta=theta, kind=kind),
+                       ModelParams(gamma0=4.0, lam=0.5, n_atoms=n, theta=theta, kind=kind)):
+            times, rhos, rates = density_trajectory(params, 7.0, steps=256)
+            traj = trajectory(params, 7.0, steps=256)
+            m = rhos.shape[1] - 1
+            q = traj.amplitude.real ** 2
+            assert m == (2 if kind is AtomKind.THREE_LEVEL_V else 1)
+            assert np.array_equal(times, traj.times)
+            for i in range(m):
+                for j in range(m):
+                    assert np.array_equal(rhos[:, i, j], q)
+                    assert np.array_equal(rates[:, i, j], traj.population_rate / m)
+            assert np.array_equal(rhos[:, m, m], 1.0 - m * q)
+            assert np.array_equal(rates[:, m, m], -m * (traj.population_rate / m))
+            # the emitter starts excited: no excited-ground coherence
+            for out in (rhos, rates):
+                assert not out[:, :m, m].any() and not out[:, m, :m].any()
+                assert not out.imag.any()
 
     @pytest.mark.parametrize("bad, match", [
         (np.array([[0.5, 0.1], [0.3, 0.5]], complex), "Hermitian"),
@@ -507,20 +511,18 @@ class TestDensityMatrix:
     ])
     def test_state_check_flags_bad_matrices(self, bad, match):
         good = np.eye(len(bad), dtype=complex) / len(bad)  # maximally mixed
-        dynamics._check_states(np.stack([good, good]), ValueError, "density matrix")
-        with pytest.raises(ValueError, match=f"density matrix .*{match}"):
-            dynamics._check_states(np.stack([good, bad]), ValueError, "density matrix")
+        dynamics._check_states(np.stack([good, good]))
+        with pytest.raises(FloatingPointError, match=f"reduced state .*{match}"):
+            dynamics._check_states(np.stack([good, bad]))
 
     def test_trajectory_rates_match_finite_differences(self):
-        for params, a0 in ((TWO, 0.0), (VEE, 0.3 + 0.2j)):
-            times, rhos, rates = density_trajectory(params, 5.0, steps=2048,
-                                                    ground_amplitude=a0)
+        for params in (TWO, VEE):
+            times, rhos, rates = density_trajectory(params, 5.0, steps=2048)
             fd = np.gradient(rhos, times, axis=0)
             assert np.abs(rates[4:-4] - fd[4:-4]).max() < 1e-4
 
     def test_states_stay_physical_along_the_path(self):
-        times, rhos, _ = density_trajectory(VEE, 5.0, steps=512,
-                                            ground_amplitude=0.5)
+        times, rhos, _ = density_trajectory(VEE, 5.0, steps=512)
         assert np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0).max() < 1e-12
         assert np.linalg.eigvalsh(rhos).min() > -1e-12
 

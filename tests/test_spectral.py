@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,9 @@ class TestLorentzian:
     def test_rejects_negative_frequency(self):
         with pytest.raises(ValueError):
             lorentzian_j(-0.1, BASE)
+        for omega in (math.nan, np.array([0.5, math.nan])):  # NaN fails
+            with pytest.raises(ValueError, match="omega must be >= 0"):
+                lorentzian_j(omega, BASE)
 
     def test_array_input(self):
         w = np.linspace(0, 10, 11)
@@ -103,6 +107,17 @@ class TestReservoirIntegral:
             reservoir_integral(0.0, BASE)
         with pytest.raises(ValueError):
             reservoir_integral(np.array([-1.0, 0.5]), BASE)
+
+    @pytest.mark.parametrize("e", [math.nan, -math.inf, np.array([-1.0, math.nan]),
+                                   np.array([-math.inf, -1.0])])
+    def test_rejects_non_finite_energy(self, e):
+        # NaN passed the E < 0 test and came back NaN; -inf warned on its
+        # way through the closed form and the quadrature
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for integral in (reservoir_integral, reservoir_integral_quad):
+                with pytest.raises(ValueError, match="E < 0"):
+                    integral(e, BASE)
 
     @pytest.mark.parametrize("e", [-1e-6, -1e-3, -0.1, -1.0, -10.0, -1e3])
     def test_closed_form_vs_own_quadrature(self, e):
