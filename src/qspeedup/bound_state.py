@@ -55,17 +55,18 @@ def kernel_k(e, params: ModelParams):
     return params.omega0 - params.collective_factor() * reservoir_integral(e, params)
 
 
-def solve_bound_states(channels: ChannelColumns, label="point {}".format) -> tuple:
+def solve_bound_states(channels: ChannelColumns) -> tuple:
     """Locate the unique E < 0 with K(E) = E for every point of a batch.
 
     Reads omega0, the collective factor c, gamma0 and lam of each point,
     and returns the columns (coupled, underflow, energy, residual, lo, hi,
     iterations).  coupled is False only for gamma0 = 0, where K is constant
     at omega0; underflow marks a root beyond the probe floor of -1e-16.
-    Raises BisectionStallError, naming point i by label(i), when a point
-    misses the residual target RESIDUAL_TOL * max(1, |E|, omega0): K(E) =
-    omega0 - c * I(E) cancels two terms of size omega0, so the residual
-    cannot resolve less than a few float spacings of omega0.
+    Raises BisectionStallError, naming the first such point by the columns
+    read here, when a point misses the residual target RESIDUAL_TOL *
+    max(1, |E|, omega0): K(E) = omega0 - c * I(E) cancels two terms of size
+    omega0, so the residual cannot resolve less than a few float spacings
+    of omega0.
 
     The search is Newton's iteration on u = log|E| for h = K(E) - E, with
     the exact slope dh/du = -E - c * dI/du (ReservoirIntegral.unit), run on
@@ -162,8 +163,10 @@ def solve_bound_states(channels: ChannelColumns, label="point {}".format) -> tup
     stalled = solve & ~(residual < gate)
     if stalled.any():
         i = int(np.argmax(stalled))
+        point = ", ".join(f"{name}={getattr(channels, name)[i].item()!r}"
+                          for name in ("gamma0", "lam", "omega0", "n_atoms", "factor"))
         raise BisectionStallError(
-            f"root search stalled at residual {residual[i]:g} for {label(i)}")
+            f"root search stalled at residual {residual[i]:g} for {point}")
     return coupled, underflow, energy, residual, lo, hi, iterations
 
 
@@ -174,8 +177,8 @@ def find_bound_state(params: ModelParams) -> BoundStateResult:
     Returns exists=False only for gamma0 = 0.  Raises BracketFailureError
     when the root lies beyond the probe floor of -1e-16.
     """
-    coupled, underflow, e, r, a, b, n = (column.item(0) for column in solve_bound_states(
-        ChannelColumns.of([params]), label=lambda i: repr(params)))
+    coupled, underflow, e, r, a, b, n = (
+        column.item(0) for column in solve_bound_states(ChannelColumns.of([params])))
     if not coupled:
         return BoundStateResult(False, None, None, None, 0)
     if underflow:

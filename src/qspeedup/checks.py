@@ -127,7 +127,7 @@ def check_bound_state_solver(quick: bool = False) -> CheckResult:
                     for theta in (0.0, 0.5, 1.0)))
     points = pts + list(dict.fromkeys(p for chain in chains for p in chain))
     coupled, underflow, energies, residuals, *_ = bound_state.solve_bound_states(
-        dynamics.ChannelColumns.of(points), label=lambda i: repr(points[i]))
+        dynamics.ChannelColumns.of(points))
     missing = ~coupled | underflow
     if missing.any():  # every point here binds, above the probe floor
         raise bound_state.BracketFailureError(

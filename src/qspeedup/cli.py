@@ -66,7 +66,6 @@ def _add_model_flags(sp: argparse.ArgumentParser) -> None:
 
 def _add_output_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--output", default=None, help="write results to this path")
-    sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     sp.add_argument("--force", action="store_true",
                     help="overwrite an existing output file")
 
@@ -288,17 +287,19 @@ def _build_parser() -> _Parser:
     sp.add_argument("--tau", type=float, default=5.0, help="time window")
     sp.add_argument("--steps", type=int, default=4096, help="grid steps")
     _add_output_flags(sp)
+    sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     sp.set_defaults(run=cmd_dynamics)
 
     sp = sub.add_parser("qsl", help="speed-limit report")
     _add_model_flags(sp)
     sp.add_argument("--tau", type=float, default=5.0, help="time window")
-    _add_output_flags(sp)
+    _add_output_flags(sp)  # the report is JSON only
     sp.set_defaults(run=cmd_qsl)
 
     sp = sub.add_parser("sweep", help="regenerate a survey grid")
     sp.add_argument("--figure", type=int, choices=(2, 3, 4, 5), required=True)
     _add_output_flags(sp)
+    sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     sp.add_argument("--svg", default=None, help="also draw the panels to this path")
     sp.set_defaults(run=cmd_sweep)
 

@@ -193,9 +193,6 @@ class ChannelColumns:
                           dtype=float)
         return cls.build(*consts.reshape(-1, 5).T)
 
-    def __len__(self) -> int:
-        return len(self.lam)
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:

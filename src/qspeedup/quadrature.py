@@ -22,7 +22,7 @@ Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 MAX_DEPTH = 48
 
 
-def adaptive_simpson(f: Integrand, a, b, tol=1e-12) -> np.ndarray:
+def adaptive_simpson(f: Integrand, a, b, tol) -> np.ndarray:
     """Integrate f over [a[k], b[k]] to absolute tolerance tol[k], for every k.
 
     a, b and tol are columns (or scalars, broadcast to the columns), one

@@ -39,14 +39,6 @@ def channel_coefficients(kind: AtomKind, theta: float) -> tuple[float, int]:
     return 1.0, 1
 
 
-def _check_n_atoms(n) -> None:
-    """ValueError unless N is an integer (not a bool) in [1, float max]."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError("n_atoms must be an integer >= 1")
-    if not 1 <= n <= sys.float_info.max:  # N enters as a float
-        raise ValueError("n_atoms must be >= 1 and representable as a float")
-
-
 @dataclass(frozen=True, slots=True)
 class ModelParams:
     """One ensemble of identical emitters coupled to a shared reservoir.
@@ -65,7 +57,11 @@ class ModelParams:
     kind: AtomKind = AtomKind.TWO_LEVEL
 
     def __post_init__(self):
-        _check_n_atoms(self.n_atoms)
+        n = self.n_atoms
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise ValueError("n_atoms must be an integer >= 1")
+        if not 1 <= n <= sys.float_info.max:  # N enters as a float
+            raise ValueError("n_atoms must be >= 1 and representable as a float")
         for name in ("gamma0", "lam", "omega0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

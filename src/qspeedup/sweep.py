@@ -6,15 +6,13 @@ import enum
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .bound_state import solve_bound_states
 from .dynamics import ChannelColumns
 from .measures import evaluate_columns, evaluate_point
-from .spectral import (AtomKind, ModelParams, _check_n_atoms, channel_coefficients,
-                       validate_tau)
+from .spectral import AtomKind, ModelParams, channel_coefficients, validate_tau
 
 BACKFLOW_ONSET_TOL = 1e-10
 _DEPTH = 6  # bisection levels of find_critical_coupling per kernel call
@@ -31,7 +29,12 @@ class NoTransitionError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A grid over gamma0 for one emitter kind at fixed lam, tau."""
+    """A grid over gamma0 for one emitter kind at fixed lam, tau.
+
+    Construction builds one ModelParams per (n_atoms, theta) curve at the
+    top of gamma0_grid: every ModelParams check is independent of gamma0 or
+    monotone in it, so that point vouches for all the curve's points.
+    """
 
     kind: AtomKind
     n_atoms_list: tuple[int, ...] = (1, 3, 8, 30)
@@ -44,8 +47,6 @@ class SweepConfig:
     def __post_init__(self):
         if not self.n_atoms_list:
             raise ValueError("n_atoms_list must not be empty")
-        for n in self.n_atoms_list:  # ModelParams's rule, so int(n) is exact
-            _check_n_atoms(n)
         if not self.theta_list:
             raise ValueError("theta_list must not be empty")
         lo, hi, count = self.gamma0_grid
@@ -56,6 +57,10 @@ class SweepConfig:
         if count < 2:
             raise ValueError("gamma0_grid needs at least 2 points")
         validate_tau(self.tau)
+        for n in self.n_atoms_list:  # ModelParams's n_atoms rule makes int(n) exact
+            for theta in self.theta_list:
+                ModelParams(gamma0=hi, lam=self.lam, n_atoms=n, theta=theta,
+                            omega0=self.omega0, kind=self.kind)
 
     def gamma0_values(self) -> np.ndarray:
         lo, hi, count = self.gamma0_grid
@@ -96,28 +101,20 @@ def run_sweep(config: SweepConfig) -> SweepTable:
 
     The grid is one ChannelColumns in curve-major order that
     evaluate_columns and solve_bound_states each take whole, and the
-    results become the table's columns with no per-point objects; each row
-    of the table equals the single-point calls for its point exactly.
+    results become the table's columns with no per-point objects (the
+    config has checked every point); each row of the table equals the
+    single-point calls for its point exactly.
     """
     gamma0 = config.gamma0_values()
     g0_list, size = gamma0.tolist(), len(gamma0)
     curves = tuple((int(n), float(theta)) for n in config.n_atoms_list
                    for theta in config.theta_list)
-    points = [partial(ModelParams, lam=config.lam, n_atoms=n, theta=theta,
-                      omega0=config.omega0, kind=config.kind) for n, theta in curves]
-    for point in points:
-        # every ModelParams check is independent of gamma0 or monotone in
-        # it (gamma0 >= 0, finiteness, the channel-constant overflow), so
-        # the curve's smallest and largest gamma0 vouch for all its points
-        point(gamma0=min(g0_list))
-        point(gamma0=max(g0_list))
     n_atoms, c = (np.repeat(np.array(column, dtype=float), size) for column in zip(
         *((n, channel_coefficients(config.kind, theta)[0]) for n, theta in curves)))
     channels = ChannelColumns.build(np.tile(gamma0, len(curves)), config.lam, config.omega0,
                                     n_atoms, c)
     _, ratio, nonmarkov, _, stationary = evaluate_columns(channels, config.tau)
-    coupled, lost, energy, *_ = solve_bound_states(
-        channels, label=lambda i: repr(points[i // size](gamma0=g0_list[i % size])))
+    coupled, lost, energy, *_ = solve_bound_states(channels)
     # lost: the root lies below the probe floor
     bounds = np.where(coupled, np.where(lost, 0.0, energy), None).tolist()
     statuses = np.where(lost, "bound-underflow",
@@ -151,10 +148,11 @@ def figure_preset(figure: int) -> FigurePreset:
 
 
 def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
-                           lam: float = 2.0, tau: float = 5.0, omega0: float = 1.0,
                            criterion: OnsetCriterion = OnsetCriterion.SPEEDUP,
                            gamma0_max: float = 4.0, tol: float = 1e-6) -> float:
-    """Smallest gamma0 in (0, gamma0_max] where the chosen indicator fires.
+    """Smallest gamma0 in (0, gamma0_max] where the chosen indicator fires,
+    at the survey's lam and omega0 (ModelParams's defaults) and tau
+    (SweepConfig's).
 
     SPEEDUP looks for ratio < 1, NONMARKOV for backflow > BACKFLOW_ONSET_TOL.
     evaluate_columns gives a ratio of exactly 1.0 while the decay is
@@ -176,8 +174,8 @@ def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
 
     # every ModelParams check is independent of gamma0 or monotone in it,
     # so the top point vouches for every midpoint in (0, gamma0_max]
-    top = evaluate_point(ModelParams(gamma0=gamma0_max, lam=lam, n_atoms=n_atoms,
-                                     theta=theta, omega0=omega0, kind=kind), tau)
+    params = ModelParams(gamma0=gamma0_max, n_atoms=n_atoms, theta=theta, kind=kind)
+    top = evaluate_point(params, SweepConfig.tau)
     if not fires(top.ratio, top.nonmarkov):
         raise NoTransitionError(
             f"no transition in range (0, {gamma0_max:g}] for {criterion.value}")
@@ -197,7 +195,8 @@ def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
                 if b - a > tol and a < mid < b:
                     mids[k] = mid
                     edges[2 * k], edges[2 * k + 1] = (a, mid), (mid, b)
-        channels = ChannelColumns.build(list(mids.values()), lam, omega0, float(n_atoms), c)
+        channels = ChannelColumns.build(list(mids.values()), params.lam, params.omega0,
+                                        float(n_atoms), c)
         _, ratio, backflow, *_ = evaluate_columns(channels, tau)
         fired = dict(zip(mids, fires(ratio, backflow).tolist()))
         k = 1

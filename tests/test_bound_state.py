@@ -319,9 +319,18 @@ def test_residual_gate_raises_for_the_batch(monkeypatch):
     params = ModelParams(gamma0=2.0, n_atoms=3)
     with pytest.raises(BisectionStallError, match="root search stalled"):
         find_bound_state(params)
-    points = [ModelParams(gamma0=0.0), params]
-    with pytest.raises(BisectionStallError, match="n_atoms=3"):
-        solve_bound_states(ChannelColumns.of(points), label=lambda i: repr(points[i]))
+    # row 1 stalls: the message names it by the columns the search reads,
+    # as plain floats
+    points = [ModelParams(gamma0=0.0),
+              ModelParams(gamma0=2.0, lam=1.5, n_atoms=3, theta=0.5, omega0=0.8,
+                          kind=AtomKind.THREE_LEVEL_V)]
+    with pytest.raises(BisectionStallError) as caught:
+        solve_bound_states(ChannelColumns.of(points))
+    message = str(caught.value)
+    assert message.startswith("root search stalled at residual ")
+    assert message.endswith(
+        " for gamma0=2.0, lam=1.5, omega0=0.8, n_atoms=3.0, factor=4.5")
+    assert "np.float64(" not in message
 
 
 def test_a_point_without_a_bound_state_fails_the_check(monkeypatch):

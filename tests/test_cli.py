@@ -118,10 +118,10 @@ class TestArgvHandling:
               theta=0.0, gamma0=2.0, lam=2.0, omega0=1.0, tau=7.5, steps=8192,
               output="traj.json", fmt="json", force=True)),
         (["qsl", "--n", "8", "--gamma0", "3", "--lambda", "2", "--tau", "4",
-          "--output", "report.json", "--format", "json"],
+          "--output", "report.json"],
          dict(command="qsl", run=cli.cmd_qsl, kind="two-level", n_atoms=8, theta=0.0,
               gamma0=3.0, lam=2.0, omega0=1.0, tau=4.0, output="report.json",
-              fmt="json", force=False)),
+              force=False)),
         (["sweep", "--figure", "3", "--output", "rows.csv", "--svg", "rows.svg",
           "--force"],
          dict(command="sweep", run=cli.cmd_sweep, figure=3, output="rows.csv",
@@ -160,10 +160,9 @@ def _model_argv(draw):
             "--gamma0", draw(_REAL), "--lambda", draw(_REAL)]
     flags = [("--n", _COUNT), ("--theta", _REAL), ("--omega0", _REAL)]
     if command != "bound-state":
-        flags += [("--tau", _REAL), ("--output", _OUTPUTS),
-                  ("--format", st.sampled_from(["csv", "json"]))]
+        flags += [("--tau", _REAL), ("--output", _OUTPUTS)]
     if command == "dynamics":
-        flags.append(("--steps", _STEPS))
+        flags += [("--steps", _STEPS), ("--format", st.sampled_from(["csv", "json"]))]
     for flag, values in flags:
         if draw(st.booleans()):
             argv += [flag, draw(values)]
@@ -231,7 +230,7 @@ class TestOutputFiles:
         plain = tmp_path / "plain"
         plain.write_text("")
         assert main(["qsl", "--gamma0", "1", "--lambda", "2",
-                     "--output", str(target), "--format", "json"]) == 0
+                     "--output", str(target)]) == 0
         assert target.stat().st_mode == plain.stat().st_mode
         assert sorted(os.listdir(tmp_path)) == ["plain", "report.json"]
 
@@ -339,13 +338,21 @@ class TestQslCommand:
     def test_json_report(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["qsl", "--gamma0", "2", "--lambda", "2", "--n", "8",
-                     "--output", str(out), "--format", "json"]) == 0
+                     "--output", str(out)]) == 0
         payload = json.loads(out.read_text())
         report = evaluate_point(ModelParams(gamma0=2.0, n_atoms=8), 5.0)
         assert payload["report"]["ratio"] == report.ratio
         assert payload["report"]["bound_energy"] == pytest.approx(
             find_bound_state(ModelParams(gamma0=2.0, n_atoms=8)).energy)
         assert payload["config"]["kind"] == "two-level"
+
+    def test_format_is_refused(self, tmp_path, capsys):
+        # the report is JSON only: a CSV request must not yield a JSON file
+        out = tmp_path / "report.csv"
+        assert main(["qsl", "--gamma0", "2", "--lambda", "2", "--format", "csv",
+                     "--output", str(out)]) == 1
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 class TestSweepCommand:

@@ -141,7 +141,7 @@ def test_qsl_json_report(tmp_path, capsys):
     path = tmp_path / "q.json"
     assert main(["qsl", "--kind", "three-level-v", "--n", "8", "--theta", "0.4",
                  "--gamma0", "2", "--lambda", "2", "--tau", "4",
-                 "--output", str(path), "--format", "json"]) == 0
+                 "--output", str(path)]) == 0
     assert capsys.readouterr().out == QSL_V_TYPE.format(path=path)
     assert path.read_text() == QSL_JSON
 

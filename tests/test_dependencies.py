@@ -1,7 +1,8 @@
 """numpy is the only runtime dependency: every import in the package
 resolves to the standard library, numpy or the package itself, every
 imported name is used (in the package and in its tests, scripts and
-benchmark harness), and every top-level name of a module is read."""
+benchmark harness), no module imports another's underscore name, and every
+top-level name of a module is read."""
 
 import ast
 import pathlib
@@ -39,6 +40,16 @@ def unused_imports(source: str):
              for alias in node.names]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in bound if name not in read]
+
+
+def private_imports(source: str):
+    """Underscore names that the package imports of source take from
+    another package module; a dunder such as __version__ is public."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or node.module.split(".")[0] == "qspeedup")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
 
 
 def top_level_names(tree: ast.Module):
@@ -117,6 +128,17 @@ def test_every_imported_name_is_used():
     unused = [f"{path.relative_to(PACKAGE.parents[1])}: {name}" for path in files
               for name in unused_imports(path.read_text(encoding="utf-8"))]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a check that two modules need has one home: the module that owns it
+    # and calls it, or a public name
+    assert private_imports("from .spectral import AtomKind, _check\n"
+                           "from qspeedup.sweep import _DEPTH\nfrom numpy import _core\n"
+                           "from . import __version__\n") == ["_check", "_DEPTH"]
+    found = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in private_imports(path.read_text(encoding="utf-8"))]
+    assert found == []
 
 
 def test_dead_name_reader_sees_every_definition_form():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from qspeedup.quadrature import adaptive_simpson
 
 
-def solo(f, a, b, tol=1e-12):
+def solo(f, a, b, tol):
     """One integral of f(x) as a batch of one."""
     (val,) = adaptive_simpson(lambda x, k: f(x), a, b, tol)
     return val
@@ -24,7 +24,7 @@ def never_sampled(x):
 
 def test_cubic_is_integrated_exactly():
     # Simpson's rule is exact through degree 3
-    val = solo(lambda x: x ** 3, 0.0, 1.0)
+    val = solo(lambda x: x ** 3, 0.0, 1.0, tol=1e-12)
     assert abs(val - 0.25) < 1e-15
 
 
@@ -34,7 +34,7 @@ def test_sine_over_half_period():
 
 
 def test_empty_interval_is_zero():
-    assert solo(np.exp, 2.0, 2.0) == 0.0
+    assert solo(np.exp, 2.0, 2.0, tol=1e-12) == 0.0
 
 
 def test_near_singular_endpoint_stays_within_depth_cap():
@@ -100,5 +100,5 @@ def test_a_nan_integrand_gives_nan_without_refining():
         assert sum(samples) < 1000, "the NaN interval is being refined"
         return np.where(k == 0, np.nan, x)
 
-    vals = adaptive_simpson(nan_in_first, [0.0, 0.0], [1.0, 1.0])
-    assert math.isnan(vals[0]) and vals[1] == solo(lambda x: x, 0.0, 1.0)
+    vals = adaptive_simpson(nan_in_first, [0.0, 0.0], [1.0, 1.0], 1e-12)
+    assert math.isnan(vals[0]) and vals[1] == solo(lambda x: x, 0.0, 1.0, tol=1e-12)

@@ -88,6 +88,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(kind=AtomKind.TWO_LEVEL, **kwargs)
 
+    def test_refuses_a_two_level_curve_with_theta(self):
+        # a ModelParams rule of the curve, checked where the config is built
+        with pytest.raises(ValueError, match="theta must be 0 for two-level"):
+            SweepConfig(kind=AtomKind.TWO_LEVEL, theta_list=(0.5,))
+
 
 class TestRunSweep:
     def test_row_order_and_statuses(self):
@@ -166,6 +171,9 @@ class TestRunSweep:
                                          for p in points]
 
     def test_grid_points_build_no_objects(self, monkeypatch):
+        # the preset's config checks its curves before the count starts
+        preset = figure_preset(4)
+        config = preset.config
         built = {cls: 0 for cls in (spectral.ModelParams, measures.SpeedupReport,
                                     bound_state.BoundStateResult)}
         for cls in built:
@@ -173,8 +181,6 @@ class TestRunSweep:
                 built[cls] += 1
                 __init__(self, *args, **kwargs)
             monkeypatch.setattr(cls, "__init__", counting)
-        preset = figure_preset(4)
-        config = preset.config
         table = run_sweep(config)
         curves = len(config.n_atoms_list) * len(config.theta_list)
         assert len(table) == curves * config.gamma0_grid[2]
@@ -182,17 +188,14 @@ class TestRunSweep:
         cli._rows_csv(table)
         cli._rows_json(table)
         render_figure(cli._sweep_panels(table, preset))
-        # the ModelParams checks run at each curve's two ends only
-        assert built.pop(spectral.ModelParams) <= 2 * curves
         assert set(built.values()) == {0}
 
     def test_curve_end_overflow_is_refused(self):
         # gamma0 = 0 passes; further up the curve, its top end included,
         # 2*gamma0*lam*N overflows
-        config = SweepConfig(kind=AtomKind.TWO_LEVEL, n_atoms_list=(10 ** 308,),
-                             gamma0_grid=(0.0, 4.0, 3))
         with pytest.raises(ValueError, match="channel constant"):
-            run_sweep(config)
+            SweepConfig(kind=AtomKind.TWO_LEVEL, n_atoms_list=(10 ** 308,),
+                        gamma0_grid=(0.0, 4.0, 3))
 
     def test_deterministic_across_calls(self):
         first = run_sweep(SMALL)
