@@ -49,6 +49,10 @@ MUTATIONS = (
              "p.lam * (1.0 + p.theta)", "p.lam * (1.0 + 0.5 * p.theta)"),
     Mutation("speedup onset fires at ratio <= 1", "sweep.py",
              "return ratio < 1.0", "return ratio <= 1.0"),
+    Mutation("generic QSL divides by the largest rate", "measures.py",
+             "/ min(r for r in rates if r > 0.0)", "/ max(rates)"),
+    Mutation("Bures angle without the fidelity's root", "measures.py",
+             "return math.acos(math.sqrt(fid))", "return math.acos(fid)"),
 )
 
 

@@ -7,7 +7,7 @@ from .bound_state import (BisectionStallError, BoundStateResult, BracketFailureE
 from .dynamics import (Trajectory, alpha1, density_trajectory, excited_population,
                        nu1, population_rate, trajectory)
 from .measures import (GenericQslResult, ReportStatus, SpeedupReport, bures_angle,
-                       evaluate_point, qsl_generic, qsl_two_level, schatten_norm)
+                       evaluate_point, qsl_generic, qsl_two_level)
 from .oracle import StepSizeError, solve_collective
 from .spectral import (AtomKind, ModelParams, lorentzian_j, reservoir_integral,
                        reservoir_integral_quad)
@@ -26,5 +26,5 @@ __all__ = [
     "find_bound_state", "find_critical_coupling", "kernel_k", "lorentzian_j",
     "nu1", "population_rate", "qsl_generic", "qsl_two_level",
     "reservoir_integral", "reservoir_integral_quad", "run_sweep",
-    "schatten_norm", "solve_collective", "trajectory",
+    "solve_collective", "trajectory",
 ]

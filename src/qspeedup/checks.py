@@ -188,23 +188,6 @@ def check_speedup_monotone_in_n(quick: bool = False) -> CheckResult:
                        "N in {1, 3, 8, 30} at gamma0=2")
 
 
-def check_norm_ordering(quick: bool = False) -> CheckResult:
-    """Schatten norms: inf <= 2 <= 1, plus the triangle inequality."""
-    rng = np.random.default_rng(7)
-    worst = -math.inf
-    for _ in range(8 if quick else 24):
-        dim = int(rng.integers(2, 4))
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        n1 = measures.schatten_norm(a, 1)
-        n2 = measures.schatten_norm(a, 2)
-        ninf = measures.schatten_norm(a, math.inf)
-        worst = max(worst, ninf - n2, n2 - n1,
-                    measures.schatten_norm(a + b, 1) - n1 - measures.schatten_norm(b, 1))
-    return CheckResult("norm-ordering", worst < 1e-12, max(worst, 0.0), 1e-12,
-                       "random matrices, seed 7")
-
-
 ALL_CHECKS = (
     check_oracle_equivalence,
     check_speedup_backflow_identity,
@@ -213,7 +196,6 @@ ALL_CHECKS = (
     check_onset_agreement,
     check_steady_population,
     check_speedup_monotone_in_n,
-    check_norm_ordering,
 )
 
 

@@ -1,5 +1,5 @@
-"""State-space measures: Schatten norms, the Bures angle, the
-quantum-speed-limit time and the information-backflow measure.
+"""State-space measures: the Bures angle, the quantum-speed-limit time
+and the information-backflow measure.
 
 For one excited emitter among N, its excited population p(t) carries the
 whole story.  With R the total rise of p over its ascending segments
@@ -60,21 +60,6 @@ class GenericQslResult:
     bures: float
     rates: tuple[float, float, float]
     status: ReportStatus
-
-
-def schatten_norm(matrix, order) -> float:
-    """Schatten norm of order 1, 2 or inf via singular values."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    sv = np.linalg.svd(m, compute_uv=False)
-    if order == 1:
-        return float(sv.sum())
-    if order == 2:
-        return float(math.sqrt(float((sv * sv).sum())))
-    if order == math.inf:
-        return float(sv[0])
-    raise ValueError("order must be 1, 2 or inf")
 
 
 def bures_angle(initial, target) -> float:

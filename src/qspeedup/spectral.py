@@ -57,6 +57,10 @@ class ModelParams:
     kind: AtomKind = AtomKind.TWO_LEVEL
 
     def __post_init__(self):
+        # an unchecked kind such as the string "three-level-v" would take
+        # the two-level channel
+        if not isinstance(self.kind, AtomKind):
+            raise ValueError("kind must be an AtomKind")
         n = self.n_atoms
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
             raise ValueError("n_atoms must be an integer >= 1")

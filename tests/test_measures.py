@@ -10,7 +10,7 @@ from qspeedup.dynamics import (ChannelColumns, alpha1, density_trajectory,
                                excited_population, nu1, population_rate, trajectory)
 from qspeedup.measures import (ReportStatus, SpeedupReport, bures_angle,
                                evaluate_columns, evaluate_point, qsl_generic,
-                               qsl_two_level, schatten_norm)
+                               qsl_two_level)
 from qspeedup.spectral import AtomKind, ModelParams
 
 TWO = ModelParams(gamma0=1.0, n_atoms=3)
@@ -29,48 +29,6 @@ def batch_reports(points, tau):
     return [SpeedupReport(tau, *row) for row in zip(*(c.tolist() for c in columns), status)]
 
 
-class TestNorms:
-    def test_identity_values(self):
-        eye = np.eye(2, dtype=complex)
-        assert schatten_norm(eye, 1) == pytest.approx(2.0)
-        assert schatten_norm(eye, 2) == pytest.approx(math.sqrt(2.0))
-        assert schatten_norm(eye, math.inf) == pytest.approx(1.0)
-
-    def test_accepts_array_likes(self):
-        # nested lists of real entries read as the complex matrix they spell
-        up, plus = [[1, 0], [0, 0]], [[0.5, 0.5], [0.5, 0.5]]
-        assert schatten_norm(plus, 1) == schatten_norm(np.array(plus, complex), 1)
-        assert bures_angle(up, plus) == bures_angle(np.array(up, complex),
-                                                    np.array(plus, complex))
-        assert bures_angle(up, plus) == pytest.approx(math.pi / 4)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError, match="square"):
-            schatten_norm(np.ones((2, 3)), 1)
-        with pytest.raises(ValueError, match="order"):
-            schatten_norm(np.eye(2), 3)
-
-    @given(st.integers(0, 2**32 - 1))
-    def test_order_hierarchy_and_triangle(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        slack = 1e-12
-        n_inf, n_2, n_1 = (schatten_norm(a, p) for p in (math.inf, 2, 1))
-        assert n_inf <= n_2 + slack
-        assert n_2 <= n_1 + slack
-        for p in (1, 2, math.inf):
-            assert schatten_norm(a + b, p) <= (schatten_norm(a, p)
-                                               + schatten_norm(b, p) + slack)
-
-    def test_trace_distance_extremes(self):
-        # trace distance is half the trace norm of the difference
-        up = np.diag([1.0, 0.0]).astype(complex)
-        down = np.diag([0.0, 1.0]).astype(complex)
-        assert 0.5 * schatten_norm(up - up, 1) == pytest.approx(0.0, abs=1e-15)
-        assert 0.5 * schatten_norm(up - down, 1) == pytest.approx(1.0)
-
-
 class TestBuresAngle:
     def test_reference_angles(self):
         up = np.diag([1.0, 0.0]).astype(complex)
@@ -78,6 +36,13 @@ class TestBuresAngle:
         plus = np.full((2, 2), 0.5, dtype=complex)
         assert bures_angle(up, up) == pytest.approx(0.0, abs=1e-12)
         assert bures_angle(up, down) == pytest.approx(math.pi / 2)
+        assert bures_angle(up, plus) == pytest.approx(math.pi / 4)
+
+    def test_accepts_array_likes(self):
+        # nested lists of real entries read as the complex matrix they spell
+        up, plus = [[1, 0], [0, 0]], [[0.5, 0.5], [0.5, 0.5]]
+        assert bures_angle(up, plus) == bures_angle(np.array(up, complex),
+                                                    np.array(plus, complex))
         assert bures_angle(up, plus) == pytest.approx(math.pi / 4)
 
     def test_requires_pure_initial(self):
@@ -355,8 +320,9 @@ class TestGenericQsl:
         pop = trajectory(TWO, 5.0).population[-1]
         assert math.sin(result.bures) ** 2 == pytest.approx(1 - pop, abs=1e-12)
 
-    def test_rate_hierarchy(self):
-        times, rhos, rates = density_trajectory(TWO, 5.0, steps=4096)
+    @pytest.mark.parametrize("params", [TWO, VEE])  # 2x2 and 3x3 rates
+    def test_rate_hierarchy(self, params):
+        times, rhos, rates = density_trajectory(params, 5.0, steps=4096)
         lam1, lam2, lam_inf = qsl_generic(times, rhos, rho_rates=rates).rates
         assert lam_inf <= lam2 <= lam1
 
