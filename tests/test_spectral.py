@@ -49,8 +49,8 @@ class TestModelParams:
         (dict(gamma0=1.09e45, lam=3.63e-140, n_atoms=1144, omega0=1.58e228),
          "reservoir constant omega0"),
         (dict(gamma0=1.0, lam=1e-310), "reservoir constant omega0"),
-        # the string used to be computed as a two-level point, with
-        # collective_factor 3.0 where V-type gives 6.0
+        # a string would take the two-level channel: collective_factor 3.0
+        # where the V-type point gives 6.0
         (dict(gamma0=1.0, n_atoms=3, theta=1.0, kind="three-level-v"), "kind"),
         (dict(gamma0=1.0, kind=None), "kind"),
     ])
