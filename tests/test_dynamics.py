@@ -451,6 +451,21 @@ class TestTrajectory:
         with pytest.raises(FloatingPointError, match="not finite"):
             density_trajectory(TWO, 5.0, steps=16)
 
+    @pytest.mark.parametrize("kind", list(AtomKind))
+    def test_population_above_one_is_refused_beyond_the_slack(self, kind, skew_envelope):
+        # the ground eigenvalue of each reduced state is 1 - population, so
+        # this guard is what keeps density_trajectory's states physical
+        theta = 0.4 if kind is AtomKind.THREE_LEVEL_V else 0.0
+        params = ModelParams(gamma0=1.0, n_atoms=3, theta=theta, kind=kind)
+        skew_envelope(lambda lam: 1.0 + 1e-13)
+        _, rhos, _ = density_trajectory(params, 5.0, steps=16)
+        assert trajectory(params, 5.0, steps=16).population.max() == 1.0
+        assert -1e-12 < np.linalg.eigvalsh(rhos).min() < 0.0
+        skew_envelope(lambda lam: 1.0 + 1e-11)  # over the first skew
+        for call in (trajectory, density_trajectory):
+            with pytest.raises(FloatingPointError, match=r"left \[0, 1\]"):
+                call(params, 5.0, steps=16)
+
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
     def test_rejects_non_finite_window(self, tau):
         with pytest.raises(ValueError, match="tau"):
