@@ -17,6 +17,7 @@ physical range).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -139,16 +140,15 @@ def _rows_json(table: SweepTable) -> list[dict]:
 
 
 def _sweep_panels(table: SweepTable, preset: FigurePreset) -> list[Panel]:
-    sc = preset.config
     right_label = "ℜ" if preset.right_axis == "nonmarkov" else "E_b/ω₀"
     xs = tuple(table.gamma0)  # the x of every panel
-    curves = table.curve_columns()
     panels = []
-    for n in sc.n_atoms_list:
+    # one panel per N: the table keeps the curves of one N adjacent
+    for n, group in itertools.groupby(table.curve_columns(), key=lambda curve: curve[0]):
+        curves = list(group)
         series = []
-        for k, theta in enumerate(sc.theta_list):
-            _, _, ratio, nonmarkov, bound_energy, _ = next(curves)
-            suffix = f", θ={theta:g}" if len(sc.theta_list) > 1 else ""
+        for k, (_, theta, ratio, nonmarkov, bound_energy, _) in enumerate(curves):
+            suffix = f", θ={theta:g}" if len(curves) > 1 else ""
             series.append(Series(
                 y=tuple(ratio), label=Y_LEFT_LABEL + suffix,
                 color=PALETTE[k % len(PALETTE)]))

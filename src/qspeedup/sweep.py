@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 import enum
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .bound_state import solve_bound_states
 from .dynamics import ChannelColumns
 from .measures import evaluate_columns, evaluate_point
-from .spectral import AtomKind, ModelParams, channel_coefficients, validate_tau
+from .spectral import AtomKind, ModelParams, channel_coefficients
 
 BACKFLOW_ONSET_TOL = 1e-10
 _DEPTH = 6  # bisection levels of find_critical_coupling per kernel call
+_ONSET_WIDTH = 1e-6  # bracket width at which find_critical_coupling stops
 
 
 class OnsetCriterion(enum.Enum):
@@ -29,38 +30,31 @@ class NoTransitionError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A grid over gamma0 for one emitter kind at fixed lam, tau.
+    """The survey grid for one emitter kind and its dipole angles.
 
-    Construction builds one ModelParams per (n_atoms, theta) curve at the
-    top of gamma0_grid: every ModelParams check is independent of gamma0 or
-    monotone in it, so that point vouches for all the curve's points.
+    N, the gamma0 grid, lam, omega0 and tau are the same for every figure
+    and are class constants.  Construction builds one ModelParams per
+    (n_atoms, theta) curve at the top of gamma0_grid: every ModelParams
+    check is independent of gamma0 or monotone in it, so that point
+    vouches for all the curve's points.
     """
 
+    n_atoms_list: ClassVar[tuple[int, ...]] = (1, 3, 8, 30)
+    gamma0_grid: ClassVar[tuple[float, float, int]] = (0.0, 4.0, 401)
+    lam: ClassVar[float] = 2.0
+    omega0: ClassVar[float] = 1.0
+    tau: ClassVar[float] = 5.0
+
     kind: AtomKind
-    n_atoms_list: tuple[int, ...] = (1, 3, 8, 30)
     theta_list: tuple[float, ...] = (0.0,)
-    gamma0_grid: tuple[float, float, int] = (0.0, 4.0, 401)
-    lam: float = 2.0
-    omega0: float = 1.0
-    tau: float = 5.0
 
     def __post_init__(self):
-        if not self.n_atoms_list:
-            raise ValueError("n_atoms_list must not be empty")
         if not self.theta_list:
             raise ValueError("theta_list must not be empty")
-        lo, hi, count = self.gamma0_grid
-        if not (0 <= lo <= hi and math.isfinite(hi)):
-            raise ValueError("gamma0_grid must satisfy 0 <= lo <= hi < inf")
-        if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
-            raise ValueError("gamma0_grid count must be an integer")
-        if count < 2:
-            raise ValueError("gamma0_grid needs at least 2 points")
-        validate_tau(self.tau)
-        for n in self.n_atoms_list:  # ModelParams's n_atoms rule makes int(n) exact
+        for n in self.n_atoms_list:
             for theta in self.theta_list:
-                ModelParams(gamma0=hi, lam=self.lam, n_atoms=n, theta=theta,
-                            omega0=self.omega0, kind=self.kind)
+                ModelParams(gamma0=self.gamma0_grid[1], lam=self.lam, n_atoms=n,
+                            theta=theta, omega0=self.omega0, kind=self.kind)
 
     def gamma0_values(self) -> np.ndarray:
         lo, hi, count = self.gamma0_grid
@@ -107,7 +101,7 @@ def run_sweep(config: SweepConfig) -> SweepTable:
     """
     gamma0 = config.gamma0_values()
     g0_list, size = gamma0.tolist(), len(gamma0)
-    curves = tuple((int(n), float(theta)) for n in config.n_atoms_list
+    curves = tuple((n, float(theta)) for n in config.n_atoms_list
                    for theta in config.theta_list)
     n_atoms, c = (np.repeat(np.array(column, dtype=float), size) for column in zip(
         *((n, channel_coefficients(config.kind, theta)[0]) for n, theta in curves)))
@@ -148,24 +142,22 @@ def figure_preset(figure: int) -> FigurePreset:
 
 
 def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
-                           criterion: OnsetCriterion = OnsetCriterion.SPEEDUP,
-                           gamma0_max: float = 4.0, tol: float = 1e-6) -> float:
-    """Smallest gamma0 in (0, gamma0_max] where the chosen indicator fires,
-    at the survey's lam and omega0 (ModelParams's defaults) and tau
-    (SweepConfig's).
+                           criterion: OnsetCriterion = OnsetCriterion.SPEEDUP) -> float:
+    """Smallest gamma0 in the survey's range (0, 4] where the chosen
+    indicator fires, at the survey's lam, omega0 and tau (SweepConfig's).
 
     SPEEDUP looks for ratio < 1, NONMARKOV for backflow > BACKFLOW_ONSET_TOL.
     evaluate_columns gives a ratio of exactly 1.0 while the decay is
     monotone, so both detect the first population rise inside the window
-    and agree closely for every N, N = 1 included.  Bisection to width tol,
-    or until the midpoint rounds onto an edge.  One evaluate_columns call
-    takes the midpoints of the next _DEPTH levels below the bracket (63
-    points) as one ChannelColumns, and the bisection then walks down that
-    subtree, so the result is the one-midpoint-at-a-time bisection's, bit
-    for bit.
+    and agree closely for every N, N = 1 included.  Bisection to width
+    _ONSET_WIDTH: every midpoint of (0, 4] down to that width is a dyadic
+    float strictly inside its bracket.  One evaluate_columns call takes the
+    midpoints of the next _DEPTH levels below the bracket (63 points) as
+    one ChannelColumns, and the bisection then walks down that subtree, so
+    the result is the one-midpoint-at-a-time bisection's, bit for bit.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and > 0")
+    if not isinstance(criterion, OnsetCriterion):
+        raise ValueError("criterion must be an OnsetCriterion")
 
     def fires(ratio, backflow):
         if criterion is OnsetCriterion.SPEEDUP:
@@ -174,7 +166,9 @@ def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
 
     # every ModelParams check is independent of gamma0 or monotone in it,
     # so the top point vouches for every midpoint in (0, gamma0_max]
-    params = ModelParams(gamma0=gamma0_max, n_atoms=n_atoms, theta=theta, kind=kind)
+    gamma0_max = SweepConfig.gamma0_grid[1]
+    params = ModelParams(gamma0=gamma0_max, lam=SweepConfig.lam, n_atoms=n_atoms,
+                         theta=theta, omega0=SweepConfig.omega0, kind=kind)
     top = evaluate_point(params, SweepConfig.tau)
     if not fires(top.ratio, top.nonmarkov):
         raise NoTransitionError(
@@ -184,16 +178,14 @@ def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
     size = 1 << _DEPTH
     while True:
         # the subtree in heap order: node k brackets edges[k] and splits it
-        # at mids[k] into nodes 2k (lower half) and 2k + 1.  A node where the
-        # bisection stops (width tol reached, or the midpoint rounds onto an
-        # edge) has no midpoint.
+        # at mids[k] into nodes 2k (lower half) and 2k + 1.  A node whose
+        # bracket is _ONSET_WIDTH wide or less has no midpoint.
         edges, mids = {1: (lo, hi)}, {}
         for k in range(1, size):
             if k in edges:
                 a, b = edges[k]
-                mid = 0.5 * (a + b)
-                if b - a > tol and a < mid < b:
-                    mids[k] = mid
+                if b - a > _ONSET_WIDTH:
+                    mid = mids[k] = 0.5 * (a + b)
                     edges[2 * k], edges[2 * k + 1] = (a, mid), (mid, b)
         channels = ChannelColumns.build(list(mids.values()), params.lam, params.omega0,
                                         float(n_atoms), c)

@@ -13,9 +13,9 @@ from qspeedup.cli import CSV_HEADER, EXIT_NUMERICAL, _rows_csv, _rows_json, _wri
 from qspeedup.dynamics import excited_population
 from qspeedup.measures import evaluate_point
 from qspeedup.spectral import AtomKind, ModelParams
-from qspeedup.sweep import SweepConfig, run_sweep
+from qspeedup.sweep import figure_preset, run_sweep
 
-from test_sweep import per_point_row
+from test_sweep import table_rows
 
 
 class TestArgvHandling:
@@ -404,22 +404,13 @@ def _per_row_json(rows, config: dict) -> str:
 
 
 class TestSweepWriters:
-    @pytest.mark.parametrize("config", [
-        SweepConfig(kind=AtomKind.TWO_LEVEL, n_atoms_list=(1, 3),
-                    gamma0_grid=(0.0, 2.0, 11)),
-        SweepConfig(kind=AtomKind.THREE_LEVEL_V, n_atoms_list=(1, 8),
-                    theta_list=(0.0, 0.5, 1.0), gamma0_grid=(0.0, 2.0, 21)),
-    ])
-    def test_writers_equal_a_per_row_formatter(self, tmp_path, config):
-        rows = [per_point_row(ModelParams(gamma0=g0, lam=config.lam, n_atoms=n,
-                                          theta=theta, omega0=config.omega0,
-                                          kind=config.kind), config.tau)
-                for n in config.n_atoms_list for theta in config.theta_list
-                for g0 in config.gamma0_values().tolist()]
+    @pytest.mark.parametrize("figure", [3, 5])
+    def test_writers_equal_a_per_row_formatter(self, tmp_path, figure):
+        table = run_sweep(figure_preset(figure).config)
+        rows = table_rows(table)
         assert {r[-1] for r in rows} == {"stationary", "bound-underflow", "normal"}
-        table = run_sweep(config)
         assert _rows_csv(table) == _per_row_csv(rows)
-        echo = {"figure": 0, "lam": config.lam}
+        echo = {"figure": figure, "lam": 2.0}
         _write_json(tmp_path / "rows.json", False, echo, rows=_rows_json(table))
         assert (tmp_path / "rows.json").read_text() == _per_row_json(rows, echo)
 
