@@ -50,6 +50,25 @@ class TestSweepConfig:
         assert values[0] == 0.0 and values[-1] == 4.0
         assert len(values) == 401
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(theta_list=(1.5,)),
+        dict(theta_list=(-0.1,)),
+        dict(theta_list=(math.nan,)),
+        dict(theta_list=(math.inf,)),
+        dict(theta_list=(0.0, 2.0)),  # one bad angle among good ones
+        dict(theta_list=(0.0, math.nan)),
+        dict(kind="three-level-v"),  # the value, not the AtomKind
+        dict(kind=None),
+    ])
+    def test_rejects_bad_grids(self, kwargs):
+        with pytest.raises(ValueError):
+            SweepConfig(**{"kind": AtomKind.THREE_LEVEL_V, **kwargs})
+
+    @pytest.mark.parametrize("name", ["n_atoms_list", "gamma0_grid", "lam", "omega0", "tau"])
+    def test_survey_constants_are_not_settable(self, name):
+        with pytest.raises(TypeError, match=name):
+            SweepConfig(kind=AtomKind.TWO_LEVEL, **{name: getattr(SweepConfig, name)})
+
     def test_rejects_an_empty_theta_list(self):
         with pytest.raises(ValueError, match="theta_list"):
             SweepConfig(kind=AtomKind.THREE_LEVEL_V, theta_list=())
@@ -175,9 +194,10 @@ def sequential_onset(kind, n_atoms, theta, criterion):
 
 class TestCriticalCoupling:
     @pytest.mark.parametrize("kind, theta", [(AtomKind.TWO_LEVEL, 0.0),
+                                             (AtomKind.THREE_LEVEL_V, 1.0),
                                              (AtomKind.THREE_LEVEL_V, 0.5)])
     @pytest.mark.parametrize("criterion", list(OnsetCriterion))
-    @pytest.mark.parametrize("n_atoms", [1, 3, 8])
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 5, 8, 30, 100])
     def test_subtree_bisection_equals_the_sequential_one(self, kind, theta, criterion,
                                                          n_atoms):
         onset = find_critical_coupling(kind, n_atoms, theta, criterion=criterion)
@@ -205,11 +225,22 @@ class TestCriticalCoupling:
                   for n in (3, 8, 30)]
         assert onsets[0] > onsets[1] > onsets[2]
 
-    @pytest.mark.parametrize("criterion", ["speedup", "nonmarkov", None])
+    @pytest.mark.parametrize("criterion", ["speedup", "nonmarkov", "SPEEDUP", None])
     def test_rejects_a_criterion_that_is_not_an_onset_criterion(self, criterion):
         # any such value would otherwise run the backflow detector
         with pytest.raises(ValueError, match="OnsetCriterion"):
             find_critical_coupling(AtomKind.TWO_LEVEL, 1, criterion=criterion)
+
+    @pytest.mark.parametrize("name, value", [("gamma0_max", 4.0), ("tol", 1e-6)])
+    def test_search_range_is_not_settable(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            find_critical_coupling(AtomKind.TWO_LEVEL, 1, **{name: value})
+
+    def test_curve_end_overflow_is_refused(self):
+        # the top point gamma0 = 4 vouches for the search: there
+        # 2*gamma0*lam*N overflows
+        with pytest.raises(ValueError, match="channel constant"):
+            find_critical_coupling(AtomKind.TWO_LEVEL, 10 ** 308)
 
     def test_no_transition_raises(self):
         # the backflow at gamma0 = 4 is 1.26e-11 here, below BACKFLOW_ONSET_TOL
