@@ -49,6 +49,9 @@ MUTATIONS = (
              "p.lam * (1.0 + p.theta)", "p.lam * (1.0 + 0.5 * p.theta)"),
     Mutation("speedup onset fires at ratio <= 1", "sweep.py",
              "return ratio < 1.0", "return ratio <= 1.0"),
+    Mutation("onset walk takes the wrong half", "sweep.py",
+             "a, b = (a, m) if fired[m - 1] else (m, b)",
+             "a, b = (m, b) if fired[m - 1] else (a, m)"),
     Mutation("generic QSL divides by the largest rate", "measures.py",
              "/ min(r for r in rates if r > 0.0)", "/ max(rates)"),
     Mutation("Bures angle without the fidelity's root", "measures.py",

@@ -7,7 +7,7 @@ from .bound_state import (BisectionStallError, BoundStateResult, BracketFailureE
 from .dynamics import (Trajectory, alpha1, density_trajectory, excited_population,
                        nu1, population_rate, trajectory)
 from .measures import (GenericQslResult, ReportStatus, SpeedupReport, bures_angle,
-                       evaluate_point, qsl_generic, qsl_two_level)
+                       evaluate_point, qsl_generic)
 from .oracle import StepSizeError, solve_collective
 from .spectral import (AtomKind, ModelParams, lorentzian_j, reservoir_integral,
                        reservoir_integral_quad)
@@ -24,7 +24,7 @@ __all__ = [
     "Trajectory", "alpha1", "bures_angle", "density_trajectory",
     "evaluate_point", "excited_population", "figure_preset",
     "find_bound_state", "find_critical_coupling", "kernel_k", "lorentzian_j",
-    "nu1", "population_rate", "qsl_generic", "qsl_two_level",
+    "nu1", "population_rate", "qsl_generic",
     "reservoir_integral", "reservoir_integral_quad", "run_sweep",
     "solve_collective", "trajectory",
 ]

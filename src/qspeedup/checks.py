@@ -152,20 +152,31 @@ def check_onset_agreement(quick: bool = False) -> CheckResult:
     Both fire at the first population rise inside the window, so they land
     within 1e-3 of each other at every N.  At N = 1 the first backflow is
     quadratically shallow and the backflow threshold fires ~1e-4 late; the
-    cases here sample N >= 3, and the acceptance suite covers N = 1.
+    cases here sample N >= 3, and the acceptance suite covers N = 1.  Each
+    indicator must stay quiet at onset - ONSET_STEP/2 and fire at onset +
+    ONSET_STEP/2, the edges of the search's final bracket.
     """
     cases = [(AtomKind.TWO_LEVEL, 8, 0.0)]
     if not quick:
         cases += [(AtomKind.TWO_LEVEL, 30, 0.0), (AtomKind.THREE_LEVEL_V, 3, 1.0)]
-    worst = 0.0
+    worst, edges = 0.0, []
     for kind, n, theta in cases:
-        a = sweep.find_critical_coupling(kind, n, theta,
-                                         criterion=sweep.OnsetCriterion.SPEEDUP)
-        b = sweep.find_critical_coupling(kind, n, theta,
-                                         criterion=sweep.OnsetCriterion.NONMARKOV)
+        a, b = (sweep.find_critical_coupling(kind, n, theta, criterion=criterion)
+                for criterion in sweep.OnsetCriterion)
         worst = max(worst, abs(a - b))
-    return CheckResult("onset-agreement", worst < 1e-3, worst, 1e-3,
-                       f"{len(cases)} cases")
+        c = channel_coefficients(kind, theta)[0]
+        edges += [(onset + side * sweep.ONSET_STEP / 2, n, c)
+                  for onset in (a, b) for side in (-1, 1)]
+    # every edge in one batch: per case SPEEDUP's lower and upper, then NONMARKOV's
+    gamma0, n_atoms, c = np.array(edges).T
+    survey = sweep.SweepConfig
+    _, ratio, backflow, *_ = measures.evaluate_columns(dynamics.ChannelColumns.build(
+        gamma0, survey.lam, survey.omega0, n_atoms, c), survey.tau)
+    k = np.arange(len(edges))
+    fired = np.where(k % 4 < 2, ratio < 1.0, backflow > sweep.BACKFLOW_ONSET_TOL)
+    brackets = bool(np.all(fired == k % 2))
+    return CheckResult("onset-agreement", worst < 1e-3 and brackets, worst, 1e-3,
+                       f"{len(cases)} cases; brackets {'ok' if brackets else 'violated'}")
 
 
 def check_steady_population(quick: bool = False) -> CheckResult:

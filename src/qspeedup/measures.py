@@ -32,7 +32,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import ChannelColumns
-from .spectral import AtomKind, ModelParams, validate_tau
+from .spectral import ModelParams, validate_tau
 
 
 class ReportStatus(enum.Enum):
@@ -164,13 +164,6 @@ def evaluate_point(params: ModelParams, tau: float) -> SpeedupReport:
     *columns, stationary = evaluate_columns(ChannelColumns.of([params]), tau)
     status = ReportStatus.STATIONARY if stationary[0] else ReportStatus.NORMAL
     return SpeedupReport(tau, *(column.item(0) for column in columns), status)
-
-
-def qsl_two_level(params: ModelParams, tau: float) -> float:
-    """Speed-limit time over [0, tau] of two-level emitters."""
-    if params.kind is not AtomKind.TWO_LEVEL:
-        raise ValueError("qsl_two_level applies to two-level emitters")
-    return evaluate_point(params, tau).tau_qsl
 
 
 def qsl_generic(times, rhos, rho_rates) -> GenericQslResult:

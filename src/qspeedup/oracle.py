@@ -14,9 +14,9 @@ turns this into the local linear pair S' = -w z, z' = N S - lam z, which a
 fixed-step classic Runge-Kutta integrator handles directly.  For x' = A x
 with A = [[0, -w], [N, -lam]] one RK4 step is exactly x -> M x, with
 M = I + hA + (hA)**2/2 + (hA)**3/6 + (hA)**4/24, so the trajectory is the
-orbit of the initial state under M: the records are powers of
-M**record_every and the step-doubling samples powers of M**lte_every, both
-built by doubling in place of a Python loop over the steps.
+orbit of the initial state under M: the records are powers of M raised
+to the record step and the step-doubling samples powers of M**LTE_EVERY,
+both built by doubling in place of a Python loop over the steps.
 
 Every kernel works on a block of P points at once: the step matrices are a
 (P, 2, 2) stack built from columns of weights, decays and N, and the
@@ -42,6 +42,7 @@ from .spectral import AtomKind, ModelParams, validate_steps, validate_tau
 
 LTE_TOL = 1e-8
 MIN_STEPS = 4096
+LTE_EVERY = 64  # steps between step-doubling error samples
 _BLOCK = 4  # points per stacked integration in collective_trajectories
 
 
@@ -93,29 +94,25 @@ def _orbit(m: np.ndarray, x0: np.ndarray, count: int) -> np.ndarray:
     return states
 
 
-def _integrate(weight, decay, n, s0, h: float, steps: int, record_every: int,
-               lte_every: int):
-    """RK4 of a block of points from (S, z)(0) = (s0, 0); states unchecked.
+def _integrate(weight, decay, n, s0, tau: float, steps: int):
+    """RK4 of a block of points over [0, tau] in steps steps from
+    (S, z)(0) = (s0, 0); states unchecked.
 
     weight, decay, n and s0 are columns of P points.  Returns the (P,
-    steps // record_every + 1, 2) record and the (P,) largest step-doubling
-    estimates, 0 for lte_every = 0.  Refuses bad counts: a negative one would hang _power.
+    count, 2) record, every (steps // 4096)-th state when 4096 divides
+    steps and every state otherwise, and the (P,) largest step-doubling
+    estimates, sampled every LTE_EVERY steps below steps.
     """
-    if not (type(record_every) is type(lte_every) is int and record_every >= 1
-            and lte_every >= 0 and steps % record_every == 0):
-        raise ValueError("record_every must be an integer >= 1 that divides "
-                         "steps and lte_every an integer >= 0")
+    h = tau / steps
+    record_every = steps // 4096 if steps % 4096 == 0 else 1
     x0 = np.stack([s0, np.zeros_like(s0)], axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
         full = _step_matrix(weight, decay, n, h)
         states = _orbit(_power(full, record_every), x0, steps // record_every + 1)
-        max_lte = np.zeros(len(weight))
-        if lte_every:
-            half = _step_matrix(weight, decay, n, 0.5 * h)
-            sampled = _orbit(_power(full, lte_every), x0, (steps - 1) // lte_every + 1)
-            error = sampled @ (half @ half - full).transpose(0, 2, 1)
-            max_lte = np.abs(error).max(axis=(1, 2)) / 15.0
-    return states, max_lte
+        half = _step_matrix(weight, decay, n, 0.5 * h)
+        sampled = _orbit(_power(full, LTE_EVERY), x0, (steps - 1) // LTE_EVERY + 1)
+        error = sampled @ (half @ half - full).transpose(0, 2, 1)
+    return states, np.abs(error).max(axis=(1, 2)) / 15.0
 
 
 def _check_finite(states: np.ndarray) -> None:
@@ -135,14 +132,12 @@ def collective_trajectories(points, tau: float, steps: int = 16384):
     """
     tau = validate_tau(tau)
     steps = validate_steps(steps, MIN_STEPS)
-    record_every = steps // 4096 if steps % 4096 == 0 else 1
     for start in range(0, len(points), _BLOCK):
         # one block's record at a time: it is freed before the next is built
-        yield from _block_trajectories(points[start:start + _BLOCK], tau, steps,
-                                       record_every)
+        yield from _block_trajectories(points[start:start + _BLOCK], tau, steps)
 
 
-def _block_trajectories(points, tau: float, steps: int, record_every: int):
+def _block_trajectories(points, tau: float, steps: int):
     """Trajectories of a block of points, integrated as one stack; each
     point's guards run on its own row."""
     # theta is 0 for two-level points, so (1 + theta) is their weight's 1
@@ -154,8 +149,7 @@ def _block_trajectories(points, tau: float, steps: int, record_every: int):
     states, max_lte = _integrate(
         np.array(weights), np.array([p.lam for p in points]),
         np.array([float(p.n_atoms) for p in points]),
-        np.array([math.sqrt(m) for m in levels]), tau / steps, steps,
-        record_every, lte_every=64)
+        np.array([math.sqrt(m) for m in levels]), tau, steps)
     times = np.linspace(0.0, tau, states.shape[1])
     for params, weight, m, record, lte in zip(points, weights, levels, states,
                                               max_lte.tolist()):

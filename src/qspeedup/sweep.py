@@ -16,7 +16,8 @@ from .spectral import AtomKind, ModelParams, channel_coefficients
 
 BACKFLOW_ONSET_TOL = 1e-10
 _DEPTH = 6  # bisection levels of find_critical_coupling per kernel call
-_ONSET_WIDTH = 1e-6  # bracket width at which find_critical_coupling stops
+_LEVELS = 22  # halvings of (0, 4]: 4/2**22 = 9.5e-7 is the first width <= 1e-6
+ONSET_STEP = 4.0 / 2 ** _LEVELS  # find_critical_coupling's grid step and final width
 
 
 class OnsetCriterion(enum.Enum):
@@ -149,12 +150,13 @@ def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
     SPEEDUP looks for ratio < 1, NONMARKOV for backflow > BACKFLOW_ONSET_TOL.
     evaluate_columns gives a ratio of exactly 1.0 while the decay is
     monotone, so both detect the first population rise inside the window
-    and agree closely for every N, N = 1 included.  Bisection to width
-    _ONSET_WIDTH: every midpoint of (0, 4] down to that width is a dyadic
-    float strictly inside its bracket.  One evaluate_columns call takes the
-    midpoints of the next _DEPTH levels below the bracket (63 points) as
-    one ChannelColumns, and the bisection then walks down that subtree, so
-    the result is the one-midpoint-at-a-time bisection's, bit for bit.
+    and agree closely for every N, N = 1 included.  Bisection by _LEVELS
+    halvings on the grid of ONSET_STEP, the bracket held as grid indices:
+    one evaluate_columns call takes the grid points that split the bracket
+    _DEPTH levels deep (63, then 15 for the last 4 levels) and the walk
+    down them makes the one-midpoint-at-a-time bisection's decisions, so
+    the result, the middle of the final bracket, is that bisection's bit
+    for bit.
     """
     if not isinstance(criterion, OnsetCriterion):
         raise ValueError("criterion must be an OnsetCriterion")
@@ -174,28 +176,18 @@ def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
         raise NoTransitionError(
             f"no transition in range (0, {gamma0_max:g}] for {criterion.value}")
     tau, c = top.tau, channel_coefficients(kind, theta)[0]
-    lo, hi = 0.0, gamma0_max
-    size = 1 << _DEPTH
-    while True:
-        # the subtree in heap order: node k brackets edges[k] and splits it
-        # at mids[k] into nodes 2k (lower half) and 2k + 1.  A node whose
-        # bracket is _ONSET_WIDTH wide or less has no midpoint.
-        edges, mids = {1: (lo, hi)}, {}
-        for k in range(1, size):
-            if k in edges:
-                a, b = edges[k]
-                if b - a > _ONSET_WIDTH:
-                    mid = mids[k] = 0.5 * (a + b)
-                    edges[2 * k], edges[2 * k + 1] = (a, mid), (mid, b)
-        channels = ChannelColumns.build(list(mids.values()), params.lam, params.omega0,
-                                        float(n_atoms), c)
+    lo, span = 0, 1 << _LEVELS
+    while span > 1:
+        # the walk narrows the bracket to one of its size parts, (a, b)
+        size = min(1 << _DEPTH, span)
+        stride = span // size
+        mids = [(lo + stride * j) * ONSET_STEP for j in range(1, size)]
+        channels = ChannelColumns.build(mids, params.lam, params.omega0, float(n_atoms), c)
         _, ratio, backflow, *_ = evaluate_columns(channels, tau)
-        fired = dict(zip(mids, fires(ratio, backflow).tolist()))
-        k = 1
-        while k < size:
-            if k not in mids:
-                return 0.5 * (lo + hi)
-            if fired[k]:
-                hi, k = mids[k], 2 * k
-            else:
-                lo, k = mids[k], 2 * k + 1
+        fired = fires(ratio, backflow).tolist()
+        a, b = 0, size
+        while b - a > 1:
+            m = (a + b) // 2
+            a, b = (a, m) if fired[m - 1] else (m, b)
+        lo, span = lo + a * stride, stride
+    return (lo + 0.5) * ONSET_STEP

@@ -9,8 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from qspeedup.dynamics import (ChannelColumns, alpha1, density_trajectory,
                                excited_population, nu1, population_rate, trajectory)
 from qspeedup.measures import (ReportStatus, SpeedupReport, bures_angle,
-                               evaluate_columns, evaluate_point, qsl_generic,
-                               qsl_two_level)
+                               evaluate_columns, evaluate_point, qsl_generic)
 from qspeedup.spectral import AtomKind, ModelParams
 
 TWO = ModelParams(gamma0=1.0, n_atoms=3)
@@ -153,7 +152,7 @@ class TestFunctionals:
         two = ModelParams(gamma0=2.0, n_atoms=3)
         flat_report, two_report = evaluate_point(flat, 5.0), evaluate_point(two, 5.0)
         assert flat_report.nonmarkov == pytest.approx(two_report.nonmarkov, abs=1e-10)
-        assert flat_report.tau_qsl == pytest.approx(qsl_two_level(two, 5.0), abs=1e-10)
+        assert flat_report.tau_qsl == pytest.approx(two_report.tau_qsl, abs=1e-10)
 
     def test_backflow_grows_with_the_window(self):
         values = [evaluate_point(RESONANT, tau).nonmarkov for tau in (2.5, 5.0, 10.0)]
@@ -236,19 +235,6 @@ class TestFunctionals:
         with pytest.raises(FloatingPointError, match="not finite"):
             evaluate_columns(ChannelColumns.of([TWO, bad]), 5.0)
 
-    def test_kind_guards(self):
-        with pytest.raises(ValueError, match="two-level"):
-            qsl_two_level(VEE, 5.0)
-
-    @pytest.mark.parametrize("params", [TWO, VEE, RESONANT])
-    def test_kind_aware_measures(self, params):
-        report = evaluate_point(params, 5.0)
-        if params.kind is AtomKind.TWO_LEVEL:
-            assert qsl_two_level(params, 5.0) == report.tau_qsl
-        else:
-            with pytest.raises(ValueError, match="two-level"):
-                qsl_two_level(params, 5.0)
-
     def test_batch_rows_equal_single_points(self):
         def bits(report):
             return (report.tau_qsl.hex(), report.ratio.hex(), report.nonmarkov.hex(),
@@ -316,7 +302,7 @@ class TestGenericQsl:
         times, rhos, rates = density_trajectory(TWO, 5.0, steps=8192)
         result = qsl_generic(times, rhos, rho_rates=rates)
         assert result.status is ReportStatus.NORMAL
-        assert result.tau_qsl == pytest.approx(qsl_two_level(TWO, 5.0), rel=1e-5)
+        assert result.tau_qsl == pytest.approx(evaluate_point(TWO, 5.0).tau_qsl, rel=1e-5)
         pop = trajectory(TWO, 5.0).population[-1]
         assert math.sin(result.bures) ** 2 == pytest.approx(1 - pop, abs=1e-12)
 

@@ -10,15 +10,15 @@ from qspeedup.oracle import StepSizeError, collective_trajectories, solve_collec
 from qspeedup.spectral import AtomKind, ModelParams
 
 
-def integrate(weight, decay, n_atoms, s0, tau, steps, record_every=1, lte_every=64):
+def integrate(weight, decay, n_atoms, s0, tau, steps):
     """One point through the oracle's block kernel: (times, s, z, max_lte).
 
-    The kernel refuses a record_every that does not divide steps, so the
-    last record sits at t = tau.
+    The kernel keeps every (steps // 4096)-th state when 4096 divides steps
+    and every state otherwise, so the last record sits at t = tau.
     """
     states, max_lte = oracle._integrate(
         np.array([weight]), np.array([decay]), np.array([float(n_atoms)]),
-        np.array([float(s0)]), tau / steps, steps, record_every, lte_every)
+        np.array([float(s0)]), tau, steps)
     oracle._check_finite(states)
     times = np.linspace(0.0, tau, states.shape[1])
     return times, states[0, :, 0], states[0, :, 1], float(max_lte[0])
@@ -94,39 +94,30 @@ def loop_reference(w, lam, n_atoms, s0, tau, steps, record_every=1, lte_every=64
 
 
 class TestIntegrator:
-    def test_record_every_must_divide(self):
-        with pytest.raises(ValueError, match="divide"):
-            integrate(1.0, 2.0, 1, 1.0, 5.0, steps=100, record_every=3)
-
-    # negative counts used to loop forever in the repeated squaring, zero
-    # ones to divide by zero, and a negative N or a NaN tau to integrate.
-    # record_every and lte_every are the kernel's own counts; N, tau and
-    # steps reach it through ModelParams and solve_collective.
+    # a negative step count used to loop forever in the repeated squaring,
+    # a zero one to divide by zero, and a negative N or a NaN tau to
+    # integrate.  N, tau and steps reach the kernel only through
+    # ModelParams and solve_collective; its record step and error-sample
+    # spacing are its own.
     @pytest.mark.parametrize("change", [
-        {"record_every": -1}, {"lte_every": -2}, {"record_every": 0}, {"steps": 0},
-        {"steps": -4, "record_every": 2}, {"n_atoms": -3}, {"n_atoms": 0},
+        {"steps": 0}, {"steps": -4}, {"n_atoms": -3}, {"n_atoms": 0},
         {"n_atoms": 3.0}, {"n_atoms": True}, {"tau": math.nan}, {"tau": math.inf},
-        {"tau": 0.0}, {"steps": 4096.0}, {"record_every": 2.0}, {"lte_every": True},
+        {"tau": 0.0}, {"steps": 4096.0},
     ], ids=repr)
     def test_rejects_bad_arguments(self, change):
-        args = {"n_atoms": 3, "tau": 5.0, "steps": 4096, "record_every": 1,
-                "lte_every": 64, **change}
+        args = {"n_atoms": 3, "tau": 5.0, "steps": 4096, **change}
         with pytest.raises(ValueError):
-            if change.keys() <= {"record_every", "lte_every"}:
-                integrate(1.0, 2.0, args["n_atoms"], 1.0, args["tau"], args["steps"],
-                          args["record_every"], args["lte_every"])
-            else:
-                solve_collective(ModelParams(gamma0=1.0, n_atoms=args["n_atoms"]),
-                                 args["tau"], args["steps"])
+            solve_collective(ModelParams(gamma0=1.0, n_atoms=args["n_atoms"]),
+                             args["tau"], args["steps"])
 
     def test_recorded_grid_reaches_endpoint(self):
-        times, s, z, _ = integrate(1.0, 2.0, 1, 1.0, 5.0, steps=120, record_every=4)
+        times, s, z, _ = integrate(1.0, 2.0, 1, 1.0, 5.0, steps=12288)
         assert times[0] == 0.0 and times[-1] == 5.0
-        assert len(times) == len(s) == len(z) == 31
-        # every fourth state of the full loop, the last one after all 120 steps
-        ref_s, ref_z, _ = loop_reference(1.0, 2.0, 1, 1.0, 5.0, steps=120)
-        assert np.abs(s - ref_s[::4]).max() < 1e-13
-        assert np.abs(z - ref_z[::4]).max() < 1e-13
+        assert len(times) == len(s) == len(z) == 4097
+        # every third state of the full loop, the last one after all 12288 steps
+        ref_s, ref_z, _ = loop_reference(1.0, 2.0, 1, 1.0, 5.0, steps=12288)
+        assert np.abs(s - ref_s[::3]).max() < 1e-13
+        assert np.abs(z - ref_z[::3]).max() < 1e-13
 
     def test_fourth_order_convergence(self):
         # halving the step should cut the endpoint error by about 2**4
@@ -135,8 +126,7 @@ class TestIntegrator:
         exact = dynamics.envelope(2.0, channels.a[0], channels.b[0], params.lam)[0]
         errs = []
         for steps in (128, 256):
-            _, s, _, _ = integrate(channel_weight(params), params.lam, 3, 1.0, 2.0,
-                                   steps, record_every=steps, lte_every=0)
+            _, s, _, _ = integrate(channel_weight(params), params.lam, 3, 1.0, 2.0, steps)
             errs.append(abs(s[-1] - exact))
         ratio = errs[0] / errs[1]
         assert 8.0 < ratio < 32.0
@@ -148,42 +138,45 @@ class TestIntegrator:
     def test_matches_the_scalar_loop(self, params):
         self._compare(params, steps=4096, record_every=1)
 
+    # the kernel picks the record step from steps; the error-sample
+    # spacing is oracle.LTE_EVERY, 64 unless patched
     @pytest.mark.parametrize("steps,record_every,lte_every", [
         (5000, 1, 64),    # not a multiple of 4096: every step is recorded
         (12288, 3, 64),   # record every 3, estimate every 64
-        (8192, 2, 0),     # no estimate
+        (8192, 2, 1),     # estimate at every step
         (4096, 1, 5000),  # only the first step is sampled
     ])
     def test_matches_the_scalar_loop_on_other_grids(self, steps, record_every,
-                                                    lte_every):
+                                                    lte_every, monkeypatch):
+        monkeypatch.setattr(oracle, "LTE_EVERY", lte_every)
         params = ModelParams(gamma0=3.0, n_atoms=30, theta=1.0,
                              kind=AtomKind.THREE_LEVEL_V)
-        self._compare(params, steps, record_every, lte_every)
+        self._compare(params, steps, record_every)
 
     @pytest.mark.parametrize("lte_every", [4096, 1024])
-    def test_estimate_samples_the_same_steps(self, lte_every):
+    def test_estimate_samples_the_same_steps(self, lte_every, monkeypatch):
         # nearly undamped with |w z| peaking away from t = 0, so the largest
         # estimate depends on which steps are sampled: 0, lte_every, ...
         # below steps, never the final state
+        monkeypatch.setattr(oracle, "LTE_EVERY", lte_every)
         params = ModelParams(gamma0=8e5, lam=1e-3)
-        self._compare(params, 4096, 1, lte_every)
+        self._compare(params, 4096, 1)
 
     @staticmethod
-    def _compare(params, steps, record_every, lte_every=64):
+    def _compare(params, steps, record_every):
         vee = params.kind is AtomKind.THREE_LEVEL_V
         args = (channel_weight(params), params.lam, params.n_atoms,
-                math.sqrt(2.0) if vee else 1.0, 5.0, steps, record_every, lte_every)
+                math.sqrt(2.0) if vee else 1.0, 5.0, steps)
         _, s, z, lte = integrate(*args)
-        ref_s, ref_z, ref_lte = loop_reference(*args)
+        ref_s, ref_z, ref_lte = loop_reference(*args, record_every, oracle.LTE_EVERY)
         assert len(s) == len(ref_s) == steps // record_every + 1
         assert np.abs(s - ref_s).max() < 1e-11
         assert np.abs(z - ref_z).max() < 1e-11
         assert abs(lte - ref_lte) < 1e-14
-        assert (lte == 0.0) == (lte_every == 0)
 
     def test_overflowing_step_is_a_floating_point_error(self):
         with pytest.raises(FloatingPointError, match="not finite"):
-            integrate(1e300, 2.0, 30, 1.0, 5.0, 4096, lte_every=0)
+            integrate(1e300, 2.0, 30, 1.0, 5.0, 4096)
 
     def test_state_derivative_identity(self):
         # central difference of the recorded S should track -w z to O(h^2)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qspeedup import bound_state, cli, measures, spectral, sweep
+from qspeedup import bound_state, checks, cli, measures, spectral, sweep
 from qspeedup.bound_state import BracketFailureError, find_bound_state
 from qspeedup.dynamics import ChannelColumns
 from qspeedup.measures import evaluate_point
@@ -198,11 +198,42 @@ class TestCriticalCoupling:
                                              (AtomKind.THREE_LEVEL_V, 0.5)])
     @pytest.mark.parametrize("criterion", list(OnsetCriterion))
     @pytest.mark.parametrize("n_atoms", [1, 2, 3, 5, 8, 30, 100])
-    def test_subtree_bisection_equals_the_sequential_one(self, kind, theta, criterion,
-                                                         n_atoms):
+    def test_grid_walk_equals_the_sequential_bisection(self, kind, theta, criterion,
+                                                       n_atoms):
         onset = find_critical_coupling(kind, n_atoms, theta, criterion=criterion)
         expected = sequential_onset(kind, n_atoms, theta, criterion)
         assert onset.hex() == expected.hex()
+
+    def test_levels_stop_at_the_first_width_within_1e_6(self):
+        assert 4 / 2 ** sweep._LEVELS <= 1e-6 < 4 / 2 ** (sweep._LEVELS - 1)
+
+    def test_search_evaluates_six_levels_a_call(self, monkeypatch):
+        # 22 halvings: three calls of 6 levels (63 midpoints), one of 4 (15)
+        sizes = []
+
+        def recording(channels, tau, _fn=sweep.evaluate_columns):
+            sizes.append(len(channels.gamma0))
+            return _fn(channels, tau)
+
+        monkeypatch.setattr(sweep, "evaluate_columns", recording)
+        find_critical_coupling(AtomKind.TWO_LEVEL, 8)
+        assert sizes == [63, 63, 63, 15]
+
+    @pytest.mark.parametrize("criterion", list(OnsetCriterion))
+    @pytest.mark.parametrize("kind, n_atoms, theta", [
+        (AtomKind.TWO_LEVEL, 1, 0.0), (AtomKind.TWO_LEVEL, 8, 0.0),
+        (AtomKind.THREE_LEVEL_V, 3, 1.0), (AtomKind.THREE_LEVEL_V, 30, 0.5)])
+    def test_onset_sits_between_its_bracket_edges(self, kind, n_atoms, theta, criterion):
+        # through the one-point call: the indicator is quiet at the final
+        # bracket's lower edge and fires at its upper edge
+        onset = find_critical_coupling(kind, n_atoms, theta, criterion=criterion)
+        fired = []
+        for g0 in (onset - sweep.ONSET_STEP / 2, onset + sweep.ONSET_STEP / 2):
+            report = evaluate_point(ModelParams(gamma0=g0, n_atoms=n_atoms, theta=theta,
+                                                kind=kind), 5.0)
+            fired.append(report.ratio < 1.0 if criterion is OnsetCriterion.SPEEDUP
+                         else report.nonmarkov > sweep.BACKFLOW_ONSET_TOL)
+        assert fired == [False, True]
 
     def test_regression_value(self):
         onset = find_critical_coupling(AtomKind.TWO_LEVEL, 3)
@@ -268,3 +299,27 @@ class TestCriticalCoupling:
         assert below.ratio == 1.0
         assert below.nonmarkov == 0.0
         assert above.ratio < 1.0
+
+
+@pytest.mark.parametrize("quick", [True, False])
+@pytest.mark.parametrize("shift", [0, -1, 1])
+def test_onset_check_reads_the_bracket_edges(monkeypatch, shift, quick):
+    # both onsets moved by one grid step still agree, so only the edges of
+    # the final bracket can tell; they go to the kernel as one batch
+    search, sizes = find_critical_coupling, []
+
+    def shifted(*args, **kwargs):
+        return search(*args, **kwargs) + shift * sweep.ONSET_STEP
+
+    def recording(channels, tau, _fn=measures.evaluate_columns):
+        sizes.append(len(channels.gamma0))
+        return _fn(channels, tau)
+
+    monkeypatch.setattr(sweep, "find_critical_coupling", shifted)
+    monkeypatch.setattr(measures, "evaluate_columns", recording)
+    result = checks.check_onset_agreement(quick)
+    cases = 1 if quick else 3
+    assert result.passed == (shift == 0) and result.worst < 1e-3
+    assert result.detail == f"{cases} cases; brackets {'violated' if shift else 'ok'}"
+    # each search's one-point call at gamma0 = 4, then every edge at once
+    assert sizes == [1] * 2 * cases + [4 * cases]
