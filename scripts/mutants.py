@@ -56,6 +56,8 @@ MUTATIONS = (
              "/ min(r for r in rates if r > 0.0)", "/ max(rates)"),
     Mutation("Bures angle without the fidelity's root", "measures.py",
              "return math.acos(math.sqrt(fid))", "return math.acos(fid)"),
+    Mutation("SVG y-range without padding", "svg.py",
+             "pad = 0.05 * (hi - lo)", "pad = 0.0"),
 )
 
 

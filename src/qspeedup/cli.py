@@ -17,7 +17,6 @@ physical range).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -27,8 +26,8 @@ from .checks import run_checks
 from .dynamics import trajectory
 from .measures import evaluate_point
 from .spectral import AtomKind, ModelParams
-from .svg import Y_LEFT_LABEL, Panel, Series, render_figure
-from .sweep import FigurePreset, SweepTable, figure_preset, run_sweep
+from .svg import render_figure
+from .sweep import SweepTable, figure_preset, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,8 +36,6 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
 CSV_HEADER = "gamma0,n_atoms,theta,ratio,nonmarkov,bound_energy,status"
-BOUND_PLOT_FLOOR = 1e-4
-PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
 class UsageError(Exception):
@@ -139,33 +136,6 @@ def _rows_json(table: SweepTable) -> list[dict]:
     return rows
 
 
-def _sweep_panels(table: SweepTable, preset: FigurePreset) -> list[Panel]:
-    right_label = "ℜ" if preset.right_axis == "nonmarkov" else "E_b/ω₀"
-    xs = tuple(table.gamma0)  # the x of every panel
-    panels = []
-    # one panel per N: the table keeps the curves of one N adjacent
-    for n, group in itertools.groupby(table.curve_columns(), key=lambda curve: curve[0]):
-        curves = list(group)
-        series = []
-        for k, (_, theta, ratio, nonmarkov, bound_energy, _) in enumerate(curves):
-            suffix = f", θ={theta:g}" if len(curves) > 1 else ""
-            series.append(Series(
-                y=tuple(ratio), label=Y_LEFT_LABEL + suffix,
-                color=PALETTE[k % len(PALETTE)]))
-            if preset.right_axis == "nonmarkov":
-                ys = tuple(nonmarkov)
-            else:
-                # presentation floor: energies under the plot resolution read 0
-                ys = tuple(0.0 if b is None or abs(b) < BOUND_PLOT_FLOOR else b
-                           for b in bound_energy)
-            series.append(Series(
-                y=ys, label=right_label + suffix,
-                color=PALETTE[(k + 2) % len(PALETTE)], right=True))
-        panels.append(Panel(title=f"N = {n}", x=xs, series=tuple(series),
-                            y_right_label=right_label))
-    return panels
-
-
 def cmd_bound_state(args: argparse.Namespace) -> int:
     result = find_bound_state(_build_params(args))
     if not result.exists:
@@ -253,7 +223,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _write_json(out, args.force, config, rows=_rows_json(table))
     print(f"wrote {len(table)} rows to {out}")
     if args.svg:
-        _write_text(args.svg, render_figure(_sweep_panels(table, preset)), args.force)
+        _write_text(args.svg, render_figure(table, preset.right_axis), args.force)
         print(f"wrote panels to {args.svg}")
     return EXIT_OK
 
@@ -304,7 +274,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(run=cmd_sweep)
 
     sp = sub.add_parser("validate", help="run the consistency checks")
-    sp.add_argument("--quick", action="store_true", help="reduced grids, < 5 s")
+    sp.add_argument("--quick", action="store_true", help="reduced grids")
     sp.set_defaults(run=cmd_validate)
     return p
 

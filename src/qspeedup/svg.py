@@ -1,4 +1,4 @@
-"""Minimal static SVG line charts, one panel per emitter count.
+"""The survey figure as a static SVG document, one panel per emitter count.
 
 Hand-rolled on purpose: the output must be byte-deterministic and free of
 plotting-library dependencies.  Coordinates are rounded to 0.01 px so the
@@ -7,9 +7,11 @@ documents diff cleanly across runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 
 import numpy as np
+
+from .sweep import SweepTable
 
 PANEL_W = 900
 PANEL_H = 600
@@ -21,31 +23,9 @@ TICKS = 5
 COLUMNS = 2  # panels per row
 X_LABEL = "γ₀/ω₀"
 Y_LEFT_LABEL = "τ_QSL/τ"
-
-
-@dataclass(frozen=True)
-class Series:
-    """One polyline over its panel's x, on the left y scale or on the right
-    one, which draws it with a dash pattern."""
-
-    y: tuple[float, ...]
-    label: str
-    color: str = "#1f77b4"
-    right: bool = False
-
-
-@dataclass(frozen=True)
-class Panel:
-    title: str
-    x: tuple[float, ...]
-    series: tuple[Series, ...]
-    y_right_label: str
-
-    def __post_init__(self):
-        if any(len(s.y) != len(self.x) for s in self.series):
-            raise ValueError("every series needs one y per panel x")
-        if {s.right for s in self.series} != {False, True}:
-            raise ValueError("a panel needs a left and a right series")
+# the ratio of the k-th theta of a panel takes colour k, its right-axis series k + 2
+PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+BOUND_PLOT_FLOOR = 1e-4  # bound energies of smaller magnitude are drawn at 0
 
 
 def _limits(values) -> tuple[float, float]:
@@ -64,13 +44,16 @@ def _tick_label(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _panel_svg(panel: Panel, ox: float, oy: float) -> list[str]:
+def _panel_svg(title: str, x: list[float], series: list[tuple], right_label: str,
+               ox: float, oy: float) -> list[str]:
+    """One panel at (ox, oy); each series is (y, label, colour, right) and
+    one on the right axis is dashed."""
     x0, x1 = ox + MARGIN_L, ox + PANEL_W - MARGIN_R
     y0, y1 = oy + PANEL_H - MARGIN_B, oy + MARGIN_T  # y grows downward in SVG
 
-    xlo, xhi = _limits(panel.x)
-    yllo, ylhi = _limits([v for s in panel.series if not s.right for v in s.y])
-    yrlo, yrhi = _limits([v for s in panel.series if s.right for v in s.y])
+    xlo, xhi = _limits(x)
+    yllo, ylhi = _limits([v for y, *_, right in series if not right for v in y])
+    yrlo, yrhi = _limits([v for y, *_, right in series if right for v in y])
 
     def px(v: float) -> float:
         return x0 + (v - xlo) / (xhi - xlo) * (x1 - x0)
@@ -82,7 +65,7 @@ def _panel_svg(panel: Panel, ox: float, oy: float) -> list[str]:
     out = [f'<rect x="{_fmt(x0)}" y="{_fmt(y1)}" width="{_fmt(x1 - x0)}" '
            f'height="{_fmt(y0 - y1)}" fill="none" stroke="#333333"/>']
     out.append(f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(oy + 30)}" '
-               f'text-anchor="middle" font-size="20">{panel.title}</text>')
+               f'text-anchor="middle" font-size="20">{title}</text>')
 
     for i in range(TICKS):
         frac = i / (TICKS - 1)
@@ -114,38 +97,48 @@ def _panel_svg(panel: Panel, ox: float, oy: float) -> list[str]:
     cx = x1 + 60
     out.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
                f'font-size="16" transform="rotate(90 {_fmt(cx)} {_fmt(cy)})">'
-               f'{panel.y_right_label}</text>')
+               f'{right_label}</text>')
 
-    x_text = [f"{v:.2f}" for v in px(np.asarray(panel.x, dtype=float)).tolist()]
-    for k, s in enumerate(panel.series):
-        ys = py(np.asarray(s.y, dtype=float), s.right).tolist()
-        pts = " ".join([f"{x},{y:.2f}" for x, y in zip(x_text, ys)])
-        dash = ' stroke-dasharray="7,4"' if s.right else ""
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
+    x_text = [f"{v:.2f}" for v in px(np.asarray(x, dtype=float)).tolist()]
+    for k, (y, label, color, right) in enumerate(series):
+        ys = py(np.asarray(y, dtype=float), right).tolist()
+        pts = " ".join([f"{xt},{yv:.2f}" for xt, yv in zip(x_text, ys)])
+        dash = ' stroke-dasharray="7,4"' if right else ""
+        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"{dash}/>')
         ly = y1 + 22 + 18 * k
         lx = x1 - 150
         out.append(f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 28)}" '
-                   f'y2="{_fmt(ly - 4)}" stroke="{s.color}" stroke-width="1.5"{dash}/>')
+                   f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="1.5"{dash}/>')
         out.append(f'<text x="{_fmt(lx + 34)}" y="{_fmt(ly)}" font-size="13">'
-                   f'{s.label}</text>')
+                   f'{label}</text>')
     return out
 
 
-def render_figure(panels) -> str:
-    """Compose panels into one SVG 1.1 document, COLUMNS per row."""
-    panels = list(panels)
-    if not panels:
-        raise ValueError("need at least one panel")
-    columns = min(COLUMNS, len(panels))
-    rows = (len(panels) + columns - 1) // columns
-    width = columns * PANEL_W
-    height = rows * PANEL_H
+def render_figure(table: SweepTable, right_axis: str) -> str:
+    """The survey figure of a sweep as one SVG 1.1 document: a panel per N,
+    COLUMNS per row.  Per theta a panel draws tau_QSL/tau solid on the left
+    axis and the right_axis column ("nonmarkov" or "bound_energy") dashed on
+    the right one."""
+    right_label = "ℜ" if right_axis == "nonmarkov" else "E_b/ω₀"
     body = []
-    for i, panel in enumerate(panels):
-        ox = (i % columns) * PANEL_W
-        oy = (i // columns) * PANEL_H
-        body.extend(_panel_svg(panel, ox, oy))
+    # the table keeps the curves of one N adjacent
+    panels = itertools.groupby(table.curve_columns(), key=lambda curve: curve[0])
+    for i, (n, group) in enumerate(panels):
+        curves = list(group)
+        series = []
+        for k, (_, theta, ratio, nonmarkov, bound_energy, _) in enumerate(curves):
+            suffix = f", θ={theta:g}" if len(curves) > 1 else ""
+            if right_axis == "nonmarkov":
+                ys = nonmarkov
+            else:
+                ys = [0.0 if b is None or abs(b) < BOUND_PLOT_FLOOR else b
+                      for b in bound_energy]
+            series += [(ratio, Y_LEFT_LABEL + suffix, PALETTE[k % len(PALETTE)], False),
+                       (ys, right_label + suffix, PALETTE[(k + 2) % len(PALETTE)], True)]
+        body += _panel_svg(f"N = {n}", table.gamma0, series, right_label,
+                           (i % COLUMNS) * PANEL_W, (i // COLUMNS) * PANEL_H)
+    width, height = COLUMNS * PANEL_W, (i // COLUMNS + 1) * PANEL_H
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -81,7 +81,7 @@ def _amplitude_zeros(params, tau):
     return zeros[zeros <= tau]
 
 
-class TestMonotoneSegments:
+class TestTurningPoints:
     """The cuts between monotone segments of p, on which the closed-form
     backflow rests: the population rate vanishes at every envelope extremum
     and, for N = 1, at every amplitude zero."""

@@ -33,7 +33,7 @@ def test_reproduce_figures_writes_the_cli_outputs(tmp_path, capsys):
 
 def test_reproduce_figures_uses_only_the_public_cli():
     text = SCRIPT.read_text(encoding="utf-8")
-    assert "_rows_csv" not in text and "_sweep_panels" not in text
+    assert "_rows_csv" not in text and "render_figure" not in text
 
 
 def test_every_mutation_still_applies_once():

@@ -1,46 +1,101 @@
+import functools
+import hashlib
 import re
 
 import pytest
 
-from qspeedup.svg import MARGIN_L, MARGIN_R, PANEL_W, Panel, Series, render_figure
+from qspeedup.svg import (COLUMNS, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PANEL_H, PANEL_W,
+                          render_figure)
+from qspeedup.sweep import figure_preset, run_sweep
 
-X = (0.0, 0.5, 1.0, 2.0)
-LEFT = (1.0, 0.8, 0.7, 0.9)
-RIGHT = (0.0, 0.1, 0.3, 0.2)
+# SHA-256 of each preset's document; a change here is a change of figure
+DIGESTS = {
+    2: "0387917afbd76ec50fb9ee7df0de8f2cc7abd4f14cbf79986d54c4602593ee4a",
+    3: "412bac751ad05f431afe0f3ee3a12769987176f33d0d2fa36f23d0d3cea296e2",
+    4: "3722830d9d96472764c116c4ac50942b78b5a8ff09a2e230edf9bfc48f1c0810",
+    5: "17b772b4ec8ac60c75170cbd2c34a50b8a53ec26d856154f620997ea56f2a401",
+}
 
 
-def _polyline_xs(svg: str) -> list[list[str]]:
-    return [[pair.split(",")[0] for pair in points.split()]
-            for points in re.findall(r'<polyline points="([^"]*)"', svg)]
+@functools.cache
+def _figure(k: int):
+    preset = figure_preset(k)
+    table = run_sweep(preset.config)
+    return table, render_figure(table, preset.right_axis)
 
 
-def test_every_polyline_sits_on_the_panel_x():
-    svg = render_figure([Panel("p", X, (Series(LEFT, "a"), Series(RIGHT, "b", right=True),
-                                        Series(RIGHT, "c")), "r")])
-    # the x range is the panel's x padded by 5% of its span on each side
-    lo, hi = -0.1, 2.1
-    x0, x1 = MARGIN_L, PANEL_W - MARGIN_R
-    px = [f"{x0 + (v - lo) / (hi - lo) * (x1 - x0):.2f}" for v in X]
-    assert _polyline_xs(svg) == [px, px, px]
+def _polylines(svg: str) -> list[tuple[list[str], list[str], str, bool]]:
+    """(x texts, y texts, colour, dashed) of each polyline in document order."""
+    out = []
+    for points, color, rest in re.findall(
+            r'<polyline points="([^"]*)" fill="none" stroke="([^"]*)"([^>]*)/>', svg):
+        xs, ys = zip(*(pair.split(",") for pair in points.split()))
+        out.append((list(xs), list(ys), color, 'stroke-dasharray="7,4"' in rest))
+    return out
+
+
+def _panels(svg: str) -> list[str]:
+    """The document cut at each panel's frame, the panels in order."""
+    return re.split(r'<rect x="[^"]*" y="[^"]*" width="[^"]*" height="[^"]*" fill="none"',
+                    svg)[1:]
+
+
+@pytest.mark.parametrize("k,count", [(2, 8), (4, 16)])
+def test_every_polyline_sits_on_the_panel_x(k, count):
+    table, svg = _figure(k)
+    lines = _polylines(svg)
+    assert len(lines) == count
+    # the x range is the gamma0 grid padded by 5% of its span on each side
+    g0 = table.gamma0
+    pad = 0.05 * (g0[-1] - g0[0])
+    lo, hi = g0[0] - pad, g0[-1] + pad
+    per_panel = count // 4
+    for i, (xs, *_) in enumerate(lines):
+        ox = (i // per_panel % COLUMNS) * PANEL_W
+        x0, x1 = ox + MARGIN_L, ox + PANEL_W - MARGIN_R
+        assert xs == [f"{x0 + (v - lo) / (hi - lo) * (x1 - x0):.2f}" for v in g0]
 
 
 def test_right_axis_series_alone_are_dashed():
-    svg = render_figure([Panel("p", X, (Series(LEFT, "a", "#000001"),
-                                        Series(RIGHT, "b", "#000002", right=True),
-                                        Series(LEFT, "c", "#000003")), "r")])
-    # each series draws one polyline and one legend line in its colour
-    for color, dashed in (("#000001", False), ("#000002", True), ("#000003", False)):
-        marks = re.findall(rf'<(?:polyline|line) [^>]*stroke="{color}"[^>]*/>', svg)
-        assert len(marks) == 2
-        assert all(('stroke-dasharray="7,4"' in mark) is dashed for mark in marks)
+    _, svg = _figure(4)
+    panels = _panels(svg)
+    assert len(panels) == 4
+    # per theta: the ratio solid, then the backflow dashed, each colour drawing
+    # one polyline and one legend line beside its label
+    expected = (("#1f77b4", False, "τ_QSL/τ, θ=0"), ("#2ca02c", True, "ℜ, θ=0"),
+                ("#d62728", False, "τ_QSL/τ, θ=1"), ("#9467bd", True, "ℜ, θ=1"))
+    for panel in panels:
+        assert [(color, dashed) for *_, color, dashed in _polylines(panel)] == [
+            (color, dashed) for color, dashed, _ in expected]
+        for color, dashed, label in expected:
+            marks = re.findall(rf'<(?:polyline|line) [^>]*stroke="{color}"[^>]*/>', panel)
+            assert len(marks) == 2
+            assert all(('stroke-dasharray="7,4"' in mark) is dashed for mark in marks)
+            assert re.search(rf'stroke="{color}"[^>]*/>\n<text [^>]*>{label}</text>', panel)
 
 
-def test_series_of_another_length_is_refused():
-    with pytest.raises(ValueError, match="one y per panel x"):
-        Panel("p", X, (Series(LEFT, "a"), Series(RIGHT[:-1], "b", right=True)), "r")
+def test_small_and_missing_bound_energies_sit_at_zero():
+    table, svg = _figure(3)
+    right = [line for line in _polylines(svg) if line[3]]
+    assert len(right) == len(table.curves) == 4
+    floored = 0
+    for i, ((_, ys, *_), (*_, energies, _)) in enumerate(zip(right, table.curve_columns())):
+        plotted = [0.0 if b is None or abs(b) < 1e-4 else b for b in energies]
+        # the right axis spans the plotted values padded by 5% of their span
+        pad = 0.05 * (max(plotted) - min(plotted))
+        lo, hi = min(plotted) - pad, max(plotted) + pad
+        oy = (i // COLUMNS) * PANEL_H
+        y0, y1 = oy + PANEL_H - MARGIN_B, oy + MARGIN_T
+        zero = f"{y0 + (0.0 - lo) / (hi - lo) * (y1 - y0):.2f}"
+        small = [y for y, b in zip(ys, energies) if b is None or abs(b) < 1e-4]
+        assert small == [zero] * len(small)
+        floored += len(small)
+        # gamma0 = 0 has no energy; the rest of the curve is drawn as solved
+        assert energies[0] is None and any(b is not None and b <= -1e-4 for b in energies)
+    assert floored > len(right)
 
 
-@pytest.mark.parametrize("right", [False, True])
-def test_panel_with_an_empty_side_is_refused(right):
-    with pytest.raises(ValueError, match="a left and a right series"):
-        Panel("p", X, (Series(LEFT, "a", right=right), Series(RIGHT, "b", right=right)), "r")
+@pytest.mark.parametrize("k", sorted(DIGESTS))
+def test_figure_bytes_are_pinned(k):
+    _, svg = _figure(k)
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == DIGESTS[k]

@@ -131,7 +131,7 @@ class TestRunSweep:
         # nor do the writers, which read the table's columns
         cli._rows_csv(table)
         cli._rows_json(table)
-        render_figure(cli._sweep_panels(table, preset))
+        render_figure(table, preset.right_axis)
         assert set(built.values()) == {0}
 
     def test_deterministic_across_calls(self):
