@@ -52,6 +52,10 @@ MUTATIONS = (
     Mutation("onset walk takes the wrong half", "sweep.py",
              "a, b = (a, m) if fired[m - 1] else (m, b)",
              "a, b = (m, b) if fired[m - 1] else (a, m)"),
+    Mutation("lockstep walk reads the next search's slice", "sweep.py",
+             "part = slice(k * width, (k + 1) * width)",
+             "part = slice((k + 1) % len(searches) * width, "
+             "((k + 1) % len(searches) + 1) * width)"),
     Mutation("generic QSL divides by the largest rate", "measures.py",
              "/ min(r for r in rates if r > 0.0)", "/ max(rates)"),
     Mutation("Bures angle without the fidelity's root", "measures.py",

@@ -159,14 +159,14 @@ def check_onset_agreement(quick: bool = False) -> CheckResult:
     cases = [(AtomKind.TWO_LEVEL, 8, 0.0)]
     if not quick:
         cases += [(AtomKind.TWO_LEVEL, 30, 0.0), (AtomKind.THREE_LEVEL_V, 3, 1.0)]
-    worst, edges = 0.0, []
-    for kind, n, theta in cases:
-        a, b = (sweep.find_critical_coupling(kind, n, theta, criterion=criterion)
-                for criterion in sweep.OnsetCriterion)
-        worst = max(worst, abs(a - b))
-        c = channel_coefficients(kind, theta)[0]
-        edges += [(onset + side * sweep.ONSET_STEP / 2, n, c)
-                  for onset in (a, b) for side in (-1, 1)]
+    # one lockstep batch: per case the SPEEDUP search, then the NONMARKOV one
+    searches = [(kind, n, theta, criterion) for kind, n, theta in cases
+                for criterion in sweep.OnsetCriterion]
+    onsets = sweep.find_critical_couplings(searches)
+    worst = max(abs(a - b) for a, b in zip(onsets[0::2], onsets[1::2]))
+    edges = [(onset + side * sweep.ONSET_STEP / 2, n,
+              channel_coefficients(kind, theta)[0])
+             for (kind, n, theta, _), onset in zip(searches, onsets) for side in (-1, 1)]
     # every edge in one batch: per case SPEEDUP's lower and upper, then NONMARKOV's
     gamma0, n_atoms, c = np.array(edges).T
     survey = sweep.SweepConfig

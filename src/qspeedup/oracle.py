@@ -43,7 +43,7 @@ from .spectral import AtomKind, ModelParams, validate_steps, validate_tau
 LTE_TOL = 1e-8
 MIN_STEPS = 4096
 LTE_EVERY = 64  # steps between step-doubling error samples
-_BLOCK = 4  # points per stacked integration in collective_trajectories
+_BLOCK = 12  # points per stacked integration in collective_trajectories
 
 
 class StepSizeError(RuntimeError):

@@ -23,8 +23,10 @@ TICKS = 5
 COLUMNS = 2  # panels per row
 X_LABEL = "γ₀/ω₀"
 Y_LEFT_LABEL = "τ_QSL/τ"
-# the ratio of the k-th theta of a panel takes colour k, its right-axis series k + 2
+# the ratio of the k-th theta of a panel takes colour k, its right-axis series
+# k + ANGLES, so no two series of a panel share a colour
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+ANGLES = len(PALETTE) // 2  # most angles a panel draws
 BOUND_PLOT_FLOOR = 1e-4  # bound energies of smaller magnitude are drawn at 0
 
 
@@ -119,13 +121,19 @@ def render_figure(table: SweepTable, right_axis: str) -> str:
     """The survey figure of a sweep as one SVG 1.1 document: a panel per N,
     COLUMNS per row.  Per theta a panel draws tau_QSL/tau solid on the left
     axis and the right_axis column ("nonmarkov" or "bound_energy") dashed on
-    the right one."""
+    the right one.  An unknown right_axis, or a panel of more angles than
+    PALETTE has colour pairs, raises ValueError."""
+    if right_axis not in ("nonmarkov", "bound_energy"):
+        raise ValueError('right_axis must be "nonmarkov" or "bound_energy"')
     right_label = "ℜ" if right_axis == "nonmarkov" else "E_b/ω₀"
     body = []
     # the table keeps the curves of one N adjacent
     panels = itertools.groupby(table.curve_columns(), key=lambda curve: curve[0])
     for i, (n, group) in enumerate(panels):
         curves = list(group)
+        if len(curves) > ANGLES:
+            raise ValueError(f"a panel draws at most {ANGLES} angles, "
+                             f"{len(curves)} given for N = {n}")
         series = []
         for k, (_, theta, ratio, nonmarkov, bound_energy, _) in enumerate(curves):
             suffix = f", θ={theta:g}" if len(curves) > 1 else ""
@@ -134,8 +142,8 @@ def render_figure(table: SweepTable, right_axis: str) -> str:
             else:
                 ys = [0.0 if b is None or abs(b) < BOUND_PLOT_FLOOR else b
                       for b in bound_energy]
-            series += [(ratio, Y_LEFT_LABEL + suffix, PALETTE[k % len(PALETTE)], False),
-                       (ys, right_label + suffix, PALETTE[(k + 2) % len(PALETTE)], True)]
+            series += [(ratio, Y_LEFT_LABEL + suffix, PALETTE[k], False),
+                       (ys, right_label + suffix, PALETTE[k + ANGLES], True)]
         body += _panel_svg(f"N = {n}", table.gamma0, series, right_label,
                            (i % COLUMNS) * PANEL_W, (i // COLUMNS) * PANEL_H)
     width, height = COLUMNS * PANEL_W, (i // COLUMNS + 1) * PANEL_H

@@ -11,7 +11,7 @@ import numpy as np
 
 from .bound_state import solve_bound_states
 from .dynamics import ChannelColumns
-from .measures import evaluate_columns, evaluate_point
+from .measures import evaluate_columns
 from .spectral import AtomKind, ModelParams, channel_coefficients
 
 BACKFLOW_ONSET_TOL = 1e-10
@@ -142,6 +142,62 @@ def figure_preset(figure: int) -> FigurePreset:
     return FigurePreset(figure, SweepConfig(kind=kind, theta_list=thetas), right)
 
 
+def _fires(criterion: OnsetCriterion, ratio, backflow):
+    """The onset indicator of a criterion on evaluate_columns' ratio and backflow."""
+    if criterion is OnsetCriterion.SPEEDUP:
+        return ratio < 1.0
+    return backflow > BACKFLOW_ONSET_TOL
+
+
+def find_critical_couplings(searches) -> list[float]:
+    """The onset of each (kind, n_atoms, theta, criterion) search, in order:
+    find_critical_coupling's bisections run in lockstep.  Every bracket has
+    the same width at every level, so one evaluate_columns call takes all
+    the tops at gamma0 = 4 and one call per level group every search's
+    midpoints, each search's in its own slice; the kernels are elementwise,
+    so each onset has its batch-of-one bits.  A NoTransitionError names the
+    search that raised it.
+    """
+    searches = list(searches)
+    gamma0_max = SweepConfig.gamma0_grid[1]
+    tops = []
+    for kind, n_atoms, theta, criterion in searches:
+        if not isinstance(criterion, OnsetCriterion):
+            raise ValueError("criterion must be an OnsetCriterion")
+        # every ModelParams check is independent of gamma0 or monotone in
+        # it, so the top point vouches for every midpoint in (0, gamma0_max]
+        tops.append(ModelParams(gamma0=gamma0_max, lam=SweepConfig.lam, n_atoms=n_atoms,
+                                theta=theta, omega0=SweepConfig.omega0, kind=kind))
+    top = ChannelColumns.of(tops)
+    c = np.array([channel_coefficients(p.kind, p.theta)[0] for p in tops])
+    _, ratio, backflow, *_ = evaluate_columns(top, SweepConfig.tau)
+    for k, (kind, n_atoms, theta, criterion) in enumerate(searches):
+        if not _fires(criterion, ratio[k], backflow[k]):
+            raise NoTransitionError(
+                f"no transition in range (0, {gamma0_max:g}] for {criterion.value} "
+                f"at {kind.value}, N = {n_atoms}, theta = {theta:g}")
+    lo, span = [0] * len(searches), 1 << _LEVELS
+    while span > 1:
+        # each walk narrows its bracket to one of its size parts, (a, b)
+        size = min(1 << _DEPTH, span)
+        stride, width = span // size, size - 1
+        # grid indices, exact in float: each search's midpoints in a row
+        mids = (np.add.outer(lo, stride * np.arange(1, size)) * ONSET_STEP).ravel()
+        channels = ChannelColumns.build(mids, SweepConfig.lam, SweepConfig.omega0,
+                                        np.repeat(top.n_atoms, width), np.repeat(c, width))
+        _, ratio, backflow, *_ = evaluate_columns(channels, SweepConfig.tau)
+        for k, (*_, criterion) in enumerate(searches):
+            part = slice(k * width, (k + 1) * width)
+            fired = _fires(criterion, ratio[part], backflow[part]).tolist()
+            a, b = 0, size
+            while b - a > 1:
+                m = (a + b) // 2
+                a, b = (a, m) if fired[m - 1] else (m, b)
+            lo[k] += a * stride
+        span = stride
+    return [(start + 0.5) * ONSET_STEP for start in lo]
+
+
 def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
                            criterion: OnsetCriterion = OnsetCriterion.SPEEDUP) -> float:
     """Smallest gamma0 in the survey's range (0, 4] where the chosen
@@ -156,38 +212,6 @@ def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
     _DEPTH levels deep (63, then 15 for the last 4 levels) and the walk
     down them makes the one-midpoint-at-a-time bisection's decisions, so
     the result, the middle of the final bracket, is that bisection's bit
-    for bit.
+    for bit.  The batch of one of find_critical_couplings.
     """
-    if not isinstance(criterion, OnsetCriterion):
-        raise ValueError("criterion must be an OnsetCriterion")
-
-    def fires(ratio, backflow):
-        if criterion is OnsetCriterion.SPEEDUP:
-            return ratio < 1.0
-        return backflow > BACKFLOW_ONSET_TOL
-
-    # every ModelParams check is independent of gamma0 or monotone in it,
-    # so the top point vouches for every midpoint in (0, gamma0_max]
-    gamma0_max = SweepConfig.gamma0_grid[1]
-    params = ModelParams(gamma0=gamma0_max, lam=SweepConfig.lam, n_atoms=n_atoms,
-                         theta=theta, omega0=SweepConfig.omega0, kind=kind)
-    top = evaluate_point(params, SweepConfig.tau)
-    if not fires(top.ratio, top.nonmarkov):
-        raise NoTransitionError(
-            f"no transition in range (0, {gamma0_max:g}] for {criterion.value}")
-    tau, c = top.tau, channel_coefficients(kind, theta)[0]
-    lo, span = 0, 1 << _LEVELS
-    while span > 1:
-        # the walk narrows the bracket to one of its size parts, (a, b)
-        size = min(1 << _DEPTH, span)
-        stride = span // size
-        mids = [(lo + stride * j) * ONSET_STEP for j in range(1, size)]
-        channels = ChannelColumns.build(mids, params.lam, params.omega0, float(n_atoms), c)
-        _, ratio, backflow, *_ = evaluate_columns(channels, tau)
-        fired = fires(ratio, backflow).tolist()
-        a, b = 0, size
-        while b - a > 1:
-            m = (a + b) // 2
-            a, b = (a, m) if fired[m - 1] else (m, b)
-        lo, span = lo + a * stride, stride
-    return (lo + 0.5) * ONSET_STEP
+    return find_critical_couplings([(kind, n_atoms, theta, criterion)])[0]

@@ -6,7 +6,8 @@ import pytest
 
 from qspeedup.svg import (COLUMNS, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PANEL_H, PANEL_W,
                           render_figure)
-from qspeedup.sweep import figure_preset, run_sweep
+from qspeedup.spectral import AtomKind
+from qspeedup.sweep import SweepConfig, figure_preset, run_sweep
 
 # SHA-256 of each preset's document; a change here is a change of figure
 DIGESTS = {
@@ -99,3 +100,18 @@ def test_small_and_missing_bound_energies_sit_at_zero():
 def test_figure_bytes_are_pinned(k):
     _, svg = _figure(k)
     assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == DIGESTS[k]
+
+
+@pytest.mark.parametrize("right_axis", ["bound_enrgy", "ratio", ""])
+def test_unknown_right_axis_is_refused(right_axis):
+    table, _ = _figure(2)
+    with pytest.raises(ValueError, match="right_axis"):
+        render_figure(table, right_axis)
+
+
+def test_a_panel_of_three_angles_is_refused():
+    # the ratios take PALETTE[k], the right axes PALETTE[k + 2]: a third
+    # angle would reuse the first angle's colours
+    table = run_sweep(SweepConfig(kind=AtomKind.THREE_LEVEL_V, theta_list=(0.0, 0.5, 1.0)))
+    with pytest.raises(ValueError, match="at most 2 angles, 3 given for N = 1"):
+        render_figure(table, "nonmarkov")

@@ -11,8 +11,8 @@ from qspeedup.measures import evaluate_point
 from qspeedup.spectral import AtomKind, ModelParams
 from qspeedup.svg import render_figure
 from qspeedup.sweep import (FigurePreset, NoTransitionError, OnsetCriterion,
-                            SweepConfig, figure_preset,
-                            find_critical_coupling, run_sweep)
+                            SweepConfig, figure_preset, find_critical_coupling,
+                            find_critical_couplings, run_sweep)
 
 
 def per_point_row(params: ModelParams, tau: float) -> tuple:
@@ -170,6 +170,13 @@ class TestFigurePresets:
             figure_preset(6)
 
 
+# both kinds, both criteria, N in {1, 3, 30} and theta in {0, 0.5, 1}: 24 searches
+MIXED_SEARCHES = tuple(
+    (kind, n_atoms, theta, criterion)
+    for kind, thetas in ((AtomKind.TWO_LEVEL, (0.0,)), (AtomKind.THREE_LEVEL_V, (0.0, 0.5, 1.0)))
+    for theta in thetas for n_atoms in (1, 3, 30) for criterion in OnsetCriterion)
+
+
 def sequential_onset(kind, n_atoms, theta, criterion):
     """find_critical_coupling as a plain bisection of (0, 4] to width 1e-6:
     one evaluate_point per midpoint, each decided before the next midpoint
@@ -207,8 +214,10 @@ class TestCriticalCoupling:
     def test_levels_stop_at_the_first_width_within_1e_6(self):
         assert 4 / 2 ** sweep._LEVELS <= 1e-6 < 4 / 2 ** (sweep._LEVELS - 1)
 
-    def test_search_evaluates_six_levels_a_call(self, monkeypatch):
-        # 22 halvings: three calls of 6 levels (63 midpoints), one of 4 (15)
+    @pytest.mark.parametrize("count", [1, 2, 6])
+    def test_search_evaluates_six_levels_a_call(self, monkeypatch, count):
+        # every top in one call, then 22 halvings for all the searches at
+        # once: three calls of 6 levels (63 midpoints a search), one of 4 (15)
         sizes = []
 
         def recording(channels, tau, _fn=sweep.evaluate_columns):
@@ -216,8 +225,8 @@ class TestCriticalCoupling:
             return _fn(channels, tau)
 
         monkeypatch.setattr(sweep, "evaluate_columns", recording)
-        find_critical_coupling(AtomKind.TWO_LEVEL, 8)
-        assert sizes == [63, 63, 63, 15]
+        find_critical_couplings(MIXED_SEARCHES[:count])
+        assert sizes == [count, 63 * count, 63 * count, 63 * count, 15 * count]
 
     @pytest.mark.parametrize("criterion", list(OnsetCriterion))
     @pytest.mark.parametrize("kind, n_atoms, theta", [
@@ -279,17 +288,39 @@ class TestCriticalCoupling:
             find_critical_coupling(AtomKind.TWO_LEVEL, 10 ** 22,
                                    criterion=OnsetCriterion.NONMARKOV)
 
-    def test_search_builds_one_point_and_one_report(self, monkeypatch):
-        # the midpoints go to the kernel as columns: only the top point,
-        # gamma0 = 4, is a ModelParams, checked once, with one report
+    @pytest.mark.parametrize("count", [1, 6])
+    def test_search_builds_one_point_per_search(self, monkeypatch, count):
+        # the tops and the midpoints go to the kernel as columns: only each
+        # search's top point, gamma0 = 4, is a ModelParams, checked once,
+        # and no search builds a report
         built = {cls: 0 for cls in (spectral.ModelParams, measures.SpeedupReport)}
         for cls in built:
             def counting(self, *args, __init__=cls.__init__, cls=cls, **kwargs):
                 built[cls] += 1
                 __init__(self, *args, **kwargs)
             monkeypatch.setattr(cls, "__init__", counting)
-        find_critical_coupling(AtomKind.TWO_LEVEL, 8)
-        assert built == {spectral.ModelParams: 1, measures.SpeedupReport: 1}
+        find_critical_couplings(MIXED_SEARCHES[:count])
+        assert built == {spectral.ModelParams: count, measures.SpeedupReport: 0}
+
+    def test_lockstep_batch_equals_the_batches_of_one(self):
+        onsets = find_critical_couplings(MIXED_SEARCHES)
+        assert len(onsets) == len(MIXED_SEARCHES) == 24
+        assert [onset.hex() for onset in onsets] == [
+            find_critical_coupling(*search).hex() for search in MIXED_SEARCHES]
+
+    @pytest.mark.parametrize("position", [0, 2, 5])
+    def test_batch_names_the_search_without_a_transition(self, position):
+        searches = list(MIXED_SEARCHES[:5])
+        searches.insert(position, (AtomKind.TWO_LEVEL, 10 ** 22, 0.0,
+                                   OnsetCriterion.NONMARKOV))
+        with pytest.raises(NoTransitionError,
+                           match=r"for nonmarkov at two-level, N = 10{22}, theta = 0$"):
+            find_critical_couplings(searches)
+
+    def test_batch_refuses_a_criterion_that_is_not_an_onset_criterion(self):
+        searches = [*MIXED_SEARCHES[:3], (AtomKind.TWO_LEVEL, 3, 0.0, "speedup")]
+        with pytest.raises(ValueError, match="OnsetCriterion"):
+            find_critical_couplings(searches)
 
     def test_result_is_a_genuine_boundary(self):
         onset = find_critical_coupling(AtomKind.TWO_LEVEL, 8)
@@ -306,20 +337,26 @@ class TestCriticalCoupling:
 def test_onset_check_reads_the_bracket_edges(monkeypatch, shift, quick):
     # both onsets moved by one grid step still agree, so only the edges of
     # the final bracket can tell; they go to the kernel as one batch
-    search, sizes = find_critical_coupling, []
+    search, sizes, batches = find_critical_couplings, [], []
 
-    def shifted(*args, **kwargs):
-        return search(*args, **kwargs) + shift * sweep.ONSET_STEP
+    def shifted(searches):
+        batches.append(len(searches))
+        return [onset + shift * sweep.ONSET_STEP for onset in search(searches)]
 
     def recording(channels, tau, _fn=measures.evaluate_columns):
         sizes.append(len(channels.gamma0))
         return _fn(channels, tau)
 
-    monkeypatch.setattr(sweep, "find_critical_coupling", shifted)
+    monkeypatch.setattr(sweep, "find_critical_couplings", shifted)
+    monkeypatch.setattr(sweep, "evaluate_columns", recording)
     monkeypatch.setattr(measures, "evaluate_columns", recording)
     result = checks.check_onset_agreement(quick)
     cases = 1 if quick else 3
     assert result.passed == (shift == 0) and result.worst < 1e-3
     assert result.detail == f"{cases} cases; brackets {'violated' if shift else 'ok'}"
-    # each search's one-point call at gamma0 = 4, then every edge at once
-    assert sizes == [1] * 2 * cases + [4 * cases]
+    # one lockstep call for both criteria of every case: the tops, the four
+    # level groups, then every edge at once
+    searches = 2 * cases
+    assert batches == [searches]
+    assert sizes == [searches, 63 * searches, 63 * searches, 63 * searches,
+                     15 * searches, 4 * cases]
