@@ -62,6 +62,10 @@ MUTATIONS = (
              "return math.acos(math.sqrt(fid))", "return math.acos(fid)"),
     Mutation("SVG y-range without padding", "svg.py",
              "pad = 0.05 * (hi - lo)", "pad = 0.0"),
+    Mutation("SVG near-tie re-rounding dropped", "svg.py",
+             'k.flat[i] = int(f"{v.flat[i]:.2f}".replace(".", ""))', "pass"),
+    Mutation("SVG leading-zero blank off by one", "svg.py",
+             "out[..., 4] *= q >= 10", "out[..., 4] *= q > 10"),
 )
 
 

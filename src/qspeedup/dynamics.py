@@ -75,7 +75,8 @@ def envelope(t, a, b, lam):
     even, odd = grow * (1.0 + half_m), grow * half_m
     # the phase b*t/2 is 0 on overdamped rows, with cos 1.0 and sin 0.0
     if np.count_nonzero(b):
-        cos_b, sin_b = np.cos(0.5 * b * t), np.sin(0.5 * b * t)
+        phase = 0.5 * b * t
+        cos_b, sin_b = np.cos(phase), np.sin(phase)
     else:
         cos_b, sin_b = 1.0, 0.0
     cosh_part = even * cos_b

@@ -30,8 +30,8 @@ ANGLES = len(PALETTE) // 2  # most angles a panel draws
 BOUND_PLOT_FLOOR = 1e-4  # bound energies of smaller magnitude are drawn at 0
 
 
-def _limits(values) -> tuple[float, float]:
-    lo, hi = min(values), max(values)
+def _limits(values: np.ndarray) -> tuple[float, float]:
+    lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         lo, hi = lo - 0.5, hi + 0.5
     pad = 0.05 * (hi - lo)
@@ -42,20 +42,77 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+# "00" to "99", each two ASCII bytes read as one uint16 in memory order
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"),
+                       dtype=np.uint16)
+_POINT, _COMMA, _SPACE = np.frombuffer(b".\0,\0 \0", dtype=np.uint16)
+_TIE_BAND = 1e-9  # 100*v this close to a half-integer is rounded by Python itself
+
+
+def _divmod100(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.divmod(n, 100) of integers n >= 0, without its slower remainder."""
+    q = n // 100
+    return q, n - 100 * q
+
+
+def _fixed2(values) -> np.ndarray:
+    """f"{v:.2f}" of every v in [0, 1e4) as a row of 12 bytes: the ASCII
+    text with 0 bytes in and after it, the last two left 0 for a separator.
+
+    The text of v is that of the integer k = round(100*v), half to even on
+    the exact binary value as Python rounds.  For v < 1e4, fl(100*v) is
+    within 1.2e-10 of 100*v, so np.rint of it gives that k unless it lies
+    within _TIE_BAND of a half-integer; those few take k from Python.  A
+    value that is non-finite, negative (-0.0 included) or >= 1e4 raises
+    ValueError, so no text is ever wrong."""
+    v = np.asarray(values, dtype=float)
+    if not (np.all(v < 1e4) and not np.signbit(v).any()):  # NaN fails
+        raise ValueError("an SVG coordinate must be finite and in [0, 1e4)")
+    scaled = 100.0 * v
+    k = np.rint(scaled)
+    near = np.flatnonzero(np.abs(scaled - k) > 0.5 - _TIE_BAND)
+    k = k.astype(np.int32)
+    for i in near.tolist():
+        k.flat[i] = int(f"{v.flat[i]:.2f}".replace(".", ""))
+    q, frac = _divmod100(k)  # q reaches 10000 for v near 1e4
+    hi, lo = _divmod100(q)
+    top, mid = _divmod100(hi)
+    words = np.empty(v.shape + (6,), dtype=np.uint16)
+    words[..., 0] = _PAIRS[top]
+    words[..., 1] = _PAIRS[mid]
+    words[..., 2] = _PAIRS[lo]
+    words[..., 3] = _POINT
+    words[..., 4] = _PAIRS[frac]
+    words[..., 5] = 0
+    out = words.view(np.uint8)
+    # blank the leading zeros of the integer part, keeping its units digit
+    out[..., 0] = 0
+    out[..., 1] *= q >= 10000
+    out[..., 2] *= q >= 1000
+    out[..., 3] *= q >= 100
+    out[..., 4] *= q >= 10
+    return out
+
+
+def _text(row: np.ndarray) -> str:
+    """The ASCII text of a byte row, its 0 bytes dropped."""
+    return row[row != 0].tobytes().decode("ascii")
+
+
 def _tick_label(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _panel_svg(title: str, x: list[float], series: list[tuple], right_label: str,
+def _panel_svg(title: str, x: np.ndarray, series: list[tuple], right_label: str,
                ox: float, oy: float) -> list[str]:
-    """One panel at (ox, oy); each series is (y, label, colour, right) and
-    one on the right axis is dashed."""
+    """One panel at (ox, oy); each series is (y, label, colour, right) with
+    y a float array the length of x, and one on the right axis is dashed."""
     x0, x1 = ox + MARGIN_L, ox + PANEL_W - MARGIN_R
     y0, y1 = oy + PANEL_H - MARGIN_B, oy + MARGIN_T  # y grows downward in SVG
 
     xlo, xhi = _limits(x)
-    yllo, ylhi = _limits([v for y, *_, right in series if not right for v in y])
-    yrlo, yrhi = _limits([v for y, *_, right in series if right for v in y])
+    yllo, ylhi = _limits(np.array([y for y, *_, right in series if not right]))
+    yrlo, yrhi = _limits(np.array([y for y, *_, right in series if right]))
 
     def px(v: float) -> float:
         return x0 + (v - xlo) / (xhi - xlo) * (x1 - x0)
@@ -101,10 +158,18 @@ def _panel_svg(title: str, x: list[float], series: list[tuple], right_label: str
                f'font-size="16" transform="rotate(90 {_fmt(cx)} {_fmt(cy)})">'
                f'{right_label}</text>')
 
-    x_text = [f"{v:.2f}" for v in px(np.asarray(x, dtype=float)).tolist()]
+    # every polyline's points in one formatting pass: per point the x text,
+    # a comma, the y text and a space, but no space after the last point
+    coords = np.empty((len(series), len(x), 2))
+    coords[:, :, 0] = px(x)
+    for k, (y, *_, right) in enumerate(series):
+        coords[k, :, 1] = py(y, right)
+    points = _fixed2(coords)
+    words = points.view(np.uint16)
+    words[:, :, 0, 5] = _COMMA
+    words[:, :-1, 1, 5] = _SPACE
     for k, (y, label, color, right) in enumerate(series):
-        ys = py(np.asarray(y, dtype=float), right).tolist()
-        pts = " ".join([f"{xt},{yv:.2f}" for xt, yv in zip(x_text, ys)])
+        pts = _text(points[k])
         dash = ' stroke-dasharray="7,4"' if right else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"{dash}/>')
@@ -127,6 +192,7 @@ def render_figure(table: SweepTable, right_axis: str) -> str:
         raise ValueError('right_axis must be "nonmarkov" or "bound_energy"')
     right_label = "ℜ" if right_axis == "nonmarkov" else "E_b/ω₀"
     body = []
+    gamma0 = np.array(table.gamma0, dtype=float)
     # the table keeps the curves of one N adjacent
     panels = itertools.groupby(table.curve_columns(), key=lambda curve: curve[0])
     for i, (n, group) in enumerate(panels):
@@ -137,14 +203,16 @@ def render_figure(table: SweepTable, right_axis: str) -> str:
         series = []
         for k, (_, theta, ratio, nonmarkov, bound_energy, _) in enumerate(curves):
             suffix = f", θ={theta:g}" if len(curves) > 1 else ""
+            left = np.array(ratio, dtype=float)
             if right_axis == "nonmarkov":
-                ys = nonmarkov
+                right = np.array(nonmarkov, dtype=float)
             else:
-                ys = [0.0 if b is None or abs(b) < BOUND_PLOT_FLOOR else b
-                      for b in bound_energy]
-            series += [(ratio, Y_LEFT_LABEL + suffix, PALETTE[k], False),
-                       (ys, right_label + suffix, PALETTE[k + ANGLES], True)]
-        body += _panel_svg(f"N = {n}", table.gamma0, series, right_label,
+                # None reads NaN, which fails the comparison and is drawn at 0
+                energy = np.array(bound_energy, dtype=float)
+                right = np.where(np.abs(energy) >= BOUND_PLOT_FLOOR, energy, 0.0)
+            series += [(left, Y_LEFT_LABEL + suffix, PALETTE[k], False),
+                       (right, right_label + suffix, PALETTE[k + ANGLES], True)]
+        body += _panel_svg(f"N = {n}", gamma0, series, right_label,
                            (i % COLUMNS) * PANEL_W, (i // COLUMNS) * PANEL_H)
     width, height = COLUMNS * PANEL_W, (i // COLUMNS + 1) * PANEL_H
     lines = [

@@ -318,6 +318,33 @@ class TestGenericQsl:
         assert type(result.tau_qsl) is float and type(result.bures) is float
         assert [type(r) for r in result.rates] == [float] * 3
 
+    def test_rates_equal_the_singular_value_route(self):
+        # random Hermitian rates with complex coherences, which no
+        # density_trajectory builds, against the stacked SVD they replace
+        times, rhos, _ = density_trajectory(VEE, 5.0, steps=4096)
+        rng = np.random.default_rng(11)
+        half = rng.normal(size=rhos.shape) + 1j * rng.normal(size=rhos.shape)
+        rates = half + half.conj().swapaxes(1, 2)
+        sv = np.linalg.svd(rates, compute_uv=False)
+        span = times[-1] - times[0]
+        want = [np.trapezoid(column, times) / span for column in (
+            sv.sum(axis=1), np.sqrt((sv * sv).sum(axis=1)), sv[:, 0])]
+        got = qsl_generic(times, rhos, rho_rates=rates).rates
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_non_hermitian_rates_are_refused(self):
+        times, rhos, rates = density_trajectory(VEE, 5.0, steps=4096)
+        scale = np.abs(rates).max()
+        skewed = rates.copy()
+        skewed[100, 0, 1] += 1e-14 * scale  # inside HERMITIAN_TOL
+        assert qsl_generic(times, rhos, rho_rates=skewed).rates == pytest.approx(
+            qsl_generic(times, rhos, rho_rates=rates).rates, rel=1e-12)
+        for entry in (1e-9 * scale, 1j * scale):
+            skewed = rates.copy()
+            skewed[100, 0, 1] += entry
+            with pytest.raises(ValueError, match="Hermitian"):
+                qsl_generic(times, rhos, rho_rates=skewed)
+
     def test_stationary_stack(self):
         times = np.linspace(0.0, 5.0, 4097)
         rhos = np.broadcast_to(np.diag([1.0, 0.0]).astype(complex),

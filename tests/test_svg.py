@@ -1,11 +1,14 @@
 import functools
 import hashlib
+import math
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qspeedup.svg import (COLUMNS, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PANEL_H, PANEL_W,
-                          render_figure)
+                          _fixed2, _text, render_figure)
 from qspeedup.spectral import AtomKind
 from qspeedup.sweep import SweepConfig, figure_preset, run_sweep
 
@@ -115,3 +118,41 @@ def test_a_panel_of_three_angles_is_refused():
     table = run_sweep(SweepConfig(kind=AtomKind.THREE_LEVEL_V, theta_list=(0.0, 0.5, 1.0)))
     with pytest.raises(ValueError, match="at most 2 angles, 3 given for N = 1"):
         render_figure(table, "nonmarkov")
+
+
+def _texts(values) -> list[str]:
+    """The texts _fixed2 gives for values, one per value."""
+    rows = _fixed2(np.array(values, dtype=float))
+    return [_text(row) for row in rows.reshape(-1, rows.shape[-1])]
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1e4, exclude_max=True),
+                min_size=1, max_size=40))
+def test_fixed2_is_python_format(values):
+    assert _texts(values) == [f"{v:.2f}" for v in values]
+
+
+@pytest.mark.parametrize("values", [
+    # exact binary ties, which both sides round half to even
+    [100.125, 0.375, 0.125, 0.625, 2.875] + [k / 8 for k in range(0, 80000, 7)],
+    # float near-ties, most a hair below or above k + 1/2 hundredths
+    [k / 100 + 0.005 for k in range(2000)] + [k / 100 + 0.005 for k in range(2000, 999999, 97)],
+    # the width edges, and their neighbours that carry into a new digit
+    [9.995, 99.995, 999.995, 9999.995, 9.996, 99.996, 999.996, 9999.996, 9999.999,
+     math.nextafter(1e4, 0.0), 10.0, 100.0, 1000.0],
+    [0.0, 0.004999, 0.005, 5e-324, 0.01, 0.995, 1.0],
+], ids=["binary-ties", "near-ties", "width-edges", "zero"])
+def test_fixed2_examples(values):
+    assert _texts(values) == [f"{v:.2f}" for v in values]
+
+
+def test_fixed2_keeps_the_shape():
+    values = np.array([[0.0, 12.345], [9999.999, 700.5]])
+    assert _fixed2(values).shape == (2, 2, 12)
+    assert _texts(values) == ["0.00", "12.35", "10000.00", "700.50"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.01, -0.0, 1e4])
+def test_fixed2_refuses_a_value_outside_its_range(bad):
+    with pytest.raises(ValueError, match=r"finite and in \[0, 1e4\)"):
+        _fixed2([1.0, bad, 2.0])
