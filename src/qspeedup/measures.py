@@ -196,8 +196,8 @@ def qsl_generic(times, rhos, rho_rates) -> GenericQslResult:
         raise ValueError("rho_rates must match rhos in shape")
     if not np.isfinite(rho_rates).all():
         raise ValueError("rho_rates must be finite")
-    skew = np.abs(rho_rates - rho_rates.conj().swapaxes(1, 2)).max(initial=0.0)
-    if skew > HERMITIAN_TOL * np.abs(rho_rates).max(initial=0.0):
+    skew = np.abs(rho_rates - rho_rates.conj().swapaxes(1, 2)).max()
+    if skew > HERMITIAN_TOL * np.abs(rho_rates).max():
         raise ValueError("rho_rates must be Hermitian")
 
     # eigvalsh reads one triangle; descending magnitudes, as an SVD orders them

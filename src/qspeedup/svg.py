@@ -168,7 +168,7 @@ def _panel_svg(title: str, x: np.ndarray, series: list[tuple], right_label: str,
     words = points.view(np.uint16)
     words[:, :, 0, 5] = _COMMA
     words[:, :-1, 1, 5] = _SPACE
-    for k, (y, label, color, right) in enumerate(series):
+    for k, (_, label, color, right) in enumerate(series):
         pts = _text(points[k])
         dash = ' stroke-dasharray="7,4"' if right else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
