@@ -43,6 +43,8 @@ MUTATIONS = (
              "return rises + final * (", "return rises + 0.0 * final * ("),
     Mutation("unit amplitude fall x (1 + 1e-3)", "dynamics.py",
              "return 1.0 + (g - 1.0) / n, dg", "return 1.0 + (g - 1.0) / n * 1.001, dg"),
+    Mutation("one-point amplitude drops 1/sqrt(m)", "dynamics.py",
+             "return _shaped(math.sqrt(1.0 / m) * amp, t)", "return _shaped(amp, t)"),
     Mutation("bound-state stop 1e6 x looser", "bound_state.py",
              "done = np.maximum(0.01 * RESIDUAL_TOL,", "done = np.maximum(1e4 * RESIDUAL_TOL,"),
     Mutation("V-type oracle weight 1 + theta/2", "oracle.py",

@@ -160,11 +160,11 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
                        traj.population.tolist(), traj.population_rate.tolist()))
     if args.fmt == "csv":
         lines = ["t,amplitude_re,amplitude_im,population,population_rate"]
-        lines += [f"{t!r},{a.real!r},{a.imag!r},{p!r},{r!r}" for t, a, p, r in samples]
+        lines += [f"{t!r},{a!r},0.0,{p!r},{r!r}" for t, a, p, r in samples]
         _write_text(args.output, "\n".join(lines) + "\n", args.force)
     else:
         _write_json(args.output, args.force, _config_echo(args) | {"steps": args.steps},
-                    rows=[{"t": t, "amplitude_re": a.real, "amplitude_im": a.imag,
+                    rows=[{"t": t, "amplitude_re": a, "amplitude_im": 0.0,
                            "population": p, "population_rate": r}
                           for t, a, p, r in samples])
     print(f"wrote {len(traj)} samples to {args.output}")

@@ -20,16 +20,18 @@ and the excited emitter's amplitude follows it as A = 1 + (g - 1)/N, read
 through m excited levels: m = 1 for two-level emitters, m = 2 for V-type
 ones in the equal superposition of both upper levels
 (spectral.channel_coefficients decides this once).  amplitude (kind-guarded
-aliases alpha1 / nu1) is A/sqrt(m) and the population A**2.  One kernel,
-unit_amplitude, reads the envelope once for A and g'; every one-point
-function, trajectory and density_trajectory included, forms all its
-outputs from one such pass with t as the one row of a batch of one.
+aliases alpha1 / nu1) is A/sqrt(m), real like g, and the population A**2.
+One kernel, unit_amplitude, reads the envelope once for A and g'; every
+one-point function, trajectory and density_trajectory included, forms all
+its outputs from one such pass on the caller's own t, with the point's
+channel constants as scalars.
 
 A batch of parameter points is a ChannelColumns: seven float64 columns
 (gamma0, lam, omega0, N, the collective factor N*c and the two parts a
 and b of d), built in one place, ChannelColumns.build.  It is the input
 of both column kernels, measures.evaluate_columns and
-bound_state.solve_bound_states, and one-point calls build a batch of one.
+bound_state.solve_bound_states, and one-point calls read theirs from a
+batch of one.
 """
 
 from __future__ import annotations
@@ -101,34 +103,30 @@ def unit_amplitude(t, a, b, lam, n):
 
 
 def _point(t, params: ModelParams):
-    """(A, dg/dt, N, m) of one point: t read as the one row of a batch of
-    one, so a scalar t gives the bits of the same t inside an array, N as a
-    (1, 1) column and m the excited levels of its kind."""
+    """(A, dg/dt, N, m) of one point on the caller's t, read with the
+    point's channel constants as scalars; m is the excited levels of its kind."""
     channels = ChannelColumns.of([params])
-    n = channels.n_atoms[:, None]
-    amp, dg = unit_amplitude(np.asarray(t, dtype=float).reshape(1, -1), channels.a[:, None],
-                             channels.b[:, None], channels.lam[:, None], n)
+    n = channels.n_atoms[0]
+    amp, dg = unit_amplitude(t, channels.a[0], channels.b[0], channels.lam[0], n)
     return amp, dg, n, channel_coefficients(params.kind, params.theta)[1]
 
 
 def _population_rate(amp, dg, n, m: int):
-    """d/dt of m*|amplitude|**2 from A; + 0.0 writes -0.0 (t = 0) as 0.0."""
+    """d/dt of m*amplitude**2 from A; + 0.0 writes -0.0 (t = 0) as 0.0."""
     root = math.sqrt(1.0 / m)
     return 2.0 * m * ((root * amp) * (root * dg / n)) + 0.0
 
 
-def _shaped(row: np.ndarray, t, kind: type):
-    """A row of a batch of one in the shape of t as kind (complex or float)."""
-    if np.ndim(t):
-        return row.reshape(np.shape(t)).astype(kind, copy=False)
-    return kind(row[0, 0])
+def _shaped(value, t):
+    """value as computed for an array t, as a float for a scalar t."""
+    return value if np.ndim(t) else float(value)
 
 
 def amplitude(t, params: ModelParams):
-    """Excited emitter's amplitude per level, A/sqrt(m): alpha1 or nu1 by
-    emitter kind; amplitude(0) = 1/sqrt(m) exactly."""
+    """Excited emitter's real amplitude per level, A/sqrt(m): alpha1 or nu1
+    by emitter kind; amplitude(0) = 1/sqrt(m) exactly."""
     amp, _, _, m = _point(t, params)
-    return _shaped(math.sqrt(1.0 / m) * amp, t, complex)
+    return _shaped(math.sqrt(1.0 / m) * amp, t)
 
 
 def alpha1(t, params: ModelParams):
@@ -146,15 +144,15 @@ def nu1(t, params: ModelParams):
 
 
 def excited_population(t, params: ModelParams):
-    """Excited population m*|amplitude|**2 = A**2: |alpha1|**2 or 2*|nu1|**2,
+    """Excited population m*amplitude**2 = A**2: alpha1**2 or 2*nu1**2,
     for scalar or array t >= 0."""
     amp = _point(t, params)[0]
-    return _shaped(amp * amp, t, float)
+    return _shaped(amp * amp, t)
 
 
 def population_rate(t, params: ModelParams):
     """Analytic d/dt of excited_population."""
-    return _shaped(_population_rate(*_point(t, params)), t, float)
+    return _shaped(_population_rate(*_point(t, params)), t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +195,8 @@ class ChannelColumns:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Amplitude, population and analytic population rate on a uniform grid."""
+    """Real amplitude, population and analytic population rate on a uniform
+    grid, all float64."""
 
     times: np.ndarray
     amplitude: np.ndarray
@@ -213,9 +212,9 @@ def trajectory(params: ModelParams, tau: float, steps: int = 4096) -> Trajectory
     tau = validate_tau(tau)
     times = np.linspace(0.0, tau, validate_steps(steps) + 1)
     unit, dg, n, m = _point(times, params)
-    pop = (unit * unit)[0]
-    rate = _population_rate(unit, dg, n, m)[0]
-    amp = (math.sqrt(1.0 / m) * unit)[0].astype(complex)
+    pop = unit * unit
+    rate = _population_rate(unit, dg, n, m)
+    amp = math.sqrt(1.0 / m) * unit
     if not (np.isfinite(pop).all() and np.isfinite(rate).all()):
         raise FloatingPointError("population or its rate is not finite")
     if pop.min() < -1e-12 or pop.max() > 1.0 + 1e-12:
@@ -226,7 +225,7 @@ def trajectory(params: ModelParams, tau: float, steps: int = 4096) -> Trajectory
 def density_trajectory(params: ModelParams, tau: float, steps: int = 4096):
     """Times, reduced states and analytic state rates on a uniform grid.
 
-    m excited levels, each pair holding q = |amplitude|**2, and the ground
+    m excited levels, each pair holding q = amplitude**2, and the ground
     level 1 - m*q; the emitter starts excited, so the excited-ground
     coherences are 0.  Each state is real, symmetric and of unit trace as
     built, with eigenvalues m*q, 1 - m*q and (for m = 2) 0, so trajectory's
@@ -234,7 +233,7 @@ def density_trajectory(params: ModelParams, tau: float, steps: int = 4096):
     """
     traj = trajectory(params, tau, steps)
     m = channel_coefficients(params.kind, params.theta)[1]
-    q = traj.amplitude.real ** 2
+    q = traj.amplitude ** 2
     dq = traj.population_rate / m
     rho = np.zeros((len(traj), m + 1, m + 1), dtype=complex)
     rate = np.zeros_like(rho)

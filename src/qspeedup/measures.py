@@ -12,7 +12,7 @@ assembles both functionals:
     tau_qsl = tau * (1 - p(tau)) / [(1 - p(tau)) + 2 R],    backflow = R.
 
 Both emitter kinds share this structure: p = a**2 with a = 1 + (g - 1)/N
-(|alpha1|**2 for two-level emitters, 2*|nu1|**2 for V-type ones).  The
+(alpha1**2 for two-level emitters, 2*nu1**2 for V-type ones).  The
 turning points of p are the extrema t_k = 2 pi k/|d| of an oscillating
 envelope, where g = (-1)**k exp(-pi k lam/|d|), and for N = 1 also the
 zeros of g, so R is a sum of geometric series in closed form, one for

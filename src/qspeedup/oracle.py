@@ -168,17 +168,17 @@ def _trajectory(times, s, z, weight: float, n: int, levels: int) -> Trajectory:
     s0 = math.sqrt(levels)
     amp = (s0 + (s - s0) / n) / levels
     damp = -weight * z / n / levels
-    return Trajectory(times, amp.astype(complex), levels * amp * amp,
-                      2.0 * levels * amp * damp)
+    return Trajectory(times, amp, levels * amp * amp, 2.0 * levels * amp * damp)
 
 
 def solve_collective(params: ModelParams, tau: float, steps: int = 16384) -> Trajectory:
     """Trajectory of one excited emitter among N, by direct kernel integration.
 
-    Matches the grid convention of dynamics.trajectory: steps divisible by
-    4096 are thinned to a 4097-point record, anything else is recorded in
-    full.  Raises StepSizeError when the step-doubling estimate exceeds
-    LTE_TOL (or is NaN), the sign that steps is too small for the parameter
-    point, and FloatingPointError when a state is not finite.
+    The record holds steps + 1 points, except that a multiple of 4096 steps
+    is thinned to 4097 points; dynamics.trajectory never thins and always
+    records steps + 1.  Raises StepSizeError when the step-doubling
+    estimate exceeds LTE_TOL (or is NaN), the sign that steps is too small
+    for the parameter point, and FloatingPointError when a state is not
+    finite.
     """
     return next(collective_trajectories([params], tau, steps))

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from qspeedup import bound_state, cli
 from qspeedup.bound_state import find_bound_state
 from qspeedup.cli import CSV_HEADER, EXIT_NUMERICAL, _rows_csv, _rows_json, _write_json, main
-from qspeedup.dynamics import excited_population
+from qspeedup.dynamics import amplitude, excited_population
 from qspeedup.measures import evaluate_point
 from qspeedup.spectral import AtomKind, ModelParams
 from qspeedup.sweep import figure_preset, run_sweep
@@ -286,8 +286,9 @@ class TestDynamicsCommand:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_population_column_is_excited_population(self, tmp_path, fmt):
-        # N = 3: the division by N rounds, so the column shows which
-        # arithmetic produced it; the t = 0 rate is written as 0.0
+        # N = 3: the division by N rounds, so the columns show which
+        # arithmetic produced them; the t = 0 rate is written as 0.0, and the
+        # real amplitude's imaginary column always reads 0.0
         out = tmp_path / f"traj.{fmt}"
         assert main(["dynamics", "--gamma0", "1.3", "--lambda", "2", "--n", "3",
                      "--steps", "600", "--output", str(out), "--format", fmt]) == 0
@@ -302,10 +303,13 @@ class TestDynamicsCommand:
         assert not [v for row in rows for v in row.values()
                     if v == 0.0 and math.copysign(1.0, v) < 0.0]  # no -0.0
         times = np.array([row["t"] for row in rows])
-        expected = np.clip(excited_population(times, ModelParams(gamma0=1.3, n_atoms=3)),
-                           0.0, 1.0)
+        params = ModelParams(gamma0=1.3, n_atoms=3)
+        expected = np.clip(excited_population(times, params), 0.0, 1.0)
         assert [row["population"].hex() for row in rows] == [
             p.hex() for p in expected.tolist()]
+        assert [row["amplitude_re"].hex() for row in rows] == [
+            a.hex() for a in amplitude(times, params).tolist()]
+        assert {row["amplitude_im"].hex() for row in rows} == {(0.0).hex()}
 
     def test_overwrite_refused_without_force(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"

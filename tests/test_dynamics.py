@@ -357,7 +357,7 @@ class TestAmplitudes:
 
 
 def _bits(values):
-    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+    return [float(v).hex() for v in values]
 
 
 @settings(max_examples=40, deadline=None)
@@ -368,20 +368,23 @@ def _bits(values):
 @given(st.sampled_from(list(AtomKind)), st.integers(1, 40), st.floats(0.0, 1.0),
        st.just(0.0) | st.floats(0.0, 5.0), st.floats(0.1, 5.0), st.floats(0.1, 20.0))
 def test_one_point_calls_equal_their_batch_rows(kind, n, theta, gamma0, lam, tau):
-    """A scalar t gives the bits of the same t inside an array, and the
-    trajectory's population is excited_population's."""
+    """A scalar t (float or np.float64) and a strided t give the bits of the
+    same t inside a contiguous array, and the trajectory's population is
+    excited_population's."""
     if kind is AtomKind.TWO_LEVEL:
         theta = 0.0
     params = ModelParams(gamma0=gamma0, lam=lam, n_atoms=n, theta=theta, kind=kind)
     traj = trajectory(params, tau, steps=40)
     times = traj.times
-    for fn, scalar_type in ((amplitude, complex), (population_rate, float),
-                            (excited_population, float)):
+    for fn in (amplitude, population_rate, excited_population):
         batch = fn(times, params)
-        assert batch.dtype == np.dtype(scalar_type) and batch.shape == times.shape
-        scalars = [fn(t, params) for t in times.tolist()]
-        assert {type(v) for v in scalars} == {scalar_type}
-        assert _bits(scalars) == _bits(batch)
+        assert batch.dtype == np.dtype(float) and batch.shape == times.shape
+        for scalar_t in (times.tolist(), list(times)):  # float, then np.float64
+            scalars = [fn(t, params) for t in scalar_t]
+            assert {type(v) for v in scalars} == {float}
+            assert _bits(scalars) == _bits(batch)
+        strided = fn(times[::3], params)
+        assert strided.dtype == np.dtype(float) and _bits(strided) == _bits(batch[::3])
         grid = fn(times[1:].reshape(5, 8), params)
         assert grid.shape == (5, 8) and _bits(grid.ravel()) == _bits(batch[1:])
     assert _bits(traj.population) == _bits(
@@ -389,7 +392,7 @@ def test_one_point_calls_equal_their_batch_rows(kind, n, theta, gamma0, lam, tau
     assert _bits(traj.amplitude) == _bits(amplitude(times, params))
     assert _bits(traj.population_rate) == _bits(population_rate(times, params))
     assert (traj.amplitude.dtype, traj.population.dtype, traj.population_rate.dtype) == (
-        np.dtype(complex), np.dtype(float), np.dtype(float))
+        np.dtype(float), np.dtype(float), np.dtype(float))
 
 
 class TestTrajectory:

@@ -285,6 +285,7 @@ def test_block_rows_equal_one_point_solves(points, steps):
     assert len(rows) == len(points)
     for params, row in zip(points, rows):
         single = solve_collective(params, TAU, steps)
+        assert row.amplitude.dtype == single.amplitude.dtype == np.dtype(np.float64)
         for name in FIELDS:
             assert np.array_equal(getattr(row, name), getattr(single, name)), name
 
