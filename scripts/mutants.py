@@ -10,6 +10,16 @@ exactly once is reported as `stale` and not run.  The unmutated source
 runs first and must pass.  Stdlib only:
 
     python3 scripts/mutants.py
+
+To find the first tier-1 test that fails on a mutant, apply it to a copy
+of the whole repository and run there
+
+    PYTHONPATH=src python -m pytest -x -q \
+        --deselect tests/test_scripts.py::test_every_mutation_still_applies_once
+
+The deselected test reads the mutated text as stale.  It sorts before
+test_spectral.py, test_svg.py and test_sweep.py, so `-x` would otherwise
+stop at it before the tests of those modules run.
 """
 
 import os
@@ -68,6 +78,32 @@ MUTATIONS = (
              'k.flat[i] = int(f"{v.flat[i]:.2f}".replace(".", ""))', "pass"),
     Mutation("SVG leading-zero blank off by one", "svg.py",
              "out[..., 4] *= q >= 10", "out[..., 4] *= q > 10"),
+    Mutation("envelope phase x (1 + 1e-6)", "dynamics.py",
+             "phase = 0.5 * b * t", "phase = 0.5 * b * t * (1.0 + 1e-6)"),
+    Mutation("reservoir offset + 1e-6", "spectral.py",
+             "self.offset = np.log(np.hypot(omega0, lam))",
+             "self.offset = np.log(np.hypot(omega0, lam)) + 1e-6"),
+    Mutation("reservoir dI/du without the slope term", "spectral.py",
+             "* num - self.slope) - 1.0)", "* num) - 1.0)"),
+    Mutation("Newton seed is the larger limiting root", "bound_state.py",
+             "e = -np.exp(np.minimum(", "e = -np.exp(np.maximum("),
+    Mutation("Newton settles on steps 1e3 x longer", "bound_state.py",
+             "settled = active & (np.abs(step) <= SETTLE)",
+             "settled = active & (np.abs(step) <= 1e3 * SETTLE)"),
+    Mutation("N >= 2 alternating sum sign flipped", "measures.py",
+             "rises = (up2 - (up2 + alternating) / n) / n",
+             "rises = (up2 - (up2 - alternating) / n) / n"),
+    Mutation("RK4 Horner h**4 coefficient 1/30", "oracle.py",
+             "(eye + b / 4.0)", "(eye + b / 5.0)"),
+    Mutation("oracle LTE estimate 100 x smaller", "oracle.py",
+             "np.abs(error).max(axis=(1, 2)) / 15.0", "np.abs(error).max(axis=(1, 2)) / 1500.0"),
+    Mutation("sweep underflow rows read normal", "sweep.py",
+             'np.where(lost, "bound-underflow",', 'np.where(lost, "normal",'),
+    Mutation("CSV row swaps ratio and nonmarkov", "cli.py",
+             "{r!r},{m!r},", "{m!r},{r!r},"),
+    Mutation("sweep deals grid points to the curves in turn", "sweep.py",
+             "column.reshape(len(pairs), -1).tolist()",
+             "column.reshape(-1, len(pairs)).T.tolist()"),
 )
 
 

@@ -114,7 +114,7 @@ def _rows_csv(table: SweepTable) -> str:
     # the columns hold plain floats, so !r is their shortest round trip
     g0 = list(map(repr, table.gamma0))
     lines = [CSV_HEADER]
-    for n, theta, *values in table.curve_columns():
+    for n, theta, *values in table.curves:
         key = f"{n},{theta!r}"
         lines += [f"{g},{key},{r!r},{m!r},{'' if b is None else repr(b)},{s}"
                   for g, r, m, b, s in zip(g0, *values)]
@@ -123,7 +123,7 @@ def _rows_csv(table: SweepTable) -> str:
 
 def _rows_json(table: SweepTable) -> list[dict]:
     rows = []
-    for n, theta, *values in table.curve_columns():
+    for n, theta, *values in table.curves:
         rows += [{
             "gamma0": g,
             "n_atoms": n,

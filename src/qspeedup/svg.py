@@ -2,7 +2,8 @@
 
 Hand-rolled on purpose: the output must be byte-deterministic and free of
 plotting-library dependencies.  Coordinates are rounded to 0.01 px so the
-documents diff cleanly across runs and platforms.
+documents diff cleanly across runs on one host (numpy's transcendental
+functions may round differently on another CPU).
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def render_figure(table: SweepTable, right_axis: str) -> str:
     body = []
     gamma0 = np.array(table.gamma0, dtype=float)
     # the table keeps the curves of one N adjacent
-    panels = itertools.groupby(table.curve_columns(), key=lambda curve: curve[0])
+    panels = itertools.groupby(table.curves, key=lambda curve: curve[0])
     for i, (n, group) in enumerate(panels):
         curves = list(group)
         if len(curves) > ANGLES:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -64,57 +63,45 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """A sweep as columns, one entry per grid point in curve-major order.
+    """A sweep as its curves over one shared gamma0 grid.
 
-    Every (n_atoms, theta) curve in `curves` runs over the one shared
-    `gamma0` grid, so curve k holds entries k*len(gamma0) up to the next
-    curve's.  The columns are plain Python floats, None and str.
+    Each curve is (n_atoms, theta, ratio, nonmarkov, bound_energy, status):
+    an (N, theta) pair of the grid and its four columns, one entry per
+    gamma0 value, as plain Python floats, None and str.  The curves of one
+    N are adjacent.
     """
 
-    curves: tuple[tuple[int, float], ...]
     gamma0: list[float]
-    ratio: list[float]
-    nonmarkov: list[float]
-    bound_energy: list[float | None]
-    status: list[str]
+    curves: tuple[tuple[int, float, list, list, list, list], ...]
 
     def __len__(self) -> int:
-        return len(self.ratio)
-
-    def curve_columns(self) -> Iterator[tuple[int, float, list, list, list, list]]:
-        """(n_atoms, theta, ratio, nonmarkov, bound_energy, status) of each
-        curve in order, the value columns sliced to the curve."""
-        count = len(self.gamma0)
-        for k, (n, theta) in enumerate(self.curves):
-            part = slice(k * count, (k + 1) * count)
-            yield (n, theta, self.ratio[part], self.nonmarkov[part],
-                   self.bound_energy[part], self.status[part])
+        return len(self.gamma0) * len(self.curves)
 
 
 def run_sweep(config: SweepConfig) -> SweepTable:
     """Evaluate every (n_atoms, theta, gamma0) point of the grid, in order.
 
     The grid is one ChannelColumns in curve-major order that
-    evaluate_columns and solve_bound_states each take whole, and the
-    results become the table's columns with no per-point objects (the
-    config has checked every point); each row of the table equals the
-    single-point calls for its point exactly.
+    evaluate_columns and solve_bound_states each take whole, and each
+    result column splits once into the curves' columns, with no per-point
+    objects (the config has checked every point); each entry of the table
+    equals the single-point calls for its point exactly.
     """
     gamma0 = config.gamma0_values()
-    g0_list, size = gamma0.tolist(), len(gamma0)
-    curves = tuple((n, float(theta)) for n in config.n_atoms_list
-                   for theta in config.theta_list)
-    n_atoms, c = (np.repeat(np.array(column, dtype=float), size) for column in zip(
-        *((n, channel_coefficients(config.kind, theta)[0]) for n, theta in curves)))
-    channels = ChannelColumns.build(np.tile(gamma0, len(curves)), config.lam, config.omega0,
+    pairs = tuple((n, float(theta)) for n in config.n_atoms_list
+                  for theta in config.theta_list)
+    n_atoms, c = (np.repeat(np.array(column, dtype=float), len(gamma0)) for column in zip(
+        *((n, channel_coefficients(config.kind, theta)[0]) for n, theta in pairs)))
+    channels = ChannelColumns.build(np.tile(gamma0, len(pairs)), config.lam, config.omega0,
                                     n_atoms, c)
     _, ratio, nonmarkov, _, stationary = evaluate_columns(channels, config.tau)
     coupled, lost, energy, *_ = solve_bound_states(channels)
     # lost: the root lies below the probe floor
-    bounds = np.where(coupled, np.where(lost, 0.0, energy), None).tolist()
-    statuses = np.where(lost, "bound-underflow",
-                        np.where(stationary, "stationary", "normal")).tolist()
-    return SweepTable(curves, g0_list, ratio.tolist(), nonmarkov.tolist(), bounds, statuses)
+    bounds = np.where(coupled, np.where(lost, 0.0, energy), None)
+    statuses = np.where(lost, "bound-underflow", np.where(stationary, "stationary", "normal"))
+    curves = zip(*(column.reshape(len(pairs), -1).tolist()
+                   for column in (ratio, nonmarkov, bounds, statuses)))
+    return SweepTable(gamma0.tolist(), tuple((*p, *curve) for p, curve in zip(pairs, curves)))
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,7 @@ def test_unknown_name_reader_sees_every_token_form():
     text = ("`SweepRow` `SweepTable.rows()` `propagate_two_level(t, a, params)` "
             "`qsl_three_level` `measures.gone` `fig2.csv` `test_04_x` `gamma0` "
             "`ModelParams` `ChannelColumns.of([params])` `math.expm1` `len(table)` "
-            "`tolist()` `spectral.ReservoirIntegral.unit` `SweepTable.ratio` "
+            "`tolist()` `spectral.ReservoirIntegral.unit` `SweepTable.curves` "
             "`n_atoms_list` `--lambda 1e-310` `dynamics.amplitude(t, params, initial=None)` "
             "`trajectory(params, tau, steps=8)` `np.linspace(0, 1, num=round(x, ndigits=2))` "
             "`len(a, b=1)` `atan(|d|/lam) = tau` `evaluate_point(p, tau=5, x==1)`")

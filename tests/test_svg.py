@@ -83,7 +83,7 @@ def test_small_and_missing_bound_energies_sit_at_zero():
     right = [line for line in _polylines(svg) if line[3]]
     assert len(right) == len(table.curves) == 4
     floored = 0
-    for i, ((_, ys, *_), (*_, energies, _)) in enumerate(zip(right, table.curve_columns())):
+    for i, ((_, ys, *_), (*_, energies, _)) in enumerate(zip(right, table.curves)):
         plotted = [0.0 if b is None or abs(b) < 1e-4 else b for b in energies]
         # the right axis spans the plotted values padded by 5% of their span
         pad = 0.05 * (max(plotted) - min(plotted))

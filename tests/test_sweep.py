@@ -11,8 +11,8 @@ from qspeedup.measures import evaluate_point
 from qspeedup.spectral import AtomKind, ModelParams
 from qspeedup.svg import render_figure
 from qspeedup.sweep import (FigurePreset, NoTransitionError, OnsetCriterion,
-                            SweepConfig, figure_preset, find_critical_coupling,
-                            find_critical_couplings, run_sweep)
+                            SweepConfig, SweepTable, figure_preset,
+                            find_critical_coupling, find_critical_couplings, run_sweep)
 
 
 def per_point_row(params: ModelParams, tau: float) -> tuple:
@@ -31,11 +31,10 @@ def per_point_row(params: ModelParams, tau: float) -> tuple:
 
 
 def table_rows(table) -> list[tuple]:
-    """The grid points of a SweepTable as per_point_row tuples, zipped from
-    its columns in curve-major order."""
-    keys = ((g0, n, theta) for n, theta in table.curves for g0 in table.gamma0)
-    values = zip(table.ratio, table.nonmarkov, table.bound_energy, table.status)
-    return [(*key, *value) for key, value in zip(keys, values)]
+    """The grid points of a SweepTable as per_point_row tuples, curve by
+    curve, each curve's columns zipped with the shared gamma0 list."""
+    return [(g0, n, theta, *values) for n, theta, *columns in table.curves
+            for g0, *values in zip(table.gamma0, *columns)]
 
 
 class TestSweepConfig:
@@ -138,14 +137,20 @@ class TestRunSweep:
         config = figure_preset(3).config
         assert run_sweep(config) == run_sweep(config)
 
+    def test_only_gamma0_and_curves_are_fields(self):
+        assert [f.name for f in dataclasses.fields(SweepTable)] == ["gamma0", "curves"]
+
     def test_theta_grid_multiplies_rows(self):
         table = run_sweep(figure_preset(5).config)
-        assert table.curves == tuple((n, theta) for n in (1, 3, 8, 30)
-                                     for theta in (0.0, 1.0))
+        assert [(n, theta) for n, theta, *_ in table.curves] == [
+            (n, theta) for n in (1, 3, 8, 30) for theta in (0.0, 1.0)]
         rows = table_rows(table)
         top = table.gamma0[-1]
         assert [(n, theta, g0) for g0, n, theta, *_ in rows[400:403]] == [
             (1, 0.0, top), (1, 1.0, 0.0), (1, 1.0, 0.01)]
+        for table in (run_sweep(figure_preset(3).config), table):
+            for _, _, *columns in table.curves:
+                assert [len(column) for column in columns] == [len(table.gamma0)] * 4
 
 
 class TestFigurePresets:
