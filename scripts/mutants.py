@@ -78,6 +78,8 @@ MUTATIONS = (
              'k.flat[i] = int(f"{v.flat[i]:.2f}".replace(".", ""))', "pass"),
     Mutation("SVG leading-zero blank off by one", "svg.py",
              "out[..., 4] *= q >= 10", "out[..., 4] *= q > 10"),
+    Mutation("SVG right y ticks face inward", "svg.py",
+             '(right_lim, x1, 1, "start")', '(right_lim, x1, -1, "start")'),
     Mutation("envelope phase x (1 + 1e-6)", "dynamics.py",
              "phase = 0.5 * b * t", "phase = 0.5 * b * t * (1.0 + 1e-6)"),
     Mutation("reservoir offset + 1e-6", "spectral.py",

@@ -3,7 +3,8 @@
 Hand-rolled on purpose: the output must be byte-deterministic and free of
 plotting-library dependencies.  Coordinates are rounded to 0.01 px so the
 documents diff cleanly across runs on one host (numpy's transcendental
-functions may round differently on another CPU).
+functions may round differently on another CPU).  A panel reads its own
+curves; _line writes each of its <line>s and _label each of its <text>s.
 """
 
 from __future__ import annotations
@@ -104,82 +105,91 @@ def _tick_label(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _panel_svg(title: str, x: np.ndarray, series: list[tuple], right_label: str,
+def _line(x1: float, y1: float, x2: float, y2: float, style: str) -> str:
+    """A <line> from (x1, y1) to (x2, y2); style holds its stroke attributes."""
+    return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {style}/>'
+
+
+def _label(x: float, y: float, body: str, size: int, anchor: str = "",
+           turn: int = 0) -> str:
+    """A <text> of body at (x, y) and font-size size; an empty anchor writes
+    no text-anchor, and a nonzero turn rotates it by turn degrees about (x, y)."""
+    anchored = f' text-anchor="{anchor}"' if anchor else ""
+    turned = f' transform="rotate({turn} {_fmt(x)} {_fmt(y)})"' if turn else ""
+    return (f'<text x="{_fmt(x)}" y="{_fmt(y)}"{anchored} font-size="{size}"{turned}>'
+            f'{body}</text>')
+
+
+def _panel_svg(n: int, gamma0: np.ndarray, curves: list[tuple], right_axis: str,
                ox: float, oy: float) -> list[str]:
-    """One panel at (ox, oy); each series is (y, label, colour, right) with
-    y a float array the length of x, and one on the right axis is dashed."""
+    """The panel of N = n at (ox, oy), its curves those of SweepTable.curves:
+    per theta the ratio solid on the left axis and the right_axis column
+    dashed on the right one."""
+    if len(curves) > ANGLES:
+        raise ValueError(f"a panel draws at most {ANGLES} angles, "
+                         f"{len(curves)} given for N = {n}")
+    _, thetas, ratio, nonmarkov, bound_energy, _ = zip(*curves)
+    left = np.array(ratio, dtype=float)
+    if right_axis == "nonmarkov":
+        right, right_label = np.array(nonmarkov, dtype=float), "ℜ"
+    else:
+        # None reads NaN, which fails the comparison and is drawn at 0
+        energy = np.array(bound_energy, dtype=float)
+        right = np.where(np.abs(energy) >= BOUND_PLOT_FLOOR, energy, 0.0)
+        right_label = "E_b/ω₀"
     x0, x1 = ox + MARGIN_L, ox + PANEL_W - MARGIN_R
     y0, y1 = oy + PANEL_H - MARGIN_B, oy + MARGIN_T  # y grows downward in SVG
-
-    xlo, xhi = _limits(x)
-    yllo, ylhi = _limits(np.array([y for y, *_, right in series if not right]))
-    yrlo, yrhi = _limits(np.array([y for y, *_, right in series if right]))
+    (xlo, xhi), left_lim, right_lim = _limits(gamma0), _limits(left), _limits(right)
 
     def px(v: float) -> float:
         return x0 + (v - xlo) / (xhi - xlo) * (x1 - x0)
 
-    def py(v: float, right: bool) -> float:
-        lo, hi = (yrlo, yrhi) if right else (yllo, ylhi)
+    def py(v: float, lo: float, hi: float) -> float:
         return y0 + (v - lo) / (hi - lo) * (y1 - y0)
 
+    # each y axis: its limits, the frame edge it sits on, the side its ticks
+    # face (-1 left, +1 right) and the anchor of its tick labels
+    axes = ((left_lim, x0, -1, "end"), (right_lim, x1, 1, "start"))
+    tick = 'stroke="#333333"'
     out = [f'<rect x="{_fmt(x0)}" y="{_fmt(y1)}" width="{_fmt(x1 - x0)}" '
-           f'height="{_fmt(y0 - y1)}" fill="none" stroke="#333333"/>']
-    out.append(f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(oy + 30)}" '
-               f'text-anchor="middle" font-size="20">{title}</text>')
-
+           f'height="{_fmt(y0 - y1)}" fill="none" stroke="#333333"/>',
+           _label((x0 + x1) / 2, oy + 30, f"N = {n}", 20, "middle")]
     for i in range(TICKS):
         frac = i / (TICKS - 1)
         tx = xlo + frac * (xhi - xlo)
         gx = px(tx)
-        out.append(f'<line x1="{_fmt(gx)}" y1="{_fmt(y0)}" x2="{_fmt(gx)}" '
-                   f'y2="{_fmt(y0 + 6)}" stroke="#333333"/>')
-        out.append(f'<text x="{_fmt(gx)}" y="{_fmt(y0 + 24)}" text-anchor="middle" '
-                   f'font-size="14">{_tick_label(tx)}</text>')
-        tl = yllo + frac * (ylhi - yllo)
-        gy = py(tl, False)
-        out.append(f'<line x1="{_fmt(x0 - 6)}" y1="{_fmt(gy)}" x2="{_fmt(x0)}" '
-                   f'y2="{_fmt(gy)}" stroke="#333333"/>')
-        out.append(f'<text x="{_fmt(x0 - 10)}" y="{_fmt(gy + 5)}" text-anchor="end" '
-                   f'font-size="14">{_tick_label(tl)}</text>')
-        tr = yrlo + frac * (yrhi - yrlo)
-        gy = py(tr, True)
-        out.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(gy)}" x2="{_fmt(x1 + 6)}" '
-                   f'y2="{_fmt(gy)}" stroke="#333333"/>')
-        out.append(f'<text x="{_fmt(x1 + 10)}" y="{_fmt(gy + 5)}" '
-                   f'text-anchor="start" font-size="14">{_tick_label(tr)}</text>')
-
-    out.append(f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(y0 + 45)}" '
-               f'text-anchor="middle" font-size="16">{X_LABEL}</text>')
-    cx, cy = x0 - 55, (y0 + y1) / 2
-    out.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
-               f'font-size="16" transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">'
-               f'{Y_LEFT_LABEL}</text>')
-    cx = x1 + 60
-    out.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
-               f'font-size="16" transform="rotate(90 {_fmt(cx)} {_fmt(cy)})">'
-               f'{right_label}</text>')
+        out.append(_line(gx, y0, gx, y0 + 6, tick))
+        out.append(_label(gx, y0 + 24, _tick_label(tx), 14, "middle"))
+        for (lo, hi), edge, side, anchor in axes:
+            ty = lo + frac * (hi - lo)
+            gy, tip = py(ty, lo, hi), edge + 6 * side
+            out.append(_line(min(edge, tip), gy, max(edge, tip), gy, tick))
+            out.append(_label(edge + 10 * side, gy + 5, _tick_label(ty), 14, anchor))
+    out.append(_label((x0 + x1) / 2, y0 + 45, X_LABEL, 16, "middle"))
+    cy = (y0 + y1) / 2
+    out.append(_label(x0 - 55, cy, Y_LEFT_LABEL, 16, "middle", -90))
+    out.append(_label(x1 + 60, cy, right_label, 16, "middle", 90))
 
     # every polyline's points in one formatting pass: per point the x text,
-    # a comma, the y text and a space, but no space after the last point
-    coords = np.empty((len(series), len(x), 2))
-    coords[:, :, 0] = px(x)
-    for k, (y, *_, right) in enumerate(series):
-        coords[k, :, 1] = py(y, right)
+    # a comma, the y text and a space, but no space after the last point;
+    # per theta the ratio's row, then its right-axis row
+    coords = np.empty((2 * len(curves), len(gamma0), 2))
+    coords[:, :, 0] = px(gamma0)
+    coords[0::2, :, 1] = py(left, *left_lim)
+    coords[1::2, :, 1] = py(right, *right_lim)
     points = _fixed2(coords)
     words = points.view(np.uint16)
     words[:, :, 0, 5] = _COMMA
     words[:, :-1, 1, 5] = _SPACE
-    for k, (_, label, color, right) in enumerate(series):
-        pts = _text(points[k])
-        dash = ' stroke-dasharray="7,4"' if right else ""
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                   f'stroke-width="1.5"{dash}/>')
-        ly = y1 + 22 + 18 * k
-        lx = x1 - 150
-        out.append(f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 28)}" '
-                   f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="1.5"{dash}/>')
-        out.append(f'<text x="{_fmt(lx + 34)}" y="{_fmt(ly)}" font-size="13">'
-                   f'{label}</text>')
+    for j, row in enumerate(points):
+        k, dashed = divmod(j, 2)
+        suffix = f", θ={thetas[k]:g}" if len(curves) > 1 else ""
+        style = (f'stroke="{PALETTE[k + ANGLES * dashed]}" stroke-width="1.5"'
+                 + (' stroke-dasharray="7,4"' if dashed else ""))
+        out.append(f'<polyline points="{_text(row)}" fill="none" {style}/>')
+        lx, ly = x1 - 150, y1 + 22 + 18 * j
+        out.append(_line(lx, ly - 4, lx + 28, ly - 4, style))
+        out.append(_label(lx + 34, ly, (right_label if dashed else Y_LEFT_LABEL) + suffix, 13))
     return out
 
 
@@ -191,29 +201,12 @@ def render_figure(table: SweepTable, right_axis: str) -> str:
     PALETTE has colour pairs, raises ValueError."""
     if right_axis not in ("nonmarkov", "bound_energy"):
         raise ValueError('right_axis must be "nonmarkov" or "bound_energy"')
-    right_label = "ℜ" if right_axis == "nonmarkov" else "E_b/ω₀"
     body = []
     gamma0 = np.array(table.gamma0, dtype=float)
     # the table keeps the curves of one N adjacent
     panels = itertools.groupby(table.curves, key=lambda curve: curve[0])
     for i, (n, group) in enumerate(panels):
-        curves = list(group)
-        if len(curves) > ANGLES:
-            raise ValueError(f"a panel draws at most {ANGLES} angles, "
-                             f"{len(curves)} given for N = {n}")
-        series = []
-        for k, (_, theta, ratio, nonmarkov, bound_energy, _) in enumerate(curves):
-            suffix = f", θ={theta:g}" if len(curves) > 1 else ""
-            left = np.array(ratio, dtype=float)
-            if right_axis == "nonmarkov":
-                right = np.array(nonmarkov, dtype=float)
-            else:
-                # None reads NaN, which fails the comparison and is drawn at 0
-                energy = np.array(bound_energy, dtype=float)
-                right = np.where(np.abs(energy) >= BOUND_PLOT_FLOOR, energy, 0.0)
-            series += [(left, Y_LEFT_LABEL + suffix, PALETTE[k], False),
-                       (right, right_label + suffix, PALETTE[k + ANGLES], True)]
-        body += _panel_svg(f"N = {n}", gamma0, series, right_label,
+        body += _panel_svg(n, gamma0, list(group), right_axis,
                            (i % COLUMNS) * PANEL_W, (i // COLUMNS) * PANEL_H)
     width, height = COLUMNS * PANEL_W, (i // COLUMNS + 1) * PANEL_H
     lines = [

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -118,6 +119,18 @@ def test_a_panel_of_three_angles_is_refused():
     table = run_sweep(SweepConfig(kind=AtomKind.THREE_LEVEL_V, theta_list=(0.0, 0.5, 1.0)))
     with pytest.raises(ValueError, match="at most 2 angles, 3 given for N = 1"):
         render_figure(table, "nonmarkov")
+
+
+@pytest.mark.parametrize("column", [2, 3], ids=["ratio", "nonmarkov"])
+def test_a_nan_in_one_curve_is_refused(column):
+    table, _ = _figure(2)
+    curves = [list(curve) for curve in table.curves]
+    values = list(curves[1][column])
+    values[len(values) // 2] = math.nan
+    curves[1][column] = values
+    broken = dataclasses.replace(table, curves=tuple(map(tuple, curves)))
+    with pytest.raises(ValueError, match=r"an SVG coordinate must be finite"):
+        render_figure(broken, "nonmarkov")
 
 
 def _texts(values) -> list[str]:
