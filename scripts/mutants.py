@@ -83,8 +83,8 @@ MUTATIONS = (
     Mutation("envelope phase x (1 + 1e-6)", "dynamics.py",
              "phase = 0.5 * b * t", "phase = 0.5 * b * t * (1.0 + 1e-6)"),
     Mutation("reservoir offset + 1e-6", "spectral.py",
-             "self.offset = np.log(np.hypot(omega0, lam))",
-             "self.offset = np.log(np.hypot(omega0, lam)) + 1e-6"),
+             "self.offset = np.log(np.hypot(1.0, lam))",
+             "self.offset = np.log(np.hypot(1.0, lam)) + 1e-6"),
     Mutation("reservoir dI/du without the slope term", "spectral.py",
              "* num - self.slope) - 1.0)", "* num) - 1.0)"),
     Mutation("Newton seed is the larger limiting root", "bound_state.py",

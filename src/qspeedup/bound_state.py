@@ -1,7 +1,7 @@
 """Bound-state solver: the unique negative root of K(E) = E.
 
-K(E) = omega0 - c * I(E) with c the collective multiplicity and I the
-reservoir integral.  On E < 0, K is strictly decreasing from omega0 (at
+K(E) = 1 - c * I(E) in units of omega0, with c the collective multiplicity
+and I the reservoir integral.  On E < 0, K is strictly decreasing from 1 (at
 E -> -inf) to -inf (at E -> 0-), so h(E) = K(E) - E has exactly one sign
 change whenever the coupling is nonzero.  Weak coupling pushes the root
 exponentially close to zero, so the search works on u = log|E|, where h
@@ -52,21 +52,20 @@ class BoundStateResult:
 
 def kernel_k(e, params: ModelParams):
     """The fixed-point map whose root below zero is the bound-state energy."""
-    return params.omega0 - params.collective_factor() * reservoir_integral(e, params)
+    return 1.0 - params.collective_factor() * reservoir_integral(e, params)
 
 
 def solve_bound_states(channels: ChannelColumns) -> tuple:
     """Locate the unique E < 0 with K(E) = E for every point of a batch.
 
-    Reads omega0, the collective factor c, gamma0 and lam of each point,
-    and returns the columns (coupled, underflow, energy, residual, lo, hi,
+    Reads the collective factor c, gamma0 and lam of each point, and
+    returns the columns (coupled, underflow, energy, residual, lo, hi,
     iterations).  coupled is False only for gamma0 = 0, where K is constant
-    at omega0; underflow marks a root beyond the probe floor of -1e-16.
-    Raises BisectionStallError, naming the first such point by the columns
-    read here, when a point misses the residual target RESIDUAL_TOL *
-    max(1, |E|, omega0): K(E) = omega0 - c * I(E) cancels two terms of size
-    omega0, so the residual cannot resolve less than a few float spacings
-    of omega0.
+    at 1; underflow marks a root beyond the probe floor of -1e-16.  Raises
+    BisectionStallError, naming the first such point by the columns read
+    here, when a point misses the residual target RESIDUAL_TOL *
+    max(1, |E|): K(E) = 1 - c * I(E) cancels two terms of size 1, so the
+    residual cannot resolve less than a few float spacings of 1.
 
     The search is Newton's iteration on u = log|E| for h = K(E) - E, with
     the exact slope dh/du = -E - c * dI/du (ReservoirIntegral.unit), run on
@@ -76,7 +75,7 @@ def solve_bound_states(channels: ChannelColumns) -> tuple:
     bound of the root, and every evaluation moves the edge on its side.
     The seed is the smaller of the roots of h's two limiting forms: the
     tangent at the floor (weak coupling, where h is nearly linear in u)
-    and the balance |E|**2 = c*T + omega0**2 (strong coupling, where the
+    and the balance |E|**2 = c*T + 1 (strong coupling, where the
     tail T/|E| of I balances |E|).  Where that seed lands below the root,
     the next point is at least the balance.  A step scales E by exp(-step);
     one that leaves the bracket or is longer than 3/4 of a unit of u
@@ -88,8 +87,8 @@ def solve_bound_states(channels: ChannelColumns) -> tuple:
     it lies strictly inside the bracket.  The residual is evaluated at the
     energy afterwards.
     """
-    omega0, factor = channels.omega0, channels.factor
-    integral = ReservoirIntegral(channels.gamma0, channels.lam, omega0)
+    factor = channels.factor
+    integral = ReservoirIntegral(channels.gamma0, channels.lam)
     # h / (c * big) is finite for every admissible point, where K(E) itself
     # passes float range near the floor at the largest couplings
     big = np.maximum(integral.scale, 1.0)
@@ -97,7 +96,7 @@ def solve_bound_states(channels: ChannelColumns) -> tuple:
 
     def newton(e):  # h / (c * big) and its slope on u at E = -exp(u)
         value, slope = integral.unit(e)
-        return (omega0 - e) / factor / big - small * value, -e / factor / big - small * slope
+        return (1.0 - e) / factor / big - small * value, -e / factor / big - small * slope
 
     coupled = channels.gamma0 != 0.0
     hi = np.full(coupled.shape, BRACKET_FLOOR)
@@ -105,12 +104,12 @@ def solve_bound_states(channels: ChannelColumns) -> tuple:
     # h falls as E rises, so the root lies below the floor unless h < 0 there
     underflow = coupled & ~(h < 0.0)
     solve = coupled & ~underflow
-    # with q = omega0 + |E|, h = q - c*I > 0 wherever |E|**2 >= c*T and
+    # with q = 1 + |E|, h = q - c*I > 0 wherever |E|**2 >= c*T and
     # u >= o (T = W*s the tail of I, W, s and o its weight, slope and
     # offset), since there c*I < c*W*(q*s + o - u)/q**2 <= c*T/q < q.  The
     # outer edge starts one unit of u beyond that bound, so rounding cannot
     # put the root outside.
-    balance = np.log(np.hypot(np.sqrt(factor * integral.tail), omega0))
+    balance = np.log(np.hypot(np.sqrt(factor * integral.tail), 1.0))
     lo = -np.exp(np.maximum(balance, integral.offset) + 1.0)
     # the smaller seed: the tangent at the floor (only points being solved
     # divide) or the balance
@@ -121,9 +120,7 @@ def solve_bound_states(channels: ChannelColumns) -> tuple:
     active = solve
 
     def midpoint(lo, hi):  # the geometric midpoint, without lo*hi
-        # only the points being solved divide: lo/hi passes float range
-        # near hypot(omega0, lam) ~ 1e291, where no point can be solved
-        return hi * np.sqrt(np.divide(lo, hi, out=np.ones_like(hi), where=solve))
+        return hi * np.sqrt(lo / hi)
 
     mid = midpoint(lo, hi)
     for count in range(MAX_STEPS):
@@ -158,13 +155,13 @@ def solve_bound_states(channels: ChannelColumns) -> tuple:
             # (only for points still searching: a settled seed is the root)
             e = np.where(active & (h < 0.0), np.minimum(e, -np.exp(balance)), e)
 
-    residual = np.abs(omega0 - factor * integral(energy) - energy)
-    gate = RESIDUAL_TOL * np.maximum(np.maximum(1.0, np.abs(energy)), omega0)
+    residual = np.abs(1.0 - factor * integral(energy) - energy)
+    gate = RESIDUAL_TOL * np.maximum(1.0, np.abs(energy))
     stalled = solve & ~(residual < gate)
     if stalled.any():
         i = int(np.argmax(stalled))
         point = ", ".join(f"{name}={getattr(channels, name)[i].item()!r}"
-                          for name in ("gamma0", "lam", "omega0", "n_atoms", "factor"))
+                          for name in ("gamma0", "lam", "n_atoms", "factor"))
         raise BisectionStallError(
             f"root search stalled at residual {residual[i]:g} for {point}")
     return coupled, underflow, energy, residual, lo, hi, iterations

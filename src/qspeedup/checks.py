@@ -170,7 +170,7 @@ def check_onset_agreement(quick: bool = False) -> CheckResult:
     gamma0, n_atoms, c = np.array(edges).T
     survey = sweep.SweepConfig
     _, ratio, backflow, *_ = measures.evaluate_columns(dynamics.ChannelColumns.build(
-        gamma0, survey.lam, survey.omega0, n_atoms, c), survey.tau)
+        gamma0, survey.lam, n_atoms, c), survey.tau)
     k = np.arange(len(edges))
     fired = np.where(k % 4 < 2, ratio < 1.0, backflow > sweep.BACKFLOW_ONSET_TOL)
     brackets = bool(np.all(fired == k % 2))

@@ -58,8 +58,6 @@ def _add_model_flags(sp: argparse.ArgumentParser) -> None:
                     help="coupling strength in units of omega0")
     sp.add_argument("--lambda", dest="lam", type=float, required=True,
                     help="reservoir width in units of omega0")
-    sp.add_argument("--omega0", type=float, default=1.0,
-                    help="transition frequency (sets the unit)")
 
 
 def _add_output_flags(sp: argparse.ArgumentParser) -> None:
@@ -70,7 +68,7 @@ def _add_output_flags(sp: argparse.ArgumentParser) -> None:
 
 def _build_params(args: argparse.Namespace) -> ModelParams:
     return ModelParams(gamma0=args.gamma0, lam=args.lam, n_atoms=args.n_atoms,
-                       theta=args.theta, omega0=args.omega0, kind=AtomKind(args.kind))
+                       theta=args.theta, kind=AtomKind(args.kind))
 
 
 def _write_text(path: str, text: str, force: bool) -> None:
@@ -105,7 +103,7 @@ def _config_echo(args: argparse.Namespace) -> dict:
         "theta": args.theta,
         "gamma0": args.gamma0,
         "lam": args.lam,
-        "omega0": args.omega0,
+        "omega0": 1.0,  # the unit, echoed so schema 1 keeps its keys
         "tau": args.tau,
     }
 
@@ -217,7 +215,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "theta_list": list(sc.theta_list),
             "gamma0_grid": list(sc.gamma0_grid),
             "lam": sc.lam,
-            "omega0": sc.omega0,
+            "omega0": 1.0,
             "tau": sc.tau,
         }
         _write_json(out, args.force, config, rows=_rows_json(table))

@@ -26,10 +26,10 @@ one-point function, trajectory and density_trajectory included, forms all
 its outputs from one such pass on the caller's own t, with the point's
 channel constants as scalars.
 
-A batch of parameter points is a ChannelColumns: seven float64 columns
-(gamma0, lam, omega0, N, the collective factor N*c and the two parts a
-and b of d), built in one place, ChannelColumns.build.  It is the input
-of both column kernels, measures.evaluate_columns and
+A batch of parameter points is a ChannelColumns: six float64 columns
+(gamma0, lam, N, the collective factor N*c and the two parts a and b of
+d), built in one place, ChannelColumns.build.  It is the input of both
+column kernels, measures.evaluate_columns and
 bound_state.solve_bound_states, and one-point calls read theirs from a
 batch of one.
 """
@@ -166,31 +166,30 @@ class ChannelColumns:
 
     gamma0: np.ndarray
     lam: np.ndarray
-    omega0: np.ndarray
     n_atoms: np.ndarray  # as floats
     factor: np.ndarray   # collective factor N*c of the bound-state kernel
     a: np.ndarray        # envelope frequency d = a + ib: a = sqrt(x) for x >= 0,
     b: np.ndarray        # b = sqrt(-x) below, x the channel_discriminant
 
     @classmethod
-    def build(cls, gamma0, lam, omega0, n_atoms, c) -> "ChannelColumns":
+    def build(cls, gamma0, lam, n_atoms, c) -> "ChannelColumns":
         """Columns of the points of a 1-d gamma0; the other constants are
         columns of the same length or scalars shared by every point."""
         gamma0 = np.asarray(gamma0, dtype=float)
-        lam, omega0, n_atoms, c = [
+        lam, n_atoms, c = [
             v if np.ndim(v) else np.full(gamma0.shape, v, dtype=float)
-            for v in (lam, omega0, n_atoms, c)]
+            for v in (lam, n_atoms, c)]
         x = channel_discriminant(gamma0, lam, n_atoms, c)
-        return cls(gamma0, lam, omega0, n_atoms, n_atoms * c,
+        return cls(gamma0, lam, n_atoms, n_atoms * c,
                    np.sqrt(np.maximum(x, 0.0)), np.sqrt(np.maximum(-x, 0.0)))
 
     @classmethod
     def of(cls, points) -> "ChannelColumns":
         """The symmetric channel of each point, as arrays."""
-        consts = np.array([(p.gamma0, p.lam, p.omega0, float(p.n_atoms),
+        consts = np.array([(p.gamma0, p.lam, float(p.n_atoms),
                             channel_coefficients(p.kind, p.theta)[0]) for p in points],
                           dtype=float)
-        return cls.build(*consts.reshape(-1, 5).T)
+        return cls.build(*consts.reshape(-1, 4).T)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,10 @@
 """Lorentzian reservoir: spectral density and its negative-energy integral.
 
-The reservoir seen by the atoms is a Lorentzian of width lam centred on the
-atomic frequency omega0,
+Frequencies and energies are in units of the atomic transition frequency
+omega0, so omega0 = 1 is fixed in the formulas.  The reservoir seen by the
+atoms is a Lorentzian of width lam centred on it,
 
-    J(w) = gamma0 * lam**2 / (2*pi*((w - omega0)**2 + lam**2)),
+    J(w) = gamma0 * lam**2 / (2*pi*((w - 1)**2 + lam**2)),
 
 restricted to w >= 0.  Everything downstream (bound-state kernels, decay
 envelopes) is driven by the principal integral
@@ -43,7 +44,7 @@ def channel_coefficients(kind: AtomKind, theta: float) -> tuple[float, int]:
 class ModelParams:
     """One ensemble of identical emitters coupled to a shared reservoir.
 
-    All frequencies are in units of omega0 unless omega0 is set explicitly.
+    All frequencies are in units of the transition frequency omega0.
     theta is the relative orientation of the two dipoles of a V-type emitter
     (cos of the angle between them); it must be 0 for two-level emitters,
     where the second transition does not exist.
@@ -53,7 +54,6 @@ class ModelParams:
     lam: float = 2.0
     n_atoms: int = 1
     theta: float = 0.0
-    omega0: float = 1.0
     kind: AtomKind = AtomKind.TWO_LEVEL
 
     def __post_init__(self):
@@ -66,11 +66,9 @@ class ModelParams:
             raise ValueError("n_atoms must be an integer >= 1")
         if not 1 <= n <= sys.float_info.max:  # N enters as a float
             raise ValueError("n_atoms must be >= 1 and representable as a float")
-        for name in ("gamma0", "lam", "omega0"):
+        for name in ("gamma0", "lam"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not self.omega0 > 0:
-            raise ValueError("omega0 must be > 0")
         if not self.lam > 0:
             raise ValueError("lam must be > 0")
         if self.gamma0 < 0:
@@ -88,12 +86,10 @@ class ModelParams:
         if not math.isfinite(2.0 * float(self.gamma0) * (1.0 + float(self.theta)) * lam
                              * float(self.n_atoms)):
             raise ValueError("channel constant 2*gamma0*(1+theta)*lam*N is not finite")
-        # the reservoir-integral constants (ReservoirIntegral): the slope
-        # (pi/2 + atan(omega0/lam))/lam of I(E), times omega0 as in I near E = 0
-        omega0 = float(self.omega0)
-        if not math.isfinite(omega0 * ((0.5 * math.pi + math.atan(omega0 / lam)) / lam)):
-            raise ValueError("reservoir constant omega0*(pi/2 + atan(omega0/lam))/lam "
-                             "is not finite")
+        # the reservoir-integral constant (ReservoirIntegral): the slope
+        # (pi/2 + atan(1/lam))/lam of I(E)
+        if not math.isfinite((0.5 * math.pi + math.atan(1.0 / lam)) / lam):
+            raise ValueError("reservoir constant (pi/2 + atan(1/lam))/lam is not finite")
 
     def collective_factor(self) -> float:
         """Multiplicity of the reservoir integral in the bound-state kernel.
@@ -130,7 +126,7 @@ def lorentzian_j(omega, params: ModelParams):
     if not np.all(omega >= 0):  # NaN fails
         raise ValueError("omega must be >= 0")
     num = params.gamma0 * params.lam ** 2
-    den = 2.0 * np.pi * ((omega - params.omega0) ** 2 + params.lam ** 2)
+    den = 2.0 * np.pi * ((omega - 1.0) ** 2 + params.lam ** 2)
     out = num / den
     return out if out.ndim else float(out)
 
@@ -153,17 +149,17 @@ def reservoir_integral(e, params: ModelParams):
     underflow long before).
     """
     e = _check_energies(e)
-    out = ReservoirIntegral(params.gamma0, params.lam, params.omega0)(e)
+    out = ReservoirIntegral(params.gamma0, params.lam)(e)
     return out if out.ndim else float(out)
 
 
 class ReservoirIntegral:
     """reservoir_integral for fixed reservoir constants, E < 0 unchecked.
 
-    gamma0, lam and omega0 are scalars or arrays (one entry per parameter
-    point, shaped to broadcast against E), so a batch of points is one
-    pass; the parts that do not depend on E are computed once.  With
-    q = omega0 - E and H = hypot(q, lam) the closed form is
+    gamma0 and lam are scalars or arrays (one entry per parameter point,
+    shaped to broadcast against E), so a batch of points is one pass; the
+    parts that do not depend on E are computed once.  With q = 1 - E and
+    H = hypot(q, lam) the closed form is
 
         I(E) = scale * (lam/H)**2 * (q*slope + offset - log(-E)),
 
@@ -173,12 +169,12 @@ class ReservoirIntegral:
     applied as two factors, so no subnormal (lam/H)**2 costs precision.
     """
 
-    def __init__(self, gamma0, lam, omega0):
-        self.omega0, self.lam = omega0, lam
+    def __init__(self, gamma0, lam):
+        self.lam = lam
         self.scale = gamma0 / (2.0 * np.pi)
-        angle = 0.5 * np.pi + np.arctan(omega0 / lam)
+        angle = 0.5 * np.pi + np.arctan(1.0 / lam)
         self.slope = angle / lam
-        self.offset = np.log(np.hypot(omega0, lam))
+        self.offset = np.log(np.hypot(1.0, lam))
         # I(E) -> tail / |E| as E -> -inf
         self.tail = self.scale * lam * angle
 
@@ -191,7 +187,7 @@ class ReservoirIntegral:
             dI/du = E * dI/dE
                   = scale * (lam/H)**2 * (E*(2q/H**2*(q*slope + offset - u) - slope) - 1).
         """
-        q = self.omega0 - e
+        q = 1.0 - e
         hyp = np.hypot(q, self.lam)
         ratio = self.lam / hyp  # applied twice, so (lam/H)**2 is never formed
         num = q * self.slope + self.offset - np.log(-e)
@@ -202,44 +198,44 @@ class ReservoirIntegral:
 def reservoir_integral_quad(e, params: ModelParams):
     """I(E) by direct quadrature; slow cross-check for the closed form.
 
-    Scalar or array E.  The reservoir constants gamma0, lam and omega0 of
-    params are scalars (a ModelParams) or columns, one entry per E (a
-    ChannelColumns).  Each point's integral splits at omega0 and
-    omega0 + 10 lam, and its tail maps through u = 1/w so the infinite
-    range becomes a finite smooth integral; the three pieces of every point
-    are integrals of one adaptive_simpson batch, summed per point as
+    Scalar or array E.  The reservoir constants gamma0 and lam of params
+    are scalars (a ModelParams) or columns, one entry per E (a
+    ChannelColumns).  Each point's integral splits at 1 and 1 + 10 lam,
+    and its tail maps through u = 1/w so the infinite range becomes a
+    finite smooth integral; the three pieces of every point are integrals
+    of one adaptive_simpson batch, summed per point as
     (body1 + body2) + tail.  The tolerance 1e-13 is absolute up to
     gamma0 = 2 pi and scales with gamma0/(2 pi) above, as I does, so
     strong couplings are not refined past float resolution.
     """
     e = _check_energies(e)
     columns = np.broadcast_arrays(e, *(np.asarray(v, dtype=float)
-                                       for v in (params.gamma0, params.lam, params.omega0)))
+                                       for v in (params.gamma0, params.lam)))
     shape = columns[0].shape
-    e, gamma0, lam, w0 = (v.ravel() for v in columns)
+    e, gamma0, lam = (v.ravel() for v in columns)
     n = e.size
-    cut = w0 + 10.0 * lam
-    # per integral k: the body on [0, omega0], on [omega0, cut], then the tail
-    consts = np.tile(np.stack([gamma0, lam, w0, e]), 3)
+    cut = 1.0 + 10.0 * lam
+    # per integral k: the body on [0, 1], on [1, cut], then the tail
+    consts = np.tile(np.stack([gamma0, lam, e]), 3)
 
     def integrand(x, k):
         out = np.empty_like(x)
         body = k < 2 * n
-        g0k, lamk, w0k, ek = consts[:, k[body]]
+        g0k, lamk, ek = consts[:, k[body]]
         w = x[body]
-        out[body] = lorentzian_j(w, SimpleNamespace(gamma0=g0k, lam=lamk, omega0=w0k)) / (w - ek)
+        out[body] = lorentzian_j(w, SimpleNamespace(gamma0=g0k, lam=lamk)) / (w - ek)
         # J(1/u)/((1/u) - e) * du-Jacobian (1/u**2), simplified to stay
         # finite at u = 0
         tail = ~body
-        g0k, lamk, w0k, ek = consts[:, k[tail]]
+        g0k, lamk, ek = consts[:, k[tail]]
         u = x[tail]
-        out[tail] = g0k * lamk ** 2 * u / (2.0 * np.pi * ((1.0 - w0k * u) ** 2 + (lamk * u) ** 2)
+        out[tail] = g0k * lamk ** 2 * u / (2.0 * np.pi * ((1.0 - u) ** 2 + (lamk * u) ** 2)
                                            * (1.0 - ek * u))
         return out
 
-    zero = np.zeros(n)
-    pieces = adaptive_simpson(integrand, np.concatenate([zero, w0, zero]),
-                              np.concatenate([w0, cut, 1.0 / cut]),
+    zero, one = np.zeros(n), np.ones(n)
+    pieces = adaptive_simpson(integrand, np.concatenate([zero, one, zero]),
+                              np.concatenate([one, cut, 1.0 / cut]),
                               np.tile(1e-13 * np.maximum(1.0, gamma0 / (2.0 * np.pi)), 3))
     out = ((pieces[:n] + pieces[n:2 * n]) + pieces[2 * n:]).reshape(shape)
     return out if out.ndim else float(out)

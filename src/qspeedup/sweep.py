@@ -32,7 +32,7 @@ class NoTransitionError(RuntimeError):
 class SweepConfig:
     """The survey grid for one emitter kind and its dipole angles.
 
-    N, the gamma0 grid, lam, omega0 and tau are the same for every figure
+    N, the gamma0 grid, lam and tau are the same for every figure
     and are class constants.  Construction builds one ModelParams per
     (n_atoms, theta) curve at the top of gamma0_grid: every ModelParams
     check is independent of gamma0 or monotone in it, so that point
@@ -42,7 +42,6 @@ class SweepConfig:
     n_atoms_list: ClassVar[tuple[int, ...]] = (1, 3, 8, 30)
     gamma0_grid: ClassVar[tuple[float, float, int]] = (0.0, 4.0, 401)
     lam: ClassVar[float] = 2.0
-    omega0: ClassVar[float] = 1.0
     tau: ClassVar[float] = 5.0
 
     kind: AtomKind
@@ -54,7 +53,7 @@ class SweepConfig:
         for n in self.n_atoms_list:
             for theta in self.theta_list:
                 ModelParams(gamma0=self.gamma0_grid[1], lam=self.lam, n_atoms=n,
-                            theta=theta, omega0=self.omega0, kind=self.kind)
+                            theta=theta, kind=self.kind)
 
     def gamma0_values(self) -> np.ndarray:
         lo, hi, count = self.gamma0_grid
@@ -92,8 +91,7 @@ def run_sweep(config: SweepConfig) -> SweepTable:
                   for theta in config.theta_list)
     n_atoms, c = (np.repeat(np.array(column, dtype=float), len(gamma0)) for column in zip(
         *((n, channel_coefficients(config.kind, theta)[0]) for n, theta in pairs)))
-    channels = ChannelColumns.build(np.tile(gamma0, len(pairs)), config.lam, config.omega0,
-                                    n_atoms, c)
+    channels = ChannelColumns.build(np.tile(gamma0, len(pairs)), config.lam, n_atoms, c)
     _, ratio, nonmarkov, _, stationary = evaluate_columns(channels, config.tau)
     coupled, lost, energy, *_ = solve_bound_states(channels)
     # lost: the root lies below the probe floor
@@ -154,7 +152,7 @@ def find_critical_couplings(searches) -> list[float]:
         # every ModelParams check is independent of gamma0 or monotone in
         # it, so the top point vouches for every midpoint in (0, gamma0_max]
         tops.append(ModelParams(gamma0=gamma0_max, lam=SweepConfig.lam, n_atoms=n_atoms,
-                                theta=theta, omega0=SweepConfig.omega0, kind=kind))
+                                theta=theta, kind=kind))
     top = ChannelColumns.of(tops)
     c = np.array([channel_coefficients(p.kind, p.theta)[0] for p in tops])
     _, ratio, backflow, *_ = evaluate_columns(top, SweepConfig.tau)
@@ -170,8 +168,8 @@ def find_critical_couplings(searches) -> list[float]:
         stride, width = span // size, size - 1
         # grid indices, exact in float: each search's midpoints in a row
         mids = (np.add.outer(lo, stride * np.arange(1, size)) * ONSET_STEP).ravel()
-        channels = ChannelColumns.build(mids, SweepConfig.lam, SweepConfig.omega0,
-                                        np.repeat(top.n_atoms, width), np.repeat(c, width))
+        channels = ChannelColumns.build(mids, SweepConfig.lam, np.repeat(top.n_atoms, width),
+                                        np.repeat(c, width))
         _, ratio, backflow, *_ = evaluate_columns(channels, SweepConfig.tau)
         for k, (*_, criterion) in enumerate(searches):
             part = slice(k * width, (k + 1) * width)
@@ -188,7 +186,7 @@ def find_critical_couplings(searches) -> list[float]:
 def find_critical_coupling(kind: AtomKind, n_atoms: int, theta: float = 0.0,
                            criterion: OnsetCriterion = OnsetCriterion.SPEEDUP) -> float:
     """Smallest gamma0 in the survey's range (0, 4] where the chosen
-    indicator fires, at the survey's lam, omega0 and tau (SweepConfig's).
+    indicator fires, at the survey's lam and tau (SweepConfig's).
 
     SPEEDUP looks for ratio < 1, NONMARKOV for backflow > BACKFLOW_ONSET_TOL.
     evaluate_columns gives a ratio of exactly 1.0 while the decay is

@@ -127,7 +127,7 @@ class TestKernel:
 
     def test_kernel_approaches_omega0_far_out(self):
         params = ModelParams(gamma0=1.0)
-        assert kernel_k(-1e10, params) == pytest.approx(params.omega0, abs=1e-8)
+        assert kernel_k(-1e10, params) == pytest.approx(1.0, abs=1e-8)
 
 
 TWO, VEE = AtomKind.TWO_LEVEL, AtomKind.THREE_LEVEL_V
@@ -213,7 +213,7 @@ def test_outer_bracket_failure_stays_with_its_point():
     # |E| against the 1/|E| tail of the reservoir integral.
     absurd = ModelParams(gamma0=1e200)
     alone = find_bound_state(absurd)
-    slope = (0.5 * math.pi + math.atan(absurd.omega0 / absurd.lam)) / absurd.lam
+    slope = (0.5 * math.pi + math.atan(1.0 / absurd.lam)) / absurd.lam
     weight = absurd.gamma0 * absurd.lam ** 2 / (2.0 * math.pi)
     assert alone.energy == pytest.approx(-math.sqrt(weight * slope), rel=1e-12)
     assert kernel_k(alone.energy, absurd) == pytest.approx(alone.energy, rel=1e-15)
@@ -256,7 +256,7 @@ def test_newton_roots_match_the_independent_routes():
         solved += 1
         e = entry[2]
         # the kernel by quadrature, not by the closed form the search uses
-        k_quad = params.omega0 - params.collective_factor() * reservoir_integral_quad(e, params)
+        k_quad = 1.0 - params.collective_factor() * reservoir_integral_quad(e, params)
         assert abs(k_quad - e) < RESIDUAL_TOL * max(1.0, abs(e))
         assert reservoir_integral_quad(e, params) == pytest.approx(
             reservoir_integral(e, params), rel=1e-12)
@@ -284,9 +284,11 @@ def test_search_length_does_not_grow_with_the_coupling(gamma0):
 @pytest.mark.parametrize("params", [
     ModelParams(gamma0=4e307),  # K(-1e-16) lies past float range
     ModelParams(gamma0=1e10, lam=1e150),  # so does gamma0 * lam**2
-    ModelParams(gamma0=1.0, omega0=1e200),  # and omega0**2
-    # the search's outer edge over the floor, lo/hi, passes float range
-    ModelParams(gamma0=1.84e-05, lam=106.1, n_atoms=1969, omega0=3.10e296),
+    # the two points in units of their transition frequencies 1e200 and
+    # 3.10e296, where lam**2 underflows and the reservoir slope ~ pi/lam
+    # nears float range
+    ModelParams(gamma0=1e-200, lam=2e-200),
+    ModelParams(gamma0=1.84e-05 / 3.10e296, lam=106.1 / 3.10e296, n_atoms=1969),
 ])
 def test_extreme_admissible_points_raise_no_warning(params):
     with np.errstate(over="ignore"):  # K(-1e-16) = -inf is the reference here
@@ -322,14 +324,14 @@ def test_residual_gate_raises_for_the_batch(monkeypatch):
     # row 1 stalls: the message names it by the columns the search reads,
     # as plain floats
     points = [ModelParams(gamma0=0.0),
-              ModelParams(gamma0=2.0, lam=1.5, n_atoms=3, theta=0.5, omega0=0.8,
+              ModelParams(gamma0=2.5, lam=1.875, n_atoms=3, theta=0.5,
                           kind=AtomKind.THREE_LEVEL_V)]
     with pytest.raises(BisectionStallError) as caught:
         solve_bound_states(ChannelColumns.of(points))
     message = str(caught.value)
     assert message.startswith("root search stalled at residual ")
     assert message.endswith(
-        " for gamma0=2.0, lam=1.5, omega0=0.8, n_atoms=3.0, factor=4.5")
+        " for gamma0=2.5, lam=1.875, n_atoms=3.0, factor=4.5")
     assert "np.float64(" not in message
 
 
@@ -355,30 +357,14 @@ def test_the_check_integrates_its_points_in_one_quadrature_batch(monkeypatch):
     assert 1 <= len(calls) <= 2 and sum(calls) == 15  # 5 points, 3 pieces each
 
 
-def test_a_settled_tangent_seed_is_the_energy():
-    # the tangent seed -1.4092376e-12 is already the root (h = -3.5e-18
-    # there), and its first step settles; the strong-coupling jump once
-    # moved that step's end to -exp(balance) = -2.5e4, which became the
-    # energy unevaluated and missed the gate by a residual of 4.6e4
-    params = ModelParams(gamma0=0.049993694058727306, lam=6504.034821439798,
-                         omega0=22787.18232260179, n_atoms=589094,
-                         theta=0.3616925968836283, kind=VEE)
+def test_a_settled_seed_is_the_energy():
+    # the balance seed is already the root (h < 0 there), and its first
+    # step settles.  The strong-coupling jump once moved such a step's end
+    # to -exp(balance), which became the energy unevaluated: a tangent seed
+    # of -1.4e-12 missed the gate by a residual of 4.6e4.  A tangent seed
+    # lies below the root (h > 0 there), since h is convex in u near it.
+    params = ModelParams(gamma0=4e29, lam=0.05, n_atoms=30)
     result = find_bound_state(params)
-    assert result.energy == pytest.approx(-1.4092376e-12, rel=1e-7)
-    assert result.residual < RESIDUAL_TOL * max(1.0, abs(result.energy), params.omega0)
-
-
-@pytest.mark.parametrize("params, energy", [
-    (ModelParams(gamma0=1138.6521477765136, lam=320357.6494831029,
-                 omega0=16926074.03757828, n_atoms=1400517), -0.0100360),
-    (ModelParams(gamma0=3059616.4865094232, lam=68928954.86855517,
-                 omega0=38766507.36612774, n_atoms=3), -1.7248e-7),
-])
-def test_residual_gate_scales_with_omega0(params, energy):
-    # K(E) = omega0 - c*I cancels two terms of size omega0 ~ 1e7, so the
-    # float residual carries about 1e-9 of error even at the root (the
-    # reference energies are from a 60-digit root); a gate of 1e-10 * max(1,
-    # |E|) raised BisectionStallError at residuals of 1.3e-9 and 8.6e-9
-    result = find_bound_state(params)
-    assert result.energy == pytest.approx(energy, rel=1e-4)
-    assert result.residual < RESIDUAL_TOL * max(1.0, abs(result.energy), params.omega0)
+    assert result.iterations == 1
+    assert kernel_k(result.energy, params) == pytest.approx(result.energy, rel=1e-15)
+    assert result.residual < RESIDUAL_TOL * max(1.0, abs(result.energy))

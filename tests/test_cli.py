@@ -37,11 +37,17 @@ class TestArgvHandling:
         (["dynamics", "--gamma0", "1", "--lambda", "2", "--tau", "nan"], "tau"),
         (["dynamics", "--gamma0", "1", "--lambda", "2", "--tau", "inf"], "tau"),
         (["qsl", "--gamma0", "1e308", "--lambda", "2"], "channel constant"),
-        (["bound-state", "--gamma0", "1", "--lambda", "3.63e-140", "--omega0", "1.58e228"],
-         "omega0/lam"),
+        (["bound-state", "--gamma0", "1", "--lambda", "1e-308"], "reservoir constant"),
         (["qsl", "--gamma0", "1", "--lambda", "1e-310"], "lam"),
         (["bound-state", "--gamma0", "1", "--lambda", "2", "--n", str(10 ** 400)],
          "n_atoms"),
+        # omega0 is the unit, not a flag
+        (["bound-state", "--gamma0", "1", "--lambda", "2", "--omega0", "2"],
+         "unrecognized arguments: --omega0 2"),
+        (["qsl", "--gamma0", "1", "--lambda", "2", "--omega0", "2"],
+         "unrecognized arguments: --omega0 2"),
+        (["dynamics", "--gamma0", "1", "--lambda", "2", "--omega0", "2"],
+         "unrecognized arguments: --omega0 2"),
     ])
     def test_non_finite_values_are_usage_errors(self, capsys, argv, fragment):
         assert main(argv) == 1
@@ -109,18 +115,18 @@ class TestArgvHandling:
 
     @pytest.mark.parametrize("argv,fields", [
         (["bound-state", "--kind", "three-level-v", "--n", "4", "--theta", "0.3",
-          "--gamma0", "1.7", "--lambda", "2.5", "--omega0", "0.9"],
+          "--gamma0", "1.7", "--lambda", "2.5"],
          dict(command="bound-state", run=cli.cmd_bound_state, kind="three-level-v",
-              n_atoms=4, theta=0.3, gamma0=1.7, lam=2.5, omega0=0.9)),
+              n_atoms=4, theta=0.3, gamma0=1.7, lam=2.5)),
         (["dynamics", "--gamma0", "2.0", "--lambda", "2.0", "--tau", "7.5",
           "--steps", "8192", "--output", "traj.json", "--format", "json", "--force"],
          dict(command="dynamics", run=cli.cmd_dynamics, kind="two-level", n_atoms=1,
-              theta=0.0, gamma0=2.0, lam=2.0, omega0=1.0, tau=7.5, steps=8192,
+              theta=0.0, gamma0=2.0, lam=2.0, tau=7.5, steps=8192,
               output="traj.json", fmt="json", force=True)),
         (["qsl", "--n", "8", "--gamma0", "3", "--lambda", "2", "--tau", "4",
           "--output", "report.json"],
          dict(command="qsl", run=cli.cmd_qsl, kind="two-level", n_atoms=8, theta=0.0,
-              gamma0=3.0, lam=2.0, omega0=1.0, tau=4.0, output="report.json",
+              gamma0=3.0, lam=2.0, tau=4.0, output="report.json",
               force=False)),
         (["sweep", "--figure", "3", "--output", "rows.csv", "--svg", "rows.svg",
           "--force"],
@@ -158,7 +164,7 @@ def _model_argv(draw):
     command = draw(st.sampled_from(["bound-state", "qsl", "dynamics"]))
     argv = [command, "--kind", draw(st.sampled_from(["two-level", "three-level-v"])),
             "--gamma0", draw(_REAL), "--lambda", draw(_REAL)]
-    flags = [("--n", _COUNT), ("--theta", _REAL), ("--omega0", _REAL)]
+    flags = [("--n", _COUNT), ("--theta", _REAL)]
     if command != "bound-state":
         flags += [("--tau", _REAL), ("--output", _OUTPUTS)]
     if command == "dynamics":

@@ -1,6 +1,6 @@
 """A seeded sample of the whole admissible box through both column
-kernels at once: about 2,000 points of both kinds with gamma0 over 24
-decades, lam and omega0 over 16 and N up to 1e8, as one ChannelColumns."""
+kernels at once: about 2,000 points of both kinds with gamma0 over 40
+decades, lam over 32 and N up to 1e8, as one ChannelColumns."""
 
 import warnings
 
@@ -15,8 +15,10 @@ from qspeedup.spectral import AtomKind, ModelParams
 
 def wide_box_points(seed=20261019, count=2000):
     """Admissible points drawn log-uniformly: gamma0 on 1e-12..1e12, lam
-    and omega0 on 1e-8..1e8, N on 1..1e8, both kinds (theta uniform on
-    [0, 1] for V-type).  A draw ModelParams refuses is dropped."""
+    and a transition frequency omega0 on 1e-8..1e8, N on 1..1e8, both kinds
+    (theta uniform on [0, 1] for V-type).  Each draw is taken in units of
+    its omega0, as (gamma0/omega0, lam/omega0).  A draw ModelParams refuses
+    is dropped."""
     rng = np.random.default_rng(seed)
     gamma0 = 10.0 ** rng.uniform(-12.0, 12.0, count)
     lam = 10.0 ** rng.uniform(-8.0, 8.0, count)
@@ -29,7 +31,7 @@ def wide_box_points(seed=20261019, count=2000):
                                    n_atoms.tolist(), vee.tolist(), theta.tolist()):
         kind = AtomKind.THREE_LEVEL_V if v else AtomKind.TWO_LEVEL
         try:
-            points.append(ModelParams(gamma0=g0, lam=l, omega0=w0, n_atoms=n,
+            points.append(ModelParams(gamma0=g0 / w0, lam=l / w0, n_atoms=n,
                                       theta=th, kind=kind))
         except ValueError:  # a channel or reservoir constant past float range
             pass
@@ -76,7 +78,7 @@ def test_bound_state_rows_meet_their_gates(box):
     assert coupled.all()  # gamma0 >= 1e-12
     solved = ~underflow
     assert solved.any() and underflow.any()
-    gate = RESIDUAL_TOL * np.maximum(np.maximum(1.0, np.abs(energy)), channels.omega0)
+    gate = RESIDUAL_TOL * np.maximum(1.0, np.abs(energy))
     assert (residual[solved] < gate[solved]).all()
     assert ((lo <= energy) & (energy <= hi))[solved].all()
     assert (energy[solved] < 0.0).all()

@@ -190,7 +190,7 @@ def test_real_envelope_equals_the_complex_path(channels, tau, steps):
 class TestChannelConstants:
     def test_principal_branch(self):
         # x = 4 - 4*gamma0 at lam = 2, N = 1: d = 2 (a real root), then 2i
-        channels = ChannelColumns.build(np.array([0.0, 2.0]), 2.0, 1.0, 1.0, 1.0)
+        channels = ChannelColumns.build(np.array([0.0, 2.0]), 2.0, 1.0, 1.0)
         assert channels.a.tolist() == [2.0, 0.0]
         assert channels.b.tolist() == [0.0, 2.0]
 
@@ -241,7 +241,7 @@ class TestChannelConstants:
                                              kind=first.kind))
                 except ValueError:  # channel constant past float range
                     pass
-            curves.append((curve, (first.lam, 1.0, first.n_atoms, c)))
+            curves.append((curve, (first.lam, first.n_atoms, c)))
 
         def column_bits(channels):
             # every column is real: a complex d cannot come back
@@ -256,7 +256,7 @@ class TestChannelConstants:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # the three channels of each point; 1 - theta reaches build only
-            arrays = [ChannelColumns.build(gamma0, lam, 1.0, n, c)
+            arrays = [ChannelColumns.build(gamma0, lam, n, c)
                       for c in (1.0, 1.0 + theta, 1.0 - theta)]
             vee = ChannelColumns.of(points)
             two_level = ChannelColumns.of(two_level_points)

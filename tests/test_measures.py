@@ -439,21 +439,23 @@ def test_functionals_match_dense_scan(kind, n, gamma0, theta, log_tau):
 
 
 def seeded_dense_points(seed=20261019, count=200):
-    """count points with gamma0, lam and omega0 log-uniform on 1e-4..1e4,
-    N on 1..1000, both kinds and tau log-uniform on 0.01..1000; a draw
-    whose window holds more than 300 envelope periods is passed over."""
+    """count points with gamma0 and lam log-uniform on 1e-4..1e4, N on
+    1..1000, both kinds and tau log-uniform on 0.01..1000; a draw whose
+    window holds more than 300 envelope periods is passed over.  A third
+    log-uniform draw, once the transition frequency omega0, is made and
+    unused, so the later draws keep their values (the dynamics never read
+    omega0)."""
     rng = np.random.default_rng(seed)
     draws = 4 * count
-    gamma0, lam, omega0 = (10.0 ** rng.uniform(-4.0, 4.0, draws) for _ in range(3))
+    gamma0, lam, _ = (10.0 ** rng.uniform(-4.0, 4.0, draws) for _ in range(3))
     n_atoms = np.floor(10.0 ** rng.uniform(0.0, 3.0, draws)).astype(int)
     vee = rng.random(draws) < 0.5
     theta = np.where(vee, rng.random(draws), 0.0)
     tau = 10.0 ** rng.uniform(-2.0, 3.0, draws)
     points = []
-    for g0, l, w0, n, v, th, t in zip(gamma0.tolist(), lam.tolist(), omega0.tolist(),
-                                      n_atoms.tolist(), vee.tolist(), theta.tolist(),
-                                      tau.tolist()):
-        params = ModelParams(gamma0=g0, lam=l, omega0=w0, n_atoms=n, theta=th,
+    for g0, l, n, v, th, t in zip(gamma0.tolist(), lam.tolist(), n_atoms.tolist(),
+                                  vee.tolist(), theta.tolist(), tau.tolist()):
+        params = ModelParams(gamma0=g0, lam=l, n_atoms=n, theta=th,
                              kind=AtomKind.THREE_LEVEL_V if v else AtomKind.TWO_LEVEL)
         if t * ChannelColumns.of([params]).b[0] <= 300 * 2.0 * math.pi:
             points.append((params, t))
@@ -463,7 +465,7 @@ def seeded_dense_points(seed=20261019, count=200):
 
 def test_backflow_matches_dense_scan_over_seeded_points():
     # eight decades in each reservoir constant, where the hypothesis test
-    # above keeps lam = 2 and omega0 = 1
+    # above keeps lam = 2
     for params, tau in seeded_dense_points():
         report = evaluate_point(params, tau)
         rise, ratio = _dense_scan(params, tau)

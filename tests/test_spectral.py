@@ -14,19 +14,18 @@ from qspeedup.spectral import (AtomKind, ModelParams, lorentzian_j,
                                reservoir_integral, reservoir_integral_quad)
 
 BASE = ModelParams(gamma0=1.0)
-# int_0^inf J(w) dw of BASE: gamma0*lam/(2 pi) * (pi/2 + atan(omega0/lam))
+# int_0^inf J(w) dw of BASE: gamma0*lam/(2 pi) * (pi/2 + atan(1/lam))
 TOTAL_WEIGHT = 0.6475836176504333
 
 
 class TestModelParams:
     def test_defaults(self):
-        assert BASE.lam == 2.0 and BASE.omega0 == 1.0 and BASE.n_atoms == 1
+        assert BASE.lam == 2.0 and BASE.n_atoms == 1
         assert BASE.kind is AtomKind.TWO_LEVEL
 
     @pytest.mark.parametrize("kwargs,fragment", [
         (dict(gamma0=-0.1), "gamma0"),
         (dict(gamma0=1.0, lam=0.0), "lam"),
-        (dict(gamma0=1.0, omega0=0.0), "omega0"),
         (dict(gamma0=1.0, n_atoms=0), "n_atoms"),
         (dict(gamma0=1.0, n_atoms=2.5), "n_atoms"),
         (dict(gamma0=1.0, n_atoms=True), "n_atoms"),
@@ -37,25 +36,25 @@ class TestModelParams:
         (dict(gamma0=math.inf), "gamma0"),
         (dict(gamma0=1.0, lam=math.nan), "lam"),
         (dict(gamma0=1.0, lam=math.inf), "lam"),
-        (dict(gamma0=1.0, omega0=math.nan), "omega0"),
-        (dict(gamma0=1.0, omega0=math.inf), "omega0"),
         (dict(gamma0=1.0, theta=math.nan, kind=AtomKind.THREE_LEVEL_V), "theta"),
         (dict(gamma0=1.0, n_atoms=10 ** 400), "n_atoms"),
         (dict(gamma0=1.0, lam=1e160), "channel constant lam"),
         (dict(gamma0=1e308), "channel constant 2"),
         (dict(gamma0=1.0, n_atoms=10 ** 308), "channel constant 2"),
         (dict(gamma0=3e307, theta=1.0, kind=AtomKind.THREE_LEVEL_V), "channel constant 2"),
-        # omega0/lam past float range, and a slope pi/lam past it
-        (dict(gamma0=1.09e45, lam=3.63e-140, n_atoms=1144, omega0=1.58e228),
-         "reservoir constant omega0"),
-        (dict(gamma0=1.0, lam=1e-310), "reservoir constant omega0"),
+        # a slope pi/lam past float range, with 1/lam inside it and past it
+        (dict(gamma0=1.0, lam=1e-308), "reservoir constant"),
+        (dict(gamma0=1.0, lam=1e-310), "reservoir constant"),
         # a string would take the two-level channel: collective_factor 3.0
         # where the V-type point gives 6.0
         (dict(gamma0=1.0, n_atoms=3, theta=1.0, kind="three-level-v"), "kind"),
         (dict(gamma0=1.0, kind=None), "kind"),
+        # omega0 is the unit, not a field
+        (dict(gamma0=1.0, omega0=2.0), "unexpected keyword argument 'omega0'"),
     ])
     def test_rejects_invalid(self, kwargs, fragment):
-        with pytest.raises(ValueError, match=fragment):
+        error = TypeError if "omega0" in kwargs else ValueError
+        with pytest.raises(error, match=fragment):
             ModelParams(**kwargs)
 
     def test_largest_finite_channel_constant_is_accepted(self):
@@ -170,10 +169,11 @@ class TestReservoirIntegral:
         energies = [find_bound_state(p).energy for p in points]
         rng = np.random.default_rng(20261019)
         for _ in range(40):
+            # a point of transition frequency omega0, in units of its omega0
             lam, omega0 = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
-            points.append(ModelParams(gamma0=float(10.0 ** rng.uniform(-3.0, 5.0)),
-                                      lam=float(lam), omega0=float(omega0)))
-            energies.append(-float(10.0 ** rng.uniform(-6.0, 3.0)))
+            points.append(ModelParams(gamma0=float(10.0 ** rng.uniform(-3.0, 5.0) / omega0),
+                                      lam=float(lam / omega0)))
+            energies.append(-float(10.0 ** rng.uniform(-6.0, 3.0) / omega0))
         batch = reservoir_integral_quad(np.array(energies), ChannelColumns.of(points))
         assert batch.shape == (len(points),)
         assert [v.hex() for v in batch.tolist()] == [
@@ -187,7 +187,9 @@ class TestReservoirIntegral:
 
     @pytest.mark.parametrize("e", [-1e-4, -1.0, -50.0])
     def test_closed_form_vs_scipy(self, e):
-        params = ModelParams(gamma0=1.7, lam=0.8, omega0=1.3)
+        # gamma0 = 1.7 and lam = 0.8 at omega0 = 1.3, in units of that omega0
+        params = ModelParams(gamma0=1.7 / 1.3, lam=0.8 / 1.3)
+        e = e / 1.3
 
         def body(w):
             return lorentzian_j(w, params) / (w - e)

@@ -42,7 +42,7 @@ class TestSweepConfig:
         assert [f.name for f in dataclasses.fields(SweepConfig)] == ["kind", "theta_list"]
         assert (SweepConfig.n_atoms_list, SweepConfig.gamma0_grid) == ((1, 3, 8, 30),
                                                                        (0.0, 4.0, 401))
-        assert (SweepConfig.lam, SweepConfig.omega0, SweepConfig.tau) == (2.0, 1.0, 5.0)
+        assert (SweepConfig.lam, SweepConfig.tau) == (2.0, 5.0)
 
     def test_grid_endpoints(self):
         values = figure_preset(2).config.gamma0_values()
@@ -63,7 +63,7 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(**{"kind": AtomKind.THREE_LEVEL_V, **kwargs})
 
-    @pytest.mark.parametrize("name", ["n_atoms_list", "gamma0_grid", "lam", "omega0", "tau"])
+    @pytest.mark.parametrize("name", ["n_atoms_list", "gamma0_grid", "lam", "tau"])
     def test_survey_constants_are_not_settable(self, name):
         with pytest.raises(TypeError, match=name):
             SweepConfig(kind=AtomKind.TWO_LEVEL, **{name: getattr(SweepConfig, name)})
@@ -99,7 +99,7 @@ class TestRunSweep:
         rows = [row for i, row in enumerate(table_rows(run_sweep(config)))
                 if i % count % 8 == 0]
         points = [ModelParams(gamma0=g0, lam=config.lam, n_atoms=n, theta=theta,
-                              omega0=config.omega0, kind=config.kind)
+                              kind=config.kind)
                   for n in config.n_atoms_list for theta in config.theta_list
                   for g0 in config.gamma0_values().tolist()[::8]]
         assert list(map(repr, rows)) == [repr(per_point_row(p, config.tau))
