@@ -357,6 +357,26 @@ def test_the_check_integrates_its_points_in_one_quadrature_batch(monkeypatch):
     assert 1 <= len(calls) <= 2 and sum(calls) == 15  # 5 points, 3 pieces each
 
 
+@pytest.mark.parametrize("params, energy", [
+    (ModelParams(gamma0=1138.6521477765136 / 16926074.03757828,
+                 lam=320357.6494831029 / 16926074.03757828, n_atoms=1400517),
+     -0.0100360 / 16926074.03757828),
+    (ModelParams(gamma0=3059616.4865094232 / 38766507.36612774,
+                 lam=68928954.86855517 / 38766507.36612774, n_atoms=3),
+     -1.7248e-7 / 38766507.36612774),
+])
+def test_residual_gate_holds_at_the_unit_twins(params, energy):
+    # two points at transition frequencies 1.7e7 and 3.9e7, in units of
+    # those frequencies.  With omega0 as a value, K(E) = omega0 - c*I
+    # cancelled two terms of size omega0 and carried about 1e-9 of float
+    # error, which the gate 1e-10 * max(1, |E|) refused.  In units of omega0
+    # the terms are of size 1: the twins meet that gate at the 60-digit
+    # roots divided by omega0.
+    result = find_bound_state(params)
+    assert result.energy == pytest.approx(energy, rel=1e-4)
+    assert result.residual < RESIDUAL_TOL * max(1.0, abs(result.energy))
+
+
 def test_a_settled_seed_is_the_energy():
     # the balance seed is already the root (h < 0 there), and its first
     # step settles.  The strong-coupling jump once moved such a step's end
